@@ -126,10 +126,10 @@ class BcbptPolicy(NeighbourPolicy):
         """
         cluster = self.clusters.cluster_of(node_id)
         current = set(self.network.neighbors(node_id))
-        online = set(self.network.online_node_ids())
+        is_online = self.network.is_online
 
         def usable(peer: int) -> bool:
-            return peer != node_id and peer not in current and peer in online
+            return peer != node_id and peer not in current and is_online(peer)
 
         def close_subset(candidates: list[int]) -> list[int]:
             estimates = self.distances.rank_by_distance(node_id, candidates)
@@ -199,25 +199,6 @@ class BcbptPolicy(NeighbourPolicy):
         counters["cluster_members"] += 1
         sizes["cluster_members"] += message_size_bytes("cluster_members", cluster.size)
 
-    def _add_long_links(self, node_id: int) -> None:
-        """Connect to a few random peers outside the node's cluster (long links)."""
-        cluster = self.clusters.cluster_of(node_id)
-        members = set(cluster.members) if cluster is not None else set()
-        outsiders = [
-            peer
-            for peer in self.network.online_node_ids()
-            if peer != node_id
-            and peer not in members
-            and not self.network.topology.are_connected(node_id, peer)
-        ]
-        if not outsiders:
-            return
-        count = min(self.config.long_links_per_node, len(outsiders))
-        picked = self.rng.choice(len(outsiders), size=count, replace=False)
-        for index in picked:
-            if self.network.connect(node_id, outsiders[int(index)], is_long_link=True):
-                self.stats.long_links_created += 1
-
     # ----------------------------------------------------------------- build
     def build_topology(self) -> TopologyBuildReport:
         """Cluster generation phase: assign every online node, then connect."""
@@ -228,8 +209,7 @@ class BcbptPolicy(NeighbourPolicy):
             self.assign_to_cluster(node_id)
         for node_id in online:
             self.connect_node(node_id)
-            if self.config.long_links_per_node > 0:
-                self._add_long_links(node_id)
+            self._add_long_links(node_id, self.config.long_links_per_node)
         self.ensure_connected_overlay()
         return self._build_report(
             ping_exchanges=self.network.messages_sent.get("ping", 0) - pings_before,
@@ -241,8 +221,7 @@ class BcbptPolicy(NeighbourPolicy):
         """Re-run the join procedure for a node coming back online."""
         self.assign_to_cluster(node_id)
         self.connect_node(node_id)
-        if self.config.long_links_per_node > 0:
-            self._add_long_links(node_id)
+        self._add_long_links(node_id, self.config.long_links_per_node)
         self.stats.repairs_performed += 1
 
     def run_discovery_round(self, node_id: int) -> int:
@@ -303,10 +282,3 @@ class BcbptPolicy(NeighbourPolicy):
             if self.network.connect(node.node_id, peer, is_cluster_link=True):
                 created += 1
                 self.stats.connections_created += 1
-
-    def _control_message_count(self) -> int:
-        counters = self.network.messages_sent
-        return sum(
-            counters.get(command, 0)
-            for command in ("getaddr", "addr", "join", "join_accept", "cluster_members")
-        )

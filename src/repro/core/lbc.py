@@ -102,10 +102,10 @@ class LbcPolicy(NeighbourPolicy):
         """
         cluster = self.clusters.cluster_of(node_id)
         current = set(self.network.neighbors(node_id))
-        online = set(self.network.online_node_ids())
+        is_online = self.network.is_online
 
         def usable(peer: int) -> bool:
-            return peer != node_id and peer not in current and peer in online
+            return peer != node_id and peer not in current and is_online(peer)
 
         def close_subset(candidates: list[int]) -> list[int]:
             qualifying = [
@@ -124,8 +124,11 @@ class LbcPolicy(NeighbourPolicy):
         if len(ranked) < self.max_outbound:
             # Not enough close cluster members: consider the geographically
             # nearest non-members that still qualify under the threshold.
+            chosen = set(ranked)
             outsiders = [
-                peer for peer in online if usable(peer) and peer not in set(ranked)
+                peer
+                for peer in self.network.online_node_ids()
+                if peer not in chosen and usable(peer)
             ]
             outsiders.sort(key=lambda peer: (self.geographic_distance_km(node_id, peer), peer))
             ranked.extend(close_subset(outsiders[: self.config.recommendation_size]))
@@ -151,25 +154,6 @@ class LbcPolicy(NeighbourPolicy):
             self.clusters.create_cluster(node_id, created_at=self.network.simulator.now)
             self.stats.clusters_formed += 1
 
-    def _add_long_links(self, node_id: int) -> None:
-        """Connect to a few random peers outside the node's cluster."""
-        cluster = self.clusters.cluster_of(node_id)
-        members = set(cluster.members) if cluster is not None else set()
-        outsiders = [
-            peer
-            for peer in self.network.online_node_ids()
-            if peer != node_id
-            and peer not in members
-            and not self.network.topology.are_connected(node_id, peer)
-        ]
-        if not outsiders:
-            return
-        count = min(self.config.long_links_per_node, len(outsiders))
-        picked = self.rng.choice(len(outsiders), size=count, replace=False)
-        for index in picked:
-            if self.network.connect(node_id, outsiders[int(index)], is_long_link=True):
-                self.stats.long_links_created += 1
-
     # ----------------------------------------------------------------- build
     def build_topology(self) -> TopologyBuildReport:
         """Cluster every online node geographically, then wire up the overlay."""
@@ -180,8 +164,7 @@ class LbcPolicy(NeighbourPolicy):
             self.assign_to_cluster(node_id)
         for node_id in online:
             self.connect_node(node_id)
-            if self.config.long_links_per_node > 0:
-                self._add_long_links(node_id)
+            self._add_long_links(node_id, self.config.long_links_per_node)
         self.ensure_connected_overlay()
         return self._build_report(
             ping_exchanges=self.network.messages_sent.get("ping", 0) - pings_before,
@@ -193,13 +176,5 @@ class LbcPolicy(NeighbourPolicy):
         """Re-cluster and reconnect a node that has come back online."""
         self.assign_to_cluster(node_id)
         self.connect_node(node_id)
-        if self.config.long_links_per_node > 0:
-            self._add_long_links(node_id)
+        self._add_long_links(node_id, self.config.long_links_per_node)
         self.stats.repairs_performed += 1
-
-    def _control_message_count(self) -> int:
-        counters = self.network.messages_sent
-        return sum(
-            counters.get(command, 0)
-            for command in ("getaddr", "addr", "join", "join_accept", "cluster_members")
-        )

@@ -164,6 +164,56 @@ class NeighbourPolicy(abc.ABC):
         """Whether a new link would be an intra-cluster link."""
         return self.clusters.are_same_cluster(node_a, node_b)
 
+    def _sample_online(self, excluded: set[int], count: int) -> list[int]:
+        """Up to ``count`` online peers outside ``excluded``, drawn without replacement.
+
+        Draws exactly what ``rng.choice`` over the online roster with
+        ``excluded`` filtered out would draw, without building that list:
+        the draw depends only on the list's length, and the i-th remaining
+        peer is found by stepping over the excluded ranks at or below it.
+        """
+        if count <= 0:
+            return []
+        roster = self.network.online_node_ids()
+        skipped = sorted(
+            rank for rank in map(self.network.online_rank, excluded) if rank is not None
+        )
+        available = len(roster) - len(skipped)
+        if available <= 0:
+            return []
+        picked = self.rng.choice(available, size=min(count, available), replace=False)
+        peers = []
+        for index in picked.tolist():
+            for rank in skipped:
+                if rank > index:
+                    break
+                index += 1
+            peers.append(roster[index])
+        return peers
+
+    def _add_long_links(self, node_id: int, count: int) -> None:
+        """Connect to ``count`` random online peers outside the node's cluster.
+
+        These are the paper's "few long distance links to the outside
+        cluster", which keep the other clusters' information visible.
+        """
+        excluded = set(self.network.neighbors(node_id))
+        excluded.add(node_id)
+        cluster = self.clusters.cluster_of(node_id)
+        if cluster is not None:
+            excluded |= cluster.members
+        for peer in self._sample_online(excluded, count):
+            if self.network.connect(node_id, peer, is_long_link=True):
+                self.stats.long_links_created += 1
+
+    def _control_message_count(self) -> int:
+        """Control messages sent so far that a topology build is charged for."""
+        counters = self.network.messages_sent
+        return sum(
+            counters.get(command, 0)
+            for command in ("getaddr", "addr", "join", "join_accept", "cluster_members")
+        )
+
     def ensure_connected_overlay(self) -> int:
         """Bridge disconnected components with random links.
 

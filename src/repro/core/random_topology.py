@@ -54,18 +54,10 @@ class RandomNeighbourPolicy(NeighbourPolicy):
         super().__init__(network, seed_service, rng, max_outbound=self.config.max_outbound)
 
     def select_peers(self, node_id: int) -> list[int]:
-        """A random permutation of reachable peers (excluding current neighbours)."""
-        current = set(self.network.neighbors(node_id))
-        candidates = [
-            peer
-            for peer in self.network.online_node_ids()
-            if peer != node_id and peer not in current
-        ]
-        if not candidates:
-            return []
-        pool_size = min(self.config.candidate_pool_size, len(candidates))
-        picked = self.rng.choice(len(candidates), size=pool_size, replace=False)
-        return [candidates[i] for i in picked]
+        """A random sample of reachable peers (excluding current neighbours)."""
+        excluded = set(self.network.neighbors(node_id))
+        excluded.add(node_id)
+        return self._sample_online(excluded, self.config.candidate_pool_size)
 
     def build_topology(self) -> TopologyBuildReport:
         """Connect every online node to ``max_outbound`` random peers."""
@@ -81,11 +73,4 @@ class RandomNeighbourPolicy(NeighbourPolicy):
         return self._build_report(
             ping_exchanges=self.network.messages_sent.get("ping", 0) - pings_before,
             control_messages=self._control_message_count() - control_before,
-        )
-
-    def _control_message_count(self) -> int:
-        counters = self.network.messages_sent
-        return sum(
-            counters.get(command, 0)
-            for command in ("getaddr", "addr", "join", "join_accept", "cluster_members")
         )

@@ -102,8 +102,9 @@ class PropagationExperiment:
         config: shared experiment configuration.
         fund_measuring_only: fund only the measuring nodes instead of every
             node.  Only measuring nodes spend during a campaign, but funding
-            everyone installs O(nodes × outputs) UTXO entries *per node* —
-            quadratic in network size — so 10k-node scale cells opt out.
+            everyone puts every funding txid into each node's known-set and
+            best-chain txid set — quadratic in network size — so 10k-node
+            scale cells opt out.
             Default False: the funding block's contents feed every node's
             inventory, so the figure experiments keep the historical
             fund-everyone behaviour (pinned by the golden-fingerprint tests).

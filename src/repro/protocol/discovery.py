@@ -86,37 +86,42 @@ class DnsSeedService:
         self._positions = positions
         self._rng = rng
         self.seed_sample_size = seed_sample_size
-        self._online: set[int] = set()
         self.queries_served = 0
-        # Position columns for the vectorised proximity prefilter: id -> row,
-        # plus latitude/longitude arrays in row order.  Positions are
-        # immutable, so this is built once.
-        ids = sorted(positions)
-        self._row_of = {node_id: row for row, node_id in enumerate(ids)}
-        self._latitudes = np.array([positions[i].latitude for i in ids], dtype=np.float64)
-        self._longitudes = np.array([positions[i].longitude for i in ids], dtype=np.float64)
+        # One row per node, in ascending id order: latitude/longitude columns
+        # for the vectorised proximity prefilter, and the online mask the
+        # queries read their candidates from.  Positions are immutable, so
+        # only the mask ever changes.
+        self._ids = sorted(positions)
+        self._row_of = {node_id: row for row, node_id in enumerate(self._ids)}
+        self._latitudes = np.array([positions[i].latitude for i in self._ids], dtype=np.float64)
+        self._longitudes = np.array([positions[i].longitude for i in self._ids], dtype=np.float64)
+        self._online_rows = np.zeros(len(self._ids), dtype=bool)
 
     # ------------------------------------------------------------- liveness
     def set_online(self, node_id: int, online: bool) -> None:
-        """Track which nodes the seed may return (only reachable ones)."""
-        if online:
-            self._online.add(node_id)
-        else:
-            self._online.discard(node_id)
+        """Track which nodes the seed may return (only reachable ones).
+
+        Raises:
+            KeyError: for a node the seed has no position for, which it could
+                never rank.
+        """
+        row = self._row_of.get(node_id)
+        if row is None:
+            raise KeyError(f"the DNS seed has no position for node {node_id}")
+        self._online_rows[row] = online
 
     def online_count(self) -> int:
         """Number of nodes the seed currently considers reachable."""
-        return len(self._online)
+        return int(np.count_nonzero(self._online_rows))
 
     # -------------------------------------------------------------- queries
     def query(self, requester_id: int) -> list[int]:
         """Vanilla Bitcoin behaviour: a random sample of reachable peers."""
         self.queries_served += 1
-        candidates = sorted(peer for peer in self._online if peer != requester_id)
-        if len(candidates) <= self.seed_sample_size:
-            return candidates
-        picked = self._rng.choice(len(candidates), size=self.seed_sample_size, replace=False)
-        return [candidates[i] for i in picked]
+        rows = self._candidate_rows(requester_id)
+        if len(rows) > self.seed_sample_size:
+            rows = rows[self._rng.choice(len(rows), size=self.seed_sample_size, replace=False)]
+        return [self._ids[row] for row in rows.tolist()]
 
     def query_proximity_ranked(self, requester_id: int) -> list[int]:
         """BCBPT bootstrap behaviour (Section IV.B): peers ranked by geographic distance.
@@ -126,25 +131,29 @@ class DnsSeedService:
         ping measurements.
         """
         self.queries_served += 1
-        requester_position = self._positions.get(requester_id)
-        candidates = [peer for peer in self._online if peer != requester_id]
-        if requester_position is None:
-            return sorted(candidates)[: self.seed_sample_size]
-        if len(candidates) > max(4 * self.seed_sample_size, 64):
-            candidates = self._prefilter_by_distance(requester_position, candidates)
+        rows = self._candidate_rows(requester_id)
+        origin = self._positions.get(requester_id)
+        if origin is None:
+            return [self._ids[row] for row in rows[: self.seed_sample_size].tolist()]
+        if len(rows) > max(4 * self.seed_sample_size, 64):
+            rows = self._prefilter_by_distance(origin, rows)
         ranked = sorted(
-            candidates,
-            key=lambda peer: (
-                requester_position.distance_km(self._positions[peer]),
-                peer,
-            ),
+            (self._ids[row] for row in rows.tolist()),
+            key=lambda peer: (origin.distance_km(self._positions[peer]), peer),
         )
         return ranked[: self.seed_sample_size]
 
-    def _prefilter_by_distance(
-        self, origin: GeoPosition, candidates: list[int]
-    ) -> list[int]:
-        """Shrink ``candidates`` to a superset of the ``k`` closest peers.
+    def _candidate_rows(self, requester_id: int) -> np.ndarray:
+        """Rows of the reachable nodes other than the requester, by ascending id."""
+        online = self._online_rows
+        row = self._row_of.get(requester_id)
+        if row is not None and online[row]:
+            online = online.copy()
+            online[row] = False
+        return np.flatnonzero(online)
+
+    def _prefilter_by_distance(self, origin: GeoPosition, rows: np.ndarray) -> np.ndarray:
+        """Shrink candidate ``rows`` to a superset of the ``k`` closest peers.
 
         One vectorised haversine pass picks the cut.  numpy transcendentals
         and ``math``'s can differ in the last ulp, so the approximate
@@ -156,17 +165,12 @@ class DnsSeedService:
         work instead of O(n) scalar haversines per query.
         """
         k = self.seed_sample_size
-        rows = np.fromiter(
-            (self._row_of[peer] for peer in candidates),
-            dtype=np.int64,
-            count=len(candidates),
-        )
+        latitudes = self._latitudes[rows]
         phi1 = math.radians(origin.latitude)
-        phi2 = np.radians(self._latitudes[rows])
-        dphi = np.radians(self._latitudes[rows] - origin.latitude)
+        phi2 = np.radians(latitudes)
+        dphi = np.radians(latitudes - origin.latitude)
         dlambda = np.radians(self._longitudes[rows] - origin.longitude)
         a = np.sin(dphi / 2.0) ** 2 + math.cos(phi1) * np.cos(phi2) * np.sin(dlambda / 2.0) ** 2
         distance = 2.0 * EARTH_RADIUS_KM * np.arcsin(np.sqrt(np.minimum(1.0, a)))
         cutoff = np.partition(distance, k - 1)[k - 1] + 1e-3
-        keep = distance <= cutoff
-        return [peer for peer, kept in zip(candidates, keep) if kept]
+        return rows[distance <= cutoff]

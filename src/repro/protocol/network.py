@@ -54,6 +54,10 @@ class P2PNetwork:
         self._nodes: dict[int, "BitcoinNode"] = {}
         self._positions: dict[int, GeoPosition] = {}
         self._online: dict[int, bool] = {}
+        #: Cached :meth:`online_node_ids` and each online id's rank in it;
+        #: None once a node registers or changes state, rebuilt when asked.
+        self._roster: Optional[tuple[int, ...]] = None
+        self._roster_ranks: Optional[dict[int, int]] = None
         self.messages_sent: Counter[str] = Counter()
         self.bytes_sent: Counter[str] = Counter()
         self.messages_dropped = 0
@@ -73,6 +77,7 @@ class P2PNetwork:
         self._nodes[node.node_id] = node
         self._positions[node.node_id] = node.position
         self._online[node.node_id] = True
+        self._roster = self._roster_ranks = None
         self.topology.add_node(node.node_id)
 
     def node(self, node_id: int) -> "BitcoinNode":
@@ -101,9 +106,21 @@ class P2PNetwork:
         """Whether the node is currently online."""
         return self._online.get(node_id, False)
 
-    def online_node_ids(self) -> list[int]:
-        """Ids of nodes currently online."""
-        return [node_id for node_id, online in self._online.items() if online]
+    def online_node_ids(self) -> tuple[int, ...]:
+        """Ids of nodes currently online, in registration order.
+
+        The tuple is cached until a node registers or changes state, so a
+        caller may keep iterating one while nodes come and go.
+        """
+        if self._roster is None:
+            self._roster = tuple(node_id for node_id, online in self._online.items() if online)
+        return self._roster
+
+    def online_rank(self, node_id: int) -> Optional[int]:
+        """Position of ``node_id`` in :meth:`online_node_ids` (None when offline)."""
+        if self._roster_ranks is None:
+            self._roster_ranks = {peer: rank for rank, peer in enumerate(self.online_node_ids())}
+        return self._roster_ranks.get(node_id)
 
     def set_online(self, node_id: int, online: bool) -> None:
         """Mark a node online/offline; going offline tears down its links.
@@ -117,6 +134,7 @@ class P2PNetwork:
             raise KeyError(f"unknown node {node_id}")
         was_online = self._online.get(node_id, False)
         self._online[node_id] = online
+        self._roster = self._roster_ranks = None
         if not online:
             for peer in list(self.topology.neighbors(node_id)):
                 self.disconnect(node_id, peer)

@@ -32,11 +32,33 @@ class UtxoEntry:
 
 
 class UtxoSet:
-    """Mutable set of unspent outputs, indexed by outpoint and by address."""
+    """Mutable set of unspent outputs, indexed by outpoint and by address.
+
+    :meth:`copy` is copy-on-write: the clone shares the source's two tables
+    and a share count, and whichever set writes first while the tables are
+    shared takes its own copy of them (:meth:`_own`).  Funding gives every
+    node a view of one ledger this way.  A scratch copy written before its
+    source (block validation) costs the one table copy an eager copy would
+    have cost, and leaves the source the sole owner of its tables again.
+    """
 
     def __init__(self) -> None:
         self._entries: dict[tuple[str, int], UtxoEntry] = {}
         self._by_address: dict[str, set[tuple[str, int]]] = {}
+        #: How many live sets view these tables: one counter, shared by all.
+        self._shares = [1]
+
+    def __del__(self) -> None:
+        self._shares[0] -= 1
+
+    def _own(self) -> None:
+        """Take a private copy of the tables if another set still views them."""
+        shares = self._shares
+        if shares[0] > 1:
+            shares[0] -= 1
+            self._entries = dict(self._entries)
+            self._by_address = {address: set(ops) for address, ops in self._by_address.items()}
+            self._shares = [1]
 
     # ---------------------------------------------------------------- access
     def __len__(self) -> int:
@@ -76,6 +98,7 @@ class UtxoSet:
         """
         if entry.outpoint in self._entries:
             raise ValueError(f"outpoint {entry.outpoint} is already unspent")
+        self._own()
         self._entries[entry.outpoint] = entry
         self._by_address.setdefault(entry.address, set()).add(entry.outpoint)
 
@@ -87,6 +110,7 @@ class UtxoSet:
         """
         if outpoint not in self._entries:
             raise KeyError(f"outpoint {outpoint} is not in the UTXO set")
+        self._own()
         entry = self._entries.pop(outpoint)
         owners = self._by_address.get(entry.address)
         if owners is not None:
@@ -124,10 +148,12 @@ class UtxoSet:
         return all(tx_input.outpoint in self._entries for tx_input in tx.inputs)
 
     def copy(self) -> "UtxoSet":
-        """Deep-enough copy for building candidate chain states."""
-        clone = UtxoSet()
-        clone._entries = dict(self._entries)
-        clone._by_address = {address: set(ops) for address, ops in self._by_address.items()}
+        """An independent set with the same entries, sharing tables until a write."""
+        clone = UtxoSet.__new__(UtxoSet)
+        clone._entries = self._entries
+        clone._by_address = self._by_address
+        clone._shares = self._shares
+        self._shares[0] += 1
         return clone
 
     @staticmethod

@@ -85,18 +85,17 @@ def fund_nodes(
         miner_id=-1,
     )
     # Every node ends up with the identical (genesis + funding block) ledger,
-    # so the UTXO set is computed once and copied — rebuilding it per node is
-    # O(nodes * outputs) transaction applications per node, which dominated
-    # experiment start-up at scale.
-    shared_utxo: Optional[UtxoSet] = None
+    # so the UTXO set is computed once and every node gets a copy-on-write
+    # view of it: no table is copied until a node's ledger first changes.
+    ledger: Optional[UtxoSet] = None
     funding_txids = [tx.txid for tx in funding_txs]
     for node in nodes:
         if node.blockchain.height != 0:
             raise ValueError(f"node {node.node_id} has already advanced past genesis")
         node.blockchain.add_block(funding_block)
-        if shared_utxo is None:
-            shared_utxo = node.blockchain.utxo_set()
-        node.utxo = shared_utxo.copy()
+        if ledger is None:
+            ledger = node.blockchain.utxo_set()
+        node.utxo = ledger.copy()
         node.known_blocks.add(funding_block.block_hash)
         node.known_transactions.update(funding_txids)
     return funding_block

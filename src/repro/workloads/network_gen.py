@@ -303,13 +303,21 @@ def _cached_snapshot(path: Union[str, Path]) -> Optional[SimulatedNetwork]:
     return _SNAPSHOT_CACHE.get(str(Path(path)))
 
 
+#: Version of the pickled object layout.  It is part of every snapshot's
+#: filename, so bumping it makes a snapshot directory written by older code
+#: rebuild instead of loading objects that lack newer fields.
+SNAPSHOT_FORMAT = 2
+
+
 def snapshot_filename(parameters: NetworkParameters) -> str:
     """Deterministic snapshot filename for one parameter set.
 
     Node count and seed are spelled out for human eyes; the digest over the
-    full parameter repr distinguishes builds that differ in any other knob.
+    snapshot format and the full parameter repr distinguishes builds that
+    differ in any other knob, or that older code wrote.
     """
-    digest = hashlib.sha256(repr(parameters).encode()).hexdigest()[:12]
+    key = f"format-{SNAPSHOT_FORMAT}:{parameters!r}"
+    digest = hashlib.sha256(key.encode()).hexdigest()[:12]
     return f"network-n{parameters.node_count}-s{parameters.seed}-{digest}.pkl"
 
 

@@ -1,6 +1,9 @@
 """Tests for the three neighbour-selection policies and churn maintenance."""
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.bcbpt import BcbptConfig, BcbptPolicy
 from repro.core.lbc import LbcConfig, LbcPolicy
@@ -42,6 +45,31 @@ class TestRandomPolicy:
             RandomPolicyConfig(max_outbound=0)
         with pytest.raises(ValueError):
             RandomPolicyConfig(max_outbound=8, candidate_pool_size=4)
+
+
+class TestOnlineSampling:
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_sample_matches_choice_over_the_filtered_roster(self, data):
+        """``_sample_online`` draws what ``rng.choice`` over the online roster
+        minus the excluded ids draws, and consumes the stream the same way."""
+        simulated = build_network(NetworkParameters(node_count=30, seed=5))
+        network = simulated.network
+        for node_id in data.draw(st.sets(st.integers(0, 29), max_size=10), label="offline"):
+            network.set_online(node_id, False)
+        excluded = data.draw(st.sets(st.integers(-1, 35), max_size=30), label="excluded")
+        count = data.draw(st.integers(0, 35), label="count")
+        seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+        policy = build_policy("bitcoin", simulated)
+        policy.rng = np.random.default_rng(seed)
+        reference = np.random.default_rng(seed)
+        candidates = [peer for peer in network.online_node_ids() if peer not in excluded]
+        expected = []
+        if count > 0 and candidates:
+            picked = reference.choice(len(candidates), size=min(count, len(candidates)), replace=False)
+            expected = [candidates[i] for i in picked]
+        assert policy._sample_online(excluded, count) == expected
+        assert policy.rng.random() == reference.random()
 
 
 class TestLbcPolicy:

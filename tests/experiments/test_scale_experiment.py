@@ -26,12 +26,14 @@ from repro.experiments.scale import (
     run_scale,
     scale_parameters,
 )
+from repro.workloads import network_gen
 from repro.workloads.network_gen import (
     NetworkParameters,
     build_network,
     ensure_network_snapshot,
     load_network,
     save_network,
+    snapshot_filename,
 )
 from repro.workloads.scenarios import build_scenario
 
@@ -76,6 +78,15 @@ class TestSnapshotRoundTrip:
             pickle.dump({"not": "a network"}, handle)
         with pytest.raises(TypeError):
             load_network(path)
+
+    def test_snapshot_filename_changes_with_format_version(self, monkeypatch):
+        """A snapshot written under another object layout is never loaded."""
+        parameters = NetworkParameters(node_count=20, seed=4)
+        current = snapshot_filename(parameters)
+        unversioned = hashlib.sha256(repr(parameters).encode()).hexdigest()[:12]
+        assert unversioned not in current
+        monkeypatch.setattr(network_gen, "SNAPSHOT_FORMAT", network_gen.SNAPSHOT_FORMAT + 1)
+        assert snapshot_filename(parameters) != current
 
     def test_ensure_snapshot_caches_by_parameters(self, tmp_path):
         parameters = NetworkParameters(node_count=20, seed=4)

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.net.geo import GeoPosition
 from repro.protocol.discovery import AddressBook, DnsSeedService
@@ -98,6 +100,92 @@ class TestDnsSeedService:
     def test_invalid_sample_size_rejected(self):
         with pytest.raises(ValueError):
             DnsSeedService({}, np.random.default_rng(1), seed_sample_size=0)
+
+    def test_set_online_rejects_node_without_position(self):
+        """Regression: an id the seed cannot place used to be admitted, and the
+        next ranked query died with a bare KeyError in the prefilter or sort."""
+        service = self._service()
+        with pytest.raises(KeyError, match="no position for node 99"):
+            service.set_online(99, True)
+        with pytest.raises(KeyError, match="no position for node 99"):
+            service.set_online(99, False)
+        assert service.online_count() == 20
+        assert 99 not in service.query_proximity_ranked(0)
+
+
+def seed_with_toggles(data, *, sample_size, seed):
+    """A DNS seed over 101–400 random positions after random on/off toggles.
+
+    Returns the service, the positions and the set of ids left online.  Ids
+    are sparse, and a quarter of the nodes share a position with another, so
+    rows differ from ids and distance ties reach the id tie-break.
+    """
+    count = data.draw(st.integers(101, 400), label="count")
+    layout = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="layout"))
+    ids = sorted(int(i) for i in layout.choice(10 * count, size=count, replace=False))
+    latitudes = layout.uniform(-89.0, 89.0, count)
+    longitudes = layout.uniform(-179.0, 179.0, count)
+    twins = layout.choice(count, size=count // 4)
+    latitudes[: count // 4], longitudes[: count // 4] = latitudes[twins], longitudes[twins]
+    positions = {
+        node_id: GeoPosition(float(lat), float(lon), region="r", country="XX")
+        for node_id, lat, lon in zip(ids, latitudes, longitudes)
+    }
+    service = DnsSeedService(positions, np.random.default_rng(seed), seed_sample_size=sample_size)
+    online = set()
+    for node_id in ids:
+        if layout.random() < 0.9:
+            service.set_online(node_id, True)
+            online.add(node_id)
+    toggles = data.draw(
+        st.lists(st.tuples(st.sampled_from(ids), st.booleans()), max_size=60), label="toggles"
+    )
+    for node_id, up in toggles:
+        service.set_online(node_id, up)
+        if up:
+            online.add(node_id)
+        else:
+            online.discard(node_id)
+    return service, positions, online
+
+
+def requesters(data, positions):
+    """Requesters to query for: known ids (online or not) and an unknown one."""
+    ids = sorted(positions)
+    return data.draw(st.lists(st.sampled_from(ids), min_size=1, max_size=4), label="ids") + [-1]
+
+
+class TestDnsSeedRankingProperties:
+    @given(data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_ranked_query_matches_brute_force(self, data):
+        k = data.draw(st.integers(1, 30), label="k")
+        service, positions, online = seed_with_toggles(data, sample_size=k, seed=0)
+        assert service.online_count() == len(online)
+        for requester in requesters(data, positions):
+            candidates = online - {requester}
+            origin = positions.get(requester)
+            if origin is None:
+                expected = sorted(candidates)[:k]
+            else:
+                expected = sorted(
+                    candidates, key=lambda peer: (origin.distance_km(positions[peer]), peer)
+                )[:k]
+            assert service.query_proximity_ranked(requester) == expected
+
+    @given(data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_vanilla_query_returns_the_same_random_sample(self, data):
+        k = data.draw(st.integers(1, 30), label="k")
+        seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+        service, positions, online = seed_with_toggles(data, sample_size=k, seed=seed)
+        reference_rng = np.random.default_rng(seed)
+        for requester in requesters(data, positions):
+            candidates = sorted(online - {requester})
+            if len(candidates) > k:
+                picked = reference_rng.choice(len(candidates), size=k, replace=False)
+                candidates = [candidates[i] for i in picked]
+            assert service.query(requester) == candidates
 
 
 def build_ring_network(node_count=10, seed=4, outputs=3):

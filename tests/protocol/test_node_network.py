@@ -81,6 +81,21 @@ class TestNetworkFabric:
         assert not network.topology.are_connected(0, 1)
         assert not network.disconnect(0, 1)
 
+    def test_online_roster_is_cached_until_a_state_change(self, small_network):
+        network = small_network.network
+        roster = network.online_node_ids()
+        assert roster == tuple(range(30))
+        assert network.online_node_ids() is roster
+        assert network.online_rank(7) == 7
+        network.set_online(5, False)
+        assert network.online_node_ids() == tuple(i for i in range(30) if i != 5)
+        assert network.online_rank(5) is None
+        assert network.online_rank(7) == 6
+        assert roster == tuple(range(30))  # a held roster is never changed in place
+        network.set_online(5, True)
+        assert network.online_node_ids() == roster
+        assert network.online_rank(7) == 7
+
     def test_going_offline_tears_down_links(self, small_network):
         network = small_network.network
         network.connect(0, 1)

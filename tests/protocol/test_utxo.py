@@ -1,12 +1,18 @@
 """Tests for the UTXO ledger."""
 
+import itertools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.protocol.block import Block
 from repro.protocol.crypto import KeyPair
 from repro.protocol.transaction import Transaction
 from repro.protocol.utxo import UtxoEntry, UtxoSet
+from repro.protocol.validation import TransactionValidator
+from repro.workloads.generators import fund_nodes
+from repro.workloads.network_gen import NetworkParameters, build_network
 
 
 def entry(txid="t1", index=0, value=100, address="addr"):
@@ -136,3 +142,127 @@ class TestApplyTransaction:
         )
         utxo.apply_transaction(spend)
         assert utxo.total_value() == total_before
+
+
+ADDRESSES = ("alice", "bob", "carol")
+COW_KEYPAIR = KeyPair.generate("copy-on-write")
+
+#: Operations on the ``index``-th live set (modulo the live count).
+OPERATIONS = st.one_of(
+    st.tuples(st.just("copy"), st.integers(0, 7)),
+    st.tuples(st.just("drop"), st.integers(0, 7)),
+    st.tuples(st.just("add"), st.integers(0, 7), st.sampled_from(ADDRESSES), st.integers(1, 999)),
+    st.tuples(st.just("remove"), st.integers(0, 7), st.integers(0, 63)),
+    st.tuples(st.just("spend"), st.integers(0, 7), st.integers(0, 63), st.sampled_from(ADDRESSES)),
+    st.tuples(st.just("mint"), st.integers(0, 7), st.sampled_from(ADDRESSES), st.integers(1, 999)),
+)
+
+
+def assert_matches(utxo, reference):
+    """``utxo`` reads exactly like the eagerly copied ``reference`` dict."""
+    assert len(utxo) == len(reference)
+    assert sorted(entry.outpoint for entry in utxo.entries()) == sorted(reference)
+    for outpoint, entry in reference.items():
+        assert utxo.get(outpoint) == entry
+    for address in ADDRESSES:
+        owned = sorted(
+            (e for e in reference.values() if e.address == address), key=lambda e: e.outpoint
+        )
+        assert utxo.spendable_by(address) == owned
+        assert utxo.balance(address) == sum(e.value for e in owned)
+
+
+class TestCopyOnWrite:
+    @given(operations=st.lists(OPERATIONS, max_size=40))
+    @settings(max_examples=150, deadline=None)
+    def test_interleaved_writes_match_eager_copies(self, operations):
+        """Random apply/remove interleavings on a source and its clones leave
+        every set equal to an eagerly copied reference, and no more tables
+        are copied than ``copy()`` was called."""
+        sets = [UtxoSet()]
+        references: list = [{}]
+        tags = itertools.count()
+        copies = table_copies = 0
+        for operation in operations:
+            kind = operation[0]
+            live = [i for i, utxo in enumerate(sets) if utxo is not None]
+            index = live[operation[1] % len(live)]
+            utxo, reference = sets[index], references[index]
+            tables_before = utxo._entries
+            if kind == "copy":
+                sets.append(utxo.copy())
+                references.append(dict(reference))
+                copies += 1
+            elif kind == "drop":
+                if len(live) > 1:
+                    sets[index] = references[index] = None
+                    del utxo
+                continue
+            elif kind == "add":
+                entry = UtxoEntry(
+                    txid=f"t{next(tags)}", index=0, value=operation[3], address=operation[2]
+                )
+                utxo.add(entry)
+                reference[entry.outpoint] = entry
+            elif kind in ("remove", "spend"):
+                if not reference:
+                    continue
+                outpoint = sorted(reference)[operation[2] % len(reference)]
+                spent = reference[outpoint]
+                if kind == "remove":
+                    assert utxo.remove(outpoint) == reference.pop(outpoint)
+                else:
+                    tx = Transaction.create_signed(
+                        COW_KEYPAIR,
+                        [(spent.txid, spent.index, spent.value)],
+                        [(operation[3], spent.value)],
+                        created_at=float(next(tags)),
+                    )
+                    utxo.apply_transaction(tx, block_hash="b")
+                    del reference[outpoint]
+                    output = UtxoEntry(tx.txid, 0, spent.value, operation[3], "b")
+                    reference[output.outpoint] = output
+            else:  # mint
+                tx = Transaction.coinbase(operation[2], operation[3], tag=str(next(tags)))
+                utxo.apply_transaction(tx)
+                reference[(tx.txid, 0)] = UtxoEntry(tx.txid, 0, operation[3], operation[2])
+            if utxo._entries is not tables_before:
+                table_copies += 1
+            for each, expected in zip(sets, references):
+                if each is not None:
+                    assert_matches(each, expected)
+        assert table_copies <= copies
+
+    def test_scratch_copy_written_first_leaves_source_sole_owner(self):
+        """``validate_block``'s scratch copy followed by the node's own tip
+        apply costs one table copy, as the eager copy did."""
+        keypair = KeyPair.generate("miner")
+        genesis = Block.genesis()
+        ledger = UtxoSet.from_transactions(genesis.transactions)
+        block = Block.create(
+            genesis,
+            [Transaction.coinbase(keypair.address, 50, tag="reward")],
+            timestamp=1.0,
+            nonce=0,
+            miner_id=0,
+        )
+        tables = ledger._entries
+        assert TransactionValidator().validate_block(block, genesis, ledger).valid
+        assert ledger._shares == [1]
+        for tx in block.transactions:
+            ledger.apply_transaction(tx, block_hash=block.block_hash)
+        assert ledger._entries is tables
+        assert ledger.balance(keypair.address) == 50
+
+    def test_funding_shares_one_ledger_until_a_node_writes(self):
+        simulated = build_network(NetworkParameters(node_count=12, seed=2))
+        nodes = list(simulated.nodes.values())
+        fund_nodes(nodes, outputs_per_node=2)
+        assert len({id(node.utxo._entries) for node in nodes}) == 1
+        assert nodes[0].utxo._shares[0] == len(nodes)
+        writer, *others = nodes
+        spent = writer.utxo.spendable_by(writer.keypair.address)[0]
+        writer.utxo.remove(spent.outpoint)
+        assert spent.outpoint not in writer.utxo
+        assert all(spent.outpoint in node.utxo for node in others)
+        assert others[0].utxo._shares[0] == len(others)
