@@ -329,6 +329,22 @@ class LatencyModel:
         """Average queuing delay ``q' = M / (r - lambda * M)`` (Eq. 4)."""
         return self._queuing_s
 
+    def one_way_propagation_s(
+        self,
+        node_a: int,
+        position_a: GeoPosition,
+        node_b: int,
+        position_b: GeoPosition,
+    ) -> float:
+        """Propagation over the pair's routed path: the leg :meth:`one_way_delay_s` charges.
+
+        Resolves the pair's routing on first touch, drawing it from the stream
+        exactly where :meth:`one_way_delay_s` would (before any jitter draw).
+        """
+        return self.propagation_delay_s(
+            self._path_km_for(node_a, position_a, node_b, position_b)
+        )
+
     # ---------------------------------------------------------------- public
     def base_rtt_s(
         self,
@@ -444,6 +460,15 @@ class LatencyModel:
                 )
             delay *= jitter_factor
         return max(self.parameters.minimum_rtt_s / 2.0, delay)
+
+    def jitter_factor(self) -> float:
+        """Draw one congestion jitter factor, as :meth:`one_way_delay_s` does.
+
+        Callers check that ``congestion_jitter_sigma`` is positive first.
+        """
+        return float(
+            self._rng.lognormal(mean=0.0, sigma=self.parameters.congestion_jitter_sigma)
+        )
 
     def jitter_factors(self, count: int) -> Optional[np.ndarray]:
         """Draw ``count`` congestion jitter factors in one batched call.

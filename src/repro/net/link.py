@@ -73,6 +73,11 @@ class Link:
 class LinkDelayCalculator:
     """Computes message delivery delays across links.
 
+    A message's delay is :meth:`LatencyModel.one_way_delay_s` with the
+    flat-rate transmission term swapped for the bottleneck rate.  A directed
+    pair's propagation and bottleneck rate are resolved on its first message
+    (drawing routing and access classes where that call would) and kept.
+
     Args:
         latency_model: pairwise latency model (Eq. 2-4 + jitter + detours).
         bandwidth_model: optional per-node bandwidth model; when provided, the
@@ -87,6 +92,17 @@ class LinkDelayCalculator:
     ) -> None:
         self._latency = latency_model
         self._bandwidth = bandwidth_model
+        # Latency parameters are frozen, so these never go stale.
+        parameters = latency_model.parameters
+        self._rate_bps = parameters.transmission_rate_bps
+        self._queuing_s = latency_model.queuing_delay_s()
+        self._floor_s = parameters.minimum_rtt_s / 2.0
+        self._has_jitter = parameters.congestion_jitter_sigma > 0
+        #: sender -> {receiver: one-way propagation s}.  Plain floats in
+        #: per-sender dicts: no per-pair tuple for the collector to track.
+        self._propagation_s: dict[int, dict[int, float]] = {}
+        #: sender -> {receiver: bottleneck rate in bytes/s} (bandwidth model only).
+        self._bottleneck_bps: dict[int, dict[int, float]] = {}
 
     def message_delay_s(
         self,
@@ -111,26 +127,50 @@ class LinkDelayCalculator:
                 batched broadcast path; None draws per-message as usual.
         """
         size = size_bytes if size_bytes is not None else message_size_bytes(command, payload)
-        delay = self._latency.one_way_delay_s(
-            sender_id,
-            sender_position,
-            receiver_id,
-            receiver_position,
-            message_bytes=size,
-            jittered=jittered,
-            jitter_factor=jitter_factor,
-        )
+        if size < 0:
+            raise ValueError(f"message size cannot be negative, got {size}")
+        known = self._propagation_s.get(sender_id)
+        propagation = known.get(receiver_id) if known is not None else None
+        if propagation is None:
+            propagation = self._resolve(sender_id, sender_position, receiver_id, receiver_position)
+        # one_way_delay_s's operations in its order, then the bandwidth
+        # substitution's: bit-identical to computing both from scratch.
+        flat = size / self._rate_bps
+        delay = flat + propagation + self._queuing_s
+        if jittered and self._has_jitter:
+            if jitter_factor is None:
+                jitter_factor = self._latency.jitter_factor()
+            delay *= jitter_factor
+        floor = self._floor_s
+        if not delay > floor:  # max(floor, delay)
+            delay = floor
         if self._bandwidth is not None:
-            # Replace the flat-rate transmission term with the bottleneck rate.
-            flat_transmission = self._latency.transmission_delay_s(size)
-            bottleneck_transmission = self._bandwidth.transmission_delay_s(
-                sender_id, receiver_id, size
-            )
-            delay = max(
-                self._latency.parameters.minimum_rtt_s / 2.0,
-                delay - flat_transmission + bottleneck_transmission,
-            )
+            delay = delay - flat + size / self._bottleneck_bps[sender_id][receiver_id]
+            if not delay > floor:
+                delay = floor
         return delay
+
+    def _resolve(
+        self,
+        sender_id: int,
+        sender_position: GeoPosition,
+        receiver_id: int,
+        receiver_position: GeoPosition,
+    ) -> float:
+        """Resolve and keep a pair's constants, both directions; returns the propagation.
+
+        The reverse direction costs no draw: the routing is per pair, and
+        both endpoints' access classes were just assigned.
+        """
+        propagation = self._latency.one_way_propagation_s(
+            sender_id, sender_position, receiver_id, receiver_position
+        )
+        for source, target in ((sender_id, receiver_id), (receiver_id, sender_id)):
+            self._propagation_s.setdefault(source, {})[target] = propagation
+            if self._bandwidth is not None:
+                rate = self._bandwidth.effective_rate_bps(source, target)
+                self._bottleneck_bps.setdefault(source, {})[target] = rate
+        return propagation
 
     def can_batch_jitter(self, sender_id: int, receiver_ids: list[int]) -> bool:
         """Whether jitter for sends to all ``receiver_ids`` may be batch-drawn.
@@ -138,9 +178,13 @@ class LinkDelayCalculator:
         True only when every pair's persistent routing is already cached, so
         the batched draw consumes the latency stream exactly like sequential
         per-message draws would (see :meth:`LatencyModel.jitter_factors`).
+        A pair with kept constants has its routing cached.
         """
+        known = self._propagation_s.get(sender_id, ())
         routing_cached = self._latency.routing_cached
-        return all(routing_cached(sender_id, receiver) for receiver in receiver_ids)
+        return all(
+            receiver in known or routing_cached(sender_id, receiver) for receiver in receiver_ids
+        )
 
     def jitter_factors(self, count: int):
         """Batch-draw ``count`` congestion jitter factors (None if disabled)."""

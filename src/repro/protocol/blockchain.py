@@ -186,9 +186,8 @@ class Blockchain:
     def contains_transaction(self, txid: str) -> bool:
         """Whether the best chain confirms the transaction."""
         if self._best_chain_txids is None:
-            self._best_chain_txids = {
-                tx.txid for block in self.best_chain() for tx in block.transactions
-            }
+            # A union of the blocks' memoized txid sets: no per-tx property read.
+            self._best_chain_txids = set().union(*(block.txids for block in self.best_chain()))
         return txid in self._best_chain_txids
 
     def utxo_set(self) -> UtxoSet:

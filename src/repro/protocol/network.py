@@ -243,7 +243,9 @@ class P2PNetwork:
         if not self.topology.are_connected(sender_id, receiver_id):
             self.messages_dropped += 1
             return False
-        self._send_prechecked(sender_id, receiver_id, message)
+        command = message.command
+        size = message_size_bytes(command, message.wire_payload())
+        self._send_prechecked(sender_id, receiver_id, message, command, size)
         return True
 
     def _send_prechecked(
@@ -251,14 +253,17 @@ class P2PNetwork:
         sender_id: int,
         receiver_id: int,
         message: Message,
+        command: str,
+        size: int,
         jitter_factor: Optional[float] = None,
     ) -> None:
         """Compute the delay, account the traffic and schedule the delivery.
 
-        Connectivity/online checks are the caller's responsibility.  This is
-        the single choke point every send funnels through (``send``,
-        ``broadcast``/``multicast`` via ``_fanout``), which is where the
-        adversary plane hooks in: a sender's installed
+        ``command`` and ``size`` are the message's, sized once by the caller
+        for all its copies.  Connectivity/online checks are the caller's
+        responsibility.  This is the single choke point every send funnels
+        through (``send``, ``broadcast``/``multicast`` via ``_fanout``),
+        which is where the adversary plane hooks in: a sender's installed
         :class:`~repro.protocol.adversary.ByzantineBehavior` may suppress the
         message (no accounting, no delivery) or stretch its delay.  Batched
         congestion-jitter factors are drawn by the *caller*, before this
@@ -274,8 +279,6 @@ class P2PNetwork:
                     self.messages_suppressed += 1
                     return
                 extra_delay_s = decision.extra_delay_s
-        command = message.command
-        size = message_size_bytes(command, message.wire_payload())
         delay = extra_delay_s + self.delays.message_delay_s(
             sender_id,
             self._positions[sender_id],
@@ -287,8 +290,9 @@ class P2PNetwork:
         )
         self.messages_sent[command] += 1
         self.bytes_sent[command] += size
-        self.simulator.schedule(
-            delay,
+        simulator = self.simulator
+        simulator.schedule_at(
+            simulator.now + delay,
             lambda: self._deliver(sender_id, receiver_id, message),
             label=f"deliver:{command}",
         )
@@ -357,17 +361,19 @@ class P2PNetwork:
         """
         if not eligible:
             return 0
+        command = message.command
+        size = message_size_bytes(command, message.wire_payload())
+        send = self._send_prechecked
+        factors = None
         if len(eligible) > 1 and self.delays.can_batch_jitter(sender_id, eligible):
             factors = self.delays.jitter_factors(len(eligible))
-            if factors is None:
-                for peer in eligible:
-                    self._send_prechecked(sender_id, peer, message)
-            else:
-                for peer, factor in zip(eligible, factors):
-                    self._send_prechecked(sender_id, peer, message, jitter_factor=factor)
-        else:
+        if factors is None:
             for peer in eligible:
-                self._send_prechecked(sender_id, peer, message)
+                send(sender_id, peer, message, command, size)
+        else:
+            # Python floats: the same values as the array's, cheaper arithmetic.
+            for peer, factor in zip(eligible, factors.tolist()):
+                send(sender_id, peer, message, command, size, factor)
         return len(eligible)
 
     def _deliver(self, sender_id: int, receiver_id: int, message: Message) -> None:

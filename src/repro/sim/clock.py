@@ -14,7 +14,7 @@ from __future__ import annotations
 
 
 class SimClock:
-    """Monotonic simulated time in seconds."""
+    """Monotonic simulated time in seconds (the engine's hot loop sets ``_now`` itself)."""
 
     __slots__ = ("_now",)
 
@@ -32,11 +32,11 @@ class SimClock:
         """Move the clock forward to ``t``.
 
         Raises:
-            ValueError: if ``t`` is earlier than the current time.  The engine
-                guarantees events are popped in order, so this only fires on
-                programming errors.
+            ValueError: if ``t`` is earlier than the current time or NaN.  The
+                engine guarantees events are popped in order, so this only
+                fires on programming errors.
         """
-        if t < self._now:
+        if not t >= self._now:  # "not >=" so NaN fails too
             raise ValueError(
                 f"cannot move simulation clock backwards: now={self._now}, requested={t}"
             )

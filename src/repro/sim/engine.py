@@ -81,9 +81,10 @@ class Simulator:
         label: str = "",
     ) -> EventHandle:
         """Schedule ``callback`` to run ``delay`` seconds from now."""
-        if delay < 0:
+        # "not >=" rejects NaN too: every comparison with NaN is False.
+        if not delay >= 0:
             raise ValueError(f"cannot schedule an event in the past (delay={delay})")
-        return self.schedule_at(self.now + delay, callback, priority=priority, label=label)
+        return self.schedule_at(self.clock._now + delay, callback, priority=priority, label=label)
 
     def schedule_at(
         self,
@@ -94,19 +95,17 @@ class Simulator:
         label: str = "",
     ) -> EventHandle:
         """Schedule ``callback`` to run at absolute simulated time ``time``."""
-        if time < self.now:
+        now = self.clock._now
+        if not time >= now:
             raise ValueError(
-                f"cannot schedule an event in the past: now={self.now}, requested={time}"
+                f"cannot schedule an event in the past: now={now}, requested={time}"
             )
-        event = Event(
-            time=float(time),
-            priority=int(priority),
-            sequence=self._sequence,
-            callback=callback,
-            label=label,
-        )
-        self._sequence += 1
-        heapq.heappush(self._heap, (event.time, event.priority, event.sequence, event))
+        time = float(time)
+        priority = int(priority)
+        sequence = self._sequence
+        self._sequence = sequence + 1
+        event = Event(time, priority, sequence, callback, label)
+        heapq.heappush(self._heap, (time, priority, sequence, event))
         return EventHandle(event)
 
     def call_soon(self, callback: Callable[[], Any], *, label: str = "") -> EventHandle:
@@ -193,7 +192,10 @@ class Simulator:
                     clock.advance_to(until)
                     break
                 heappop(heap)
-                clock.advance_to(event_time)
+                # SimClock.advance_to inlined; the call only runs to raise.
+                if not event_time >= clock._now:
+                    clock.advance_to(event_time)
+                clock._now = event_time
                 self._events_executed += 1
                 try:
                     event.callback()

@@ -2,9 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.net.bandwidth import AccessClass, BandwidthModel
-from repro.net.geo import GeoPosition
+from repro.net.geo import GeoModel, GeoPosition
 from repro.net.latency import LatencyModel, LatencyParameters
 from repro.net.link import Link, LinkDelayCalculator
 from repro.net.message import (
@@ -201,3 +203,104 @@ class TestLinkDelayCalculator:
         rtt = calc.base_rtt_s(0, LONDON, 1, PARIS)
         assert delay < rtt
         assert delay > rtt / 4
+
+    def test_negative_size_rejected(self):
+        calc = self._calculator()
+        with pytest.raises(ValueError):
+            calc.message_delay_s(0, LONDON, 1, PARIS, "inv", size_bytes=-1)
+
+
+def reference_delay_s(latency, bandwidth, sender, sender_pos, receiver, receiver_pos, size, **jitter):
+    """The per-message delay computed from scratch: the latency model's
+    one-way delay, then the bottleneck-rate substitution for the flat rate."""
+    delay = latency.one_way_delay_s(
+        sender, sender_pos, receiver, receiver_pos, message_bytes=size, **jitter
+    )
+    if bandwidth is not None:
+        flat_transmission = latency.transmission_delay_s(size)
+        bottleneck_transmission = bandwidth.transmission_delay_s(sender, receiver, size)
+        delay = max(
+            latency.parameters.minimum_rtt_s / 2.0,
+            delay - flat_transmission + bottleneck_transmission,
+        )
+    return delay
+
+
+class TestKeptLinkConstants:
+    """The calculator keeps each directed pair's propagation and bottleneck
+    rate; every delay must still equal the from-scratch reference exactly,
+    and both random streams must end where the reference leaves them."""
+
+    NODES = 7
+
+    @given(data=st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_delays_and_streams_match_the_reference(self, data):
+        array_mode = data.draw(st.booleans(), label="array_mode")
+        with_bandwidth = data.draw(st.booleans(), label="bandwidth")
+        parameters = LatencyParameters(
+            congestion_jitter_sigma=data.draw(st.sampled_from([0.0, 0.15, 0.8]), label="sigma"),
+            minimum_rtt_s=data.draw(st.sampled_from([0.0005, 0.12]), label="minimum_rtt_s"),
+        )
+        seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+        positions = GeoModel(np.random.default_rng(seed)).sample_positions(self.NODES)
+        node_count = self.NODES if array_mode else None
+
+        def twin():
+            latency = LatencyModel(np.random.default_rng([seed, 1]), parameters, node_count)
+            bandwidth = BandwidthModel(np.random.default_rng([seed, 2])) if with_bandwidth else None
+            return latency, bandwidth
+
+        latency, bandwidth = twin()
+        calculator = LinkDelayCalculator(latency, bandwidth)
+        ref_latency, ref_bandwidth = twin()
+
+        nodes = st.integers(0, self.NODES - 1)
+        for _ in range(data.draw(st.integers(1, 40), label="steps")):
+            sender = data.draw(nodes, label="sender")
+            receiver = data.draw(nodes.filter(lambda n: n != sender), label="receiver")
+            ends = (sender, positions[sender], receiver, positions[receiver])
+            kind = data.draw(st.sampled_from(["fresh", "given", "fanout", "ping", "detour"]))
+            if kind == "ping":
+                # Another consumer of the latency stream between messages.
+                assert calculator.ping_rtt_s(*ends) == ref_latency.sample_rtt(*ends).rtt_s
+                continue
+            if kind == "detour":
+                # Array mode parks the routing drawn here until the first resolve.
+                assert latency.pair_has_detour(sender, receiver) == ref_latency.pair_has_detour(
+                    sender, receiver
+                )
+                continue
+            payload = data.draw(st.integers(1, 1_000_000), label="payload")
+            size = message_size_bytes("block", payload)
+            if kind == "fanout":
+                receivers = data.draw(
+                    st.lists(nodes.filter(lambda n: n != sender), min_size=2, max_size=5),
+                    label="receivers",
+                )
+                batched = calculator.can_batch_jitter(sender, receivers)
+                assert batched == all(ref_latency.routing_cached(sender, r) for r in receivers)
+                factors = calculator.jitter_factors(len(receivers)) if batched else None
+                ref_factors = ref_latency.jitter_factors(len(receivers)) if batched else None
+                if factors is None:  # not batched, or no jitter: per-message draws
+                    factors = ref_factors = [None] * len(receivers)
+                else:  # the network hands out Python floats, the reference numpy ones
+                    factors = factors.tolist()
+                for peer, factor, ref_factor in zip(receivers, factors, ref_factors):
+                    peer_ends = (sender, positions[sender], peer, positions[peer])
+                    assert calculator.message_delay_s(
+                        *peer_ends, "block", size_bytes=size, jitter_factor=factor
+                    ) == reference_delay_s(
+                        ref_latency, ref_bandwidth, *peer_ends, size, jitter_factor=ref_factor
+                    )
+                continue
+            jittered = data.draw(st.booleans(), label="jittered")
+            factor = data.draw(st.floats(0.2, 5.0), label="factor") if kind == "given" else None
+            assert calculator.message_delay_s(
+                *ends, "block", payload, jittered=jittered, jitter_factor=factor
+            ) == reference_delay_s(
+                ref_latency, ref_bandwidth, *ends, size, jittered=jittered, jitter_factor=factor
+            )
+        assert latency._rng.bit_generator.state == ref_latency._rng.bit_generator.state
+        if with_bandwidth:
+            assert bandwidth._rng.bit_generator.state == ref_bandwidth._rng.bit_generator.state

@@ -33,6 +33,13 @@ class TestSimClock:
         with pytest.raises(ValueError):
             clock.advance_to(9.0)
 
+    def test_advance_to_nan_rejected(self):
+        clock = SimClock()
+        clock.advance_to(1.0)
+        with pytest.raises(ValueError):
+            clock.advance_to(float("nan"))
+        assert clock.now == 1.0
+
     def test_reset_returns_to_start(self):
         clock = SimClock()
         clock.advance_to(100.0)

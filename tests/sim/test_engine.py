@@ -45,6 +45,23 @@ class TestScheduling:
         with pytest.raises(ValueError):
             simulator.schedule_at(0.5, lambda: None)
 
+    def test_nan_times_rejected(self, simulator):
+        """NaN fails no "earlier than now" comparison; it must still be refused.
+
+        An accepted NaN event would pop first and set the clock to NaN.
+        """
+        nan = float("nan")
+        with pytest.raises(ValueError):
+            simulator.schedule(nan, lambda: None)
+        with pytest.raises(ValueError):
+            simulator.schedule_at(nan, lambda: None)
+        fired = []
+        for delay in (2.0, 1.0, 0.5):
+            simulator.schedule(delay, lambda delay=delay: fired.append(delay))
+        simulator.run()
+        assert fired == [0.5, 1.0, 2.0]
+        assert simulator.now == 2.0
+
     def test_call_soon_runs_at_current_time(self, simulator):
         times = []
         simulator.schedule(2.0, lambda: simulator.call_soon(lambda: times.append(simulator.now)))
