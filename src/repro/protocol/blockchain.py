@@ -11,10 +11,9 @@ tree, tracks every leaf ("branch"), and selects the best chain by height
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Optional
 
 from repro.protocol.block import Block
-from repro.protocol.transaction import Transaction
 from repro.protocol.utxo import UtxoSet
 
 
@@ -197,8 +196,3 @@ class Blockchain:
             for tx in block.transactions:
                 utxo.apply_transaction(tx, block_hash=block.block_hash)
         return utxo
-
-    def transactions_on_best_chain(self) -> Iterable[Transaction]:
-        """Every transaction confirmed by the best chain, in order."""
-        for block in self.best_chain():
-            yield from block.transactions

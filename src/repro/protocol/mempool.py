@@ -17,6 +17,8 @@ golden fingerprints byte-identical when traffic is off.
 
 from __future__ import annotations
 
+import math
+from bisect import bisect_left, insort
 from typing import Iterator, Optional
 
 from repro.protocol.transaction import Transaction
@@ -34,6 +36,10 @@ class Mempool:
         self._spent_outpoints: dict[tuple[str, int], str] = {}
         self._arrival_times: dict[str, float] = {}
         self._fees: dict[str, int] = {}
+        #: ``(feerate, -arrival_time, txid)`` of every pending transaction,
+        #: ascending: element 0 is the next fee-priority eviction.  txids are
+        #: unique, so the order is total.
+        self._eviction_keys: list[tuple[float, float, str]] = []
         #: Transactions evicted by the most recent :meth:`add` call (empty
         #: unless that call made room by fee-priority eviction).  The node
         #: layer uses this to forget the evicted txids so peers can re-offer
@@ -73,8 +79,7 @@ class Mempool:
 
     def min_feerate(self) -> Optional[float]:
         """The lowest feerate currently pending (None if the pool is empty)."""
-        victim = self._eviction_candidate()
-        return None if victim is None else self.feerate(victim)
+        return self._eviction_keys[0][0] if self._eviction_keys else None
 
     def is_full(self) -> bool:
         """Whether the pool has reached its size limit."""
@@ -93,6 +98,10 @@ class Mempool:
         """Whether admitting ``tx`` would double-spend a pending transaction."""
         return self.conflicting_txid(tx) is not None
 
+    def spends(self, outpoint: tuple[str, int]) -> bool:
+        """Whether a pending transaction spends this ``(txid, index)``."""
+        return outpoint in self._spent_outpoints
+
     # -------------------------------------------------------------- mutation
     def add(self, tx: Transaction, *, arrival_time: float = 0.0, fee: int = 0) -> bool:
         """Admit a transaction.
@@ -107,52 +116,57 @@ class Mempool:
             True if the transaction was added; False if it was already present,
             conflicts with a pending transaction (first-seen wins), or the pool
             is full and the fee does not buy a slot.
+
+        Raises:
+            ValueError: if ``arrival_time`` is NaN or ``fee`` is negative (or
+                NaN); either would make the eviction order ill-defined.
         """
+        if math.isnan(arrival_time):
+            raise ValueError("arrival_time cannot be NaN")
+        if not fee >= 0:
+            raise ValueError(f"fee cannot be negative, got {fee}")
+        stored_fee = int(fee)
         self.last_evicted = ()
         if tx.txid in self._transactions:
             return False
         if self.conflicts(tx):
             return False
         if self.is_full():
-            victim = self._eviction_candidate()
-            if victim is None or fee / tx.size_bytes <= self.feerate(victim):
+            keys = self._eviction_keys
+            if fee / tx.size_bytes <= keys[0][0]:
                 return False
-            evicted = [self.remove(victim)]
-            while self.is_full():  # max_size >= 1, so this terminates
-                evicted.append(self.remove(self._eviction_candidate()))
-            self.last_evicted = tuple(t for t in evicted if t is not None)
+            evicted = []
+            while self.is_full():  # max_size >= 1, so keys is never empty here
+                evicted.append(self.remove(keys[0][2]))
+            self.last_evicted = tuple(evicted)
         self._transactions[tx.txid] = tx
         self._arrival_times[tx.txid] = arrival_time
-        self._fees[tx.txid] = int(fee)
+        self._fees[tx.txid] = stored_fee
+        insort(self._eviction_keys, self._eviction_key(tx))
         if not tx.is_coinbase:
             for tx_input in tx.inputs:
                 self._spent_outpoints[tx_input.outpoint] = tx.txid
         return True
 
-    def _eviction_candidate(self) -> Optional[str]:
-        """The txid that fee-priority eviction would drop next.
+    def _eviction_key(self, tx: Transaction) -> tuple[float, float, str]:
+        """Where a pending transaction sorts in the eviction order.
 
         Lowest feerate first; ties broken by newest arrival (oldest-first
         fairness among equals), then txid — fully deterministic.
         """
-        if not self._transactions:
-            return None
-        return min(
-            self._transactions,
-            key=lambda txid: (
-                self._fees[txid] / self._transactions[txid].size_bytes,
-                -self._arrival_times[txid],
-                txid,
-            ),
-        )
+        txid = tx.txid
+        return (self._fees[txid] / tx.size_bytes, -self._arrival_times[txid], txid)
 
     def remove(self, txid: str) -> Optional[Transaction]:
         """Remove a transaction (e.g. once confirmed); returns it if present."""
-        tx = self._transactions.pop(txid, None)
+        tx = self._transactions.get(txid)
         if tx is None:
             return None
-        self._arrival_times.pop(txid, None)
-        self._fees.pop(txid, None)
+        keys = self._eviction_keys
+        del keys[bisect_left(keys, self._eviction_key(tx))]
+        del self._transactions[txid]
+        del self._arrival_times[txid]
+        del self._fees[txid]
         if not tx.is_coinbase:
             for tx_input in tx.inputs:
                 if self._spent_outpoints.get(tx_input.outpoint) == txid:
@@ -262,4 +276,5 @@ class Mempool:
         self._spent_outpoints.clear()
         self._arrival_times.clear()
         self._fees.clear()
+        self._eviction_keys.clear()
         self.last_evicted = ()

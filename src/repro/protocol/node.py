@@ -411,15 +411,10 @@ class BitcoinNode:
         Outputs already spent by this node's own pending (mempool)
         transactions are excluded, so the wallet never double-spends itself.
         """
-        pending_spends = {
-            tx_input.outpoint
-            for pending in self.mempool.transactions()
-            for tx_input in pending.inputs
-        }
         return [
             (entry.txid, entry.index, entry.value)
             for entry in self.utxo.spendable_by(self.keypair.address)
-            if entry.outpoint not in pending_spends
+            if not self.mempool.spends(entry.outpoint)
         ]
 
     def balance(self) -> int:
@@ -601,22 +596,23 @@ class BitcoinNode:
         parent = self.blockchain.get_block(block.previous_hash)
         # Fast path for the overwhelmingly common case — the block extends the
         # current tip.  ``self.utxo`` *is* the ledger as of the tip (the
-        # invariant this method maintains), so it can be validated against
-        # directly (``validate_block`` works on a copy) and then advanced
-        # incrementally, instead of replaying the whole chain from genesis
-        # twice per block (O(chain²) over a long sustained-load run).
+        # invariant this method maintains), so the block is validated and
+        # applied there in one pass (an invalid block is undone), instead of
+        # replaying the whole chain from genesis per block (O(chain²) over a
+        # long sustained-load run) or validating on a copy first.
         extends_tip = block.previous_hash == self.blockchain.tip.block_hash
-        parent_utxo = self.utxo if extends_tip else self._utxo_as_of(parent)
-        result = self.validator.validate_block(block, parent, parent_utxo)
+        if extends_tip:
+            result = self.validator.apply_block(block, parent, self.utxo)
+        else:
+            result = self.validator.validate_block(block, parent, self._utxo_as_of(parent))
         if not result.valid:
             return False
         tip_changed = self.blockchain.add_block(block, observed_at=self.now)
         self.stats.blocks_accepted += 1
         if tip_changed:
-            if extends_tip:  # extending the tip always wins the height race
-                for tx in block.transactions:
-                    self.utxo.apply_transaction(tx, block_hash=block.block_hash)
-            else:
+            # Extending the tip always wins the height race, and that ledger
+            # is already advanced; any other new best chain is a reorg.
+            if not extends_tip:
                 self.utxo = self.blockchain.utxo_set()
             self.mempool.remove_confirmed(block.txids)
             # A confirmed spend kills any pending double-spend of the same
@@ -765,9 +761,11 @@ class BitcoinNode:
 
     def find_confirmed_transaction(self, txid: str) -> Optional[Transaction]:
         """Look a transaction up on the best chain (None if not confirmed)."""
-        for tx in self.blockchain.transactions_on_best_chain():
-            if tx.txid == txid:
-                return tx
+        if not self.blockchain.contains_transaction(txid):
+            return None
+        for block in self.blockchain.best_chain():
+            if txid in block.txids:
+                return next(tx for tx in block.transactions if tx.txid == txid)
         return None
 
     # ------------------------------------------------------------------ addr

@@ -9,9 +9,16 @@ transaction is signed by the owner of the spent outputs.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional, Sequence
 
-from repro.protocol.crypto import KeyPair, double_sha256_hex, sign
+from repro.protocol.crypto import (
+    KeyPair,
+    address_of_public_key,
+    double_sha256_hex,
+    sign,
+    verify_signature,
+)
 
 #: Rough serialized byte cost of transaction parts; used for wire sizing.
 TX_BASE_BYTES = 10
@@ -102,6 +109,24 @@ class Transaction:
     def txid(self) -> str:
         """Transaction id (double SHA-256 of the canonical body)."""
         return self._txid  # type: ignore[attr-defined]
+
+    @cached_property
+    def witness_checks(self) -> tuple[tuple[str, bool], ...]:
+        """Per input: the address its public key derives, and whether its
+        signature verifies over :meth:`body`.
+
+        Both depend only on the transaction's frozen fields, so they are
+        computed once per object however many nodes (and blocks) validate
+        it; only the comparison with the ledger's owner is per validation.
+        """
+        body = self.body()
+        return tuple(
+            (
+                address_of_public_key(i.public_key),
+                verify_signature(i.public_key, i.private_key_hint, body, i.signature),
+            )
+            for i in self.inputs
+        )
 
     # ----------------------------------------------------------------- sizes
     @property

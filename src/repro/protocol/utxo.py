@@ -38,8 +38,10 @@ class UtxoSet:
     and a share count, and whichever set writes first while the tables are
     shared takes its own copy of them (:meth:`_own`).  Funding gives every
     node a view of one ledger this way.  A scratch copy written before its
-    source (block validation) costs the one table copy an eager copy would
-    have cost, and leaves the source the sole owner of its tables again.
+    source (side-branch block validation) costs the one table copy an eager
+    copy would have cost, and leaves the source the sole owner of its tables
+    again.  A block that extends the tip needs no copy: it is applied in
+    place and undone on failure (:meth:`undo_transaction`).
     """
 
     def __init__(self) -> None:
@@ -119,17 +121,24 @@ class UtxoSet:
                 del self._by_address[entry.address]
         return entry
 
-    def apply_transaction(self, tx: Transaction, *, block_hash: Optional[str] = None) -> None:
+    def apply_transaction(
+        self, tx: Transaction, *, block_hash: Optional[str] = None
+    ) -> list[UtxoEntry]:
         """Apply a transaction: spend its inputs, add its outputs.
 
         The caller is responsible for having validated the transaction first
         (see :class:`~repro.protocol.validation.TransactionValidator`); this
         method still refuses to spend missing outpoints to protect ledger
         integrity.
+
+        Returns:
+            The spent entries, in input order: what :meth:`undo_transaction`
+            needs to reverse the apply.
         """
+        spent = []
         if not tx.is_coinbase:
             for tx_input in tx.inputs:
-                self.remove(tx_input.outpoint)
+                spent.append(self.remove(tx_input.outpoint))
         for index, output in enumerate(tx.outputs):
             self.add(
                 UtxoEntry(
@@ -140,6 +149,15 @@ class UtxoSet:
                     confirmed_in_block=block_hash,
                 )
             )
+        return spent
+
+    def undo_transaction(self, tx: Transaction, spent: Iterable[UtxoEntry]) -> None:
+        """Reverse :meth:`apply_transaction`: drop ``tx``'s outputs and restore
+        the ``spent`` entries that apply returned."""
+        for index in range(len(tx.outputs)):
+            self.remove((tx.txid, index))
+        for entry in spent:
+            self.add(entry)
 
     def can_apply(self, tx: Transaction) -> bool:
         """Whether every input of ``tx`` is currently unspent."""

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 from repro.protocol.block import Block, merkle_root
-from repro.protocol.crypto import address_of_public_key, verify_signature
 from repro.protocol.transaction import Transaction
 from repro.protocol.utxo import UtxoSet
 
@@ -81,7 +80,12 @@ class TransactionValidator:
         self.cost_model = cost_model if cost_model is not None else VerificationCostModel()
 
     def validate_transaction(self, tx: Transaction, utxo: UtxoSet) -> ValidationResult:
-        """Full transaction check: inputs unspent, owned, signed, value-balanced."""
+        """Full transaction check: inputs unspent, owned, signed, value-balanced.
+
+        The ledger checks run on every call; the witness half (the address
+        each public key derives, each signature's verdict) comes from
+        :attr:`Transaction.witness_checks`, computed once per object.
+        """
         cost = self.cost_model.transaction_cost_s(tx, len(utxo))
         if not tx.outputs:
             return ValidationResult(False, ValidationError.EMPTY_OUTPUTS, cost)
@@ -90,18 +94,17 @@ class TransactionValidator:
 
         total_in = 0
         seen_outpoints: set[tuple[str, int]] = set()
-        for tx_input in tx.inputs:
+        for position, tx_input in enumerate(tx.inputs):
             if tx_input.outpoint in seen_outpoints:
                 return ValidationResult(False, ValidationError.DOUBLE_SPEND, cost)
             seen_outpoints.add(tx_input.outpoint)
             entry = utxo.get(tx_input.outpoint)
             if entry is None:
                 return ValidationResult(False, ValidationError.MISSING_INPUT, cost)
-            if address_of_public_key(tx_input.public_key) != entry.address:
+            derived_address, signature_ok = tx.witness_checks[position]
+            if derived_address != entry.address:
                 return ValidationResult(False, ValidationError.WRONG_OWNER, cost)
-            if not verify_signature(
-                tx_input.public_key, tx_input.private_key_hint, tx.body(), tx_input.signature
-            ):
+            if not signature_ok:
                 return ValidationResult(False, ValidationError.BAD_SIGNATURE, cost)
             total_in += entry.value
 
@@ -109,22 +112,30 @@ class TransactionValidator:
             return ValidationResult(False, ValidationError.VALUE_OVERSPEND, cost)
         return ValidationResult(True, None, cost)
 
-    def validate_block(self, block: Block, parent: Block, utxo: UtxoSet) -> ValidationResult:
-        """Check block linkage, merkle root and every contained transaction.
+    def apply_block(self, block: Block, parent: Block, utxo: UtxoSet) -> ValidationResult:
+        """Check a block against ``parent`` and apply it to ``utxo`` in place.
 
-        The ``utxo`` argument must be the ledger state as of ``parent``; it is
-        not modified (a working copy is used for intra-block dependencies).
+        ``utxo`` must be the ledger as of ``parent``.  Each transaction is
+        applied as soon as it passes, so later ones can spend its outputs.
+        On an invalid block ``utxo`` is left as it was: the transactions
+        applied before the first invalid one are undone, newest first.
         """
         total_cost = 0.0
-        if block.previous_hash != parent.block_hash:
+        if block.previous_hash != parent.block_hash or block.height != parent.height + 1:
             return ValidationResult(False, ValidationError.BAD_PREVIOUS_BLOCK, total_cost)
         if block.header.merkle_root != merkle_root(block.transactions):
             return ValidationResult(False, ValidationError.BAD_MERKLE_ROOT, total_cost)
-        working = utxo.copy()
+        applied = []
         for tx in block.transactions:
-            result = self.validate_transaction(tx, working)
+            result = self.validate_transaction(tx, utxo)
             total_cost += result.verification_cost_s
             if not result.valid:
+                for done, spent in reversed(applied):
+                    utxo.undo_transaction(done, spent)
                 return ValidationResult(False, result.error, total_cost)
-            working.apply_transaction(tx, block_hash=block.block_hash)
+            applied.append((tx, utxo.apply_transaction(tx, block_hash=block.block_hash)))
         return ValidationResult(True, None, total_cost)
+
+    def validate_block(self, block: Block, parent: Block, utxo: UtxoSet) -> ValidationResult:
+        """:meth:`apply_block` on a copy: ``utxo`` itself is not modified."""
+        return self.apply_block(block, parent, utxo.copy())

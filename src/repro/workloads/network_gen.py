@@ -306,7 +306,7 @@ def _cached_snapshot(path: Union[str, Path]) -> Optional[SimulatedNetwork]:
 #: Version of the pickled object layout.  It is part of every snapshot's
 #: filename, so bumping it makes a snapshot directory written by older code
 #: rebuild instead of loading objects that lack newer fields.
-SNAPSHOT_FORMAT = 3
+SNAPSHOT_FORMAT = 4
 
 
 def snapshot_filename(parameters: NetworkParameters) -> str:

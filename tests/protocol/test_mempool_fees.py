@@ -7,13 +7,18 @@ The fee-priority :class:`~repro.protocol.mempool.Mempool` promises:
 * capacity is a hard invariant, never exceeded mid-add;
 * eviction order is a pure function of the add sequence (deterministic
   across identical replays — the worker-count-invariance prerequisite);
+* the sorted eviction index evicts exactly what a ``min`` over every pending
+  transaction would, through any interleaving of mutations;
 * the PR-7 re-offer contract extends to fee evictions: a node that evicts a
   transaction forgets its txid, so a later INV can re-offer it.
 
-Hypothesis drives the first three over arbitrary fee/size sequences; the
+Hypothesis drives the first four over arbitrary fee/size sequences; the
 re-offer path is an end-to-end node test mirroring the capacity-drop one.
 """
 
+import math
+
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -122,6 +127,191 @@ class TestFeePriorityProperties:
         for index, (txid, added, evicted) in enumerate(events):
             assert added == (index < capacity)
             assert evicted == ()
+
+
+class ReferencePool:
+    """Brute-force model of the fee-priority pool: a dict of pending
+    transactions, with every eviction found by ``min`` over all of them."""
+
+    def __init__(self, max_size):
+        self.max_size = max_size
+        self.entries = {}  # txid -> (tx, arrival_time, fee)
+        self.last_evicted = ()
+
+    def key(self, txid):
+        tx, arrival, fee = self.entries[txid]
+        return (fee / tx.size_bytes, -arrival, txid)
+
+    def spender(self, outpoint):
+        for txid, (tx, _, _) in self.entries.items():
+            if any(i.outpoint == outpoint for i in tx.inputs):
+                return txid
+        return None
+
+    def min_feerate(self):
+        if not self.entries:
+            return None
+        return self.key(min(self.entries, key=self.key))[0]
+
+    def add(self, tx, arrival, fee):
+        self.last_evicted = ()
+        if tx.txid in self.entries:
+            return False
+        if any(self.spender(i.outpoint) not in (None, tx.txid) for i in tx.inputs):
+            return False
+        if len(self.entries) >= self.max_size:
+            if fee / tx.size_bytes <= self.min_feerate():
+                return False
+            evicted = []
+            while len(self.entries) >= self.max_size:
+                victim = min(self.entries, key=self.key)
+                evicted.append(victim)
+                del self.entries[victim]
+            self.last_evicted = tuple(evicted)
+        self.entries[tx.txid] = (tx, arrival, int(fee))
+        return True
+
+    def remove(self, txid):
+        return self.entries.pop(txid, (None,))[0]
+
+    def clear(self):
+        self.entries.clear()
+        self.last_evicted = ()
+
+
+_FUNDING = [
+    Transaction.coinbase(_WALLET.address, 1_000_000, tag=f"index-{i}") for i in range(5)
+]
+#: Five independent spends of different sizes, plus two that double-spend
+#: the first two: the universe every interleaving draws from.
+_UNIVERSE = [
+    Transaction.create_signed(
+        _WALLET,
+        [(funding.txid, 0, 1_000_000)],
+        [(f"dest-{j}", 100) for j in range(1 + i % 3)],
+    )
+    for i, funding in enumerate(_FUNDING)
+] + [
+    Transaction.create_signed(_WALLET, [(funding.txid, 0, 1_000_000)], [("rival", 100)])
+    for funding in _FUNDING[:2]
+]
+
+_pick = st.integers(min_value=0, max_value=len(_UNIVERSE) - 1)
+#: Few arrival times and few per-byte rates, so ties on both are common
+#: (``fee = rate × size`` gives equal feerates across different sizes).
+_arrivals = st.sampled_from([0.0, 1.0, 2.5])
+_rates = st.sampled_from([0, 1, 2, 5])
+#: Mostly adds, so full pools and evictions are common.
+_kinds = st.sampled_from(
+    ("add",) * 6 + ("readd", "remove", "remove_confirmed", "remove_conflicts", "clear")
+)
+#: One step: (kind, transaction index, arrival time, rate, index set); each
+#: kind reads the fields it needs.
+_operations = st.lists(
+    st.tuples(_kinds, _pick, _arrivals, _rates, st.sets(_pick, max_size=3)),
+    min_size=6,
+    max_size=40,
+)
+
+
+class TestEvictionIndex:
+    @given(capacity=st.integers(min_value=1, max_value=3), operations=_operations)
+    @settings(max_examples=150, deadline=None)
+    def test_index_evicts_exactly_what_min_evicted(self, capacity, operations):
+        """Through any interleaving of adds, removals, confirmed and
+        conflict evictions, clears and re-adds of dropped transactions, the
+        pool's sorted index agrees with a ``min`` over every pending entry:
+        same admissions, same evictions, same lowest feerate, same members."""
+        pool = Mempool(max_size=capacity)
+        reference = ReferencePool(capacity)
+        dropped = []
+        for kind, pick, arrival, rate, picks in operations:
+            if kind in ("add", "readd"):
+                if kind == "readd":
+                    if not dropped:
+                        continue
+                    tx = dropped[pick % len(dropped)]
+                else:
+                    tx = _UNIVERSE[pick]
+                fee = rate * tx.size_bytes
+                added = pool.add(tx, arrival_time=arrival, fee=fee)
+                assert added == reference.add(tx, arrival, fee)
+                dropped.extend(pool.last_evicted)
+            elif kind == "remove":
+                tx = _UNIVERSE[pick]
+                assert pool.remove(tx.txid) is reference.remove(tx.txid)
+                dropped.append(tx)
+            elif kind == "remove_confirmed":
+                txids = {_UNIVERSE[i].txid for i in picks}
+                expected = [txid for txid in reference.entries if txid in txids]
+                assert pool.remove_confirmed(txids) == len(expected)
+                for txid in expected:
+                    dropped.append(reference.remove(txid))
+            elif kind == "remove_conflicts":
+                outpoints = [(_FUNDING[i % len(_FUNDING)].txid, 0) for i in sorted(picks)]
+                removed = pool.remove_conflicts(outpoints)
+                expected = []
+                for outpoint in outpoints:
+                    spender = reference.spender(outpoint)
+                    if spender is not None:
+                        expected.append(reference.remove(spender))
+                assert removed == expected
+                dropped.extend(removed)
+            else:
+                dropped.extend(pool.transactions())
+                pool.clear()
+                reference.clear()
+            assert tuple(t.txid for t in pool.last_evicted) == reference.last_evicted
+            assert pool.min_feerate() == reference.min_feerate()
+            assert {tx.txid for tx in _UNIVERSE if tx.txid in pool} == set(reference.entries)
+            assert len(pool) == len(reference.entries)
+            for funding in _FUNDING:
+                outpoint = (funding.txid, 0)
+                assert pool.spends(outpoint) == (reference.spender(outpoint) is not None)
+
+
+class TestAddRejectsIllDefinedKeys:
+    """A NaN arrival time compares False with everything, and a negative fee
+    is not a fee: either would make the eviction order ill-defined, so
+    ``add`` refuses both before touching any state."""
+
+    def _full_pool_after_an_eviction(self):
+        cheap, rich = _UNIVERSE[0], _UNIVERSE[1]
+        pool = Mempool(max_size=1)
+        assert pool.add(cheap, arrival_time=0.0, fee=10)
+        assert pool.add(rich, arrival_time=1.0, fee=5_000)
+        assert pool.last_evicted == (cheap,)
+        return pool, rich
+
+    def _assert_untouched(self, pool, rich, newcomer):
+        assert pool.last_evicted == (_UNIVERSE[0],)
+        assert newcomer.txid not in pool
+        assert rich.txid in pool and len(pool) == 1
+        assert pool.min_feerate() == 5_000 / rich.size_bytes
+        assert not pool.spends(newcomer.inputs[0].outpoint)
+
+    def test_nan_arrival_time_rejected(self):
+        """Before the check, two equal-fee entries one of which arrived at
+        NaN were evicted in insertion order, not by the eviction key."""
+        pool, rich = self._full_pool_after_an_eviction()
+        newcomer = _UNIVERSE[2]
+        with pytest.raises(ValueError, match="NaN"):
+            pool.add(newcomer, arrival_time=math.nan, fee=1_000_000)
+        self._assert_untouched(pool, rich, newcomer)
+
+    @pytest.mark.parametrize("fee", [-500, -1, math.nan])
+    def test_negative_fee_rejected(self, fee):
+        pool, rich = self._full_pool_after_an_eviction()
+        newcomer = _UNIVERSE[2]
+        with pytest.raises(ValueError, match="fee"):
+            pool.add(newcomer, arrival_time=2.0, fee=fee)
+        self._assert_untouched(pool, rich, newcomer)
+
+    def test_zero_fee_and_infinite_arrival_still_admitted(self):
+        pool = Mempool(max_size=2)
+        assert pool.add(_UNIVERSE[0], arrival_time=math.inf, fee=0)
+        assert pool.add(_UNIVERSE[1], arrival_time=-math.inf, fee=0)
+        assert pool.min_feerate() == 0.0
 
 
 def build_ring(node_count=10, seed=2, **config_kwargs):
