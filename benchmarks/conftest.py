@@ -12,7 +12,7 @@ run and a paper-scale reproduction:
 * ``REPRO_BENCH_SEEDS``  — comma-separated master seeds (default "3,11,23");
 * ``REPRO_BENCH_WORKERS`` — processes for (protocol, seed) fan-out (default:
   one per CPU, capped at 4; results are identical for every worker count —
-  see ``repro.experiments.parallel``).
+  see ``repro.experiments.backends``).
 """
 
 from __future__ import annotations

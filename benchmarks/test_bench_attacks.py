@@ -162,6 +162,6 @@ def test_quick_dynamic_attack_cell_is_cheap_and_produces_verdicts():
         "byzantine/bcbpt",
     }
     # The attacked cells really ran against adversaries.
-    assert dynamic["byzantine/bitcoin"].messages_suppressed > 0
-    assert dynamic["byzantine/bcbpt"].messages_suppressed > 0
+    assert dynamic["byzantine/bitcoin"].total("messages_suppressed") > 0
+    assert dynamic["byzantine/bcbpt"].total("messages_suppressed") > 0
     assert not math.isnan(degradation_ratio(dynamic, "byzantine", "bcbpt"))

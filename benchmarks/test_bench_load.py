@@ -19,8 +19,7 @@ import time
 import tracemalloc
 
 from repro.experiments.config import ExperimentConfig
-from repro.experiments.load_frontier import run_load_seed
-from repro.experiments.parallel import LoadJob
+from repro.experiments.load_frontier import LoadJob, run_load_seed
 
 NODE_COUNT = 20
 
@@ -55,7 +54,6 @@ def _job() -> LoadJob:
         confirmation_depth=3,
         mean_fee_satoshi=250.0,
         funding_outputs=8,
-        threshold_s=CONFIG.latency_threshold_s,
         config=CONFIG,
     )
 

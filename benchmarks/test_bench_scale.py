@@ -16,8 +16,7 @@ import time
 import tracemalloc
 
 from repro.experiments.config import ExperimentConfig
-from repro.experiments.parallel import ScaleJob, run_scale_job
-from repro.experiments.scale import scale_parameters
+from repro.experiments.scale import ScaleJob, run_scale_job, scale_parameters
 from repro.workloads.network_gen import ensure_network_snapshot
 
 #: Mid-size rung: big enough that quadratic funding or dict-backed pair
@@ -42,7 +41,6 @@ def _run_cell(tmp_path):
         node_count=NODE_COUNT,
         protocol="bitcoin",
         seed=3,
-        threshold_s=CONFIG.latency_threshold_s,
         prune_depth=6,
         cell_runs=1,
         profile_memory=True,

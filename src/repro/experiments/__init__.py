@@ -39,9 +39,7 @@ ResultStore` under ``results/`` and can be reloaded and diffed
 ``collect_samples`` hook additionally persist their raw per-seed measurement
 series in the envelope's ``samples`` field, from which the analysis plane
 (:mod:`repro.analysis`, CLI ``repro report``) regenerates the paper's
-figures and percentile tables without re-simulation.  The old per-module
-entry points (``python -m repro.experiments.fig3`` ...) remain as
-deprecation shims.
+figures and percentile tables without re-simulation.
 
 Public entry points: :func:`~repro.experiments.api.run_experiment` (dispatch
 one experiment), the :func:`~repro.experiments.api.experiment` decorator

@@ -20,11 +20,11 @@ from dataclasses import asdict, dataclass
 from typing import Optional, Sequence
 
 from repro.core.bcbpt import BcbptConfig, BcbptPolicy
-from repro.experiments.api import deprecated_main, experiment
+from repro.experiments.api import experiment
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.grid import run_seed_grid
-from repro.experiments.parallel import AblationJob, run_ablation_job
 from repro.experiments.reporting import ExperimentReport, format_table
+from repro.experiments.runner import PropagationExperiment
 from repro.measurement.stats import DelayDistribution
 from repro.protocol.node import NodeConfig
 from repro.workloads.network_gen import NetworkParameters, build_network
@@ -69,6 +69,49 @@ def build_ablation_scenario(
     )
     report = policy.build_topology()
     return Scenario(name="bcbpt", network=simulated, policy=policy, build_report=report)
+
+
+@dataclass(frozen=True)
+class AblationJob:
+    """One (variant, seed) BCBPT ablation measurement."""
+
+    variant: str
+    seed: int
+    verification_enabled: bool
+    long_links_per_node: int
+    config: ExperimentConfig
+
+
+@dataclass(frozen=True)
+class AblationJobResult:
+    """Per-(variant, seed) measurements merged by the ablation driver."""
+
+    variant: str
+    seed: int
+    delay_samples: tuple[float, ...]
+    average_degree: float
+    average_path_length: float
+
+
+def run_ablation_job(job: AblationJob) -> AblationJobResult:
+    """Execute one ablation point — the process-pool entry point."""
+    scenario = build_ablation_scenario(
+        job.config,
+        job.seed,
+        verification_enabled=job.verification_enabled,
+        long_links_per_node=job.long_links_per_node,
+    )
+    topology = scenario.network.network.topology
+    average_degree = topology.average_degree()
+    average_path_length = topology.average_shortest_path_length()
+    result = PropagationExperiment(scenario, job.config).run()
+    return AblationJobResult(
+        variant=job.variant,
+        seed=job.seed,
+        delay_samples=tuple(result.delays.samples),
+        average_degree=average_degree,
+        average_path_length=average_path_length,
+    )
 
 
 def _measure_variants(
@@ -172,8 +215,6 @@ def build_report(
     headers = ["variant", "mean_ms", "var_ms2", "p90_ms", "avg degree", "avg path len"]
     report.add_section("Verification-delay ablation", format_table(headers, rows(verification_points)))
     report.add_section("Long-link ablation", format_table(headers, rows(long_link_points)))
-    report.add_data("verification", verification_points)
-    report.add_data("long_links", long_link_points)
     return report
 
 
@@ -204,12 +245,3 @@ def run_ablations(config: Optional[ExperimentConfig] = None) -> AblationOutcome:
         verification=run_verification_ablation(config),
         long_links=run_long_link_ablation(config),
     )
-
-
-def main(argv: Optional[list[str]] = None) -> int:
-    """Deprecated CLI shim; forwards to ``repro run ablation``."""
-    return deprecated_main("ablation", argv)
-
-
-if __name__ == "__main__":  # pragma: no cover - exercised via CLI
-    raise SystemExit(main())

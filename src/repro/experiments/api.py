@@ -38,9 +38,7 @@ from __future__ import annotations
 
 import dataclasses
 import importlib
-import sys
 import time
-import warnings
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Mapping, Optional, Sequence
 
@@ -221,25 +219,10 @@ def experiment(
 
 
 def register(spec: ExperimentSpec) -> None:
-    """Add a spec to the registry, rejecting duplicate names.
-
-    The same driver file may legitimately register twice — once as
-    ``__main__`` (via a deprecated ``python -m repro.experiments.<name>``
-    shim) and once under its real module name when the registry loads — so
-    re-registration from the same source file replaces the earlier spec;
-    only a *different* implementation claiming an existing name is an error.
-    """
+    """Add a spec to the registry, rejecting a second implementation of a name."""
     existing = _REGISTRY.get(spec.name)
     if existing is not None and existing.run is not spec.run:
-        old_code = getattr(existing.run, "__code__", None)
-        new_code = getattr(spec.run, "__code__", None)
-        same_source = (
-            old_code is not None
-            and new_code is not None
-            and old_code.co_filename == new_code.co_filename
-        )
-        if not same_source:
-            raise ValueError(f"experiment {spec.name!r} is already registered")
+        raise ValueError(f"experiment {spec.name!r} is already registered")
     _REGISTRY[spec.name] = spec
 
 
@@ -408,24 +391,3 @@ def run_experiment(
     )
     result.payload = payload  # type: ignore[attr-defined]  # in-memory only
     return result
-
-
-def deprecated_main(name: str, argv: Optional[Sequence[str]] = None) -> int:
-    """Back-compat shim body for the old per-module CLIs.
-
-    Each legacy entry point (``python -m repro.experiments.fig3`` etc.) warns
-    and forwards its argv to ``python -m repro.experiments run <name>``; the
-    flags are identical because the unified parser is built from the shared
-    config builder plus the experiment's declared options.
-    """
-    warnings.warn(
-        f"`python -m repro.experiments.{name}` is deprecated; use "
-        f"`python -m repro.experiments run {name}` (or the `repro` console "
-        "script) instead",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    from repro.experiments.cli import main as cli_main
-
-    forwarded = list(sys.argv[1:] if argv is None else argv)
-    return cli_main(["run", name, *forwarded])

@@ -54,8 +54,7 @@ fingerprints.
 The verdicts ask the paper's future-work question directly — does proximity
 clustering widen or narrow each attack surface?
 
-Run via ``python -m repro.experiments run attacks [--attacks ...]``;
-``python -m repro.experiments.attacks`` remains as a deprecated shim.
+Run via ``python -m repro.experiments run attacks [--attacks ...]``.
 """
 
 from __future__ import annotations
@@ -66,24 +65,24 @@ from typing import Optional, Sequence
 
 import networkx as nx
 
-from repro.analysis.samples import SampleLog
+from repro.analysis.samples import BlockArrivalRecorder, SampleLog
 from repro.analysis.stats import mean
-from repro.experiments.api import ExperimentOption, deprecated_main, experiment
+from repro.experiments.api import ExperimentOption, experiment
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.grid import run_seed_grid
-from repro.experiments.parallel import (
-    AttackJob,
-    AttackJobResult,
-    EclipseJob,
-    EclipseJobResult,
-    PartitionJob,
-    PartitionJobResult,
-    run_attack_job,
-    run_eclipse_job,
-    run_partition_job,
-)
 from repro.experiments.reporting import ExperimentReport, format_table
-from repro.workloads.scenarios import AttackSpec, Scenario, validate_attack_kind
+from repro.protocol.adversary import SelfishMiner
+from repro.protocol.mining import MinerProfile, MiningProcess, equal_hash_power
+from repro.workloads.generators import fund_nodes
+from repro.workloads.network_gen import NetworkParameters
+from repro.workloads.scenarios import (
+    AttackSpec,
+    ChurnSchedule,
+    Scenario,
+    build_scenario,
+    install_attack,
+    validate_attack_kind,
+)
 
 ATTACK_PROTOCOLS = ("bitcoin", "lbc", "bcbpt")
 
@@ -129,72 +128,178 @@ class PartitionResult:
 
 
 @dataclass(frozen=True)
-class DynamicAttackResult:
-    """Pooled dynamic outcomes for one (attack, protocol) cell.
+class EclipseJob:
+    """One (protocol, seed) eclipse-exposure measurement."""
 
-    Carries plain values only (tuples of floats, never live distribution
-    objects), so two payloads produced at different worker counts compare
-    equal field-by-field — the invariance the registry tests assert.
+    protocol: str
+    seed: int
+    adversary_fraction: float
+    config: ExperimentConfig
+
+
+@dataclass(frozen=True)
+class EclipseJobResult:
+    """Per-(protocol, seed) eclipse counters merged by the attacks driver."""
+
+    protocol: str
+    seed: int
+    victim_connection_count: int
+    adversarial_connection_count: int
+
+
+@dataclass(frozen=True)
+class PartitionJob:
+    """One (protocol, seed) partition-cost measurement."""
+
+    protocol: str
+    seed: int
+    config: ExperimentConfig
+
+
+@dataclass(frozen=True)
+class PartitionJobResult:
+    """Per-(protocol, seed) partition counters merged by the attacks driver."""
+
+    protocol: str
+    seed: int
+    target_group_size: int
+    boundary_links: int
+    total_links: int
+    partition_achieved: bool
+    largest_component_fraction: float
+
+
+@dataclass(frozen=True)
+class AttackJob:
+    """One (attack, protocol, seed) dynamic-adversary campaign.
 
     Attributes:
-        attack: attack kind (``"none"`` is the honest baseline).
+        attack: attack kind (one of
+            :data:`repro.workloads.scenarios.ATTACK_KINDS`; ``"none"`` is the
+            honest baseline cell the degradation metrics divide by).
         protocol: neighbour-selection policy under test.
-        delay_samples: block Δt samples pooled across seeds, in merge order.
-        per_seed: ``(seed, samples)`` pairs in seed order.
-        blocks_measured: publicly propagated blocks tracked across seeds.
-        coverages: per-seed mean fraction of nodes reached per block.
-        victim_coverages: per-seed fraction of measured blocks that reached
-            the observation victim within the horizon.
-        byzantine_counts: per-seed number of corrupted nodes.
-        messages_suppressed: messages silently dropped by behaviours, summed.
-        blocks_withheld / blocks_released / races_started: selfish-mining
-            state-machine counters, summed across seeds.
-        revenue_shares: per-seed attacker revenue share (None when the cell
-            has no selfish miner or no mined blocks landed).
-        attacker_hashpower: the selfish miner's α (0.0 for other attacks).
+        seed: master seed for the cell's network, adversary and mining
+            streams.
+        spec: the full adversary composition (picklable).
+        blocks: blocks mined (and measured) in the campaign.
+        txs_per_block: fresh transactions injected before each block.
+        block_horizon_s: simulated seconds allowed per block to spread.
+        config: shared experiment configuration (BCBPT's ``d_t`` is its
+            ``latency_threshold_s``).
     """
 
     attack: str
     protocol: str
-    delay_samples: tuple[float, ...]
-    per_seed: tuple[tuple[int, tuple[float, ...]], ...]
+    seed: int
+    spec: AttackSpec
+    blocks: int
+    txs_per_block: int
+    block_horizon_s: float
+    config: ExperimentConfig
+
+
+@dataclass(frozen=True)
+class AttackJobResult:
+    """Per-(attack, protocol, seed) dynamic outcomes of one campaign.
+
+    Plain values only (tuples, never live distributions; ``None`` — not NaN,
+    which breaks ``==`` across a pickle round trip — for unmeasured revenue),
+    so the pooled payload compares field-by-field across worker counts.
+
+    Attributes:
+        block_delay_samples: block Δt samples of the publicly propagated
+            blocks, in event order.
+        blocks_measured: publicly propagated blocks tracked.
+        coverage: mean fraction of nodes reached per block.
+        victim_coverage: fraction of measured blocks that reached the
+            observation victim within the horizon.
+        byzantine_nodes: the corrupted nodes.
+        messages_suppressed: messages silently dropped by behaviours.
+        attacker_id: the selfish miner (-1 for other attacks).
+        attacker_hashpower: the selfish miner's α (0.0 for other attacks).
+        blocks_withheld / blocks_released / races_started: selfish-mining
+            state-machine counters.
+        revenue_share: attacker revenue share (None when the cell has no
+            selfish miner or no mined blocks landed).
+    """
+
+    attack: str
+    protocol: str
+    seed: int
+    block_delay_samples: tuple[float, ...]
     blocks_measured: int
-    coverages: tuple[float, ...]
-    victim_coverages: tuple[float, ...]
-    byzantine_counts: tuple[int, ...]
+    coverage: float
+    victim_coverage: float
+    byzantine_nodes: tuple[int, ...]
     messages_suppressed: int
+    attacker_id: int
+    attacker_hashpower: float
     blocks_withheld: int
     blocks_released: int
     races_started: int
-    revenue_shares: tuple[Optional[float], ...]
-    attacker_hashpower: float
+    revenue_share: Optional[float]
+
+
+@dataclass(frozen=True)
+class DynamicAttackResult:
+    """Pooled dynamic outcomes for one (attack, protocol) cell.
+
+    Its per-seed records are plain values, so two payloads produced at
+    different worker counts compare equal field-by-field — the invariance
+    the registry tests assert.
+
+    Attributes:
+        attack: attack kind (``"none"`` is the honest baseline).
+        protocol: neighbour-selection policy under test.
+        cells: the cell's per-seed campaign records, in seed order; every
+            aggregate below is computed from them.
+    """
+
+    attack: str
+    protocol: str
+    cells: tuple[AttackJobResult, ...]
 
     @property
     def label(self) -> str:
         """The combined ``attack/protocol`` result key."""
         return f"{self.attack}/{self.protocol}"
 
+    def total(self, name: str) -> int:
+        """One per-seed counter summed across the cells."""
+        return sum(getattr(cell, name) for cell in self.cells)
+
+    @property
+    def delay_samples(self) -> list[float]:
+        """Block Δt samples pooled across seeds, in seed order."""
+        return [sample for cell in self.cells for sample in cell.block_delay_samples]
+
+    @property
+    def attacker_hashpower(self) -> float:
+        """The selfish miner's α (0.0 for other attacks)."""
+        return self.cells[-1].attacker_hashpower if self.cells else 0.0
+
     def mean_delay(self) -> float:
         """Mean block Δt across the pooled samples (NaN when unmeasured)."""
-        if not self.delay_samples:
+        samples = self.delay_samples
+        if not samples:
             return float("nan")
-        return mean(self.delay_samples)
+        return mean(samples)
 
     def mean_coverage(self) -> float:
         """Mean per-block node coverage across seeds."""
-        if not self.coverages:
+        if not self.cells:
             return 0.0
-        return mean(self.coverages)
+        return mean([cell.coverage for cell in self.cells])
 
     def mean_victim_coverage(self) -> float:
         """Mean fraction of blocks that reached the victim across seeds."""
-        if not self.victim_coverages:
+        if not self.cells:
             return 0.0
-        return mean(self.victim_coverages)
+        return mean([cell.victim_coverage for cell in self.cells])
 
     def mean_revenue_share(self) -> float:
         """Mean attacker revenue share across seeds (unmeasured seeds skipped)."""
-        shares = [s for s in self.revenue_shares if s is not None]
+        shares = [cell.revenue_share for cell in self.cells if cell.revenue_share is not None]
         if not shares:
             return float("nan")
         return mean(shares)
@@ -209,14 +314,14 @@ class DynamicAttackResult:
         summary = {
             "count": float(len(self.delay_samples)),
             "mean_delay_s": self.mean_delay(),
-            "blocks_measured": float(self.blocks_measured),
+            "blocks_measured": float(self.total("blocks_measured")),
             "mean_coverage": self.mean_coverage(),
             "mean_victim_coverage": self.mean_victim_coverage(),
-            "byzantine_count": float(sum(self.byzantine_counts)),
-            "messages_suppressed": float(self.messages_suppressed),
-            "blocks_withheld": float(self.blocks_withheld),
-            "blocks_released": float(self.blocks_released),
-            "races_started": float(self.races_started),
+            "byzantine_count": float(sum(len(cell.byzantine_nodes) for cell in self.cells)),
+            "messages_suppressed": float(self.total("messages_suppressed")),
+            "blocks_withheld": float(self.total("blocks_withheld")),
+            "blocks_released": float(self.total("blocks_released")),
+            "races_started": float(self.total("races_started")),
             "revenue_share": self.mean_revenue_share(),
             "attacker_hashpower": self.attacker_hashpower,
         }
@@ -243,10 +348,7 @@ def _pick_victim(scenario: Scenario) -> int:
 
 
 def run_eclipse_seed(job: EclipseJob) -> EclipseJobResult:
-    """Measure one (protocol, seed) eclipse exposure — the parallel job body."""
-    from repro.workloads.network_gen import NetworkParameters
-    from repro.workloads.scenarios import build_scenario
-
+    """Measure one (protocol, seed) eclipse exposure — the process-pool entry point."""
     cfg = job.config
     scenario = build_scenario(
         job.protocol,
@@ -294,7 +396,7 @@ def run_eclipse(
             config=cfg,
         )
 
-    grid = run_seed_grid(protocols, make_job, run_eclipse_job, cfg)
+    grid = run_seed_grid(protocols, make_job, run_eclipse_seed, cfg)
     return [
         EclipseResult(
             protocol=protocol,
@@ -309,10 +411,7 @@ def run_eclipse(
 
 
 def run_partition_seed(job: PartitionJob) -> PartitionJobResult:
-    """Measure one (protocol, seed) partition cost — the parallel job body."""
-    from repro.workloads.network_gen import NetworkParameters
-    from repro.workloads.scenarios import build_scenario
-
+    """Measure one (protocol, seed) partition cost — the process-pool entry point."""
     cfg = job.config
     scenario = build_scenario(
         job.protocol,
@@ -358,7 +457,7 @@ def run_partition(
     def make_job(protocol: str, seed: int) -> PartitionJob:
         return PartitionJob(protocol=protocol, seed=seed, config=cfg)
 
-    grid = run_seed_grid(protocols, make_job, run_partition_job, cfg)
+    grid = run_seed_grid(protocols, make_job, run_partition_seed, cfg)
     results: list[PartitionResult] = []
     for protocol, seed_results in grid:
         count = len(seed_results)
@@ -404,14 +503,6 @@ def run_attack_seed(job: AttackJob) -> AttackJobResult:
     asked, then mines ``job.blocks`` blocks and measures how each publicly
     propagated block actually spreads through the corrupted network.
     """
-    # Imported lazily: parallel.py is config-level and imports us back.
-    from repro.analysis.samples import BlockArrivalRecorder
-    from repro.protocol.adversary import SelfishMiner
-    from repro.protocol.mining import MinerProfile, MiningProcess, equal_hash_power
-    from repro.workloads.generators import fund_nodes
-    from repro.workloads.network_gen import NetworkParameters
-    from repro.workloads.scenarios import ChurnSchedule, build_scenario, install_attack
-
     cfg = job.config
     spec = job.spec
     # Eclipse composes with membership churn: ordinary nodes cycle sessions
@@ -425,7 +516,7 @@ def run_attack_seed(job: AttackJob) -> AttackJobResult:
     scenario = build_scenario(
         job.protocol,
         NetworkParameters(node_count=cfg.node_count, seed=job.seed),
-        latency_threshold_s=job.threshold_s,
+        latency_threshold_s=cfg.latency_threshold_s,
         max_outbound=cfg.max_outbound,
         churn=churn,
     )
@@ -604,55 +695,14 @@ def run_dynamic_attacks(
             blocks=blocks,
             txs_per_block=txs_per_block,
             block_horizon_s=block_horizon_s,
-            threshold_s=cfg.latency_threshold_s,
             config=cfg,
         )
 
-    grid = run_seed_grid(points, make_job, run_attack_job, cfg)
-
-    # Merge in submission order — identical aggregates for every worker count.
-    results: dict[str, DynamicAttackResult] = {}
-    for (attack, protocol), seed_results in grid:
-        pooled: list[float] = []
-        per_seed: list[tuple[int, tuple[float, ...]]] = []
-        coverages: list[float] = []
-        victim_coverages: list[float] = []
-        byzantine_counts: list[int] = []
-        revenue_shares: list[float] = []
-        blocks_measured = 0
-        messages_suppressed = 0
-        blocks_withheld = blocks_released = races_started = 0
-        hashpower = 0.0
-        for seed, job_result in zip(cfg.seeds, seed_results):
-            pooled.extend(job_result.block_delay_samples)
-            per_seed.append((seed, job_result.block_delay_samples))
-            coverages.append(job_result.coverage)
-            victim_coverages.append(job_result.victim_coverage)
-            byzantine_counts.append(len(job_result.byzantine_nodes))
-            revenue_shares.append(job_result.revenue_share)
-            blocks_measured += job_result.blocks_measured
-            messages_suppressed += job_result.messages_suppressed
-            blocks_withheld += job_result.blocks_withheld
-            blocks_released += job_result.blocks_released
-            races_started += job_result.races_started
-            hashpower = job_result.attacker_hashpower
-        results[f"{attack}/{protocol}"] = DynamicAttackResult(
-            attack=attack,
-            protocol=protocol,
-            delay_samples=tuple(pooled),
-            per_seed=tuple(per_seed),
-            blocks_measured=blocks_measured,
-            coverages=tuple(coverages),
-            victim_coverages=tuple(victim_coverages),
-            byzantine_counts=tuple(byzantine_counts),
-            messages_suppressed=messages_suppressed,
-            blocks_withheld=blocks_withheld,
-            blocks_released=blocks_released,
-            races_started=races_started,
-            revenue_shares=tuple(revenue_shares),
-            attacker_hashpower=hashpower,
-        )
-    return results
+    grid = run_seed_grid(points, make_job, run_attack_seed, cfg)
+    return {
+        f"{attack}/{protocol}": DynamicAttackResult(attack, protocol, tuple(cells))
+        for (attack, protocol), cells in grid
+    }
 
 
 def _cell_mean_delay(dynamic: dict[str, DynamicAttackResult], key: str) -> float:
@@ -738,7 +788,7 @@ def clustering_widens_eclipse_surface(
     vanilla = dynamic.get("eclipse/bitcoin")
     if bcbpt is None or vanilla is None:
         return False
-    if not bcbpt.blocks_measured or not vanilla.blocks_measured:
+    if not bcbpt.total("blocks_measured") or not vanilla.total("blocks_measured"):
         return False
     return bcbpt.mean_victim_coverage() <= vanilla.mean_victim_coverage()
 
@@ -849,8 +899,8 @@ def build_report(
                         result.mean_delay() * 1e3,
                         result.mean_coverage(),
                         result.mean_victim_coverage(),
-                        result.messages_suppressed,
-                        result.blocks_withheld,
+                        result.total("messages_suppressed"),
+                        result.total("blocks_withheld"),
                         result.mean_revenue_share(),
                     ]
                     for key, result in dynamic.items()
@@ -873,10 +923,6 @@ def build_report(
                     ["attack/protocol", "Δt ratio", "coverage loss"], degradation_rows
                 ),
             )
-    report.add_data("eclipse", eclipse_results)
-    report.add_data("partition", partition_results)
-    if dynamic is not None:
-        report.add_data("dynamic", dynamic)
     return report
 
 
@@ -916,7 +962,7 @@ def summarize(outcome: AttackOutcome) -> dict[str, dict[str, float]]:
 def collect_samples(outcome: AttackOutcome) -> SampleLog:
     """Raw block-Δt samples per dynamic cell for the envelope.
 
-    One ``block_delay_s`` series per (attack/protocol, seed) in merge order,
+    One ``block_delay_s`` series per (attack/protocol, seed) in seed order,
     plus the per-seed coverage curve — worker-count invariant like every
     other sample capture built on the seed grid.
     """
@@ -925,11 +971,11 @@ def collect_samples(outcome: AttackOutcome) -> SampleLog:
         log.add_per_seed(
             key,
             "block_delay_s",
-            {seed: list(samples) for seed, samples in result.per_seed},
+            {cell.seed: cell.block_delay_samples for cell in result.cells},
             unit="s",
         )
-        for index, coverage in enumerate(result.coverages):
-            log.add_point(key, "coverage", float(index), coverage, unit="fraction")
+        for index, cell in enumerate(result.cells):
+            log.add_point(key, "coverage", float(index), cell.coverage, unit="fraction")
     return log
 
 
@@ -1050,12 +1096,3 @@ def run_attacks(
             selfish_hashpower=selfish_hashpower,
         ),
     )
-
-
-def main(argv: Optional[list[str]] = None) -> int:
-    """Deprecated CLI shim; forwards to ``repro run attacks``."""
-    return deprecated_main("attacks", argv)
-
-
-if __name__ == "__main__":  # pragma: no cover - exercised via CLI
-    raise SystemExit(main())

@@ -52,7 +52,7 @@ from repro.experiments.results import RESULT_SCHEMA_VERSION, json_safe
 
 #: Cell identity schema, bumped when the key material or the pickle layout
 #: changes (old stores are then simply ignored rather than misread).
-CELL_SCHEMA_VERSION = 1
+CELL_SCHEMA_VERSION = 2
 
 #: Job-spec fields that configure *how* a cell runs, not *what* it computes.
 #: They are stripped from the key material; see the module docstring.

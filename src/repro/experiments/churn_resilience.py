@@ -17,37 +17,33 @@ scenario's :class:`~repro.workloads.scenarios.ChurnSchedule`, and reports
   bridge links created).
 
 (protocol, level, seed) campaigns are independent simulations; they fan out
-over :class:`~repro.experiments.parallel.ParallelRunner` and merge in
-submission order, so aggregates are identical for every worker count.
+over :func:`~repro.experiments.grid.run_seed_grid`, and each pooled pair keeps
+its per-seed records in seed order, so aggregates are identical for every
+worker count.
 
 Run from the command line::
 
     PYTHONPATH=src python -m repro.experiments run churn_resilience \
         --nodes 120 --runs 4 --seeds 3 11 --levels static heavy --workers 0
-
-(``python -m repro.experiments.churn_resilience`` remains as a deprecated
-shim.)
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence
 
 from repro.analysis.samples import SampleLog
 from repro.analysis.stats import mean
-from repro.experiments.api import ExperimentOption, deprecated_main, experiment
+from repro.experiments.api import ExperimentOption, experiment
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.grid import run_seed_grid
-from repro.experiments.parallel import (
-    ChurnJobResult,
-    ChurnResilienceJob,
-    run_churn_resilience_job,
-)
 from repro.experiments.reporting import ExperimentReport, format_table
+from repro.experiments.runner import select_measuring_nodes
 from repro.measurement.measuring_node import MeasuringNode
 from repro.measurement.stats import DelayDistribution
-from repro.workloads.scenarios import ChurnSchedule
+from repro.workloads.generators import fund_nodes
+from repro.workloads.network_gen import NetworkParameters
+from repro.workloads.scenarios import ChurnSchedule, build_scenario
 
 #: Protocols compared by the churn-resilience experiment.
 CHURN_PROTOCOLS = ("bitcoin", "lbc", "bcbpt")
@@ -76,71 +72,123 @@ CHURN_LEVELS: dict[str, Optional[ChurnSchedule]] = {
 }
 
 
-@dataclass
+@dataclass(frozen=True)
+class ChurnResilienceJob:
+    """One (protocol, churn level, seed) dynamic-membership campaign.
+
+    Attributes:
+        protocol: policy under test (one of ``POLICY_NAMES``).
+        level: human-readable churn-intensity label (``"static"``, ...).
+        schedule: the churn schedule for this level, or None for a static
+            (no-churn) control.
+        seed: master seed for the job's network and simulator.
+        config: shared experiment configuration (BCBPT's ``d_t`` is its
+            ``latency_threshold_s``).
+    """
+
+    protocol: str
+    level: str
+    schedule: Optional[ChurnSchedule]
+    seed: int
+    config: ExperimentConfig
+
+
+@dataclass(frozen=True)
+class ChurnJobResult:
+    """Everything one (protocol, level, seed) churn campaign measured.
+
+    Attributes:
+        delay_samples: Δt samples across the measuring nodes.
+        coverages: per-run fraction of connections reached.
+        timed_out_receptions: connections that never received a measured
+            transaction within the run horizon (churned away mid-run).
+        failed_runs: repetitions abandoned because the measuring node had no
+            connections at send time (heavy churn starved it momentarily).
+        join_events / leave_events: churn volume.
+        repair_sweeps / orphans_reassigned / representatives_replaced /
+            bridges_created: maintenance work.
+        cluster_before / cluster_after: cluster summaries at build time and
+            after the campaign.
+    """
+
+    protocol: str
+    level: str
+    seed: int
+    delay_samples: tuple[float, ...]
+    coverages: tuple[float, ...]
+    timed_out_receptions: int
+    failed_runs: int
+    join_events: int
+    leave_events: int
+    repair_sweeps: int
+    orphans_reassigned: int
+    representatives_replaced: int
+    bridges_created: int
+    cluster_before: dict[str, float]
+    cluster_after: dict[str, float]
+
+
+@dataclass(frozen=True)
 class ChurnResilienceResult:
     """Pooled measurements for one (protocol, churn level) pair.
 
     Attributes:
         protocol: policy label.
         level: churn-intensity label.
-        delays: Δt samples pooled across seeds and measuring nodes.
-        per_seed: Δt distribution per master seed.
-        coverages: per-campaign fraction of connections reached.
-        timed_out_receptions: connections that never received a measured
-            transaction within the run horizon (churned away mid-run).
-        failed_runs: repetitions abandoned because the measuring node had no
-            connections at send time (heavy churn starved it momentarily).
-        join_events / leave_events: churn volume over all seeds.
-        repair_sweeps / orphans_reassigned / representatives_replaced /
-            bridges_created: maintenance work over all seeds.
-        cluster_before / cluster_after: per-seed cluster summaries at build
-            time and after the campaign.
+        cells: the pair's per-seed campaign records, in seed order; every
+            aggregate below is computed from them.
     """
 
     protocol: str
     level: str
-    delays: DelayDistribution = field(default_factory=DelayDistribution)
-    per_seed: dict[int, DelayDistribution] = field(default_factory=dict)
-    coverages: list[float] = field(default_factory=list)
-    timed_out_receptions: int = 0
-    failed_runs: int = 0
-    join_events: int = 0
-    leave_events: int = 0
-    repair_sweeps: int = 0
-    orphans_reassigned: int = 0
-    representatives_replaced: int = 0
-    bridges_created: int = 0
-    cluster_before: dict[int, dict[str, float]] = field(default_factory=dict)
-    cluster_after: dict[int, dict[str, float]] = field(default_factory=dict)
+    cells: tuple[ChurnJobResult, ...]
 
     @property
     def label(self) -> str:
         """The combined ``protocol/level`` result key."""
         return f"{self.protocol}/{self.level}"
 
+    def total(self, name: str) -> int:
+        """One per-seed counter summed across the cells."""
+        return sum(getattr(cell, name) for cell in self.cells)
+
+    @property
+    def delays(self) -> DelayDistribution:
+        """Δt samples pooled across seeds and measuring nodes, in seed order."""
+        return DelayDistribution(
+            [sample for cell in self.cells for sample in cell.delay_samples]
+        )
+
+    @property
+    def coverages(self) -> list[float]:
+        """Per-campaign fractions of connections reached, in seed order."""
+        return [coverage for cell in self.cells for coverage in cell.coverages]
+
     def summary(self) -> dict[str, float]:
         """Summary statistics of the pooled Δt distribution (``{"count": 0.0}``
         when heavy churn left no samples at all)."""
-        if not self.delays:
+        delays = self.delays
+        if not delays:
             return {"count": 0.0}
-        return self.delays.summary()
+        return delays.summary()
 
     def mean_coverage(self) -> float:
         """Mean fraction of measured connections that received the payment."""
-        if not self.coverages:
+        coverages = self.coverages
+        if not coverages:
             return 0.0
-        return mean(self.coverages)
+        return mean(coverages)
 
     def cluster_drift(self) -> dict[str, float]:
         """Mean absolute drift of cluster count / size across the run."""
-        count_drift: list[float] = []
-        size_drift: list[float] = []
-        for seed, before in self.cluster_before.items():
-            after = self.cluster_after.get(seed)
-            if after is None:
-                continue
-            count_drift.append(abs(after["cluster_count"] - before["cluster_count"]))
-            size_drift.append(abs(after["mean_size"] - before["mean_size"]))
+        count_drift = [
+            abs(cell.cluster_after["cluster_count"] - cell.cluster_before["cluster_count"])
+            for cell in self.cells
+        ]
+        size_drift = [
+            abs(cell.cluster_after["mean_size"] - cell.cluster_before["mean_size"])
+            for cell in self.cells
+        ]
         return {
             "cluster_count_drift": mean(count_drift) if count_drift else 0.0,
             "mean_size_drift": mean(size_drift) if size_drift else 0.0,
@@ -168,20 +216,13 @@ def resolve_levels(
 # ----------------------------------------------------------------- job body
 def run_churn_seed(job: ChurnResilienceJob) -> ChurnJobResult:
     """Execute one (protocol, level, seed) campaign — process-pool entry point."""
-    # Imported lazily: parallel.py is config-level and imports us back.
-    from repro.experiments.runner import select_measuring_nodes
-    from repro.workloads.generators import fund_nodes
-    from repro.workloads.network_gen import NetworkParameters
-    from repro.workloads.scenarios import build_scenario
-
     config = job.config
-    schedule = job.schedule
     scenario = build_scenario(
         job.protocol,
         NetworkParameters(node_count=config.node_count, seed=job.seed),
-        latency_threshold_s=job.threshold_s,
+        latency_threshold_s=config.latency_threshold_s,
         max_outbound=config.max_outbound,
-        churn=schedule,
+        churn=job.schedule,
     )
     simulated = scenario.network
     cluster_before = dict(scenario.policy.clusters.summary())
@@ -246,16 +287,16 @@ def run_churn_seed(job: ChurnResilienceJob) -> ChurnJobResult:
 def collect_samples(results: dict[str, ChurnResilienceResult]) -> SampleLog:
     """Raw Δt samples for the envelope's ``samples`` field.
 
-    One ``delay_s`` series per (protocol/level, seed) — the merge's insertion
-    order, so the pooled concatenation is worker-count invariant — plus the
-    per-campaign ``coverage`` curve.
+    One ``delay_s`` series per (protocol/level, seed) in seed order, so the
+    pooled concatenation is worker-count invariant, plus the per-campaign
+    ``coverage`` curve.
     """
     log = SampleLog()
     for key, result in results.items():
         log.add_per_seed(
             key,
             "delay_s",
-            {seed: dist.samples for seed, dist in result.per_seed.items()},
+            {cell.seed: cell.delay_samples for cell in result.cells},
             unit="s",
         )
         for index, coverage in enumerate(result.coverages):
@@ -292,8 +333,8 @@ def collect_samples(results: dict[str, ChurnResilienceResult]) -> SampleLog:
     report=lambda results: build_report(results),
     summarize=lambda results: {
         key: {**result.summary(), "mean_coverage": result.mean_coverage(),
-              "leave_events": float(result.leave_events),
-              "join_events": float(result.join_events),
+              "leave_events": float(result.total("leave_events")),
+              "join_events": float(result.total("join_events")),
               **result.cluster_drift()}
         for key, result in results.items()
     },
@@ -333,36 +374,15 @@ def run_churn_resilience(
             protocol=protocol,
             level=level,
             schedule=schedule,
-            threshold_s=cfg.latency_threshold_s,
             seed=seed,
             config=cfg,
         )
 
-    grid = run_seed_grid(points, make_job, run_churn_resilience_job, cfg)
-
-    # Merge in submission order — identical aggregates for every worker count.
-    results: dict[str, ChurnResilienceResult] = {}
-    for (protocol, level, _), seed_results in grid:
-        key = f"{protocol}/{level}"
-        pooled = results.get(key)
-        if pooled is None:
-            pooled = results[key] = ChurnResilienceResult(protocol=protocol, level=level)
-        for seed, job_result in zip(cfg.seeds, seed_results):
-            seed_delays = DelayDistribution(list(job_result.delay_samples))
-            pooled.delays = pooled.delays.merge(seed_delays)
-            pooled.per_seed[seed] = seed_delays
-            pooled.coverages.extend(job_result.coverages)
-            pooled.timed_out_receptions += job_result.timed_out_receptions
-            pooled.failed_runs += job_result.failed_runs
-            pooled.join_events += job_result.join_events
-            pooled.leave_events += job_result.leave_events
-            pooled.repair_sweeps += job_result.repair_sweeps
-            pooled.orphans_reassigned += job_result.orphans_reassigned
-            pooled.representatives_replaced += job_result.representatives_replaced
-            pooled.bridges_created += job_result.bridges_created
-            pooled.cluster_before[seed] = job_result.cluster_before
-            pooled.cluster_after[seed] = job_result.cluster_after
-    return results
+    grid = run_seed_grid(points, make_job, run_churn_seed, cfg)
+    return {
+        f"{protocol}/{level}": ChurnResilienceResult(protocol, level, tuple(cells))
+        for (protocol, level, _), cells in grid
+    }
 
 
 def build_report(results: dict[str, ChurnResilienceResult]) -> ExperimentReport:
@@ -381,7 +401,7 @@ def build_report(results: dict[str, ChurnResilienceResult]) -> ExperimentReport:
                 summary.get("mean_s", float("nan")) * 1e3,
                 summary.get("variance_s2", float("nan")) * 1e6,
                 result.mean_coverage(),
-                result.timed_out_receptions,
+                result.total("timed_out_receptions"),
             ]
         )
     report.add_section(
@@ -395,16 +415,18 @@ def build_report(results: dict[str, ChurnResilienceResult]) -> ExperimentReport:
     for key, result in results.items():
         drift = result.cluster_drift()
         churn_rows.append(
-            [
-                key,
-                result.leave_events,
-                result.join_events,
-                result.orphans_reassigned,
-                result.representatives_replaced,
-                result.bridges_created,
-                drift["cluster_count_drift"],
-                drift["mean_size_drift"],
+            [key]
+            + [
+                result.total(name)
+                for name in (
+                    "leave_events",
+                    "join_events",
+                    "orphans_reassigned",
+                    "representatives_replaced",
+                    "bridges_created",
+                )
             ]
+            + [drift["cluster_count_drift"], drift["mean_size_drift"]]
         )
     report.add_section(
         "Churn volume and cluster maintenance",
@@ -422,8 +444,6 @@ def build_report(results: dict[str, ChurnResilienceResult]) -> ExperimentReport:
             churn_rows,
         ),
     )
-    report.add_data("summaries", {key: r.summary() for key, r in results.items()})
-    report.add_data("results", results)
     return report
 
 
@@ -434,31 +454,19 @@ def clustering_survives_churn(results: dict[str, ChurnResilienceResult]) -> bool
     protocols — "heaviest" judged by the churn volume actually observed
     (leave events), not by the order the levels were listed in.
     """
+    def leave_events(level: str) -> int:
+        return (
+            results[f"bcbpt/{level}"].total("leave_events")
+            + results[f"bitcoin/{level}"].total("leave_events")
+        )
+
     levels = [key.split("/", 1)[1] for key in results if key.startswith("bcbpt/")]
-    dynamic = [
-        lvl
-        for lvl in levels
-        if f"bitcoin/{lvl}" in results
-        and results[f"bcbpt/{lvl}"].leave_events + results[f"bitcoin/{lvl}"].leave_events > 0
-    ]
+    dynamic = [lvl for lvl in levels if f"bitcoin/{lvl}" in results and leave_events(lvl) > 0]
     if not dynamic:
         return False
-    level = max(
-        dynamic,
-        key=lambda lvl: results[f"bcbpt/{lvl}"].leave_events
-        + results[f"bitcoin/{lvl}"].leave_events,
-    )
+    level = max(dynamic, key=leave_events)
     bcbpt = results[f"bcbpt/{level}"].summary()
     bitcoin = results[f"bitcoin/{level}"].summary()
     if "mean_s" not in bcbpt or "mean_s" not in bitcoin:
         return False
     return bcbpt["mean_s"] < bitcoin["mean_s"]
-
-
-def main(argv: Optional[list[str]] = None) -> int:
-    """Deprecated CLI shim; forwards to ``repro run churn_resilience``."""
-    return deprecated_main("churn_resilience", argv)
-
-
-if __name__ == "__main__":  # pragma: no cover - exercised via CLI
-    raise SystemExit(main())

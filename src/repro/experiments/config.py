@@ -38,9 +38,10 @@ class ExperimentConfig:
         run_timeout_s: per-repetition simulated-time budget.
         workers: processes used to fan (protocol, seed) jobs out.  1 (the
             default) runs the bit-exact serial path in-process; 0 means "one
-            per CPU"; higher values use a :class:`~repro.experiments.parallel.
-            ParallelRunner`, whose merge step reproduces the serial aggregates
-            exactly, so results are identical for every worker count.
+            per CPU"; higher values use the process-pool backend
+            (:class:`~repro.experiments.backends.PoolBackend`), whose results
+            come back in submission order, so results are identical for
+            every worker count.
     """
 
     node_count: int = 200
@@ -63,6 +64,11 @@ class ExperimentConfig:
             raise ValueError("runs must be positive")
         if not self.seeds:
             raise ValueError("at least one seed is required")
+        if len(set(self.seeds)) != len(self.seeds):
+            # Results are keyed by seed downstream (the per-seed sample
+            # series), so a repeated seed would pool its cells' samples twice
+            # while storing them once: the envelope would contradict itself.
+            raise ValueError(f"seeds must be distinct, got {self.seeds}")
         if self.measuring_nodes <= 0:
             raise ValueError("measuring_nodes must be positive")
         if self.latency_threshold_s <= 0:
@@ -137,7 +143,3 @@ class ExperimentConfig:
         if overrides:
             config = config.with_overrides(**overrides)
         return config
-
-    #: Backwards-compatible aliases (pre-unified-CLI names).
-    add_cli_arguments = add_arguments
-    from_cli = from_args

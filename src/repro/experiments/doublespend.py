@@ -18,8 +18,7 @@ Faster propagation shortens the detection time and shrinks the attacker's
 first-seen share, which is exactly the mechanism by which the paper argues
 BCBPT reduces double-spend risk.
 
-Run via ``python -m repro.experiments run doublespend [--races N --horizon S]``;
-``python -m repro.experiments.doublespend`` remains as a deprecated shim.
+Run via ``python -m repro.experiments run doublespend [--races N --horizon S]``.
 """
 
 from __future__ import annotations
@@ -27,14 +26,9 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass
 from typing import Optional, Sequence
 
-from repro.experiments.api import ExperimentOption, deprecated_main, experiment
+from repro.experiments.api import ExperimentOption, experiment
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.grid import run_seed_grid
-from repro.experiments.parallel import (
-    DoubleSpendJob,
-    DoubleSpendJobResult,
-    run_doublespend_job,
-)
 from repro.experiments.reporting import ExperimentReport, format_table
 from repro.protocol.doublespend import DoubleSpendAttacker, merchant_detection, tally_first_seen
 from repro.protocol.messages import TxMessage
@@ -55,6 +49,29 @@ def mean_detection_time_s(detection_times_s: Sequence[float]) -> float:
     if not detection_times_s:
         return float("nan")
     return sum(detection_times_s) / len(detection_times_s)
+
+
+@dataclass(frozen=True)
+class DoubleSpendJob:
+    """One (protocol, seed) batch of double-spend races."""
+
+    protocol: str
+    seed: int
+    races_per_seed: int
+    race_horizon_s: float
+    config: ExperimentConfig
+
+
+@dataclass(frozen=True)
+class DoubleSpendJobResult:
+    """Per-(protocol, seed) race tallies, merged by the driver."""
+
+    protocol: str
+    seed: int
+    races: int
+    attacker_shares: tuple[float, ...]
+    detections: int
+    detection_times_s: tuple[float, ...]
 
 
 @dataclass(frozen=True)
@@ -133,7 +150,7 @@ def run_doublespend(
             config=cfg,
         )
 
-    grid = run_seed_grid(protocols, make_job, run_doublespend_job, cfg)
+    grid = run_seed_grid(protocols, make_job, run_doublespend_seed, cfg)
 
     points: list[DoubleSpendPoint] = []
     for protocol, seed_results in grid:
@@ -154,7 +171,7 @@ def run_doublespend(
 
 
 def run_doublespend_seed(job: DoubleSpendJob) -> DoubleSpendJobResult:
-    """Stage one seed's races under one protocol (the parallel job body)."""
+    """Stage one seed's races under one protocol — the process-pool entry point."""
     cfg = job.config
     scenario = build_scenario(
         job.protocol,
@@ -254,14 +271,4 @@ def build_report(points: list[DoubleSpendPoint]) -> ExperimentReport:
             ],
         ),
     )
-    report.add_data("points", points)
     return report
-
-
-def main(argv: Optional[list[str]] = None) -> int:
-    """Deprecated CLI shim; forwards to ``repro run doublespend``."""
-    return deprecated_main("doublespend", argv)
-
-
-if __name__ == "__main__":  # pragma: no cover - exercised via CLI
-    raise SystemExit(main())

@@ -7,14 +7,13 @@ Bitcoin's variance grows with the connection count.
 
 Run via the unified CLI (``python -m repro.experiments run fig3`` or the
 ``repro run fig3`` console script) or through ``benchmarks/test_bench_fig3.py``.
-``python -m repro.experiments.fig3`` remains as a deprecated shim.
 """
 
 from __future__ import annotations
 
 from typing import Optional
 
-from repro.experiments.api import deprecated_main, experiment
+from repro.experiments.api import experiment
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.reporting import ExperimentReport, format_delay_summaries, format_table
 from repro.experiments.runner import (
@@ -35,7 +34,6 @@ def build_report(results: dict[str, PropagationResult]) -> ExperimentReport:
     )
     summaries = {name: result.summary() for name, result in results.items()}
     report.add_section("Delay summary", format_delay_summaries(summaries))
-    report.add_data("summaries", summaries)
 
     # The per-rank variance curve: the paper's observation that Bitcoin's
     # variance grows with the number of connected nodes while BCBPT's stays low.
@@ -53,7 +51,6 @@ def build_report(results: dict[str, PropagationResult]) -> ExperimentReport:
         "Variance of Δt by connection rank (ms²)",
         format_table(["rank"] + [f"{name}" for name in results], rank_rows),
     )
-    report.add_data("rank_variance", curves)
 
     # Cluster structure context for the clustered protocols.
     cluster_rows = []
@@ -68,7 +65,6 @@ def build_report(results: dict[str, PropagationResult]) -> ExperimentReport:
             "Cluster structure",
             format_table(["protocol", "seed", "clusters", "mean size", "max size"], cluster_rows),
         )
-    report.add_data("results", results)
     return report
 
 
@@ -102,12 +98,3 @@ def run_fig3(config: Optional[ExperimentConfig] = None) -> dict[str, Propagation
     """Execute the Fig. 3 comparison and return per-protocol results."""
     cfg = config if config is not None else ExperimentConfig()
     return run_protocol_comparison(FIG3_PROTOCOLS, cfg)
-
-
-def main(argv: Optional[list[str]] = None) -> int:
-    """Deprecated CLI shim; forwards to ``repro run fig3``."""
-    return deprecated_main("fig3", argv)
-
-
-if __name__ == "__main__":  # pragma: no cover - exercised via CLI
-    raise SystemExit(main())

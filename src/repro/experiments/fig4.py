@@ -6,15 +6,14 @@ coverage physical topology which is offered [by] d_t."  This driver sweeps the
 same three thresholds, reports the Δt summary per threshold plus the cluster
 structure that explains the trend, and checks the monotonicity criterion.
 
-Run via ``python -m repro.experiments run fig4 [--thresholds-ms 30 50 100]``;
-``python -m repro.experiments.fig4`` remains as a deprecated shim.
+Run via ``python -m repro.experiments run fig4 [--thresholds-ms 30 50 100]``.
 """
 
 from __future__ import annotations
 
 from typing import Optional, Sequence
 
-from repro.experiments.api import ExperimentOption, deprecated_main, experiment
+from repro.experiments.api import ExperimentOption, experiment
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.reporting import ExperimentReport, format_delay_summaries, format_table
 from repro.experiments.runner import (
@@ -37,7 +36,6 @@ def build_report(results: dict[str, PropagationResult]) -> ExperimentReport:
     )
     summaries = {name: result.summary() for name, result in results.items()}
     report.add_section("Delay summary by threshold", format_delay_summaries(summaries))
-    report.add_data("summaries", summaries)
 
     cluster_rows = []
     for name, result in results.items():
@@ -59,7 +57,6 @@ def build_report(results: dict[str, PropagationResult]) -> ExperimentReport:
             cluster_rows,
         ),
     )
-    report.add_data("results", results)
     return report
 
 
@@ -108,12 +105,3 @@ def run_fig4(config: Optional[ExperimentConfig] = None) -> dict[str, Propagation
     cfg = config if config is not None else ExperimentConfig()
     labels = threshold_labels(cfg.fig4_thresholds_s)
     return run_protocol_comparison(labels, cfg)
-
-
-def main(argv: Optional[list[str]] = None) -> int:
-    """Deprecated CLI shim; forwards to ``repro run fig4``."""
-    return deprecated_main("fig4", argv)
-
-
-if __name__ == "__main__":  # pragma: no cover - exercised via CLI
-    raise SystemExit(main())

@@ -8,23 +8,23 @@ cross-product is built, fanned out and regrouped:
 
 1. jobs are constructed **point-major, seed-minor** — exactly the order the
    pre-grid serial loops used;
-2. they fan out over the existing
-   :class:`~repro.experiments.parallel.ParallelRunner`, which returns results
-   in submission order regardless of completion order;
+2. they fan out over an executor backend
+   (:mod:`repro.experiments.backends`), which returns results in submission
+   order regardless of completion order;
 3. the flat result list is regrouped into one ``(point, seed_results)`` pair
    per sweep point, with seed results in seed order.
 
-Because both the job order and the regrouping are deterministic, any merge a
-driver performs over the grouped results is identical for every worker count —
-the same invariance contract the hand-written drivers upheld, now provided in
-one place.  Every experiment registered through
-:mod:`repro.experiments.api` gets ``--workers`` fan-out for free by building
-on this executor.
+Because both the job order and the regrouping are deterministic, any
+aggregate a driver computes over the grouped results is identical for every
+worker count.  Drivers keep each point's seed results as a tuple of per-seed
+records and compute their aggregates from it.  Every experiment registered
+through :mod:`repro.experiments.api` gets ``--workers`` fan-out for free by
+building on this executor.
 
 The raw-sample capture layer inherits the same contract: a driver's
 ``collect_samples`` hook fills a :class:`~repro.analysis.samples.SampleLog`
-from results merged in this submission order (one series per (point, seed),
-see ``SampleLog.add_per_seed``), so the ``samples`` field persisted into the
+from results in this submission order (one series per (point, seed), see
+``SampleLog.add_per_seed``), so the ``samples`` field persisted into the
 :class:`~repro.experiments.results.ExperimentResult` envelope — and every
 figure ``repro report`` later regenerates from it — is byte-identical for
 every worker count.
@@ -41,8 +41,9 @@ driver called directly (tests, examples) gets an ephemeral default plan
 equivalent to the old behaviour.
 
 Job specs must be picklable (frozen dataclasses of plain values) and
-``job_fn`` must be a module-level callable — the same constraints
-:class:`~repro.experiments.parallel.ParallelRunner` imposes.
+``job_fn`` must be a module-level callable, so both survive the trip to a
+pool worker.  Each driver defines its job spec, its per-seed result record
+and its job function next to the code that aggregates them.
 """
 
 from __future__ import annotations

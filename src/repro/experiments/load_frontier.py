@@ -32,10 +32,11 @@ the highest offered load — i.e. whether the propagation advantage survives
 congestion instead of being an idle-network artefact.
 
 (policy, rate, seed) cells are independent simulations; they fan out over
-:class:`~repro.experiments.parallel.ParallelRunner` and merge in submission
-order.  Because the P² estimator state cannot be merged, every cell finalises
-its quantiles *inside* the worker and the driver aggregates per-seed scalars
-only — which is what keeps every aggregate identical for every worker count.
+:func:`~repro.experiments.grid.run_seed_grid`, and each pooled cell keeps its
+per-seed records in seed order.  Because the P² estimator state cannot be
+merged, every cell finalises its quantiles *inside* the worker and the driver
+aggregates per-seed scalars only — which is what keeps every aggregate
+identical for every worker count.
 
 Run from the command line::
 
@@ -45,17 +46,27 @@ Run from the command line::
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from repro.analysis.samples import SampleLog
 from repro.analysis.stats import mean
-from repro.experiments.api import ExperimentOption, deprecated_main, experiment
+from repro.experiments.api import ExperimentOption, experiment
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.grid import run_seed_grid
-from repro.experiments.parallel import LoadJob, LoadJobResult, run_load_job
 from repro.experiments.reporting import ExperimentReport, format_table
-from repro.workloads.traffic import PROFILE_KINDS
+from repro.protocol.mining import MiningProcess, equal_hash_power
+from repro.protocol.node import NodeConfig
+from repro.workloads.generators import fund_nodes
+from repro.workloads.network_gen import NetworkParameters
+from repro.workloads.scenarios import build_scenario
+from repro.workloads.traffic import (
+    PROFILE_KINDS,
+    ConfirmationTracker,
+    FeeModel,
+    TrafficModel,
+    TrafficProfile,
+)
 
 #: Policies compared by default: the vanilla baseline vs the paper's overlay.
 LOAD_PROTOCOLS = ("bitcoin", "bcbpt")
@@ -102,80 +113,169 @@ SATURATION_BACKLOG_GROWTH = 1.5
 SATURATION_BACKLOG_FLOOR = 5.0
 
 
-@dataclass
+@dataclass(frozen=True)
+class LoadJob:
+    """One (protocol, offered load, seed) sustained-traffic cell.
+
+    Attributes:
+        protocol: neighbour-selection policy under test.
+        offered_tps: target aggregate transaction arrival rate (tx/s).
+        profile_kind: traffic schedule shape (``"constant"``, ``"ramp"`` or
+            ``"step"``; ramp/step reach ``offered_tps`` halfway through the
+            horizon).
+        seed: master seed for the cell's network, traffic and mining streams.
+        horizon_s: simulated seconds of sustained load.
+        block_interval_s: network-wide mean block interval.
+        max_block_bytes: block size cap (drives the fee market once offered
+            bytes/s exceed block bytes/s).
+        mempool_max_size: per-node mempool capacity (fee-priority eviction
+            above it).
+        confirmation_depth: burials needed before a transaction counts as
+            confirmed (``k`` in tx-generated → buried-``k``-deep).
+        mean_fee_satoshi: mean of the exponential per-transaction fee draw.
+        funding_outputs: confirmed outputs funded per node before load starts.
+        config: shared experiment configuration (BCBPT's ``d_t`` is its
+            ``latency_threshold_s``).
+    """
+
+    protocol: str
+    offered_tps: float
+    profile_kind: str
+    seed: int
+    horizon_s: float
+    block_interval_s: float
+    max_block_bytes: int
+    mempool_max_size: int
+    confirmation_depth: int
+    mean_fee_satoshi: float
+    funding_outputs: int
+    config: ExperimentConfig
+
+
+@dataclass(frozen=True)
+class LoadJobResult:
+    """Per-(protocol, rate, seed) streamed tallies of one load cell.
+
+    Confirmation quantiles are P² streaming estimates finalised inside the
+    worker (the estimator state cannot be merged), so the driver only ever
+    aggregates per-seed scalars — which is what makes the merge independent
+    of worker count.
+    """
+
+    protocol: str
+    offered_tps: float
+    seed: int
+    txs_generated: int
+    generation_failures: int
+    txs_confirmed: int
+    pending_at_end: int
+    confirmation_p50_s: float
+    confirmation_p99_s: float
+    confirmation_mean_s: float
+    confirmation_max_s: float
+    backlog_curve: tuple[tuple[float, int], ...]
+    blocks_mined: int
+    full_blocks_mined: int
+    total_fees_collected: int
+    fee_evictions: int
+    capacity_drops: int
+    conflict_evictions: int
+    events: int
+    horizon_s: float
+
+    @property
+    def generated_tps(self) -> float:
+        """Achieved generation rate (tx/s) over the horizon."""
+        return self.txs_generated / self.horizon_s if self.horizon_s > 0 else 0.0
+
+    @property
+    def confirmed_tps(self) -> float:
+        """Confirmed throughput (tx/s) over the horizon."""
+        return self.txs_confirmed / self.horizon_s if self.horizon_s > 0 else 0.0
+
+    @property
+    def backlog_final(self) -> int:
+        """Observer mempool depth at the end of the horizon."""
+        return self.backlog_curve[-1][1] if self.backlog_curve else 0
+
+    @property
+    def backlog_mid(self) -> int:
+        """Observer mempool depth halfway through the horizon."""
+        if not self.backlog_curve:
+            return 0
+        return self.backlog_curve[len(self.backlog_curve) // 2][1]
+
+
+@dataclass(frozen=True)
 class LoadCellResult:
     """Pooled measurements for one (protocol, offered rate) cell.
 
     Every latency figure is the across-seed mean of a per-seed streamed
     scalar (P² estimates finalised in the worker), never a pooled-sample
     statistic — see the module docstring for why.
+
+    Attributes:
+        protocol: policy label.
+        offered_tps: offered aggregate load (tx/s).
+        cells: the cell's per-seed records, in seed order; every aggregate
+            below is computed from them.
     """
 
     protocol: str
     offered_tps: float
-    seeds: list[int] = field(default_factory=list)
-    txs_generated: int = 0
-    generation_failures: int = 0
-    txs_confirmed: int = 0
-    pending_at_end: int = 0
-    p50_by_seed: dict[int, float] = field(default_factory=dict)
-    p99_by_seed: dict[int, float] = field(default_factory=dict)
-    mean_by_seed: dict[int, float] = field(default_factory=dict)
-    max_latency_s: float = 0.0
-    generated_tps_values: list[float] = field(default_factory=list)
-    confirmed_tps_values: list[float] = field(default_factory=list)
-    backlog_mid_values: list[int] = field(default_factory=list)
-    backlog_final_values: list[int] = field(default_factory=list)
-    backlog_curves: dict[int, tuple[tuple[float, int], ...]] = field(default_factory=dict)
-    blocks_mined: int = 0
-    full_blocks_mined: int = 0
-    total_fees_collected: int = 0
-    fee_evictions: int = 0
-    capacity_drops: int = 0
-    conflict_evictions: int = 0
-    events: int = 0
+    cells: tuple[LoadJobResult, ...]
 
-    def _seed_mean(self, by_seed: dict[int, float]) -> float:
-        values = [value for value in by_seed.values() if value == value]  # NaN-safe
+    def total(self, name: str) -> int:
+        """One per-seed counter summed across the cells."""
+        return sum(getattr(cell, name) for cell in self.cells)
+
+    def _seed_mean(self, name: str) -> float:
+        values = [getattr(cell, name) for cell in self.cells]
+        values = [value for value in values if value == value]  # NaN-safe
         return mean(values) if values else float("nan")
 
     def p50_latency_s(self) -> float:
         """Across-seed mean of the streamed p50 confirmation latency."""
-        return self._seed_mean(self.p50_by_seed)
+        return self._seed_mean("confirmation_p50_s")
 
     def p99_latency_s(self) -> float:
         """Across-seed mean of the streamed p99 confirmation latency."""
-        return self._seed_mean(self.p99_by_seed)
+        return self._seed_mean("confirmation_p99_s")
 
     def mean_latency_s(self) -> float:
         """Across-seed mean of the mean confirmation latency."""
-        return self._seed_mean(self.mean_by_seed)
+        return self._seed_mean("confirmation_mean_s")
+
+    def max_latency_s(self) -> float:
+        """Largest confirmation latency any seed observed (0.0 when none)."""
+        return max((0.0, *(cell.confirmation_max_s for cell in self.cells)))
+
+    def _cell_mean(self, name: str) -> float:
+        values = [float(getattr(cell, name)) for cell in self.cells]
+        return mean(values) if values else 0.0
 
     def generated_tps(self) -> float:
         """Mean achieved generation rate (tx/s) across seeds."""
-        return mean(self.generated_tps_values) if self.generated_tps_values else 0.0
+        return self._cell_mean("generated_tps")
 
     def confirmed_tps(self) -> float:
         """Mean confirmed throughput (tx/s) across seeds."""
-        return mean(self.confirmed_tps_values) if self.confirmed_tps_values else 0.0
+        return self._cell_mean("confirmed_tps")
 
     def backlog_mid(self) -> float:
         """Mean observer backlog halfway through the horizon."""
-        return mean([float(v) for v in self.backlog_mid_values]) if self.backlog_mid_values else 0.0
+        return self._cell_mean("backlog_mid")
 
     def backlog_final(self) -> float:
         """Mean observer backlog at the end of the horizon."""
-        return (
-            mean([float(v) for v in self.backlog_final_values])
-            if self.backlog_final_values
-            else 0.0
-        )
+        return self._cell_mean("backlog_final")
 
     def full_block_fraction(self) -> float:
         """Fraction of mined blocks whose template hit the byte cap."""
-        if not self.blocks_mined:
+        blocks = self.total("blocks_mined")
+        if not blocks:
             return 0.0
-        return self.full_blocks_mined / self.blocks_mined
+        return self.total("full_blocks_mined") / blocks
 
     def _window_means(self) -> list[tuple[float, float]]:
         """Per-seed (steady-window mean, final-window mean) of the backlog.
@@ -186,7 +286,8 @@ class LoadCellResult:
         out instead of masquerading as growth.
         """
         pairs = []
-        for curve in self.backlog_curves.values():
+        for cell in self.cells:
+            curve = cell.backlog_curve
             n = len(curve)
             if n < 4:
                 continue
@@ -211,7 +312,7 @@ class LoadCellResult:
 
     def pool_overflowed(self) -> bool:
         """Whether any mempool hit capacity (fee evictions or hard drops)."""
-        return (self.fee_evictions + self.capacity_drops) > 0
+        return (self.total("fee_evictions") + self.total("capacity_drops")) > 0
 
     def is_saturated(self) -> bool:
         """Whether this cell shows the saturation signature.
@@ -238,23 +339,23 @@ class LoadCellResult:
             "offered_tps": self.offered_tps,
             "generated_tps": self.generated_tps(),
             "confirmed_tps": self.confirmed_tps(),
-            "txs_generated": float(self.txs_generated),
-            "txs_confirmed": float(self.txs_confirmed),
-            "generation_failures": float(self.generation_failures),
-            "pending_at_end": float(self.pending_at_end),
+            "txs_generated": float(self.total("txs_generated")),
+            "txs_confirmed": float(self.total("txs_confirmed")),
+            "generation_failures": float(self.total("generation_failures")),
+            "pending_at_end": float(self.total("pending_at_end")),
             "confirmation_p50_s": self.p50_latency_s(),
             "confirmation_p99_s": self.p99_latency_s(),
             "confirmation_mean_s": self.mean_latency_s(),
-            "confirmation_max_s": self.max_latency_s,
+            "confirmation_max_s": self.max_latency_s(),
             "backlog_mid": self.backlog_mid(),
             "backlog_final": self.backlog_final(),
             "backlog_growth": self.backlog_growth(),
-            "blocks_mined": float(self.blocks_mined),
+            "blocks_mined": float(self.total("blocks_mined")),
             "full_block_fraction": self.full_block_fraction(),
-            "total_fees_collected": float(self.total_fees_collected),
-            "fee_evictions": float(self.fee_evictions),
-            "capacity_drops": float(self.capacity_drops),
-            "conflict_evictions": float(self.conflict_evictions),
+            "total_fees_collected": float(self.total("total_fees_collected")),
+            "fee_evictions": float(self.total("fee_evictions")),
+            "capacity_drops": float(self.total("capacity_drops")),
+            "conflict_evictions": float(self.total("conflict_evictions")),
             "saturated": float(self.is_saturated()),
         }
 
@@ -267,19 +368,6 @@ def cell_label(protocol: str, offered_tps: float) -> str:
 # ----------------------------------------------------------------- job body
 def run_load_seed(job: LoadJob) -> LoadJobResult:
     """Execute one (protocol, rate, seed) cell — the process-pool entry point."""
-    # Imported lazily: parallel.py is config-level and imports us back.
-    from repro.protocol.mining import MiningProcess, equal_hash_power
-    from repro.protocol.node import NodeConfig
-    from repro.workloads.generators import fund_nodes
-    from repro.workloads.network_gen import NetworkParameters
-    from repro.workloads.scenarios import build_scenario
-    from repro.workloads.traffic import (
-        ConfirmationTracker,
-        FeeModel,
-        TrafficModel,
-        TrafficProfile,
-    )
-
     config = job.config
     parameters = NetworkParameters(
         node_count=config.node_count,
@@ -289,7 +377,7 @@ def run_load_seed(job: LoadJob) -> LoadJobResult:
     scenario = build_scenario(
         job.protocol,
         parameters,
-        latency_threshold_s=job.threshold_s,
+        latency_threshold_s=config.latency_threshold_s,
         max_outbound=config.max_outbound,
     )
     simulated = scenario.network
@@ -396,7 +484,7 @@ def _cells_for(results: dict[str, LoadCellResult], protocol: str) -> list[LoadCe
 
 def confirms_at_every_rate(results: dict[str, LoadCellResult]) -> bool:
     """Every (protocol, rate) cell confirmed at least one transaction."""
-    return bool(results) and all(cell.txs_confirmed > 0 for cell in results.values())
+    return bool(results) and all(cell.total("txs_confirmed") > 0 for cell in results.values())
 
 
 def bcbpt_advantage_under_load(results: dict[str, LoadCellResult]) -> bool:
@@ -446,20 +534,16 @@ def collect_samples(results: dict[str, LoadCellResult]) -> SampleLog:
     """
     log = SampleLog()
     for key, cell in results.items():
-        log.add_per_seed(
-            key,
-            "confirmation_p50_s",
-            {seed: [value] for seed, value in cell.p50_by_seed.items() if value == value},
-            unit="s",
-        )
-        log.add_per_seed(
-            key,
-            "confirmation_p99_s",
-            {seed: [value] for seed, value in cell.p99_by_seed.items() if value == value},
-            unit="s",
-        )
-        for seed in sorted(cell.backlog_curves):
-            for time_s, depth in cell.backlog_curves[seed]:
+        for metric in ("confirmation_p50_s", "confirmation_p99_s"):
+            by_seed = {seed_cell.seed: getattr(seed_cell, metric) for seed_cell in cell.cells}
+            log.add_per_seed(
+                key,
+                metric,
+                {seed: [value] for seed, value in by_seed.items() if value == value},
+                unit="s",
+            )
+        for seed_cell in sorted(cell.cells, key=lambda seed_cell: seed_cell.seed):
+            for time_s, depth in seed_cell.backlog_curve:
                 log.add_point(key, "mempool_backlog", time_s, float(depth), unit="txs")
     return log
 
@@ -511,8 +595,6 @@ def build_report(results: dict[str, LoadCellResult]) -> ExperimentReport:
         shown = f"{point:g} tx/s" if point is not None else "not reached in sweep"
         saturation_lines.append(f"{protocol}: {shown}")
     report.add_section("Saturation points", "\n".join(saturation_lines))
-    for protocol in protocols:
-        report.add_data(f"saturation_tps/{protocol}", saturation_point_tps(results, protocol))
     return report
 
 
@@ -672,48 +754,11 @@ def run_load_frontier(
             confirmation_depth=confirmation_depth,
             mean_fee_satoshi=mean_fee_satoshi,
             funding_outputs=funding_outputs,
-            threshold_s=cfg.latency_threshold_s,
             config=cfg,
         )
 
-    grid = run_seed_grid(points, make_job, run_load_job, cfg)
-
-    # Merge in submission order — identical aggregates for every worker count.
-    results: dict[str, LoadCellResult] = {}
-    for (protocol, offered_tps), seed_results in grid:
-        key = cell_label(protocol, offered_tps)
-        cell = results.get(key)
-        if cell is None:
-            cell = results[key] = LoadCellResult(protocol=protocol, offered_tps=offered_tps)
-        for seed, job_result in zip(cfg.seeds, seed_results):
-            cell.seeds.append(seed)
-            cell.txs_generated += job_result.txs_generated
-            cell.generation_failures += job_result.generation_failures
-            cell.txs_confirmed += job_result.txs_confirmed
-            cell.pending_at_end += job_result.pending_at_end
-            cell.p50_by_seed[seed] = job_result.confirmation_p50_s
-            cell.p99_by_seed[seed] = job_result.confirmation_p99_s
-            cell.mean_by_seed[seed] = job_result.confirmation_mean_s
-            cell.max_latency_s = max(cell.max_latency_s, job_result.confirmation_max_s)
-            cell.generated_tps_values.append(job_result.generated_tps)
-            cell.confirmed_tps_values.append(job_result.confirmed_tps)
-            cell.backlog_mid_values.append(job_result.backlog_mid)
-            cell.backlog_final_values.append(job_result.backlog_final)
-            cell.backlog_curves[seed] = job_result.backlog_curve
-            cell.blocks_mined += job_result.blocks_mined
-            cell.full_blocks_mined += job_result.full_blocks_mined
-            cell.total_fees_collected += job_result.total_fees_collected
-            cell.fee_evictions += job_result.fee_evictions
-            cell.capacity_drops += job_result.capacity_drops
-            cell.conflict_evictions += job_result.conflict_evictions
-            cell.events += job_result.events
-    return results
-
-
-def main(argv: Optional[Sequence[str]] = None) -> int:
-    """Deprecated ``python -m repro.experiments.load_frontier`` entry point."""
-    return deprecated_main("load_frontier", argv)
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())
+    grid = run_seed_grid(points, make_job, run_load_seed, cfg)
+    return {
+        cell_label(protocol, offered_tps): LoadCellResult(protocol, offered_tps, tuple(cells))
+        for (protocol, offered_tps), cells in grid
+    }

@@ -8,8 +8,7 @@ cluster-control messages (JOIN, JOIN_ACCEPT, CLUSTER_MEMBERS) and bytes spent
 building the topology, normalised per node, and relates them to the
 propagation-delay improvement the protocol buys.
 
-Run via ``python -m repro.experiments run overhead``;
-``python -m repro.experiments.overhead`` remains as a deprecated shim.
+Run via ``python -m repro.experiments run overhead``.
 """
 
 from __future__ import annotations
@@ -17,12 +16,14 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass
 from typing import Optional, Sequence
 
-from repro.experiments.api import ExperimentOption, deprecated_main, experiment
+from repro.experiments.api import ExperimentOption, experiment
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.grid import run_seed_grid
-from repro.experiments.parallel import OverheadJob, OverheadJobResult, run_overhead_job
 from repro.experiments.reporting import ExperimentReport, format_table
+from repro.experiments.runner import PropagationExperiment
 from repro.measurement.stats import DelayDistribution
+from repro.workloads.network_gen import NetworkParameters
+from repro.workloads.scenarios import build_scenario
 
 OVERHEAD_PROTOCOLS = ("bitcoin", "lbc", "bcbpt")
 
@@ -44,12 +45,31 @@ class OverheadPoint:
     delay_variance_s2: float
 
 
-def run_overhead_seed(job: OverheadJob) -> OverheadJobResult:
-    """Measure one (protocol, seed) build's overhead — the parallel job body."""
-    from repro.experiments.runner import PropagationExperiment
-    from repro.workloads.network_gen import NetworkParameters
-    from repro.workloads.scenarios import build_scenario
+@dataclass(frozen=True)
+class OverheadJob:
+    """One (protocol, seed) topology-build + campaign overhead measurement."""
 
+    protocol: str
+    seed: int
+    config: ExperimentConfig
+
+
+@dataclass(frozen=True)
+class OverheadJobResult:
+    """Per-(protocol, seed) overhead counters merged by the overhead driver."""
+
+    protocol: str
+    seed: int
+    ping_messages_per_node: float
+    control_messages_per_node: float
+    control_bytes_per_node: float
+    handshake_messages_per_node: float
+    total_build_bytes_per_node: float
+    delay_samples: tuple[float, ...]
+
+
+def run_overhead_seed(job: OverheadJob) -> OverheadJobResult:
+    """Measure one (protocol, seed) build's overhead — the process-pool entry point."""
     cfg = job.config
     scenario = build_scenario(
         job.protocol,
@@ -118,7 +138,6 @@ def build_report(points: list[OverheadPoint]) -> ExperimentReport:
             rows,
         ),
     )
-    report.add_data("points", points)
     return report
 
 
@@ -162,7 +181,7 @@ def run_overhead(
     def make_job(protocol: str, seed: int) -> OverheadJob:
         return OverheadJob(protocol=protocol, seed=seed, config=cfg)
 
-    grid = run_seed_grid(protocols, make_job, run_overhead_job, cfg)
+    grid = run_seed_grid(protocols, make_job, run_overhead_seed, cfg)
 
     points: list[OverheadPoint] = []
     for protocol, seed_results in grid:
@@ -189,12 +208,3 @@ def run_overhead(
             )
         )
     return points
-
-
-def main(argv: Optional[list[str]] = None) -> int:
-    """Deprecated CLI shim; forwards to ``repro run overhead``."""
-    return deprecated_main("overhead", argv)
-
-
-if __name__ == "__main__":  # pragma: no cover - exercised via CLI
-    raise SystemExit(main())

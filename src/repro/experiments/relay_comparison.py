@@ -27,8 +27,9 @@ the adaptation narrow the overlay's advantage
 (``adaptive_narrows_clustering_advantage``)?
 
 (relay, protocol, seed) campaigns are independent simulations; they fan out
-over :class:`~repro.experiments.parallel.ParallelRunner` and merge in
-submission order, so aggregates are identical for every worker count.
+over :func:`~repro.experiments.grid.run_seed_grid`, and each pooled pair keeps
+its per-seed records in seed order, so aggregates are identical for every
+worker count.
 
 Run from the command line::
 
@@ -39,18 +40,21 @@ Run from the command line::
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from repro.analysis.samples import BlockArrivalRecorder, SampleLog
 from repro.analysis.stats import mean
-from repro.experiments.api import ExperimentOption, deprecated_main, experiment
+from repro.experiments.api import ExperimentOption, experiment
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.grid import run_seed_grid
-from repro.experiments.parallel import RelayJob, RelayJobResult, run_relay_job
 from repro.experiments.reporting import ExperimentReport, format_table
 from repro.measurement.stats import DelayDistribution
+from repro.protocol.mining import MiningProcess, equal_hash_power
 from repro.protocol.relay import validate_relay_name
+from repro.workloads.generators import fund_nodes
+from repro.workloads.network_gen import NetworkParameters
+from repro.workloads.scenarios import build_scenario
 
 #: Relay strategies compared by default, flood (the paper's baseline) first.
 RELAY_SWEEP = ("flood", "compact", "push", "adaptive", "headers")
@@ -62,96 +66,149 @@ RELAY_PROTOCOLS = ("bitcoin", "lbc", "bcbpt")
 BLOCK_PAYLOAD_COMMANDS = ("block", "cmpctblock", "blocktxn")
 
 
-@dataclass
-class RelayComparisonResult:
-    """Pooled measurements for one (relay, protocol) pair.
+@dataclass(frozen=True)
+class RelayJob:
+    """One (relay strategy, protocol, seed) block-propagation campaign.
 
     Attributes:
-        relay: relay-strategy name.
-        protocol: policy label.
-        delays: block Δt samples pooled across seeds (miner excluded).
-        per_seed: block Δt distribution per master seed.
-        blocks_measured: blocks mined and tracked across all seeds.
-        relay_messages: protocol messages attributed to block propagation.
-        relay_bytes: bytes attributed to block propagation.
+        relay: relay-strategy name (one of
+            :data:`repro.protocol.relay.RELAY_NAMES`).
+        protocol: neighbour-selection policy under test.
+        seed: master seed for the job's network and simulator.
+        blocks: blocks mined (and measured) in the campaign.
+        txs_per_block: fresh transactions injected and drained before each
+            block, so compact reconstruction has a mempool to draw from.
+        block_horizon_s: simulated time allowed for each block to reach the
+            whole network.
+        config: shared experiment configuration (BCBPT's ``d_t`` is its
+            ``latency_threshold_s``).
+    """
+
+    relay: str
+    protocol: str
+    seed: int
+    blocks: int
+    txs_per_block: int
+    block_horizon_s: float
+    config: ExperimentConfig
+
+
+@dataclass(frozen=True)
+class RelayJobResult:
+    """Per-(relay, protocol, seed) tallies of one campaign.
+
+    Attributes:
+        block_delay_samples: block Δt samples (miner excluded), in event order.
+        blocks_measured: blocks mined and tracked.
+        relay_messages / relay_bytes: protocol messages and bytes attributed
+            to block propagation.
         block_payload_bytes: bytes of the block-carrying commands only
             (:data:`BLOCK_PAYLOAD_COMMANDS`).
-        message_breakdown: per-command message counts, summed across seeds.
-        coverages: per-block fraction of nodes reached within the horizon.
+        message_breakdown: per-command message counts.
+        coverage: mean fraction of nodes each block reached within the
+            horizon.
         compact_blocks_reconstructed / compact_txs_requested /
             compact_fallbacks / compact_txn_timeouts: compact-strategy work,
             summed across nodes.
         blocks_pushed: unsolicited full-block pushes (push strategy).
         adaptive_fanout_widened / adaptive_fanout_narrowed: fan-out width
             changes made by the adaptive strategy, summed across nodes.
-        mean_final_fanouts: per-seed mean effective fan-out width at the end
-            of the campaign (adaptive strategy only).
-        fanout_samples: pooled (time, width) fan-out change samples.
+        mean_final_fanout: mean effective fan-out width at the end of the
+            campaign (adaptive strategy only, NaN otherwise).
+        fanout_samples: (time, width) fan-out change samples, time-ordered.
         getheaders_sent / headers_received / header_bodies_requested:
             headers-first sync work, summed across nodes.
     """
 
     relay: str
     protocol: str
-    delays: DelayDistribution = field(default_factory=DelayDistribution)
-    per_seed: dict[int, DelayDistribution] = field(default_factory=dict)
-    blocks_measured: int = 0
-    relay_messages: int = 0
-    relay_bytes: int = 0
-    block_payload_bytes: int = 0
-    message_breakdown: Counter = field(default_factory=Counter)
-    coverages: list[float] = field(default_factory=list)
-    compact_blocks_reconstructed: int = 0
-    compact_txs_requested: int = 0
-    compact_fallbacks: int = 0
+    seed: int
+    block_delay_samples: tuple[float, ...]
+    blocks_measured: int
+    relay_messages: int
+    relay_bytes: int
+    block_payload_bytes: int
+    message_breakdown: dict[str, int]
+    coverage: float
+    compact_blocks_reconstructed: int
+    compact_txs_requested: int
+    compact_fallbacks: int
+    blocks_pushed: int
     compact_txn_timeouts: int = 0
-    blocks_pushed: int = 0
     adaptive_fanout_widened: int = 0
     adaptive_fanout_narrowed: int = 0
-    mean_final_fanouts: list[float] = field(default_factory=list)
-    fanout_samples: list[tuple[float, int]] = field(default_factory=list)
+    mean_final_fanout: float = float("nan")
+    fanout_samples: tuple[tuple[float, int], ...] = ()
     getheaders_sent: int = 0
     headers_received: int = 0
     header_bodies_requested: int = 0
+
+
+@dataclass(frozen=True)
+class RelayComparisonResult:
+    """Pooled measurements for one (relay, protocol) pair.
+
+    Attributes:
+        relay: relay-strategy name.
+        protocol: policy label.
+        cells: the pair's per-seed campaign records, in seed order; every
+            aggregate below is computed from them.
+    """
+
+    relay: str
+    protocol: str
+    cells: tuple[RelayJobResult, ...]
 
     @property
     def label(self) -> str:
         """The combined ``relay/protocol`` result key."""
         return f"{self.relay}/{self.protocol}"
 
+    def total(self, name: str) -> int:
+        """One per-seed counter summed across the cells."""
+        return sum(getattr(cell, name) for cell in self.cells)
+
+    @property
+    def delays(self) -> DelayDistribution:
+        """Block Δt samples pooled across seeds, in seed order."""
+        return DelayDistribution(
+            [sample for cell in self.cells for sample in cell.block_delay_samples]
+        )
+
+    def _per_block(self, name: str) -> float:
+        blocks = self.total("blocks_measured")
+        if not blocks:
+            return float("nan")
+        return self.total(name) / blocks
+
     def messages_per_block(self) -> float:
         """Mean relay messages spent propagating one block."""
-        if not self.blocks_measured:
-            return float("nan")
-        return self.relay_messages / self.blocks_measured
+        return self._per_block("relay_messages")
 
     def bytes_per_block(self) -> float:
         """Mean relay bytes spent propagating one block."""
-        if not self.blocks_measured:
-            return float("nan")
-        return self.relay_bytes / self.blocks_measured
+        return self._per_block("relay_bytes")
 
     def block_payload_bytes_per_block(self) -> float:
         """Mean bytes of block-carrying commands per block."""
-        if not self.blocks_measured:
-            return float("nan")
-        return self.block_payload_bytes / self.blocks_measured
+        return self._per_block("block_payload_bytes")
 
     def mean_coverage(self) -> float:
         """Mean fraction of nodes reached per block within the horizon."""
-        if not self.coverages:
+        if not self.cells:
             return 0.0
-        return mean(self.coverages)
+        return mean([cell.coverage for cell in self.cells])
 
     def mean_final_fanout(self) -> float:
         """Mean end-of-campaign fan-out width (adaptive strategy only)."""
-        if not self.mean_final_fanouts:
+        if self.relay != "adaptive" or not self.cells:
             return float("nan")
-        return mean(self.mean_final_fanouts)
+        return mean([cell.mean_final_fanout for cell in self.cells])
 
     def summary(self) -> dict[str, float]:
         """Scalar summary for the result envelope."""
-        base = self.delays.summary() if len(self.delays) else {"count": 0.0}
+        delays = self.delays
+        base = delays.summary() if len(delays) else {"count": 0.0}
         summary = {
             **base,
             "messages_per_block": self.messages_per_block(),
@@ -161,28 +218,22 @@ class RelayComparisonResult:
         }
         if self.relay == "adaptive":
             summary["mean_final_fanout"] = self.mean_final_fanout()
-            summary["fanout_widened"] = float(self.adaptive_fanout_widened)
-            summary["fanout_narrowed"] = float(self.adaptive_fanout_narrowed)
+            summary["fanout_widened"] = float(self.total("adaptive_fanout_widened"))
+            summary["fanout_narrowed"] = float(self.total("adaptive_fanout_narrowed"))
         if self.relay == "headers":
-            summary["getheaders_sent"] = float(self.getheaders_sent)
-            summary["header_bodies_requested"] = float(self.header_bodies_requested)
+            summary["getheaders_sent"] = float(self.total("getheaders_sent"))
+            summary["header_bodies_requested"] = float(self.total("header_bodies_requested"))
         return summary
 
 
 # ----------------------------------------------------------------- job body
 def run_relay_seed(job: RelayJob) -> RelayJobResult:
     """Execute one (relay, protocol, seed) campaign — process-pool entry point."""
-    # Imported lazily: parallel.py is config-level and imports us back.
-    from repro.protocol.mining import MiningProcess, equal_hash_power
-    from repro.workloads.generators import fund_nodes
-    from repro.workloads.network_gen import NetworkParameters
-    from repro.workloads.scenarios import build_scenario
-
     config = job.config
     scenario = build_scenario(
         job.protocol,
         NetworkParameters(node_count=config.node_count, seed=job.seed),
-        latency_threshold_s=job.threshold_s,
+        latency_threshold_s=config.latency_threshold_s,
         max_outbound=config.max_outbound,
         relay=job.relay,
     )
@@ -307,22 +358,23 @@ def run_relay_seed(job: RelayJob) -> RelayJobResult:
 def collect_samples(results: dict[str, RelayComparisonResult]) -> SampleLog:
     """Raw block-propagation samples for the envelope's ``samples`` field.
 
-    One ``block_delay_s`` series per (relay/protocol, seed) — the merge's
-    insertion order, so the pooled concatenation is worker-count invariant —
-    plus the per-campaign ``coverage`` curve.
+    One ``block_delay_s`` series per (relay/protocol, seed) in seed order, so
+    the pooled concatenation is worker-count invariant, plus the per-campaign
+    ``coverage`` curve.
     """
     log = SampleLog()
     for key, result in results.items():
         log.add_per_seed(
             key,
             "block_delay_s",
-            {seed: dist.samples for seed, dist in result.per_seed.items()},
+            {cell.seed: cell.block_delay_samples for cell in result.cells},
             unit="s",
         )
-        for index, coverage in enumerate(result.coverages):
-            log.add_point(key, "coverage", float(index), coverage, unit="fraction")
-        for time_s, width in result.fanout_samples:
-            log.add_point(key, "fanout_width", time_s, float(width), unit="peers")
+        for index, cell in enumerate(result.cells):
+            log.add_point(key, "coverage", float(index), cell.coverage, unit="fraction")
+        for cell in result.cells:
+            for time_s, width in cell.fanout_samples:
+                log.add_point(key, "fanout_width", time_s, float(width), unit="peers")
     return log
 
 
@@ -433,51 +485,25 @@ def run_relay_comparison(
             blocks=blocks,
             txs_per_block=txs_per_block,
             block_horizon_s=block_horizon_s,
-            threshold_s=cfg.latency_threshold_s,
             config=cfg,
         )
 
-    grid = run_seed_grid(points, make_job, run_relay_job, cfg)
-
-    # Merge in submission order — identical aggregates for every worker count.
-    results: dict[str, RelayComparisonResult] = {}
-    for (relay, protocol), seed_results in grid:
-        key = f"{relay}/{protocol}"
-        pooled = results.get(key)
-        if pooled is None:
-            pooled = results[key] = RelayComparisonResult(relay=relay, protocol=protocol)
-        for seed, job_result in zip(cfg.seeds, seed_results):
-            seed_delays = DelayDistribution(list(job_result.block_delay_samples))
-            pooled.delays = pooled.delays.merge(seed_delays)
-            pooled.per_seed[seed] = seed_delays
-            pooled.blocks_measured += job_result.blocks_measured
-            pooled.relay_messages += job_result.relay_messages
-            pooled.relay_bytes += job_result.relay_bytes
-            pooled.block_payload_bytes += job_result.block_payload_bytes
-            pooled.message_breakdown.update(job_result.message_breakdown)
-            pooled.coverages.append(job_result.coverage)
-            pooled.compact_blocks_reconstructed += job_result.compact_blocks_reconstructed
-            pooled.compact_txs_requested += job_result.compact_txs_requested
-            pooled.compact_fallbacks += job_result.compact_fallbacks
-            pooled.compact_txn_timeouts += job_result.compact_txn_timeouts
-            pooled.blocks_pushed += job_result.blocks_pushed
-            pooled.adaptive_fanout_widened += job_result.adaptive_fanout_widened
-            pooled.adaptive_fanout_narrowed += job_result.adaptive_fanout_narrowed
-            if relay == "adaptive":
-                pooled.mean_final_fanouts.append(job_result.mean_final_fanout)
-            pooled.fanout_samples.extend(job_result.fanout_samples)
-            pooled.getheaders_sent += job_result.getheaders_sent
-            pooled.headers_received += job_result.headers_received
-            pooled.header_bodies_requested += job_result.header_bodies_requested
-    return results
+    grid = run_seed_grid(points, make_job, run_relay_seed, cfg)
+    return {
+        f"{relay}/{protocol}": RelayComparisonResult(relay, protocol, tuple(cells))
+        for (relay, protocol), cells in grid
+    }
 
 
 def _pair_mean_delay(results: dict[str, RelayComparisonResult], key: str) -> float:
     """Mean block Δt of one ``relay/protocol`` cell, NaN when unmeasured."""
     result = results.get(key)
-    if result is None or not len(result.delays):
+    if result is None:
         return float("nan")
-    return result.delays.mean()
+    delays = result.delays
+    if not len(delays):
+        return float("nan")
+    return delays.mean()
 
 
 def clustering_beats_vanilla_under_adaptive(
@@ -550,11 +576,12 @@ def build_report(results: dict[str, RelayComparisonResult]) -> ExperimentReport:
     )
     delay_rows = []
     for key, result in results.items():
-        summary = result.delays.summary() if len(result.delays) else {}
+        delays = result.delays
+        summary = delays.summary() if len(delays) else {}
         delay_rows.append(
             [
                 key,
-                len(result.delays),
+                len(delays),
                 summary.get("mean_s", float("nan")) * 1e3,
                 summary.get("variance_s2", float("nan")) * 1e6,
                 result.mean_coverage(),
@@ -569,7 +596,7 @@ def build_report(results: dict[str, RelayComparisonResult]) -> ExperimentReport:
     overhead_rows = [
         [
             key,
-            result.blocks_measured,
+            result.total("blocks_measured"),
             result.messages_per_block(),
             result.bytes_per_block() / 1e3,
             result.block_payload_bytes_per_block() / 1e3,
@@ -584,13 +611,16 @@ def build_report(results: dict[str, RelayComparisonResult]) -> ExperimentReport:
         ),
     )
     strategy_rows = [
-        [
-            key,
-            result.compact_blocks_reconstructed,
-            result.compact_txs_requested,
-            result.compact_fallbacks,
-            result.compact_txn_timeouts,
-            result.blocks_pushed,
+        [key]
+        + [
+            result.total(name)
+            for name in (
+                "compact_blocks_reconstructed",
+                "compact_txs_requested",
+                "compact_fallbacks",
+                "compact_txn_timeouts",
+                "blocks_pushed",
+            )
         ]
         for key, result in results.items()
         if result.relay in ("compact", "push")
@@ -613,8 +643,8 @@ def build_report(results: dict[str, RelayComparisonResult]) -> ExperimentReport:
     adaptive_rows = [
         [
             key,
-            result.adaptive_fanout_widened,
-            result.adaptive_fanout_narrowed,
+            result.total("adaptive_fanout_widened"),
+            result.total("adaptive_fanout_narrowed"),
             result.mean_final_fanout(),
         ]
         for key, result in results.items()
@@ -629,11 +659,10 @@ def build_report(results: dict[str, RelayComparisonResult]) -> ExperimentReport:
             ),
         )
     headers_rows = [
-        [
-            key,
-            result.getheaders_sent,
-            result.headers_received,
-            result.header_bodies_requested,
+        [key]
+        + [
+            result.total(name)
+            for name in ("getheaders_sent", "headers_received", "header_bodies_requested")
         ]
         for key, result in results.items()
         if result.relay == "headers"
@@ -646,15 +675,4 @@ def build_report(results: dict[str, RelayComparisonResult]) -> ExperimentReport:
                 headers_rows,
             ),
         )
-    report.add_data("summaries", {key: r.summary() for key, r in results.items()})
-    report.add_data("results", results)
     return report
-
-
-def main(argv: Optional[list[str]] = None) -> int:
-    """Module-CLI shim; forwards to ``repro run relay_comparison``."""
-    return deprecated_main("relay_comparison", argv)
-
-
-if __name__ == "__main__":  # pragma: no cover - exercised via CLI
-    raise SystemExit(main())

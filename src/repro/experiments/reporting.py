@@ -2,11 +2,11 @@
 
 The paper presents its results as figures; the terminal reports render the
 same information as text tables (one row per protocol / threshold / rank)
-that can be compared against the figures' shape, plus machine-readable
-dictionaries for the tests.  Actual figure regeneration from stored raw
-samples lives one layer up, in :mod:`repro.analysis` (``repro report``),
-which builds its markdown tables with :func:`format_markdown_table` and takes
-its distribution math from :mod:`repro.analysis.stats`.
+that can be compared against the figures' shape.  Actual figure regeneration
+from stored raw samples lives one layer up, in :mod:`repro.analysis`
+(``repro report``), which builds its markdown tables with
+:func:`format_markdown_table` and takes its distribution math from
+:mod:`repro.analysis.stats`.
 """
 
 from __future__ import annotations
@@ -99,20 +99,15 @@ def format_delay_summaries(
 
 @dataclass
 class ExperimentReport:
-    """A structured experiment report: named sections of text plus raw data."""
+    """A structured experiment report: named sections of text."""
 
     experiment_id: str
     description: str
     sections: list[tuple[str, str]] = field(default_factory=list)
-    data: dict[str, object] = field(default_factory=dict)
 
     def add_section(self, heading: str, body: str) -> None:
         """Append a titled text section."""
         self.sections.append((heading, body))
-
-    def add_data(self, key: str, value: object) -> None:
-        """Attach machine-readable data (used by tests and EXPERIMENTS.md)."""
-        self.data[key] = value
 
     def render(self) -> str:
         """Full plain-text rendering of the report."""

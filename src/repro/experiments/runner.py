@@ -11,11 +11,11 @@ one built :class:`~repro.workloads.scenarios.Scenario`:
 :func:`run_protocol_comparison` repeats that over several protocols and seeds
 on *identically parameterised* networks — the controlled comparison behind
 Fig. 3 — and returns per-protocol aggregates.  Because every (protocol, seed)
-job is an independent simulation, the comparison fans jobs out over the shared
-seed-grid executor (:func:`~repro.experiments.grid.run_seed_grid`, layered on
-:class:`~repro.experiments.parallel.ParallelRunner`) when
-``config.workers != 1``; the merge below consumes job results in submission
-order, so the aggregates are identical for every worker count.
+job is an independent simulation, the comparison fans :class:`PropagationJob`
+cells out over the shared seed-grid executor
+(:func:`~repro.experiments.grid.run_seed_grid`); the merge below consumes job
+results in submission order, so the aggregates are identical for every worker
+count.
 """
 
 from __future__ import annotations
@@ -28,12 +28,11 @@ from repro.analysis.samples import SampleLog
 from repro.experiments.backends import current_plan
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.grid import run_seed_grid
-from repro.experiments.parallel import PropagationJob, run_propagation_job
 from repro.measurement.measuring_node import CampaignResult, MeasurementCampaign, MeasuringNode
 from repro.measurement.stats import DelayDistribution
 from repro.workloads.generators import fund_nodes
 from repro.workloads.network_gen import NetworkParameters, ensure_network_snapshot
-from repro.workloads.scenarios import Scenario, validate_policy_name
+from repro.workloads.scenarios import Scenario, build_scenario, validate_policy_name
 
 
 @dataclass
@@ -168,6 +167,45 @@ class PropagationExperiment:
         return result
 
 
+@dataclass(frozen=True)
+class PropagationJob:
+    """One (protocol label, seed) propagation campaign.
+
+    Attributes:
+        label: protocol label as reported in results (may carry a threshold
+            suffix, e.g. ``"bcbpt@50ms"``).
+        policy_name: the underlying policy to build (``"bitcoin"``, ``"lbc"``
+            or ``"bcbpt"``).
+        threshold_s: BCBPT latency threshold ``d_t`` in seconds.
+        seed: master seed for the job's network and simulator.
+        config: shared experiment configuration.
+        snapshot_path: optional path to a pre-built network snapshot for this
+            job's (node count, seed); when set the worker loads it instead of
+            rebuilding the network (stream-exact, so results are unchanged).
+    """
+
+    label: str
+    policy_name: str
+    threshold_s: float
+    seed: int
+    config: ExperimentConfig
+    snapshot_path: Optional[str] = None
+
+
+def run_propagation_job(job: PropagationJob) -> PropagationResult:
+    """Execute one (protocol, seed) campaign — the process-pool entry point."""
+    parameters = NetworkParameters(node_count=job.config.node_count, seed=job.seed)
+    scenario = build_scenario(
+        job.policy_name,
+        parameters,
+        latency_threshold_s=job.threshold_s,
+        max_outbound=job.config.max_outbound,
+        snapshot=job.snapshot_path,
+    )
+    scenario.name = job.label
+    return PropagationExperiment(scenario, job.config).run()
+
+
 def collect_propagation_samples(
     results: dict[str, PropagationResult],
 ) -> SampleLog:
@@ -256,13 +294,12 @@ def run_protocol_comparison(
         pooled = results.get(label)
         if pooled is None:
             pooled = results[label] = PropagationResult(protocol=label)
-        for seed, job_result in zip(config.seeds, seed_results):
-            result = job_result.result
+        for seed, result in zip(config.seeds, seed_results):
             pooled.delays = pooled.delays.merge(result.delays)
             pooled.per_seed[seed] = result.delays
             pooled.campaigns.extend(result.campaigns)
-            pooled.cluster_summaries[seed] = job_result.cluster_summary
-            pooled.build_reports[seed] = job_result.build_report
+            pooled.cluster_summaries[seed] = result.cluster_summaries[seed]
+            pooled.build_reports[seed] = result.build_reports[seed]
             for rank, dist in result.per_rank.items():
                 pooled.per_rank.setdefault(rank, DelayDistribution()).extend(dist.samples)
     return results

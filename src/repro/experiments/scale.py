@@ -29,20 +29,23 @@ Run from the command line::
 from __future__ import annotations
 
 import contextlib
+import resource
 import tempfile
-from dataclasses import dataclass, field
+import time
+import tracemalloc
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from repro.analysis.samples import SampleLog
-from repro.experiments.api import ExperimentOption, deprecated_main, experiment
+from repro.experiments.api import ExperimentOption, experiment
 from repro.experiments.backends import current_plan
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.grid import run_seed_grid
-from repro.experiments.parallel import ScaleJob, ScaleJobResult, run_scale_job
 from repro.experiments.reporting import ExperimentReport, format_table
+from repro.experiments.runner import PropagationExperiment
 from repro.protocol.node import NodeConfig
 from repro.workloads.network_gen import NetworkParameters, ensure_network_snapshot
-from repro.workloads.scenarios import validate_policy_name
+from repro.workloads.scenarios import build_scenario, validate_policy_name
 
 #: Policies measured by default: the vanilla baseline and the paper's overlay.
 SCALE_PROTOCOLS = ("bitcoin", "bcbpt")
@@ -62,8 +65,8 @@ def scale_parameters(
     """The network parameters of one scale cell.
 
     Shared between the driver (which pre-builds snapshots) and
-    :func:`~repro.experiments.parallel.run_scale_job` (which loads them), so
-    both sides agree bit-for-bit on the snapshot cache key.
+    :func:`run_scale_job` (which loads them), so both sides agree bit-for-bit
+    on the snapshot cache key.
     """
     return NetworkParameters(
         node_count=node_count,
@@ -82,13 +85,124 @@ def default_ladder(node_count: int) -> tuple[int, ...]:
     return tuple(sorted(rungs))
 
 
-@dataclass
+@dataclass(frozen=True)
+class ScaleJob:
+    """One (node count, protocol, seed) scale-measurement cell.
+
+    Attributes:
+        node_count: network size of this ladder point.
+        protocol: neighbour-selection policy under test.
+        seed: master seed for the cell's network and simulator.
+        prune_depth: ``NodeConfig.prune_depth`` applied to every node (None
+            disables in-run pruning).
+        cell_runs: measurement runs per cell (kept small — the cell measures
+            resource scaling, not delay statistics).
+        profile_memory: trace the cell's Python allocations with
+            ``tracemalloc`` (accurate per-cell peaks, roughly 2x slower).
+        snapshot_path: optional pre-built network snapshot for this
+            (node count, seed); the worker loads it instead of rebuilding.
+        config: shared experiment configuration (BCBPT's ``d_t`` is its
+            ``latency_threshold_s``).
+    """
+
+    node_count: int
+    protocol: str
+    seed: int
+    prune_depth: Optional[int]
+    cell_runs: int
+    profile_memory: bool
+    snapshot_path: Optional[str]
+    config: ExperimentConfig
+
+
+@dataclass(frozen=True)
+class ScaleJobResult:
+    """Per-cell resource measurements merged by the scale driver."""
+
+    node_count: int
+    protocol: str
+    seed: int
+    build_s: float
+    run_s: float
+    events: int
+    delay_samples: int
+    peak_traced_mb: Optional[float]
+    rss_mb: float
+    state_prunes: int
+    pruned_inventory_entries: int
+
+    @property
+    def wall_s(self) -> float:
+        """Total cell wall time (network acquire + campaign)."""
+        return self.build_s + self.run_s
+
+    @property
+    def events_per_s(self) -> float:
+        """Simulation throughput over the campaign phase."""
+        if self.run_s <= 0:
+            return float("nan")
+        return self.events / self.run_s
+
+
+def run_scale_job(job: ScaleJob) -> ScaleJobResult:
+    """Execute one scale cell — the process-pool entry point."""
+    cfg = job.config.with_overrides(
+        node_count=job.node_count,
+        runs=job.cell_runs,
+        measuring_nodes=1,
+        seeds=(job.seed,),
+    )
+    if job.profile_memory:
+        tracemalloc.start()
+    try:
+        start = time.perf_counter()
+        scenario = build_scenario(
+            job.protocol,
+            scale_parameters(job.node_count, job.seed, job.prune_depth),
+            latency_threshold_s=cfg.latency_threshold_s,
+            max_outbound=cfg.max_outbound,
+            snapshot=job.snapshot_path,
+        )
+        built = time.perf_counter()
+        result = PropagationExperiment(scenario, cfg, fund_measuring_only=True).run()
+        finished = time.perf_counter()
+        peak_traced_mb: Optional[float] = None
+        if job.profile_memory:
+            peak_traced_mb = tracemalloc.get_traced_memory()[1] / 1e6
+    finally:
+        if job.profile_memory:
+            tracemalloc.stop()
+    nodes = scenario.network.nodes.values()
+    return ScaleJobResult(
+        node_count=job.node_count,
+        protocol=job.protocol,
+        seed=job.seed,
+        build_s=built - start,
+        run_s=finished - built,
+        events=scenario.simulator.events_executed,
+        delay_samples=len(result.delays),
+        peak_traced_mb=peak_traced_mb,
+        # ru_maxrss is the process-lifetime high-water mark in KB on Linux;
+        # under a reused pool worker it is an upper bound, not a per-cell peak
+        # (the tracemalloc figure is the per-cell one).
+        rss_mb=resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
+        state_prunes=sum(node.stats.state_prunes for node in nodes),
+        pruned_inventory_entries=sum(
+            node.stats.pruned_inventory_entries for node in nodes
+        ),
+    )
+
+
+@dataclass(frozen=True)
 class ScaleResult:
-    """Pooled scale measurements for one (protocol, node count) pair."""
+    """Pooled scale measurements for one (protocol, node count) pair.
+
+    ``cells`` holds the pair's per-seed records, in seed order.
+    """
 
     protocol: str
     node_count: int
-    cells: list[ScaleJobResult] = field(default_factory=list)
+    cells: tuple[ScaleJobResult, ...]
 
     @property
     def label(self) -> str:
@@ -200,8 +314,6 @@ def build_report(results: dict[str, ScaleResult]) -> ExperimentReport:
             "In-run pruning",
             format_table(["protocol", "nodes", "sweeps", "entries pruned"], prune_rows),
         )
-    report.add_data("summaries", {key: r.summary() for key, r in results.items()})
-    report.add_data("results", results)
     return report
 
 
@@ -331,7 +443,6 @@ def run_scale(
                 node_count=rung,
                 protocol=protocol,
                 seed=seed,
-                threshold_s=cfg.latency_threshold_s,
                 prune_depth=depth,
                 cell_runs=cell_runs,
                 profile_memory=profile_memory,
@@ -341,21 +452,7 @@ def run_scale(
 
         grid = run_seed_grid(points, make_job, run_scale_job, cfg)
 
-    # Merge in submission order — identical aggregates for every worker count.
-    results: dict[str, ScaleResult] = {}
-    for (rung, protocol), seed_results in grid:
-        key = f"{protocol}@{rung}"
-        pooled = results.get(key)
-        if pooled is None:
-            pooled = results[key] = ScaleResult(protocol=protocol, node_count=rung)
-        pooled.cells.extend(seed_results)
-    return results
-
-
-def main(argv: Optional[list[str]] = None) -> int:
-    """Module-CLI shim; forwards to ``repro run scale``."""
-    return deprecated_main("scale", argv)
-
-
-if __name__ == "__main__":  # pragma: no cover - exercised via CLI
-    raise SystemExit(main())
+    return {
+        f"{protocol}@{rung}": ScaleResult(protocol, rung, tuple(cells))
+        for (rung, protocol), cells in grid
+    }

@@ -8,8 +8,7 @@ link RTT — making explicit the mechanism the paper proposes (smaller
 threshold ⇒ smaller clusters with shorter links ⇒ lower delay variance) and
 exposing the connectivity cost of very small thresholds.
 
-Run via ``python -m repro.experiments run threshold_sweep``;
-``python -m repro.experiments.threshold_sweep`` remains as a deprecated shim.
+Run via ``python -m repro.experiments run threshold_sweep``.
 """
 
 from __future__ import annotations
@@ -17,12 +16,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from repro.experiments.api import ExperimentOption, deprecated_main, experiment
+from repro.experiments.api import ExperimentOption, experiment
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.grid import run_seed_grid
-from repro.experiments.parallel import ThresholdJob, run_threshold_job
 from repro.experiments.reporting import ExperimentReport, format_table
+from repro.experiments.runner import PropagationExperiment
 from repro.measurement.stats import DelayDistribution
+from repro.workloads.network_gen import NetworkParameters
+from repro.workloads.scenarios import build_scenario
 
 #: Default sweep, in seconds (10 ms .. 200 ms, including the paper's values).
 DEFAULT_THRESHOLDS_S = (0.010, 0.025, 0.030, 0.050, 0.075, 0.100, 0.150, 0.200)
@@ -41,6 +42,59 @@ class ThresholdPoint:
     mean_cluster_size: float
     mean_link_rtt_s: float
     long_link_fraction: float
+
+
+@dataclass(frozen=True)
+class ThresholdJob:
+    """One (threshold, seed) BCBPT campaign for the fine-grained sweep."""
+
+    threshold_s: float
+    seed: int
+    config: ExperimentConfig
+
+
+@dataclass(frozen=True)
+class ThresholdJobResult:
+    """Per-(threshold, seed) measurements merged by the sweep driver."""
+
+    threshold_s: float
+    seed: int
+    delay_samples: tuple[float, ...]
+    cluster_count: float
+    mean_cluster_size: float
+    mean_link_rtt_s: Optional[float]
+    long_link_fraction: Optional[float]
+
+
+def run_threshold_job(job: ThresholdJob) -> ThresholdJobResult:
+    """Execute one sweep point — the process-pool entry point."""
+    scenario = build_scenario(
+        "bcbpt",
+        NetworkParameters(node_count=job.config.node_count, seed=job.seed),
+        latency_threshold_s=job.threshold_s,
+        max_outbound=job.config.max_outbound,
+    )
+    experiment = PropagationExperiment(scenario, job.config)
+    result = experiment.run()
+    summary = scenario.policy.clusters.summary()
+    network = scenario.network.network
+    links = list(network.topology.links())
+    mean_link_rtt_s: Optional[float] = None
+    long_link_fraction: Optional[float] = None
+    if links:
+        mean_link_rtt_s = sum(
+            network.base_rtt(link.node_a, link.node_b) for link in links
+        ) / len(links)
+        long_link_fraction = sum(1 for link in links if link.is_long_link) / len(links)
+    return ThresholdJobResult(
+        threshold_s=job.threshold_s,
+        seed=job.seed,
+        delay_samples=tuple(result.delays.samples),
+        cluster_count=summary["cluster_count"],
+        mean_cluster_size=summary["mean_size"],
+        mean_link_rtt_s=mean_link_rtt_s,
+        long_link_fraction=long_link_fraction,
+    )
 
 
 def build_report(points: list[ThresholdPoint]) -> ExperimentReport:
@@ -80,7 +134,6 @@ def build_report(points: list[ThresholdPoint]) -> ExperimentReport:
             rows,
         ),
     )
-    report.add_data("points", points)
     return report
 
 
@@ -162,12 +215,3 @@ def run_threshold_sweep(
             )
         )
     return points
-
-
-def main(argv: Optional[list[str]] = None) -> int:
-    """Deprecated CLI shim; forwards to ``repro run threshold_sweep``."""
-    return deprecated_main("threshold_sweep", argv)
-
-
-if __name__ == "__main__":  # pragma: no cover - exercised via CLI
-    raise SystemExit(main())

@@ -13,8 +13,7 @@ network instead:
   median) with a long tail — the signature of store-and-forward INV/GETDATA
   relay over heterogeneous links.
 
-Run via ``python -m repro.experiments run validation [--crawler-samples N]``;
-``python -m repro.experiments.validation`` remains as a deprecated shim.
+Run via ``python -m repro.experiments run validation [--crawler-samples N]``.
 """
 
 from __future__ import annotations
@@ -22,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from repro.experiments.api import ExperimentOption, deprecated_main, experiment
+from repro.experiments.api import ExperimentOption, experiment
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.reporting import ExperimentReport, format_table
 from repro.experiments.runner import PropagationExperiment
@@ -177,14 +176,4 @@ def build_report(summary: ValidationResultSummary) -> ExperimentReport:
             ],
         ),
     )
-    report.add_data("summary", summary)
     return report
-
-
-def main(argv: Optional[list[str]] = None) -> int:
-    """Deprecated CLI shim; forwards to ``repro run validation``."""
-    return deprecated_main("validation", argv)
-
-
-if __name__ == "__main__":  # pragma: no cover - exercised via CLI
-    raise SystemExit(main())

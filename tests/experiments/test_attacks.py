@@ -74,9 +74,8 @@ class TestDynamicGrid:
         }
         for key, cell in dynamic.items():
             assert cell.label == key
-            assert cell.blocks_measured >= 0
-            assert len(cell.per_seed) == len(CFG.seeds)
-            assert [seed for seed, _ in cell.per_seed] == list(CFG.seeds)
+            assert cell.total("blocks_measured") >= 0
+            assert [seed_cell.seed for seed_cell in cell.cells] == list(CFG.seeds)
 
     def test_worker_invariance_of_composed_cells(self, attacks_result):
         """Two pool workers must merge to the exact serial payload —
@@ -91,17 +90,17 @@ class TestDynamicGrid:
         dynamic = attacks_result.payload.dynamic
         for protocol in ("bitcoin", "bcbpt"):
             baseline = dynamic[f"none/{protocol}"]
-            assert baseline.messages_suppressed == 0
-            assert baseline.blocks_withheld == 0
-            assert baseline.byzantine_counts == (0,) * len(CFG.seeds)
+            assert baseline.total("messages_suppressed") == 0
+            assert baseline.total("blocks_withheld") == 0
+            assert all(not seed_cell.byzantine_nodes for seed_cell in baseline.cells)
 
     def test_eclipse_cells_compose_churn_and_selective_relay(self, attacks_result):
         dynamic = attacks_result.payload.dynamic
         for protocol in ("bitcoin", "bcbpt"):
             cell = dynamic[f"eclipse/{protocol}"]
-            assert all(count > 0 for count in cell.byzantine_counts)
-            assert cell.victim_coverages, "the victim's view must be measured"
-            assert all(0.0 <= v <= 1.0 for v in cell.victim_coverages)
+            assert all(seed_cell.byzantine_nodes for seed_cell in cell.cells)
+            assert cell.cells, "the victim's view must be measured"
+            assert all(0.0 <= seed_cell.victim_coverage <= 1.0 for seed_cell in cell.cells)
             assert not math.isnan(coverage_loss(dynamic, "eclipse", protocol))
 
     def test_selfish_cells_track_revenue_against_hashpower(self, attacks_result):
@@ -109,15 +108,15 @@ class TestDynamicGrid:
         for protocol in ("bitcoin", "bcbpt"):
             cell = dynamic[f"selfish/{protocol}"]
             assert cell.attacker_hashpower == pytest.approx(0.35)
-            assert len(cell.revenue_shares) == len(CFG.seeds)
-            for share in cell.revenue_shares:
+            assert len(cell.cells) == len(CFG.seeds)
+            for share in (seed_cell.revenue_share for seed_cell in cell.cells):
                 # None marks a seed whose chain held no mined blocks; a
                 # measured share is a real fraction — never NaN, which would
                 # break payload equality across the process pool.
                 assert share is None or 0.0 <= share <= 1.0
             # The selfish bookkeeping is wired even when the attacker never
             # wins a block at this tiny scale.
-            assert cell.blocks_withheld >= cell.blocks_released >= 0
+            assert cell.total("blocks_withheld") >= cell.total("blocks_released") >= 0
 
     def test_degradation_is_measured_against_own_baseline(self, attacks_result):
         dynamic = attacks_result.payload.dynamic

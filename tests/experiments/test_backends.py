@@ -30,8 +30,9 @@ from repro.experiments.checkpoint import (
     cell_key,
     missing_keys,
 )
+from repro.experiments import checkpoint
 from repro.experiments.config import ExperimentConfig
-from repro.experiments.parallel import ParallelRunner, PropagationJob
+from repro.experiments.runner import PropagationJob
 
 
 def _double(value: int) -> int:
@@ -64,6 +65,14 @@ class TestPoolBackend:
         assert emitted == [(i, 2 * i) for i in range(21)]
         assert results == [2 * i for i in range(21)]
 
+    def test_streams_with_the_adaptive_chunksize(self):
+        emitted = []
+        results = PoolBackend(workers=4).run(
+            _double, list(range(12)), lambda i, r: emitted.append((i, r))
+        )
+        assert results == [2 * i for i in range(12)]
+        assert emitted == [(i, 2 * i) for i in range(12)]
+
     def test_empty_jobs(self):
         assert PoolBackend(workers=4).run(_double, []) == []
 
@@ -79,28 +88,15 @@ class TestPoolBackend:
             PoolBackend(workers=-2)
 
 
-class TestParallelRunnerStreaming:
-    def test_map_jobs_streams_on_result(self):
-        emitted = []
-        runner = ParallelRunner(workers=4)
-        results = runner.map_jobs(
-            _double, list(range(12)), on_result=lambda i, r: emitted.append((i, r))
-        )
-        assert results == [2 * i for i in range(12)]
-        assert emitted == [(i, 2 * i) for i in range(12)]
-
-    def test_serial_map_jobs_streams_on_result(self):
-        emitted = []
-        ParallelRunner(workers=1).map_jobs(
-            _double, [3, 4], on_result=lambda i, r: emitted.append((i, r))
-        )
-        assert emitted == [(0, 6), (1, 8)]
-
-
 class TestBackendFactory:
     def test_auto_picks_by_worker_count(self):
         assert make_backend("auto", 1).name == "inline"
         assert make_backend("auto", 4).name == "pool"
+
+    def test_serial_backend_streams_on_result(self):
+        emitted = []
+        make_backend("auto", 1).run(_double, [3, 4], lambda i, r: emitted.append((i, r)))
+        assert emitted == [(0, 6), (1, 8)]
 
     def test_explicit_names(self):
         assert make_backend("inline", 8).name == "inline"
@@ -145,6 +141,16 @@ class TestCellKey:
         snapshotted = _propagation_job(snapshot_path="/tmp/some/where.pkl")
         assert cell_key("fig3", base) == cell_key("fig3", more_workers)
         assert cell_key("fig3", base) == cell_key("fig3", snapshotted)
+
+    def test_schema_version_is_part_of_the_key(self, monkeypatch):
+        # Bumping the version must orphan every stored cell: a store written
+        # under another pickle layout is ignored, never misread.
+        job = _propagation_job()
+        before = cell_key("fig3", job)
+        monkeypatch.setattr(
+            checkpoint, "CELL_SCHEMA_VERSION", checkpoint.CELL_SCHEMA_VERSION + 1
+        )
+        assert cell_key("fig3", job) != before
 
     def test_physics_changes_the_key(self):
         base = _propagation_job()

@@ -123,15 +123,17 @@ def _fingerprint(results) -> dict:
     return {
         key: (
             tuple(result.delays.samples),
-            tuple(sorted(result.per_seed)),
+            tuple(sorted(cell.seed for cell in result.cells)),
             tuple(result.coverages),
-            result.leave_events,
-            result.join_events,
-            result.repair_sweeps,
-            result.orphans_reassigned,
-            result.representatives_replaced,
-            result.bridges_created,
-            tuple(sorted((s, tuple(sorted(v.items()))) for s, v in result.cluster_after.items())),
+            result.total("leave_events"),
+            result.total("join_events"),
+            result.total("repair_sweeps"),
+            result.total("orphans_reassigned"),
+            result.total("representatives_replaced"),
+            result.total("bridges_created"),
+            tuple(
+                sorted((cell.seed, tuple(sorted(cell.cluster_after.items()))) for cell in result.cells)
+            ),
         )
         for key, result in results.items()
     }
@@ -167,8 +169,8 @@ class TestWorkerInvariance:
         }
         for key, result in results.items():
             if result.level == "static":
-                assert result.leave_events == 0
-                assert result.join_events == 0
+                assert result.total("leave_events") == 0
+                assert result.total("join_events") == 0
             assert len(result.delays) > 0
         report = build_report(results)
         rendered = report.render()

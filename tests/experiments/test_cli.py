@@ -2,10 +2,8 @@
 
 Every registered experiment is exercised end-to-end at tiny scale through the
 same entry point the shell uses (`cli.main`), including result-store
-persistence, the sweep grid, `compare`, and the deprecated per-module shims.
+persistence, the sweep grid and `compare`.
 """
-
-import warnings
 
 import pytest
 
@@ -103,6 +101,17 @@ def test_run_smoke_with_persistence(name, tmp_path, capsys):
     assert loaded.experiment == name
     assert loaded.seeds == [3]
     assert loaded.sections
+
+
+def test_repeated_seed_fails_before_any_cell_runs(tmp_path):
+    """Regression: `--seeds 3 3` used to run every cell twice and store an
+    envelope whose summaries pooled twice the samples its per-seed series
+    held.  It is now an invalid config, rejected like any other."""
+    store_dir = tmp_path / "results"
+    args = ["--nodes", "20", "--runs", "1", "--seeds", "3", "3", "--measuring-nodes", "1"]
+    with pytest.raises(ValueError, match="distinct"):
+        main(["run", "fig3", *args, "--results-dir", str(store_dir)])
+    assert ResultStore(store_dir).run_ids("fig3") == []
 
 
 def test_run_no_save_writes_nothing(tmp_path, capsys):
@@ -231,33 +240,3 @@ def test_diff_latest_works_with_no_save(tmp_path, capsys):
     assert "(unsaved run)" in out
     assert "identical" in out
     assert len(ResultStore(store_dir).run_ids("fig3")) == 1
-
-
-def test_deprecated_module_entry_points_warn_and_forward(tmp_path, capsys):
-    """The nine legacy `python -m repro.experiments.<name>` mains still work,
-    emitting a DeprecationWarning and reusing the unified flag set."""
-    from repro.experiments import fig3 as fig3_module
-
-    with pytest.warns(DeprecationWarning, match="deprecated"):
-        rc = fig3_module.main(
-            [*TINY_ARGS["fig3"], "--results-dir", str(tmp_path / "results")]
-        )
-    assert rc == 0
-    out = capsys.readouterr().out
-    assert "Fig. 3" in out
-    assert ResultStore(tmp_path / "results").run_ids("fig3")
-
-
-def test_all_legacy_mains_are_shims():
-    """Every driver module's main() forwards to the unified CLI (no module
-    keeps a private argparse copy)."""
-    import importlib
-    import inspect
-
-    from repro.experiments.api import DRIVER_MODULES
-
-    for module_name in DRIVER_MODULES:
-        module = importlib.import_module(module_name)
-        source = inspect.getsource(module.main)
-        assert "deprecated_main" in source, f"{module_name}.main is not a shim"
-        assert "argparse" not in source, f"{module_name}.main still parses argv itself"

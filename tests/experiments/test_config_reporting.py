@@ -30,6 +30,15 @@ class TestExperimentConfig:
         with pytest.raises(ValueError):
             ExperimentConfig(fig4_thresholds_s=(0.03, -0.01))
 
+    def test_repeated_seed_rejected(self):
+        # A repeated seed would run its cells twice: the pooled summaries
+        # would then count every sample twice while the per-seed series
+        # (keyed by seed) held them once.
+        with pytest.raises(ValueError, match="distinct"):
+            ExperimentConfig(seeds=(3, 3))
+        with pytest.raises(ValueError, match="distinct"):
+            ExperimentConfig().with_overrides(seeds=(3, 11, 3))
+
     def test_with_overrides(self):
         config = ExperimentConfig().with_overrides(node_count=500)
         assert config.node_count == 500
@@ -52,12 +61,6 @@ class TestExperimentConfig:
         args = parser.parse_args([])
         base = ExperimentConfig(node_count=123)
         assert ExperimentConfig.from_args(args, base) == base
-
-    def test_legacy_builder_aliases_still_work(self):
-        parser = argparse.ArgumentParser()
-        ExperimentConfig.add_cli_arguments(parser)
-        args = parser.parse_args(["--nodes", "50"])
-        assert ExperimentConfig.from_cli(args).node_count == 50
 
 
 class TestFormatTable:
@@ -99,10 +102,11 @@ class TestExperimentReport:
         assert text.index("first") < text.index("second")
         assert "X: desc" in text
 
-    def test_data_attachment(self):
+    def test_sections_are_heading_body_pairs(self):
+        # The envelope stores `sections` as-is, so they stay plain pairs.
         report = ExperimentReport("X", "desc")
-        report.add_data("key", [1, 2, 3])
-        assert report.data["key"] == [1, 2, 3]
+        report.add_section("heading", "body")
+        assert report.sections == [("heading", "body")]
 
     def test_str_matches_render(self):
         report = ExperimentReport("X", "desc")

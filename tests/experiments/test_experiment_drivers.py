@@ -81,7 +81,6 @@ class TestFig3:
         text = report.render()
         assert "Fig. 3" in text
         assert "bitcoin" in text and "bcbpt" in text
-        assert "summaries" in report.data
 
     def test_bitcoin_is_slowest_even_at_small_scale(self):
         results = run_fig3(SMALL)

@@ -2,7 +2,7 @@
 
 Covers registration, the driver's pooled merge, the saturation detector, the
 worker-count-invariance contract (the P²-scalars-only merge is the whole
-reason :class:`~repro.experiments.parallel.LoadJobResult` carries no raw
+reason :class:`~repro.experiments.load_frontier.LoadJobResult` carries no raw
 latency series), and the streamed-quantile exactness regression: on runs
 small enough that the P² estimator is still in its exact phase, the streamed
 confirmation summary must equal the exact ``percentile()`` of the same
@@ -89,13 +89,12 @@ class TestDriver:
         }
         assert set(tiny_results) == expected_keys
         for cell in tiny_results.values():
-            assert cell.seeds == list(TINY.seeds)
-            assert cell.txs_generated > 0
-            assert cell.txs_confirmed > 0
-            assert cell.blocks_mined > 0
-            assert cell.events > 0
-            assert cell.total_fees_collected > 0
-            assert set(cell.p50_by_seed) == set(TINY.seeds)
+            assert [seed_cell.seed for seed_cell in cell.cells] == list(TINY.seeds)
+            assert cell.total("txs_generated") > 0
+            assert cell.total("txs_confirmed") > 0
+            assert cell.total("blocks_mined") > 0
+            assert cell.total("events") > 0
+            assert cell.total("total_fees_collected") > 0
             assert cell.p99_latency_s() >= cell.p50_latency_s() - 1e-9
 
     def test_congestion_raises_latency_and_fills_blocks(self, tiny_results):
@@ -124,8 +123,9 @@ class TestDriver:
         for key, cell in tiny_results.items():
             per_seed = log.per_seed(key, "confirmation_p50_s")
             assert set(per_seed) == set(TINY.seeds)
+            p50_by_seed = {c.seed: c.confirmation_p50_s for c in cell.cells}
             for seed, values in per_seed.items():
-                assert values == [cell.p50_by_seed[seed]]
+                assert values == [p50_by_seed[seed]]
             assert log.points(key, "mempool_backlog")
 
 

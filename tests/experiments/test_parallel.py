@@ -1,4 +1,4 @@
-"""Determinism tests for the parallel experiment runner.
+"""Determinism tests for multi-process experiment execution.
 
 The contract: every (protocol, seed) job derives all randomness from its own
 master seed, jobs merge in submission order, and ``workers=1`` runs the exact
@@ -13,9 +13,9 @@ import math
 
 import pytest
 
+from repro.experiments.backends import resolve_workers
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.doublespend import run_doublespend
-from repro.experiments.parallel import ParallelRunner, resolve_workers
 from repro.experiments.runner import run_protocol_comparison
 
 #: Small enough to keep the multi-process comparison in CI-friendly time
@@ -24,36 +24,12 @@ from repro.experiments.runner import run_protocol_comparison
 QUICK = ExperimentConfig(node_count=80, runs=2, seeds=(3, 11), measuring_nodes=2)
 
 
-def _double(value: int) -> int:
-    return value * 2
-
-
-class TestParallelRunner:
-    def test_results_preserve_submission_order(self):
-        runner = ParallelRunner(workers=4)
-        assert runner.map_jobs(_double, list(range(20))) == [2 * i for i in range(20)]
-
-    def test_empty_jobs(self):
-        assert ParallelRunner(workers=4).map_jobs(_double, []) == []
-
-    def test_serial_path_avoids_multiprocessing(self):
-        # workers=1 must call the function inline: a non-picklable closure
-        # only survives the serial path.
-        captured = []
-        runner = ParallelRunner(workers=1)
-        assert runner.map_jobs(lambda v: captured.append(v) or v, [1, 2]) == [1, 2]
-        assert captured == [1, 2]
-
-    def test_negative_workers_rejected(self):
-        with pytest.raises(ValueError):
-            ParallelRunner(workers=-1)
-
-    def test_resolve_workers(self):
-        assert resolve_workers(1, 10) == 1
-        assert resolve_workers(8, 3) == 3
-        assert resolve_workers(0, 2) >= 1
-        with pytest.raises(ValueError):
-            resolve_workers(-1, 4)
+def test_resolve_workers():
+    assert resolve_workers(1, 10) == 1
+    assert resolve_workers(8, 3) == 3
+    assert resolve_workers(0, 2) >= 1
+    with pytest.raises(ValueError):
+        resolve_workers(-1, 4)
 
 
 def _assert_same_results(serial, parallel):

@@ -71,7 +71,7 @@ class TestRelayComparisonExperiment:
         )
         assert set(results) == {"flood/bitcoin", "compact/bitcoin"}
         for result in results.values():
-            assert result.blocks_measured == 1
+            assert result.total("blocks_measured") == 1
             assert result.mean_coverage() == 1.0
             assert len(result.delays) == SMALL.node_count - 1
         assert (
@@ -90,8 +90,8 @@ class TestRelayComparisonExperiment:
         parallel = run_relay_comparison(SMALL.with_overrides(workers=2), **kwargs)
         for key in serial:
             assert serial[key].delays.samples == parallel[key].delays.samples
-            assert serial[key].relay_messages == parallel[key].relay_messages
-            assert serial[key].relay_bytes == parallel[key].relay_bytes
+            assert serial[key].total("relay_messages") == parallel[key].total("relay_messages")
+            assert serial[key].total("relay_bytes") == parallel[key].total("relay_bytes")
 
     def test_envelope_and_verdicts(self):
         run = run_experiment(
@@ -141,8 +141,9 @@ class TestRelayComparisonExperiment:
             assert result.mean_coverage() == 1.0
             assert len(result.delays) == SMALL.node_count - 1
         headers = results["headers/bitcoin"]
-        assert headers.message_breakdown["headers"] > 0
-        assert headers.header_bodies_requested > 0
+        (headers_cell,) = headers.cells
+        assert headers_cell.message_breakdown["headers"] > 0
+        assert headers.total("header_bodies_requested") > 0
         adaptive = results["adaptive/bitcoin"]
         assert adaptive.summary()["mean_final_fanout"] > 0
         report = build_report(results).render()
@@ -174,7 +175,9 @@ class TestRelayComparisonExperiment:
         parallel = run_relay_comparison(SMALL.with_overrides(workers=2), **kwargs)
         for key in serial:
             assert serial[key].delays.samples == parallel[key].delays.samples
-            assert serial[key].relay_messages == parallel[key].relay_messages
-            assert serial[key].relay_bytes == parallel[key].relay_bytes
-            assert serial[key].fanout_samples == parallel[key].fanout_samples
-            assert serial[key].getheaders_sent == parallel[key].getheaders_sent
+            assert serial[key].total("relay_messages") == parallel[key].total("relay_messages")
+            assert serial[key].total("relay_bytes") == parallel[key].total("relay_bytes")
+            assert [c.fanout_samples for c in serial[key].cells] == [
+                c.fanout_samples for c in parallel[key].cells
+            ]
+            assert serial[key].total("getheaders_sent") == parallel[key].total("getheaders_sent")

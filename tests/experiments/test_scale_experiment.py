@@ -16,11 +16,11 @@ import pytest
 
 from repro.experiments.api import get_experiment, run_experiment
 from repro.experiments.config import ExperimentConfig
-from repro.experiments.parallel import ScaleJob
 from repro.experiments.runner import run_protocol_comparison
 from repro.experiments.scale import (
     DEFAULT_PRUNE_DEPTH,
     SCALE_PROTOCOLS,
+    ScaleJob,
     build_report,
     default_ladder,
     run_scale,
@@ -149,7 +149,7 @@ class TestScaleExperiment:
 
     def test_scale_job_is_picklable(self):
         job = ScaleJob(
-            node_count=100, protocol="bcbpt", seed=3, threshold_s=0.025,
+            node_count=100, protocol="bcbpt", seed=3,
             prune_depth=6, cell_runs=1, profile_memory=True,
             snapshot_path="/tmp/x.pkl", config=SMALL,
         )
