@@ -37,6 +37,9 @@ object also carries the checkpoint store, the resume behaviour and the cell
 budget, which is what lets every registered experiment inherit all of it
 through ``run_seed_grid`` without touching a single driver.
 
+Cell memory: both job loops free the previous job's network before the next
+job starts (:func:`_release_finished_jobs`).
+
 Determinism: the backend choice, worker count, chunking, warm caches, shard
 slice and checkpoints never change what a cell computes — each cell derives
 all randomness from its own master seed — so any execution plan that
@@ -47,6 +50,7 @@ from __future__ import annotations
 
 import contextlib
 import contextvars
+import gc
 import multiprocessing
 import os
 import pickle
@@ -114,6 +118,30 @@ def warm_cache_limit() -> int:
     return max(0, int(value))
 
 
+def _release_finished_jobs() -> None:
+    """Job boundary: free what earlier jobs left behind, freeze what they kept.
+
+    A finished job's network is cyclic (node <-> network, node <-> relay), so
+    only the cycle collector frees it, and left to its thresholds the
+    collector runs too late: the next job's network gets built while the
+    previous one is still in memory.  ``gc.collect()`` frees it before the
+    next job starts (the first call frees whatever earlier grids left), and
+    ``gc.freeze()`` then moves every survivor — modules, earlier results —
+    out of the collector's view, so neither the next boundary's collection
+    nor any automatic one during the next job rescans them.  Collecting
+    without freezing would rescan every earlier job's results at every
+    boundary: a cost quadratic in the job count.
+
+    A frozen object that later becomes cyclic garbage stays in memory until
+    the freeze ends, and how it ends is up to each loop
+    (:class:`InlineBackend`, :func:`_run_chunk`); the warm snapshot cache
+    unfreezes when it evicts a network.  A warm-snapshot fork child runs one
+    job and exits, so it needs neither call.
+    """
+    gc.collect()
+    gc.freeze()
+
+
 # ------------------------------------------------------------------ backends
 class ExecutorBackend:
     """Executes a list of independent cell jobs, preserving submission order.
@@ -137,7 +165,12 @@ class ExecutorBackend:
 
 
 class InlineBackend(ExecutorBackend):
-    """The bit-exact serial path: cells run inline in the calling process."""
+    """The bit-exact serial path: cells run inline in the calling process.
+
+    Each job starts at :func:`_release_finished_jobs`; the loop unfreezes
+    when it ends or raises, which also releases a freeze the caller made
+    before calling :meth:`run`.
+    """
 
     name = "inline"
 
@@ -148,11 +181,15 @@ class InlineBackend(ExecutorBackend):
         on_result: Optional[Callable[[int, ResultT], None]] = None,
     ) -> list[ResultT]:
         results: list[ResultT] = []
-        for index, job in enumerate(jobs):
-            result = job_fn(job)
-            results.append(result)
-            if on_result is not None:
-                on_result(index, result)
+        try:
+            for index, job in enumerate(jobs):
+                _release_finished_jobs()
+                result = job_fn(job)
+                results.append(result)
+                if on_result is not None:
+                    on_result(index, result)
+        finally:
+            gc.unfreeze()
         return results
 
 
@@ -254,7 +291,14 @@ def make_backend(
 
 # ------------------------------------------------------ worker-side machinery
 def _init_worker(warm: bool) -> None:
-    """Pool-worker initializer: configure the warm snapshot cache once."""
+    """Pool-worker initializer: freeze the inherited heap, configure the warm
+    snapshot cache.
+
+    The freeze keeps the worker's collections from scanning the inherited
+    heap and from writing to the pages it shares copy-on-write with the
+    caller, which would unshare them.
+    """
+    gc.freeze()
     if warm:
         from repro.workloads import network_gen
 
@@ -262,9 +306,17 @@ def _init_worker(warm: bool) -> None:
 
 
 def _run_chunk(job_fn: Callable[[Any], Any], chunk: list[Any], warm: bool) -> list[Any]:
-    """Execute one chunk of cells inside a pool worker."""
+    """Execute one chunk of cells inside a pool worker.
+
+    Each job starts at :func:`_release_finished_jobs`.  The worker unfreezes
+    only when its warm snapshot cache evicts a network; otherwise it stays
+    frozen until it ends with its pool, because unfreezing after each chunk
+    would make the next chunk's first collection rescan the worker's whole
+    heap, the inherited part and the warm snapshot cache included.
+    """
     results = []
     for job in chunk:
+        _release_finished_jobs()
         snapshot_path = getattr(job, "snapshot_path", None)
         if warm and snapshot_path is not None:
             results.append(_run_cell_warm(job_fn, job, str(snapshot_path)))

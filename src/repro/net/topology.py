@@ -92,7 +92,9 @@ class OverlayTopology:
 
     def are_connected(self, node_x: int, node_y: int) -> bool:
         """Whether a live connection exists between the two nodes."""
-        return self._graph.has_edge(node_x, node_y)
+        # The link table mirrors the graph's edges; a dict probe is cheaper
+        # than networkx's has_edge, and this runs once per delivered message.
+        return self._link_key(node_x, node_y) in self._links
 
     def link(self, node_x: int, node_y: int) -> Link:
         """The :class:`Link` between two nodes.

@@ -116,9 +116,9 @@ def referenced_block_hashes(message: Message) -> tuple[str, ...]:
 class ByzantineBehavior:
     """Base class: an outbound message filter attached to one node.
 
-    :meth:`filter_send` is consulted by
-    :meth:`~repro.protocol.network.P2PNetwork._send_prechecked` for every
-    message the node sends.  Implementations must be deterministic given the
+    :meth:`filter_send` is consulted by the send loop
+    :meth:`~repro.protocol.network.P2PNetwork._fanout` for every message
+    the node sends.  Implementations must be deterministic given the
     simulation's named RNG streams — any randomness comes from a stream
     passed in at construction, never from global state.
     """

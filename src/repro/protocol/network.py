@@ -5,21 +5,26 @@ substrate and the protocol nodes:
 
 * it owns the :class:`~repro.net.topology.OverlayTopology` (who is connected
   to whom) and the node registry;
-* ``send()`` computes the per-message delivery delay from the link model and
-  schedules the receiver's handler on the event engine;
+* ``send()``, ``broadcast()`` and ``multicast()`` compute each copy's
+  delivery delay from the link model and schedule the receiver's handler on
+  the event engine, all in one send loop (``_fanout``);
 * ``connect()`` / ``disconnect()`` manage links, charging a handshake
   round-trip for new connections;
 * it keeps global message counters (by command) that the overhead experiment
   reads.
 
 Messages sent to offline or disconnected peers are silently dropped, the same
-way a TCP connection reset would surface to the Bitcoin application layer.
+way a TCP connection reset would surface to the Bitcoin application layer.  A
+live link implies both endpoints are online, so every drop check is a link
+check.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from typing import Callable, Optional, TYPE_CHECKING
+from functools import partial
+from itertools import repeat
+from typing import Iterable, Optional, TYPE_CHECKING
 
 from repro.net.geo import GeoPosition
 from repro.net.link import Link, LinkDelayCalculator
@@ -230,9 +235,9 @@ class P2PNetwork:
     def send(self, sender_id: int, receiver_id: int, message: Message) -> bool:
         """Send a protocol message over an existing connection.
 
-        The message is delivered after the link-model delay, unless either
-        endpoint goes offline or the link disappears in the meantime (the
-        message is then dropped, mirroring a broken TCP connection).
+        The message is delivered after the link-model delay, unless the link
+        disappears in the meantime (the message is then dropped, mirroring a
+        broken TCP connection).
 
         Returns:
             True if the message was scheduled, False if it was dropped
@@ -243,66 +248,11 @@ class P2PNetwork:
         if not self.topology.are_connected(sender_id, receiver_id):
             self.messages_dropped += 1
             return False
-        command = message.command
-        size = message_size_bytes(command, message.wire_payload())
-        self._send_prechecked(sender_id, receiver_id, message, command, size)
+        self._fanout(sender_id, [receiver_id], message)
         return True
-
-    def _send_prechecked(
-        self,
-        sender_id: int,
-        receiver_id: int,
-        message: Message,
-        command: str,
-        size: int,
-        jitter_factor: Optional[float] = None,
-    ) -> None:
-        """Compute the delay, account the traffic and schedule the delivery.
-
-        ``command`` and ``size`` are the message's, sized once by the caller
-        for all its copies.  Connectivity/online checks are the caller's
-        responsibility.  This is the single choke point every send funnels
-        through (``send``, ``broadcast``/``multicast`` via ``_fanout``),
-        which is where the adversary plane hooks in: a sender's installed
-        :class:`~repro.protocol.adversary.ByzantineBehavior` may suppress the
-        message (no accounting, no delivery) or stretch its delay.  Batched
-        congestion-jitter factors are drawn by the *caller*, before this
-        filter runs, so byzantine drops never shift an honest stream's draw
-        sequence.
-        """
-        extra_delay_s = 0.0
-        if self._behaviors:
-            behavior = self._behaviors.get(sender_id)
-            if behavior is not None:
-                decision = behavior.filter_send(receiver_id, message, self.simulator.now)
-                if decision.drop:
-                    self.messages_suppressed += 1
-                    return
-                extra_delay_s = decision.extra_delay_s
-        delay = extra_delay_s + self.delays.message_delay_s(
-            sender_id,
-            self._positions[sender_id],
-            receiver_id,
-            self._positions[receiver_id],
-            command,
-            size_bytes=size,
-            jitter_factor=jitter_factor,
-        )
-        self.messages_sent[command] += 1
-        self.bytes_sent[command] += size
-        simulator = self.simulator
-        simulator.schedule_at(
-            simulator.now + delay,
-            lambda: self._deliver(sender_id, receiver_id, message),
-            label=f"deliver:{command}",
-        )
 
     def broadcast(self, sender_id: int, message: Message, *, exclude: Optional[set[int]] = None) -> int:
         """Send ``message`` to every neighbour of ``sender_id``.
-
-        When every destination pair's routing is already known, the congestion
-        jitter for all copies is drawn in one batched call (bit-identical to
-        the per-message draws — see :meth:`LatencyModel.jitter_factors`).
 
         Returns:
             Number of copies scheduled.
@@ -313,8 +263,8 @@ class P2PNetwork:
         # online (connect() refuses offline endpoints and set_online(False)
         # tears down every link first), so there is no drop branch here: an
         # offline sender has no neighbours and an offline peer is not a
-        # neighbour.  Copies only drop later, in _deliver, if an endpoint
-        # goes offline mid-flight.
+        # neighbour.  Copies only drop later, in _deliver, if the link goes
+        # away mid-flight.
         excluded = exclude or set()
         eligible = [
             peer for peer in self.neighbors(sender_id) if peer not in excluded
@@ -332,11 +282,10 @@ class P2PNetwork:
         """Send ``message`` to an explicit subset of peers.
 
         Like :meth:`broadcast` but over a caller-chosen peer list (e.g. a
-        push-relay strategy targeting only cluster links), with the same
-        batched congestion-jitter draws.  Peers that are not connected are
-        dropped and counted, mirroring :meth:`send`; a connected peer is
-        online by construction (see :meth:`broadcast`), so that is the only
-        drop branch.
+        push-relay strategy targeting only cluster links).  Peers that are
+        not connected are dropped and counted, mirroring :meth:`send`; a
+        connected peer is online by construction (see :meth:`broadcast`), so
+        that is the only drop branch.
 
         Returns:
             Number of copies scheduled.
@@ -353,33 +302,73 @@ class P2PNetwork:
         return self._fanout(sender_id, eligible, message)
 
     def _fanout(self, sender_id: int, eligible: "list[int]", message: Message) -> int:
-        """Schedule one copy per eligible peer, batching jitter draws.
+        """Schedule one copy of ``message`` per connected peer in ``eligible``.
 
-        When every destination pair's routing is already known, the congestion
-        jitter for all copies is drawn in one batched call (bit-identical to
-        the per-message draws — see :meth:`LatencyModel.jitter_factors`).
+        The send loop every ``send``/``broadcast``/``multicast`` ends in.  The
+        message is sized, and the sender's behaviour and position, the time
+        and the delivery label are looked up, once for all copies.  When
+        there are several copies and every destination pair's routing is
+        already known, their congestion jitter is drawn in one batched call
+        (bit-identical to per-copy draws — see
+        :meth:`LatencyModel.jitter_factors`), before any byzantine filter
+        runs, so a filter's drops never shift an honest stream's draws.
+
+        This loop is where the adversary plane hooks in: a sender's installed
+        :class:`~repro.protocol.adversary.ByzantineBehavior` sees each copy,
+        in order, and may suppress it (no accounting, no delivery) or stretch
+        its delay.  The copies it lets through are counted once per fan-out.
+
+        Returns:
+            ``len(eligible)``: suppressed copies included.
         """
         if not eligible:
             return 0
         command = message.command
         size = message_size_bytes(command, message.wire_payload())
-        send = self._send_prechecked
-        factors = None
-        if len(eligible) > 1 and self.delays.can_batch_jitter(sender_id, eligible):
-            factors = self.delays.jitter_factors(len(eligible))
-        if factors is None:
-            for peer in eligible:
-                send(sender_id, peer, message, command, size)
-        else:
-            # Python floats: the same values as the array's, cheaper arithmetic.
-            for peer, factor in zip(eligible, factors.tolist()):
-                send(sender_id, peer, message, command, size, factor)
+        delays = self.delays
+        factors: Iterable[Optional[float]] = repeat(None)
+        if len(eligible) > 1 and delays.can_batch_jitter(sender_id, eligible):
+            batch = delays.jitter_factors(len(eligible))
+            if batch is not None:
+                # Python floats: the same values as the array's, cheaper arithmetic.
+                factors = batch.tolist()
+        behavior = self._behaviors.get(sender_id) if self._behaviors else None
+        positions = self._positions
+        position = positions[sender_id]
+        simulator = self.simulator
+        now = simulator.now
+        label = "deliver:" + command
+        message_delay_s = delays.message_delay_s
+        schedule_at = simulator.schedule_at
+        deliver = self._deliver
+        sent = 0
+        for peer, factor in zip(eligible, factors):
+            extra_delay_s = 0.0
+            if behavior is not None:
+                decision = behavior.filter_send(peer, message, now)
+                if decision.drop:
+                    self.messages_suppressed += 1
+                    continue
+                extra_delay_s = decision.extra_delay_s
+            delay = extra_delay_s + message_delay_s(
+                sender_id,
+                position,
+                peer,
+                positions[peer],
+                command,
+                size_bytes=size,
+                jitter_factor=factor,
+            )
+            schedule_at(now + delay, partial(deliver, sender_id, peer, message), label=label)
+            sent += 1
+        if sent:
+            self.messages_sent[command] += sent
+            self.bytes_sent[command] += sent * size
         return len(eligible)
 
     def _deliver(self, sender_id: int, receiver_id: int, message: Message) -> None:
-        if not self.is_online(receiver_id):
-            self.messages_dropped += 1
-            return
+        # The link check covers the receiver going offline too: going offline
+        # tears down every link first (see :meth:`broadcast`).
         if not self.topology.are_connected(sender_id, receiver_id):
             self.messages_dropped += 1
             return

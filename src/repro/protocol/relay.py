@@ -215,8 +215,12 @@ class RelayStrategy:
     def handle_inv(self, sender: int, message: InvMessage) -> None:
         node = self.node
         node.stats.invs_received += 1
-        network = self._network()
         if message.inventory_type is InventoryType.TRANSACTION:
+            if node.known_transactions.issuperset(message.hashes):
+                # Most transaction INVs repeat what the node already knows:
+                # the outcome _classify would reach, without building lists.
+                node.stats.duplicate_invs += 1
+                return
             unknown, stale = self._classify(
                 message.hashes,
                 node.known_transactions,
@@ -236,7 +240,7 @@ class RelayStrategy:
                 node.transaction_first_seen_times.setdefault(txid, now)
             self.pending_tx_requests.update((txid, now) for txid in to_request)
             node.stats.getdata_sent += 1
-            network.send(
+            self._network().send(
                 node.node_id,
                 sender,
                 GetDataMessage(
@@ -285,7 +289,6 @@ class RelayStrategy:
         """
         node = self.node
         retry_after = node.config.getdata_retry_s
-        now = self._now
         unknown: list[str] = []
         stale: list[str] = []
         for h in hashes:
@@ -296,7 +299,7 @@ class RelayStrategy:
             requested_at = pending.get(h)
             if requested_at is None:
                 unknown.append(h)
-            elif now - requested_at > retry_after:
+            elif self._now - requested_at > retry_after:
                 stale.append(h)
             else:
                 node.stats.getdata_saved += 1

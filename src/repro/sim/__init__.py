@@ -19,7 +19,7 @@ and :class:`~repro.sim.trace.Tracer`.
 
 from repro.sim.clock import SimClock
 from repro.sim.engine import Simulator, StopSimulation
-from repro.sim.events import Event, EventHandle
+from repro.sim.events import Event
 from repro.sim.process import Process, Timeout, WaitEvent
 from repro.sim.rng import RandomService
 from repro.sim.timers import PeriodicTimer
@@ -27,7 +27,6 @@ from repro.sim.trace import TraceRecord, Tracer
 
 __all__ = [
     "Event",
-    "EventHandle",
     "PeriodicTimer",
     "Process",
     "RandomService",

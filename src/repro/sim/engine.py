@@ -20,7 +20,7 @@ import heapq
 from typing import Any, Callable, Iterator, Optional
 
 from repro.sim.clock import SimClock
-from repro.sim.events import Event, EventHandle, EventPriority
+from repro.sim.events import Event, EventPriority
 from repro.sim.process import Process, ProcessExit, Timeout, WaitEvent
 from repro.sim.rng import RandomService
 from repro.sim.trace import Tracer
@@ -59,7 +59,7 @@ class Simulator:
     @property
     def now(self) -> float:
         """Current simulated time in seconds."""
-        return self.clock.now
+        return self.clock._now
 
     @property
     def events_executed(self) -> int:
@@ -79,8 +79,12 @@ class Simulator:
         *,
         priority: int = EventPriority.NORMAL,
         label: str = "",
-    ) -> EventHandle:
-        """Schedule ``callback`` to run ``delay`` seconds from now."""
+    ) -> Event:
+        """Schedule ``callback`` to run ``delay`` seconds from now.
+
+        Returns the scheduled :class:`Event`, which is its own cancellation
+        handle.
+        """
         # "not >=" rejects NaN too: every comparison with NaN is False.
         if not delay >= 0:
             raise ValueError(f"cannot schedule an event in the past (delay={delay})")
@@ -93,7 +97,7 @@ class Simulator:
         *,
         priority: int = EventPriority.NORMAL,
         label: str = "",
-    ) -> EventHandle:
+    ) -> Event:
         """Schedule ``callback`` to run at absolute simulated time ``time``."""
         now = self.clock._now
         if not time >= now:
@@ -106,9 +110,9 @@ class Simulator:
         self._sequence = sequence + 1
         event = Event(time, priority, sequence, callback, label)
         heapq.heappush(self._heap, (time, priority, sequence, event))
-        return EventHandle(event)
+        return event
 
-    def call_soon(self, callback: Callable[[], Any], *, label: str = "") -> EventHandle:
+    def call_soon(self, callback: Callable[[], Any], *, label: str = "") -> Event:
         """Schedule ``callback`` to run at the current time, after current events."""
         return self.schedule(0.0, callback, label=label)
 
@@ -168,11 +172,17 @@ class Simulator:
         Args:
             until: stop once the clock would pass this time (the clock is left
                 at ``until``).  ``None`` runs until the event heap drains.
-            max_events: safety valve — stop after this many events.
+            max_events: safety valve — fire at most this many events in this
+                call (0 fires none; earlier runs do not count).
 
         Returns:
             The simulated time at which the run stopped.
+
+        Raises:
+            ValueError: if ``max_events`` is negative.
         """
+        if max_events is not None and max_events < 0:
+            raise ValueError(f"max_events cannot be negative, got {max_events}")
         if self._running:
             raise RuntimeError("simulator is already running (re-entrant run() call)")
         self._running = True
@@ -180,6 +190,7 @@ class Simulator:
         heap = self._heap
         heappop = heapq.heappop
         clock = self.clock
+        budget = max_events  # events this call may still fire
         try:
             while heap:
                 entry = heap[0]
@@ -187,6 +198,10 @@ class Simulator:
                 if event.cancelled:
                     heappop(heap)
                     continue
+                if budget is not None:
+                    if budget == 0:
+                        break
+                    budget -= 1
                 event_time = entry[0]
                 if until is not None and event_time > until:
                     clock.advance_to(until)
@@ -201,8 +216,6 @@ class Simulator:
                     event.callback()
                 except StopSimulation:
                     self._stopped = True
-                    break
-                if max_events is not None and self._events_executed >= max_events:
                     break
             else:
                 # Heap drained without hitting the until-limit: if an explicit

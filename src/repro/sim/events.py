@@ -1,4 +1,4 @@
-"""Event objects and handles used by the simulation engine.
+"""Event objects used by the simulation engine.
 
 An :class:`Event` is a scheduled callback.  Ordering in the event heap is by
 ``(time, priority, sequence)``:
@@ -45,8 +45,11 @@ class Event:
         sequence: engine-assigned monotonic tie-breaker.
         callback: callable invoked as ``callback()`` when the event fires.
         label: human-readable label used in traces and error messages.
-        cancelled: set by :meth:`EventHandle.cancel`; cancelled events are
-            skipped when popped.
+        cancelled: set by :meth:`cancel`; cancelled events are skipped when
+            popped.
+
+    The engine's ``schedule`` methods return the event itself: it is its own
+    handle.
     """
 
     __slots__ = ("time", "priority", "sequence", "callback", "label", "cancelled")
@@ -92,37 +95,6 @@ class Event:
     def __hash__(self) -> int:
         return hash((Event, self.sequence))
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        state = "cancelled" if self.cancelled else "pending"
-        return (
-            f"Event(t={self.time:.6f}, prio={self.priority}, seq={self.sequence}, "
-            f"label={self.label!r}, {state})"
-        )
-
-
-class EventHandle:
-    """Reference to a scheduled event allowing cancellation and inspection."""
-
-    __slots__ = ("_event",)
-
-    def __init__(self, event: Event) -> None:
-        self._event = event
-
-    @property
-    def time(self) -> float:
-        """Scheduled firing time."""
-        return self._event.time
-
-    @property
-    def label(self) -> str:
-        """Label given when the event was scheduled."""
-        return self._event.label
-
-    @property
-    def cancelled(self) -> bool:
-        """True if :meth:`cancel` has been called."""
-        return self._event.cancelled
-
     def cancel(self) -> bool:
         """Cancel the event.
 
@@ -130,11 +102,14 @@ class EventHandle:
             True if the event was still pending and is now cancelled, False if
             it had already been cancelled.
         """
-        if self._event.cancelled:
+        if self.cancelled:
             return False
-        self._event.cancelled = True
+        self.cancelled = True
         return True
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "cancelled" if self.cancelled else "pending"
-        return f"EventHandle(t={self.time:.6f}, label={self.label!r}, {state})"
+        return (
+            f"Event(t={self.time:.6f}, prio={self.priority}, seq={self.sequence}, "
+            f"label={self.label!r}, {state})"
+        )

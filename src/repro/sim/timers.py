@@ -101,8 +101,11 @@ class PeriodicTimer:
         if not self._running:
             return
         self._fired += 1
+        firing = self._handle
         self._callback()
-        if self._running:
+        # A callback that stopped or restarted the timer has already decided
+        # the next firing; rescheduling here would start a second chain.
+        if self._running and self._handle is firing:
             self._handle = self._simulator.schedule(
                 self._next_interval(), self._fire, label=self._label
             )

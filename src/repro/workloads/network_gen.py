@@ -24,6 +24,7 @@ the state :func:`build_network` returns.
 
 from __future__ import annotations
 
+import gc
 import hashlib
 import os
 import pickle
@@ -284,6 +285,9 @@ def warm_snapshot(path: Union[str, Path]) -> bool:
     _SNAPSHOT_CACHE[key] = simulated
     while len(_SNAPSHOT_CACHE) > _SNAPSHOT_CACHE_LIMIT:
         _SNAPSHOT_CACHE.pop(next(iter(_SNAPSHOT_CACHE)))
+        # The worker's job boundaries froze the evicted network, a cycle only
+        # the collector frees; unfreezing lets the next boundary free it.
+        gc.unfreeze()
     return True
 
 

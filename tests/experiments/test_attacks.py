@@ -16,7 +16,7 @@ The satellites of the adversary-plane PR, in one place:
 * **The named-stream contract** — with no adversary installed the fig3
   protocol comparison still reproduces the pre-adversary golden sample
   digests byte-for-byte: the behaviour filter in
-  ``P2PNetwork._send_prechecked`` takes zero extra RNG draws when the
+  ``P2PNetwork._fanout`` takes zero extra RNG draws when the
   behaviour table is empty.
 """
 
@@ -200,7 +200,7 @@ class TestAdversaryOffGoldens:
 
     def test_fig3_golden_digests_survive_the_adversary_plane(self):
         """With no behaviour installed, the filter hook in
-        ``_send_prechecked`` must take zero extra draws and zero scheduling
+        ``_fanout`` must take zero extra draws and zero scheduling
         decisions: the pre-adversary fig3 sample digests reproduce
         byte-for-byte.  (Same goldens as test_relay_experiment — asserted
         here again so a regression in the adversary plumbing points at this

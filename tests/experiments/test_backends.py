@@ -10,7 +10,11 @@ placeholders without ever changing a produced value.
 
 from __future__ import annotations
 
+import gc
 import pickle
+import weakref
+from dataclasses import dataclass
+from typing import Optional
 
 import pytest
 
@@ -33,6 +37,8 @@ from repro.experiments.checkpoint import (
 from repro.experiments import checkpoint
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.runner import PropagationJob
+from repro.workloads import network_gen
+from repro.workloads.network_gen import NetworkParameters, ensure_network_snapshot
 
 
 def _double(value: int) -> int:
@@ -336,3 +342,118 @@ class TestExecutionPlanRunCells:
         message = str(GridIncomplete(plan))
         assert "1 cell(s) executed" in message
         assert "1 not produced" in message
+
+
+class _Garbage:
+    """A self-referencing object: only the cycle collector can free it."""
+
+    def __init__(self) -> None:
+        self.cycle = self
+
+
+class _Kept:
+    """A job result: what the job saw when it started."""
+
+    def __init__(self, garbage_alive: bool, visible_results: int, frozen: int) -> None:
+        self.garbage_alive = garbage_alive
+        self.visible_results = visible_results
+        self.frozen = frozen
+
+
+#: Weak references to the garbage the previous job in this process left.
+_LEFT_BEHIND: list = []
+
+
+def _leave_cyclic_garbage(index: int) -> _Kept:
+    """Report what earlier jobs in this process left behind, then litter.
+
+    Automatic collection is switched off first, so only the job boundary can
+    free the previous job's garbage.
+    """
+    gc.disable()
+    seen = _Kept(
+        garbage_alive=any(ref() is not None for ref in _LEFT_BEHIND),
+        visible_results=sum(isinstance(obj, _Kept) for obj in gc.get_objects()),
+        frozen=gc.get_freeze_count(),
+    )
+    _LEFT_BEHIND[:] = [weakref.ref(_Garbage())]
+    return seen
+
+
+def _fail_on_zero(value: int) -> int:
+    return 10 // value
+
+
+@dataclass(frozen=True)
+class _WarmJob:
+    """A snapshot-backed cell, or (no path) a probe run in the worker itself."""
+
+    snapshot_path: Optional[str] = None
+
+
+#: Weak references to the networks a worker's warm cache held at a probe.
+_WATCHED: list = []
+
+
+def _watch_warm_cache(job: _WarmJob) -> int:
+    """Probe: watch the networks the warm cache holds now, then count every
+    network watched so far that is still alive."""
+    if job.snapshot_path is not None:
+        return -1
+    # The cached wrapper is acyclic; its P2PNetwork sits in the node cycle.
+    _WATCHED.extend(
+        weakref.ref(cached.network) for cached in network_gen._SNAPSHOT_CACHE.values()
+    )
+    return sum(ref() is not None for ref in _WATCHED)
+
+
+@pytest.fixture
+def automatic_gc_restored():
+    """Undo the ``gc.disable()`` a job ran in this process."""
+    enabled = gc.isenabled()
+    _LEFT_BEHIND.clear()
+    yield
+    _LEFT_BEHIND.clear()
+    if enabled:
+        gc.enable()
+
+
+class TestJobBoundaryRelease:
+    """Each job starts with earlier jobs' garbage freed and their results frozen."""
+
+    @staticmethod
+    def _assert_released(seen: list[_Kept]) -> None:
+        assert [kept.garbage_alive for kept in seen] == [False] * len(seen)
+        assert [kept.visible_results for kept in seen] == [0] * len(seen)
+        assert all(kept.frozen > 0 for kept in seen)
+
+    def test_inline_jobs_start_released(self, automatic_gc_restored):
+        seen = InlineBackend().run(_leave_cyclic_garbage, range(4))
+        self._assert_released(seen)
+        assert gc.get_freeze_count() == 0
+
+    def test_pool_worker_jobs_start_released(self, automatic_gc_restored):
+        # Two chunks of three: every worker runs several jobs back to back.
+        seen = PoolBackend(workers=2, chunksize=3).run(_leave_cyclic_garbage, range(6))
+        self._assert_released(seen)
+
+    def test_run_cells_leaves_nothing_frozen(self, automatic_gc_restored):
+        plan = ExecutionPlan()
+        self._assert_released(plan.run_cells(_leave_cyclic_garbage, range(3), CONFIG))
+        assert gc.get_freeze_count() == 0
+        with pytest.raises(ZeroDivisionError):
+            ExecutionPlan().run_cells(_fail_on_zero, [1, 0, 2], CONFIG)
+        assert gc.get_freeze_count() == 0
+
+    def test_evicted_warm_snapshot_is_freed(self, tmp_path, monkeypatch):
+        # One warm entry: loading the second snapshot evicts the first, which
+        # the boundaries in between froze; the next boundary must free it.
+        monkeypatch.setenv("REPRO_WARM_SNAPSHOTS", "1")
+        first, second = (
+            str(ensure_network_snapshot(NetworkParameters(node_count=20, seed=seed), tmp_path))
+            for seed in (4, 5)
+        )
+        jobs = [_WarmJob(first), _WarmJob(), _WarmJob(second), _WarmJob()]
+        # One chunk: a single worker runs all four jobs in order.
+        seen = PoolBackend(workers=2, chunksize=len(jobs)).run(_watch_warm_cache, jobs)
+        assert seen == [-1, 1, -1, 1]

@@ -1,0 +1,201 @@
+"""A node's ledger follows its best chain through random block trees.
+
+``accept_block`` applies a block that extends the tip to the node's own
+ledger in place (undoing a partial apply when the block is invalid), checks a
+side-branch block on a ledger replayed to its parent, and replaces its ledger
+on a reorg.  The reference is a replay from genesis: after every accepted or
+rejected block the node's ledger must equal ``Blockchain.utxo_set()``, and
+every verdict (with its ``verification_cost_s``) must equal ``validate_block``
+on a ledger replayed to the block's parent.  Blocks arrive in random orders,
+so some wait in the orphan pool and are applied when their parent arrives.
+"""
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.protocol.block import Block
+from repro.protocol.transaction import Transaction
+from repro.protocol.utxo import UtxoEntry, UtxoSet
+from repro.protocol.validation import TransactionValidator
+from repro.workloads.generators import fund_nodes
+from repro.workloads.network_gen import NetworkParameters, build_network
+
+NODE_COUNT = 3
+
+
+class RecordingValidator(TransactionValidator):
+    """A node's validator that keeps every block verdict it returns, and
+    whether the block was checked off the node's own ledger."""
+
+    def __init__(self, node) -> None:
+        super().__init__()
+        self.node = node
+        self.verdicts = []
+
+    def apply_block(self, block, parent, utxo):
+        side_branch = utxo is not self.node.utxo
+        result = super().apply_block(block, parent, utxo)
+        self.verdicts.append((block, parent, result, side_branch))
+        return result
+
+
+def funded_nodes(seed=1):
+    """Unconnected funded nodes, each with a recording validator."""
+    simulated = build_network(NetworkParameters(node_count=NODE_COUNT, seed=seed))
+    nodes = [simulated.node(node_id) for node_id in simulated.node_ids()]
+    funding = fund_nodes(nodes, outputs_per_node=3)
+    for node in nodes:
+        node.validator = RecordingValidator(node)
+    return nodes, funding
+
+
+def ledger_state(utxo):
+    """Both tables of a ledger, as plain comparable values."""
+    return dict(utxo._entries), {a: set(ops) for a, ops in utxo._by_address.items()}
+
+
+def replay(blocks):
+    """The ledger implied by ``blocks``, genesis first."""
+    utxo = UtxoSet()
+    for block in blocks:
+        for tx in block.transactions:
+            utxo.apply_transaction(tx, block_hash=block.block_hash)
+    return utxo
+
+
+def spend(keypairs, entry, to_address, created_at):
+    """Pay half of ``entry`` to ``to_address``; the rest goes back to its owner."""
+    return Transaction.create_signed(
+        keypairs[entry.address],
+        [(entry.txid, entry.index, entry.value)],
+        [(to_address, entry.value // 2)],
+        created_at=created_at,
+    )
+
+
+def make_block(parent, transactions, index, keypairs):
+    """A block on ``parent``: a coinbase to a known owner, then ``transactions``."""
+    owner = sorted(keypairs)[index % len(keypairs)]
+    coinbase = Transaction.coinbase(owner, 50_000, tag=f"reorg-{index}")
+    return Block.create(
+        parent, [coinbase, *transactions], timestamp=float(index + 1), nonce=index, miner_id=0
+    )
+
+
+def accept_and_check(node, block):
+    """Accept ``block``, then hold the node's ledger and every verdict it
+    gave to the replay reference; returns the number of side-branch verdicts."""
+    node.accept_block(block, origin_peer=None)
+    chain = node.blockchain
+    assert ledger_state(node.utxo) == ledger_state(chain.utxo_set())
+    side_branch_verdicts = 0
+    for validated, parent, result, side_branch in node.validator.verdicts:
+        at_parent = replay(chain.chain_to(parent.block_hash))
+        expected = TransactionValidator().validate_block(validated, parent, at_parent)
+        assert result == expected
+        side_branch_verdicts += side_branch
+    node.validator.verdicts.clear()
+    return side_branch_verdicts
+
+
+def draw_tree(data, funding, keypairs):
+    """Blocks on top of ``funding`` in creation order, each with its validity.
+
+    Each block spends outputs its parent's ledger holds, so sibling branches
+    conflict, and may spend one of its own transactions' outputs; an invalid
+    block re-spends an output it already spent (after applying some
+    transactions, so the partial apply is undone) or a missing one, and is
+    never a parent.
+    """
+    parents = [(funding, replay([funding]))]
+    tree = []
+    for index in range(data.draw(st.integers(min_value=2, max_value=10), label="blocks")):
+        parent, ledger = parents[
+            data.draw(st.integers(min_value=0, max_value=len(parents) - 1), label="parent")
+        ]
+        spendable = sorted(
+            (e for e in ledger.entries() if e.address in keypairs and e.value >= 2),
+            key=lambda e: e.outpoint,
+        )
+        chosen = (
+            data.draw(
+                st.lists(
+                    st.sampled_from(spendable), max_size=3, unique_by=lambda e: e.outpoint
+                ),
+                label="spends",
+            )
+            if spendable
+            else []
+        )
+        addresses = sorted(keypairs)
+        transactions = [
+            spend(keypairs, entry, addresses[(index + n) % len(addresses)], float(index))
+            for n, entry in enumerate(chosen)
+        ]
+        if transactions and data.draw(st.booleans(), label="chained"):
+            # Spend the first spend's change too: undo must run newest first.
+            first = transactions[0]
+            change = UtxoEntry(first.txid, 1, first.outputs[1].value, first.outputs[1].address)
+            transactions.append(spend(keypairs, change, addresses[0], float(index)))
+        valid = data.draw(st.integers(min_value=0, max_value=4), label="invalid") != 0
+        if not valid:
+            # Re-spend what this block already spent, or an output no block made.
+            entry = chosen[0] if chosen else UtxoEntry("f" * 64, 0, 1_000, addresses[0])
+            transactions.append(spend(keypairs, entry, addresses[-1], index + 0.5))
+        block = make_block(parent, transactions, index, keypairs)
+        tree.append((block, valid))
+        if valid:
+            child = ledger.copy()
+            for tx in block.transactions:
+                child.apply_transaction(tx, block_hash=block.block_hash)
+            parents.append((block, child))
+    return tree
+
+
+class TestLedgerFollowsBestChain:
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_random_block_trees_in_random_orders(self, data):
+        nodes, funding = funded_nodes()
+        keypairs = {node.keypair.address: node.keypair for node in nodes}
+        tree = draw_tree(data, funding, keypairs)
+        orders = [
+            data.draw(st.permutations(range(len(tree))), label=f"order-{node.node_id}")
+            for node in nodes
+        ]
+        for step in range(len(tree)):
+            for node, order in zip(nodes, orders):
+                accept_and_check(node, tree[order[step]][0])
+        for block, valid in tree:
+            for node in nodes:
+                assert node.blockchain.has_block(block.block_hash) == valid
+
+    def test_deep_reorgs_back_and_forth(self):
+        nodes, funding = funded_nodes(seed=3)
+        node = nodes[0]
+        keypairs = {n.keypair.address: n.keypair for n in nodes}
+        owners = sorted(keypairs)
+        contested = sorted(
+            (e for e in replay([funding]).entries() if e.address == owners[0]),
+            key=lambda e: e.outpoint,
+        )[0]
+
+        def branch(parent, length, start, first_payee):
+            blocks = []
+            for offset in range(length):
+                spends = [spend(keypairs, contested, first_payee, 0.0)] if offset == 0 else []
+                parent = make_block(parent, spends, start + offset, keypairs)
+                blocks.append(parent)
+            return blocks
+
+        # Both branches spend the same funding output, to different payees.
+        branch_a = branch(funding, 5, 100, owners[1])
+        branch_b = branch(funding, 4, 200, owners[2])
+        side = 0
+        for block in branch_a[:3] + branch_b:
+            side += accept_and_check(node, block)
+        assert node.blockchain.tip is branch_b[-1]  # reorg three blocks deep
+        for block in branch_a[3:]:
+            side += accept_and_check(node, block)
+        assert node.blockchain.tip is branch_a[-1]  # and four blocks back
+        assert side == len(branch_b) + 2  # all of branch b, then a's last two

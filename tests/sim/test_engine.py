@@ -99,6 +99,19 @@ class TestScheduling:
             simulator.schedule(1.0, lambda: None)
         simulator.run(max_events=10)
         assert simulator.events_executed == 10
+        # The budget is per call: a resumed run fires its own full budget,
+        # and a zero budget fires nothing.
+        simulator.run(max_events=5)
+        assert simulator.events_executed == 15
+        simulator.run(max_events=0)
+        assert simulator.events_executed == 15
+        assert simulator.pending_events == 85
+
+    def test_negative_max_events_rejected(self, simulator):
+        simulator.schedule(1.0, lambda: None)
+        with pytest.raises(ValueError, match="max_events"):
+            simulator.run(max_events=-1)
+        assert simulator.events_executed == 0
 
     def test_events_can_schedule_more_events(self, simulator):
         results = []

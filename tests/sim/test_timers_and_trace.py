@@ -42,6 +42,25 @@ class TestPeriodicTimer:
         timer.stop()
         assert not timer.running
 
+    def test_restart_from_its_own_callback_keeps_one_chain(self, simulator):
+        """A callback that stops and restarts its timer has already scheduled
+        the next firing; the timer must not schedule a second one."""
+        ticks = []
+        timer = None
+
+        def tick():
+            ticks.append(simulator.now)
+            if len(ticks) == 2:
+                timer.stop()
+                timer.start()
+
+        timer = PeriodicTimer(simulator, 1.0, tick)
+        timer.start()
+        simulator.run(until=6.5)
+        assert ticks == [pytest.approx(t) for t in (1.0, 2.0, 3.0, 4.0, 5.0, 6.0)]
+        assert timer.fired == 6
+        assert timer.running
+
     def test_double_start_rejected(self, simulator):
         timer = PeriodicTimer(simulator, 1.0, lambda: None)
         timer.start()
