@@ -40,7 +40,6 @@ setup(
     python_requires=">=3.10",
     install_requires=[
         "numpy",
-        "networkx",
     ],
     extras_require={
         # Optional figure rendering for `repro report`; everything else

@@ -63,14 +63,13 @@ import math
 from dataclasses import asdict, dataclass, field
 from typing import Optional, Sequence
 
-import networkx as nx
-
 from repro.analysis.samples import BlockArrivalRecorder, SampleLog
 from repro.analysis.stats import mean
 from repro.experiments.api import ExperimentOption, experiment
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.grid import run_seed_grid
 from repro.experiments.reporting import ExperimentReport, format_table
+from repro.net.topology import connected_components
 from repro.protocol.adversary import SelfishMiner
 from repro.protocol.mining import MinerProfile, MiningProcess, equal_hash_power
 from repro.workloads.generators import fund_nodes
@@ -419,27 +418,28 @@ def run_partition_seed(job: PartitionJob) -> PartitionJobResult:
         latency_threshold_s=cfg.latency_threshold_s,
         max_outbound=cfg.max_outbound,
     )
-    network = scenario.network.network
+    topology = scenario.network.network.topology
     target_group = _target_group(scenario)
-    graph = network.topology.snapshot()
     boundary = [
-        (a, b) for a, b in graph.edges if (a in target_group) != (b in target_group)
+        link
+        for link in topology.links()
+        if (link.node_a in target_group) != (link.node_b in target_group)
     ]
-    attacked = graph.copy()
-    attacked.remove_edges_from(boundary)
-    components = list(nx.connected_components(attacked))
-    achieved = any(set(c) == set(target_group) for c in components) or not nx.is_connected(
-        attacked
-    )
+    attacked = topology.snapshot()
+    for link in boundary:
+        attacked[link.node_a].discard(link.node_b)
+        attacked[link.node_b].discard(link.node_a)
+    components = connected_components(attacked)
+    achieved = any(c == target_group for c in components) or len(components) > 1
     largest = max((len(c) for c in components), default=0)
     return PartitionJobResult(
         protocol=job.protocol,
         seed=job.seed,
         target_group_size=len(target_group),
         boundary_links=len(boundary),
-        total_links=graph.number_of_edges(),
+        total_links=topology.link_count,
         partition_achieved=achieved,
-        largest_component_fraction=largest / max(1, graph.number_of_nodes()),
+        largest_component_fraction=largest / max(1, len(attacked)),
     )
 
 

@@ -28,6 +28,7 @@ import gc
 import hashlib
 import os
 import pickle
+import tempfile
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Optional, Sequence, Union
@@ -213,11 +214,20 @@ def save_network(simulated: SimulatedNetwork, path: Union[str, Path]) -> Path:
         )
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    tmp_path = path.with_name(path.name + ".tmp")
-    with open(tmp_path, "wb") as handle:
-        pickle.dump(simulated, handle, protocol=pickle.HIGHEST_PROTOCOL)
-    # Atomic publish: a concurrent reader sees either no file or a full one.
-    os.replace(tmp_path, path)
+    # A private temp name per writer: runs sharing a snapshot directory may
+    # save the same snapshot at once.
+    fd, tmp_name = tempfile.mkstemp(prefix=f".{path.name}-", suffix=".tmp", dir=path.parent)
+    try:
+        with os.fdopen(fd, "wb") as handle:
+            pickle.dump(simulated, handle, protocol=pickle.HIGHEST_PROTOCOL)
+        # Atomic publish: a concurrent reader sees either no file or a full one.
+        os.replace(tmp_name, path)
+    except BaseException:
+        try:
+            os.unlink(tmp_name)
+        except OSError:
+            pass
+        raise
     return path
 
 
@@ -310,7 +320,7 @@ def _cached_snapshot(path: Union[str, Path]) -> Optional[SimulatedNetwork]:
 #: Version of the pickled object layout.  It is part of every snapshot's
 #: filename, so bumping it makes a snapshot directory written by older code
 #: rebuild instead of loading objects that lack newer fields.
-SNAPSHOT_FORMAT = 4
+SNAPSHOT_FORMAT = 5
 
 
 def snapshot_filename(parameters: NetworkParameters) -> str:

@@ -66,6 +66,42 @@ class TestSnapshotRoundTrip:
         )
         assert edges(loaded) == edges(fresh)
 
+    def test_concurrent_writers_of_one_snapshot_do_not_collide(self, tmp_path, monkeypatch):
+        """A second save of the same snapshot, made while the first is still
+        pickling, must neither break the first writer nor leave a temp file."""
+        simulated = build_network(NetworkParameters(node_count=20, seed=4))
+        path = tmp_path / "net.pkl"
+        real_dump = pickle.dump
+        handles = []
+
+        def dump_while_another_writer_saves(obj, handle, protocol=None):
+            handles.append(handle)
+            if len(handles) == 1:
+                save_network(simulated, path)
+            real_dump(obj, handle, protocol=protocol)
+
+        monkeypatch.setattr(network_gen.pickle, "dump", dump_while_another_writer_saves)
+        assert save_network(simulated, path) == path
+        monkeypatch.undo()
+        assert len(handles) == 2
+        assert [entry.name for entry in tmp_path.iterdir()] == ["net.pkl"]
+        loaded = load_network(path)
+        assert [link.key for link in loaded.network.topology.links()] == [
+            link.key for link in simulated.network.topology.links()
+        ]
+
+    def test_failed_save_leaves_no_temp_file(self, tmp_path, monkeypatch):
+        simulated = build_network(NetworkParameters(node_count=20, seed=4))
+
+        def failing_dump(obj, handle, protocol=None):
+            handle.write(b"partial")
+            raise OSError("disk full")
+
+        monkeypatch.setattr(network_gen.pickle, "dump", failing_dump)
+        with pytest.raises(OSError, match="disk full"):
+            save_network(simulated, tmp_path / "net.pkl")
+        assert list(tmp_path.iterdir()) == []
+
     def test_snapshot_requires_quiescent_network(self, tmp_path):
         simulated = build_network(NetworkParameters(node_count=20, seed=1))
         simulated.simulator.schedule(1.0, lambda: None, label="pending")
