@@ -8,6 +8,12 @@ floor.  The bounds are an order of magnitude away from current numbers (at
 so they only trip on the regressions the scale plane exists to prevent: the
 latency plane falling back to per-pair dicts, funding going quadratic again,
 or the event loop slowing by 10x.
+
+The scale cell funds only its measuring node, so it cannot see set-up memory
+that grows with nodes x funding outputs.  A fund-everyone fig3 job at 600
+nodes guards that: it peaked at about 130 MB traced while every node kept its
+own copies of every funding txid, and at about 12 MB once one network-wide
+confirmation index replaced them.
 """
 
 from __future__ import annotations
@@ -16,6 +22,7 @@ import time
 import tracemalloc
 
 from repro.experiments.config import ExperimentConfig
+from repro.experiments.runner import PropagationJob, run_propagation_job
 from repro.experiments.scale import ScaleJob, run_scale_job, scale_parameters
 from repro.workloads.network_gen import ensure_network_snapshot
 
@@ -32,6 +39,13 @@ EVENTS_PER_S_FLOOR = 200.0
 CONFIG = ExperimentConfig(
     node_count=NODE_COUNT, runs=1, seeds=(3,), measuring_nodes=1, run_timeout_s=30.0
 )
+
+#: Fund-everyone fig3 job size: large enough that a per-node copy of every
+#: funding txid (600 x 1800 entries, twice) blows through the ceiling.
+FUND_EVERYONE_NODES = 600
+
+#: Ceiling on that job's peak traced allocations (linear set-up stays ~12 MB).
+FUND_EVERYONE_TRACED_BOUND_MB = 40.0
 
 
 def _run_cell(tmp_path):
@@ -70,4 +84,29 @@ def test_scale_cell_throughput_over_floor(tmp_path):
         f"scale cell throughput regressed: {result.events_per_s:.0f} events/s "
         f"at {NODE_COUNT} nodes (floor {EVENTS_PER_S_FLOOR}, cell took "
         f"{elapsed:.1f}s wall)"
+    )
+
+
+def test_fund_everyone_job_memory_is_linear():
+    assert not tracemalloc.is_tracing()
+    config = ExperimentConfig(
+        node_count=FUND_EVERYONE_NODES, runs=1, seeds=(3,), measuring_nodes=1
+    )
+    job = PropagationJob(
+        label="bitcoin",
+        policy_name="bitcoin",
+        threshold_s=config.latency_threshold_s,
+        seed=3,
+        config=config,
+    )
+    tracemalloc.start()
+    try:
+        result = run_propagation_job(job)
+        peak_mb = tracemalloc.get_traced_memory()[1] / 1e6
+    finally:
+        tracemalloc.stop()
+    assert len(result.delays) > 0
+    assert peak_mb < FUND_EVERYONE_TRACED_BOUND_MB, (
+        f"fund-everyone set-up memory regressed: peak {peak_mb:.1f} MB traced at "
+        f"{FUND_EVERYONE_NODES} nodes (bound {FUND_EVERYONE_TRACED_BOUND_MB} MB)"
     )

@@ -100,12 +100,11 @@ class PropagationExperiment:
         scenario: the built scenario to measure.
         config: shared experiment configuration.
         fund_measuring_only: fund only the measuring nodes instead of every
-            node.  Only measuring nodes spend during a campaign, but funding
-            everyone puts every funding txid into each node's known-set and
-            best-chain txid set — quadratic in network size — so 10k-node
-            scale cells opt out.
-            Default False: the funding block's contents feed every node's
-            inventory, so the figure experiments keep the historical
+            node.  Only measuring nodes spend during a campaign, so 10k-node
+            scale cells opt out of building and hashing N×k funding
+            transactions and of the shared ledger they fill.
+            Default False: the funding block's contents shape every node's
+            ledger, so the figure experiments keep the historical
             fund-everyone behaviour (pinned by the golden-fingerprint tests).
     """
 

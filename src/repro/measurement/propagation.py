@@ -8,6 +8,7 @@ interest are the differences Δt_{m,n} = T_n − T_m (Eq. 5).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -24,8 +25,11 @@ class ReceptionRecord:
     rank: int
 
     def __post_init__(self) -> None:
-        if self.delta_t_s < 0:
-            raise ValueError(f"delta_t cannot be negative, got {self.delta_t_s}")
+        if not 0 <= self.delta_t_s < math.inf:
+            raise ValueError(f"delta_t must be finite and non-negative, got {self.delta_t_s}")
+        # record_reception clamps Δt at 0, which would turn a NaN time into 0.
+        if not math.isfinite(self.received_at):
+            raise ValueError(f"received_at must be finite, got {self.received_at}")
         if self.rank < 1:
             raise ValueError(f"rank starts at 1, got {self.rank}")
 

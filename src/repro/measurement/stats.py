@@ -14,6 +14,7 @@ merging, and the ``*_s``-suffixed summary vocabulary.
 
 from __future__ import annotations
 
+import math
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -40,10 +41,11 @@ class DelayDistribution:
         """Add one delay sample.
 
         Raises:
-            ValueError: for negative delays (a reception cannot precede the send).
+            ValueError: for negative delays (a reception cannot precede the
+                send) and for NaN or infinite ones (no reception took them).
         """
-        if delay_s < 0:
-            raise ValueError(f"delay samples cannot be negative, got {delay_s}")
+        if not 0 <= delay_s < math.inf:
+            raise ValueError(f"delay samples must be finite and non-negative, got {delay_s}")
         self._samples.append(float(delay_s))
 
     def extend(self, delays: Iterable[float]) -> None:

@@ -343,9 +343,8 @@ class SelfishMiner:
     def _height_of(self, block: "Block") -> int:
         """Height of an accepted block on the attacker's chain index."""
         chain = self.attacker.blockchain
-        for height, candidate in enumerate(chain.best_chain()):
-            if candidate.block_hash == block.block_hash:
-                return height
+        if chain.on_best_chain(block):
+            return block.height
         # Not on the best chain (a losing fork): approximate with the tip.
         return chain.height
 

@@ -6,12 +6,17 @@ tip, and a transaction can appear in two branches — the window a double-spend
 attacker exploits.  The :class:`Blockchain` therefore stores the full block
 tree, tracks every leaf ("branch"), and selects the best chain by height
 (longest-chain rule) with first-seen tie-breaking, exactly like Bitcoin Core.
+
+Confirmed-transaction lookups go through a :class:`ConfirmationIndex` that
+the whole network shares, so no node keeps its own copy of every confirmed
+txid: with a funding block that pays every node, N such copies of N funding
+txids made a network's memory quadratic in its size.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
 
 from repro.protocol.block import Block
 from repro.protocol.utxo import UtxoSet
@@ -28,26 +33,69 @@ class ForkEvent:
     observed_at: float
 
 
+class ConfirmationIndex:
+    """Txid -> the blocks that include it, for every block any chain stored.
+
+    One index serves a whole network: a chain registers each block it stores,
+    and the index records a block only the first time its hash is seen.
+    Blocks are identified by hash, never by object: compact-block
+    reconstruction builds a separate :class:`Block` with the same header on
+    every node that reconstructs it, and the index keeps the first object it
+    registered.  The index says where a transaction *could* be confirmed;
+    whether a given chain confirms it is for that chain's best chain to say
+    (:meth:`Blockchain.on_best_chain`).
+    """
+
+    def __init__(self) -> None:
+        self._blocks_by_txid: dict[str, list[Block]] = {}
+        self._registered: set[str] = set()
+
+    def register(self, block: Block) -> None:
+        """Index ``block``'s transactions, unless its hash is already indexed."""
+        block_hash = block.block_hash
+        if block_hash in self._registered:
+            return
+        self._registered.add(block_hash)
+        index = self._blocks_by_txid
+        for txid in block.txids:
+            blocks = index.get(txid)
+            if blocks is None:
+                index[txid] = [block]
+            else:
+                blocks.append(block)
+
+    def blocks_with(self, txid: str) -> Sequence[Block]:
+        """Indexed blocks that include ``txid``, in registration order."""
+        return self._blocks_by_txid.get(txid, ())
+
+
 class Blockchain:
     """Block tree with longest-chain selection.
 
     Args:
         genesis: the shared genesis block; every simulated node must be
             constructed with the same one so that chains are comparable.
+        index: the confirmation index this chain registers its blocks in and
+            answers confirmed-transaction lookups from.  Every chain of one
+            network shares one (see
+            :func:`~repro.workloads.network_gen.build_network`); a chain built
+            without one gets a private index.  Answers are the same either
+            way.
     """
 
-    def __init__(self, genesis: Optional[Block] = None) -> None:
+    def __init__(
+        self, genesis: Optional[Block] = None, *, index: Optional[ConfirmationIndex] = None
+    ) -> None:
         self._genesis = genesis if genesis is not None else Block.genesis()
         self._blocks: dict[str, Block] = {self._genesis.block_hash: self._genesis}
         self._children: dict[str, list[str]] = {self._genesis.block_hash: []}
-        self._arrival_order: dict[str, int] = {self._genesis.block_hash: 0}
-        self._arrival_counter = 1
-        self._tip_hash = self._genesis.block_hash
         self._fork_events: list[ForkEvent] = []
-        #: Lazily-built set of txids confirmed by the best chain; invalidated
-        #: whenever the best chain changes.  ``contains_transaction`` is on
-        #: the per-message hot path, so it must not walk the chain each call.
-        self._best_chain_txids: Optional[set[str]] = None
+        self._index = index if index is not None else ConfirmationIndex()
+        self._index.register(self._genesis)
+        #: The best chain by height: ``_best[h]`` is its block at height h.
+        #: A tip extension appends to it; a reorg replaces the tail above the
+        #: fork point.
+        self._best: list[Block] = [self._genesis]
 
     # ---------------------------------------------------------------- access
     @property
@@ -58,12 +106,12 @@ class Blockchain:
     @property
     def tip(self) -> Block:
         """The tip of the currently-best chain."""
-        return self._blocks[self._tip_hash]
+        return self._best[-1]
 
     @property
     def height(self) -> int:
         """Height of the best chain tip."""
-        return self.tip.height
+        return len(self._best) - 1
 
     @property
     def block_count(self) -> int:
@@ -125,28 +173,27 @@ class Blockchain:
         self._blocks[block.block_hash] = block
         self._children[block.block_hash] = []
         self._children[parent_hash].append(block.block_hash)
-        self._arrival_order[block.block_hash] = self._arrival_counter
-        self._arrival_counter += 1
+        self._index.register(block)
         return self._maybe_reorganize(block)
 
     def _maybe_reorganize(self, candidate: Block) -> bool:
-        current = self.tip
-        if candidate.height > current.height:
-            if (
-                candidate.previous_hash == current.block_hash
-                and self._best_chain_txids is not None
-            ):
-                # Pure tip extension: the best chain grows by exactly this
-                # block, so the confirmed-txid cache can grow with it instead
-                # of being rebuilt from genesis (O(chain) per accepted block,
-                # which dominates long sustained-load runs).
-                self._best_chain_txids.update(candidate.txids)
-            else:
-                self._best_chain_txids = None
-            self._tip_hash = candidate.block_hash
+        best = self._best
+        if candidate.height < len(best):
+            # Not higher: at equal height the first-seen tip stays (Bitcoin's
+            # behaviour).
+            return False
+        if candidate.previous_hash == best[-1].block_hash:
+            best.append(candidate)
             return True
-        # Equal height: keep the first-seen tip (Bitcoin's behaviour).
-        return False
+        # Reorg: walk the new branch back to the fork point, then swap tails.
+        branch: list[Block] = []
+        cursor = candidate
+        while not self.on_best_chain(cursor):
+            branch.append(cursor)
+            cursor = self._blocks[cursor.previous_hash]
+        del best[cursor.height + 1 :]
+        best.extend(reversed(branch))
+        return True
 
     # -------------------------------------------------------------- chains
     def chain_to(self, block_hash: str) -> list[Block]:
@@ -163,7 +210,13 @@ class Blockchain:
 
     def best_chain(self) -> list[Block]:
         """Blocks on the currently-best chain, genesis first."""
-        return self.chain_to(self._tip_hash)
+        return list(self._best)
+
+    def on_best_chain(self, block: Block) -> bool:
+        """Whether a block with ``block``'s hash sits on the best chain."""
+        best = self._best
+        height = block.height
+        return height < len(best) and best[height].block_hash == block.block_hash
 
     def leaves(self) -> list[Block]:
         """All branch tips (blocks with no children)."""
@@ -173,26 +226,33 @@ class Blockchain:
         """Number of distinct branches in the block tree."""
         return len(self.leaves())
 
+    def _confirming_heights(self, txid: str) -> list[int]:
+        """Heights of the best-chain blocks that include ``txid``."""
+        return [
+            block.height for block in self._index.blocks_with(txid) if self.on_best_chain(block)
+        ]
+
     def confirmations(self, txid: str) -> int:
         """Confirmation count of a transaction on the best chain (0 if absent)."""
-        depth = 0
-        for block in reversed(self.best_chain()):
-            if block.contains(txid):
-                return self.height - block.height + 1
-            depth += 1
-        return 0
+        heights = self._confirming_heights(txid)
+        return self.height - max(heights) + 1 if heights else 0
 
     def contains_transaction(self, txid: str) -> bool:
         """Whether the best chain confirms the transaction."""
-        if self._best_chain_txids is None:
-            # A union of the blocks' memoized txid sets: no per-tx property read.
-            self._best_chain_txids = set().union(*(block.txids for block in self.best_chain()))
-        return txid in self._best_chain_txids
+        for block in self._index.blocks_with(txid):
+            if self.on_best_chain(block):
+                return True
+        return False
+
+    def confirming_block(self, txid: str) -> Optional[Block]:
+        """This chain's lowest best-chain block that includes ``txid`` (or None)."""
+        heights = self._confirming_heights(txid)
+        return self._best[min(heights)] if heights else None
 
     def utxo_set(self) -> UtxoSet:
         """UTXO set implied by the best chain (recomputed from genesis)."""
         utxo = UtxoSet()
-        for block in self.best_chain():
+        for block in self._best:
             for tx in block.transactions:
                 utxo.apply_transaction(tx, block_hash=block.block_hash)
         return utxo

@@ -27,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Protocol, TYPE_CHECKING
 
-from repro.protocol.blockchain import Blockchain
+from repro.protocol.blockchain import Blockchain, ConfirmationIndex
 from repro.protocol.block import Block
 from repro.protocol.crypto import KeyPair
 from repro.protocol.mempool import Mempool
@@ -226,6 +226,9 @@ class BitcoinNode:
             it is stateless apart from its cost model).
         keypair: the node's wallet key; generated from the node id if omitted.
         genesis: genesis block shared by the whole network.
+        confirmation_index: the network's shared
+            :class:`~repro.protocol.blockchain.ConfirmationIndex`, handed to
+            the node's blockchain; a private one when omitted.
     """
 
     def __init__(
@@ -238,6 +241,7 @@ class BitcoinNode:
         validator: Optional[TransactionValidator] = None,
         keypair: Optional[KeyPair] = None,
         genesis: Optional[Block] = None,
+        confirmation_index: Optional[ConfirmationIndex] = None,
     ) -> None:
         self.node_id = node_id
         self.position = position
@@ -245,13 +249,16 @@ class BitcoinNode:
         self.config = config if config is not None else NodeConfig()
         self.validator = validator if validator is not None else TransactionValidator()
         self.keypair = keypair if keypair is not None else KeyPair.generate(f"node-{node_id}-wallet")
-        self.blockchain = Blockchain(genesis)
+        self.blockchain = Blockchain(genesis, index=confirmation_index)
         self.mempool = Mempool(max_size=self.config.mempool_max_size)
         self.stats = NodeStatistics()
 
         #: Confirmed UTXO state; kept incrementally in sync with the best chain.
         self.utxo = self.blockchain.utxo_set()
-        #: Transaction ids this node has seen (announced, requested or accepted).
+        #: Transaction ids this node has seen (announced, requested or
+        #: accepted).  Confirmed transactions it never heard of, such as the
+        #: funding coinbases ``fund_nodes`` installs, are not in it;
+        #: ``blockchain.contains_transaction`` answers for confirmed ones.
         self.known_transactions: set[str] = set()
         #: Block hashes this node has seen.
         self.known_blocks: set[str] = {self.blockchain.genesis.block_hash}
@@ -761,12 +768,10 @@ class BitcoinNode:
 
     def find_confirmed_transaction(self, txid: str) -> Optional[Transaction]:
         """Look a transaction up on the best chain (None if not confirmed)."""
-        if not self.blockchain.contains_transaction(txid):
+        block = self.blockchain.confirming_block(txid)
+        if block is None:
             return None
-        for block in self.blockchain.best_chain():
-            if txid in block.txids:
-                return next(tx for tx in block.transactions if tx.txid == txid)
-        return None
+        return next(tx for tx in block.transactions if tx.txid == txid)
 
     # ------------------------------------------------------------------ addr
     def _handle_getaddr(self, sender: int) -> None:

@@ -40,6 +40,7 @@ from repro.net.latency import LatencyModel, LatencyParameters
 from repro.net.link import LinkDelayCalculator
 from repro.net.topology import OverlayTopology
 from repro.protocol.block import Block
+from repro.protocol.blockchain import ConfirmationIndex
 from repro.protocol.discovery import DnsSeedService
 from repro.protocol.network import P2PNetwork
 from repro.protocol.node import BitcoinNode, NodeConfig
@@ -150,6 +151,10 @@ def build_network(parameters: Optional[NetworkParameters] = None) -> SimulatedNe
     network = P2PNetwork(simulator, delay_calculator, topology)
 
     genesis = Block.genesis()
+    # One txid -> blocks index for the whole network: each node's chain keeps
+    # only its best chain by height, so confirmed lookups cost no per-node
+    # copy of the confirmed txids.
+    confirmation_index = ConfirmationIndex()
     validator = TransactionValidator(params.verification_cost)
     positions = geo_model.sample_positions(params.node_count)
     nodes: dict[int, BitcoinNode] = {}
@@ -160,6 +165,7 @@ def build_network(parameters: Optional[NetworkParameters] = None) -> SimulatedNe
             config=params.node_config,
             validator=validator,
             genesis=genesis,
+            confirmation_index=confirmation_index,
         )
         node.attach(network)
         nodes[node_id] = node
@@ -320,7 +326,7 @@ def _cached_snapshot(path: Union[str, Path]) -> Optional[SimulatedNetwork]:
 #: Version of the pickled object layout.  It is part of every snapshot's
 #: filename, so bumping it makes a snapshot directory written by older code
 #: rebuild instead of loading objects that lack newer fields.
-SNAPSHOT_FORMAT = 5
+SNAPSHOT_FORMAT = 6
 
 
 def snapshot_filename(parameters: NetworkParameters) -> str:

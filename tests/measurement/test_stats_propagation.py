@@ -21,6 +21,23 @@ class TestDelayDistribution:
         with pytest.raises(ValueError):
             DelayDistribution([-0.1])
 
+    @pytest.mark.parametrize("delay", [float("nan"), float("inf"), float("-inf"), np.nan])
+    def test_non_finite_delay_rejected(self, delay):
+        with pytest.raises(ValueError, match="finite"):
+            DelayDistribution([1.0, delay])
+
+    def test_rejected_sample_leaves_statistics_finite(self):
+        dist = DelayDistribution([1.0, 3.0])
+        for delay in (float("nan"), float("inf")):
+            with pytest.raises(ValueError):
+                dist.add(delay)
+        assert dist.samples == [1.0, 3.0]
+        assert dist.mean() == 2.0
+        assert dist.variance() == 2.0
+
+    def test_large_finite_delays_accepted(self):
+        assert DelayDistribution([0.0, 1e300]).samples == [0.0, 1e300]
+
     def test_basic_statistics(self):
         dist = DelayDistribution([1.0, 2.0, 3.0, 4.0])
         assert dist.mean() == pytest.approx(2.5)
@@ -94,6 +111,21 @@ class TestReceptionRecord:
     def test_negative_delta_rejected(self):
         with pytest.raises(ValueError):
             ReceptionRecord(node_id=1, received_at=1.0, delta_t_s=-0.1, rank=1)
+
+    @pytest.mark.parametrize("delta", [float("nan"), float("inf")])
+    def test_non_finite_delta_rejected(self, delta):
+        with pytest.raises(ValueError, match="finite"):
+            ReceptionRecord(node_id=1, received_at=1.0, delta_t_s=delta, rank=1)
+
+    @pytest.mark.parametrize("received_at", [float("nan"), float("inf")])
+    def test_non_finite_reception_time_rejected(self, received_at):
+        # A NaN time must not slip through record_reception's clamp as Δt 0.
+        run = PropagationRun(
+            run_index=0, txid="tx", sent_at=10.0, first_recipient=1, connected_nodes=(1,)
+        )
+        with pytest.raises(ValueError, match="finite"):
+            run.record_reception(1, received_at)
+        assert run.receptions == []
 
     def test_rank_starts_at_one(self):
         with pytest.raises(ValueError):
