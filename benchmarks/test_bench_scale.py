@@ -13,7 +13,12 @@ The scale cell funds only its measuring node, so it cannot see set-up memory
 that grows with nodes x funding outputs.  A fund-everyone fig3 job at 600
 nodes guards that: it peaked at about 130 MB traced while every node kept its
 own copies of every funding txid, and at about 12 MB once one network-wide
-confirmation index replaced them.
+confirmation index replaced them.  That job mines nothing, so a third guard
+takes a 300-node fund-everyone network through one block and a two-block
+reorg on every node: it grew by about 94 MB traced (and took 17 s) while each
+node's first ledger write copied the whole funding ledger and every reorg
+replayed it from genesis, and by under 1 MB once every ledger became a view
+over one funding checkpoint.
 """
 
 from __future__ import annotations
@@ -24,7 +29,14 @@ import tracemalloc
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.runner import PropagationJob, run_propagation_job
 from repro.experiments.scale import ScaleJob, run_scale_job, scale_parameters
-from repro.workloads.network_gen import ensure_network_snapshot
+from repro.protocol.block import Block
+from repro.protocol.transaction import Transaction
+from repro.workloads.generators import fund_nodes
+from repro.workloads.network_gen import (
+    NetworkParameters,
+    build_network,
+    ensure_network_snapshot,
+)
 
 #: Mid-size rung: big enough that quadratic funding or dict-backed pair
 #: storage would blow through the ceiling, small enough for the quick lane.
@@ -46,6 +58,15 @@ FUND_EVERYONE_NODES = 600
 
 #: Ceiling on that job's peak traced allocations (linear set-up stays ~12 MB).
 FUND_EVERYONE_TRACED_BOUND_MB = 40.0
+
+
+#: Fund-everyone network that then mines: large enough that a per-node copy
+#: of the funding ledger (300 x 900 entries) blows through the ceiling.
+MINING_NODES = 300
+
+#: Ceiling on that network's traced heap growth through one block and a
+#: two-block reorg on every node (under 1 MB when ledgers are views).
+MINING_GROWTH_BOUND_MB = 8.0
 
 
 def _run_cell(tmp_path):
@@ -109,4 +130,39 @@ def test_fund_everyone_job_memory_is_linear():
     assert peak_mb < FUND_EVERYONE_TRACED_BOUND_MB, (
         f"fund-everyone set-up memory regressed: peak {peak_mb:.1f} MB traced at "
         f"{FUND_EVERYONE_NODES} nodes (bound {FUND_EVERYONE_TRACED_BOUND_MB} MB)"
+    )
+
+
+def test_fund_everyone_blocks_and_reorgs_stay_linear():
+    assert not tracemalloc.is_tracing()
+    simulated = build_network(NetworkParameters(node_count=MINING_NODES, seed=3))
+    nodes = [simulated.node(node_id) for node_id in simulated.node_ids()]
+    funding = fund_nodes(nodes, outputs_per_node=3)
+    miner = nodes[0].keypair.address
+
+    def coinbase_block(parent, nonce):
+        reward = Transaction.coinbase(miner, 50, tag=f"mined-{nonce}")
+        return Block.create(parent, [reward], timestamp=float(nonce), nonce=nonce, miner_id=0)
+
+    tip = coinbase_block(funding, 1)
+    side = coinbase_block(funding, 2)
+    branch = (side, coinbase_block(side, 3))
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        for node in nodes:
+            assert node.accept_block(tip, origin_peer=None)
+        after_block = tracemalloc.get_traced_memory()[0]
+        for node in nodes:
+            for block in branch:
+                assert node.accept_block(block, origin_peer=None)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert all(node.blockchain.tip is branch[-1] for node in nodes)
+    growth_mb = (peak - start) / 1e6
+    assert growth_mb < MINING_GROWTH_BOUND_MB, (
+        f"fund-everyone ledger memory regressed: traced heap grew {growth_mb:.1f} MB "
+        f"({(after_block - start) / 1e6:.1f} MB after one block) through a block and a "
+        f"two-block reorg at {MINING_NODES} nodes (bound {MINING_GROWTH_BOUND_MB} MB)"
     )

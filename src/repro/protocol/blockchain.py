@@ -10,7 +10,9 @@ tree, tracks every leaf ("branch"), and selects the best chain by height
 Confirmed-transaction lookups go through a :class:`ConfirmationIndex` that
 the whole network shares, so no node keeps its own copy of every confirmed
 txid: with a funding block that pays every node, N such copies of N funding
-txids made a network's memory quadratic in its size.
+txids made a network's memory quadratic in its size.  The same index holds
+the network's ledger checkpoints, so replaying a funded chain starts from the
+funding ledger instead of from genesis.
 """
 
 from __future__ import annotations
@@ -44,11 +46,19 @@ class ConfirmationIndex:
     registered.  The index says where a transaction *could* be confirmed;
     whether a given chain confirms it is for that chain's best chain to say
     (:meth:`Blockchain.on_best_chain`).
+
+    It also holds *checkpoints*: the flat ledger as of a block, registered
+    once for the whole network (the funding block's, see
+    :func:`~repro.workloads.generators.fund_nodes`).  A replay of a chain
+    through that block starts from a view over it
+    (:meth:`Blockchain.utxo_as_of`), and every node's ledger is such a view.
+    Nothing writes a checkpoint.
     """
 
     def __init__(self) -> None:
         self._blocks_by_txid: dict[str, list[Block]] = {}
         self._registered: set[str] = set()
+        self._checkpoints: dict[str, UtxoSet] = {}
 
     def register(self, block: Block) -> None:
         """Index ``block``'s transactions, unless its hash is already indexed."""
@@ -67,6 +77,17 @@ class ConfirmationIndex:
     def blocks_with(self, txid: str) -> Sequence[Block]:
         """Indexed blocks that include ``txid``, in registration order."""
         return self._blocks_by_txid.get(txid, ())
+
+    def register_checkpoint(self, block_hash: str, ledger: UtxoSet) -> None:
+        """Record ``ledger`` as the ledger as of ``block_hash``, unless that
+        block already has a checkpoint.  ``ledger`` must be flat, equal the
+        replay of the chain to the block from genesis, and never be written
+        again."""
+        self._checkpoints.setdefault(block_hash, ledger)
+
+    def checkpoint(self, block_hash: str) -> Optional[UtxoSet]:
+        """The ledger registered as of ``block_hash``, or None."""
+        return self._checkpoints.get(block_hash)
 
 
 class Blockchain:
@@ -102,6 +123,11 @@ class Blockchain:
     def genesis(self) -> Block:
         """The genesis block."""
         return self._genesis
+
+    @property
+    def index(self) -> ConfirmationIndex:
+        """The confirmation index this chain registers its blocks in."""
+        return self._index
 
     @property
     def tip(self) -> Block:
@@ -249,10 +275,34 @@ class Blockchain:
         heights = self._confirming_heights(txid)
         return self._best[min(heights)] if heights else None
 
-    def utxo_set(self) -> UtxoSet:
-        """UTXO set implied by the best chain (recomputed from genesis)."""
-        utxo = UtxoSet()
-        for block in self._best:
+    def utxo_as_of(self, block_hash: str) -> UtxoSet:
+        """The ledger after the chain ending at ``block_hash``, replayed.
+
+        The replay starts from the deepest checkpoint on that chain (see
+        :meth:`ConfirmationIndex.register_checkpoint`): the result is a fresh
+        view over the checkpoint's ledger with the blocks above it applied.
+        A chain through no checkpoint is replayed from genesis into a flat
+        ledger.
+
+        Raises:
+            KeyError: if the block is unknown.
+        """
+        checkpoint = self._index.checkpoint
+        replay: list[Block] = []
+        cursor = self._blocks[block_hash]
+        base = checkpoint(cursor.block_hash)
+        while base is None:
+            replay.append(cursor)
+            if cursor.is_genesis:
+                break
+            cursor = self._blocks[cursor.previous_hash]
+            base = checkpoint(cursor.block_hash)
+        utxo = UtxoSet(base)
+        for block in reversed(replay):
             for tx in block.transactions:
                 utxo.apply_transaction(tx, block_hash=block.block_hash)
         return utxo
+
+    def utxo_set(self) -> UtxoSet:
+        """The ledger implied by the best chain: :meth:`utxo_as_of` its tip."""
+        return self.utxo_as_of(self.tip.block_hash)

@@ -605,13 +605,15 @@ class BitcoinNode:
         # current tip.  ``self.utxo`` *is* the ledger as of the tip (the
         # invariant this method maintains), so the block is validated and
         # applied there in one pass (an invalid block is undone), instead of
-        # replaying the whole chain from genesis per block (O(chain²) over a
+        # replaying the chain per block (``utxo_as_of``; O(chain²) over a
         # long sustained-load run) or validating on a copy first.
         extends_tip = block.previous_hash == self.blockchain.tip.block_hash
         if extends_tip:
             result = self.validator.apply_block(block, parent, self.utxo)
         else:
-            result = self.validator.validate_block(block, parent, self._utxo_as_of(parent))
+            result = self.validator.validate_block(
+                block, parent, self.blockchain.utxo_as_of(parent.block_hash)
+            )
         if not result.valid:
             return False
         tip_changed = self.blockchain.add_block(block, observed_at=self.now)
@@ -722,14 +724,6 @@ class BitcoinNode:
     def orphan_block_count(self) -> int:
         """Blocks currently stashed while waiting for a missing parent."""
         return self._orphan_count
-
-    def _utxo_as_of(self, block: Block) -> UtxoSet:
-        """UTXO state after applying the chain ending at ``block``."""
-        utxo = UtxoSet()
-        for ancestor in self.blockchain.chain_to(block.block_hash):
-            for tx in ancestor.transactions:
-                utxo.apply_transaction(tx, block_hash=ancestor.block_hash)
-        return utxo
 
     # -------------------------------------------------------- message intake
     def handle_message(self, sender: int, message: Message) -> None:

@@ -10,6 +10,7 @@ has been previously spent").
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterable, Iterator, Optional
 
 from repro.protocol.transaction import Transaction, TxOutput
@@ -34,21 +35,48 @@ class UtxoEntry:
 class UtxoSet:
     """Mutable set of unspent outputs, indexed by outpoint and by address.
 
-    :meth:`copy` is copy-on-write: the clone shares the source's two tables
-    and a share count, and whichever set writes first while the tables are
-    shared takes its own copy of them (:meth:`_own`).  Funding gives every
-    node a view of one ledger this way.  A scratch copy written before its
-    source (side-branch block validation) costs the one table copy an eager
-    copy would have cost, and leaves the source the sole owner of its tables
-    again.  A block that extends the tip needs no copy: it is applied in
-    place and undone on failure (:meth:`undo_transaction`).
+    A set is *flat*, holding every entry in its own tables, or a *view* over
+    a flat ``base`` ledger: then its own tables hold only the outputs added
+    since the base, plus the base outpoints it has spent.  Reads check the
+    view's tables, then the base; writes never touch the base, so one base
+    serves any number of views and a write costs O(changes since the base),
+    not O(base).  Every read counts an unspent outpoint once, also after
+    :meth:`undo_transaction` restores a spent base entry (the entry returns
+    to the view's own tables; the base copy stays spent).  Every funded node's
+    ledger is a view of one network-wide checkpoint
+    (:func:`~repro.workloads.generators.fund_nodes`), and replays of a funded
+    chain start from it
+    (:meth:`~repro.protocol.blockchain.Blockchain.utxo_as_of`).
+
+    :meth:`copy` is copy-on-write: the clone shares the source's own tables,
+    its base and a share count, and whichever set writes first while the
+    tables are shared takes its own copy of them (:meth:`_own`), so funded
+    nodes share one set of empty tables until their first write.  A scratch
+    copy written before its source (side-branch block validation) costs the
+    one table copy an eager copy would have cost, and leaves the source the
+    sole owner of its tables again.  A block that extends the tip needs no
+    copy: it is applied in place and undone on failure
+    (:meth:`undo_transaction`).
+
+    Args:
+        base: the flat ledger this set views; a flat, empty set when omitted.
+
+    Raises:
+        ValueError: if ``base`` is itself a view.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, base: Optional["UtxoSet"] = None) -> None:
+        #: How many live sets view these tables: one counter, shared by all.
+        #: Set first, so ``__del__`` finds it even when the check below fails.
+        self._shares = [1]
+        if base is not None and base._base is not None:
+            raise ValueError("a UTXO view's base must be a flat ledger")
         self._entries: dict[tuple[str, int], UtxoEntry] = {}
         self._by_address: dict[str, set[tuple[str, int]]] = {}
-        #: How many live sets view these tables: one counter, shared by all.
-        self._shares = [1]
+        #: The flat ledger this set views, or None for a flat set.
+        self._base = base
+        #: Base outpoints this view has spent (None on a flat set).
+        self._spent: Optional[set[tuple[str, int]]] = None if base is None else set()
 
     def __del__(self) -> None:
         self._shares[0] -= 1
@@ -60,36 +88,63 @@ class UtxoSet:
             shares[0] -= 1
             self._entries = dict(self._entries)
             self._by_address = {address: set(ops) for address, ops in self._by_address.items()}
+            if self._spent is not None:
+                self._spent = set(self._spent)
             self._shares = [1]
+
+    def _owned(self, address: str) -> list[UtxoEntry]:
+        """The unspent entries owned by ``address``, own tables first."""
+        entries = self._entries
+        owned = [entries[op] for op in self._by_address.get(address, ())]
+        base = self._base
+        if base is not None:
+            spent = self._spent
+            base_entries = base._entries
+            owned.extend(
+                base_entries[op] for op in base._by_address.get(address, ()) if op not in spent
+            )
+        return owned
 
     # ---------------------------------------------------------------- access
     def __len__(self) -> int:
-        return len(self._entries)
+        base = self._base
+        if base is None:
+            return len(self._entries)
+        return len(base._entries) - len(self._spent) + len(self._entries)
 
     def __contains__(self, outpoint: tuple[str, int]) -> bool:
-        return outpoint in self._entries
+        if outpoint in self._entries:
+            return True
+        base = self._base
+        return base is not None and outpoint not in self._spent and outpoint in base._entries
 
     def get(self, outpoint: tuple[str, int]) -> Optional[UtxoEntry]:
         """The entry for an outpoint, or None if it is spent/unknown."""
-        return self._entries.get(outpoint)
+        entry = self._entries.get(outpoint)
+        if entry is None and self._base is not None and outpoint not in self._spent:
+            return self._base._entries.get(outpoint)
+        return entry
 
     def entries(self) -> Iterator[UtxoEntry]:
         """Iterate over all unspent entries."""
-        return iter(self._entries.values())
+        own = iter(self._entries.values())
+        base = self._base
+        if base is None:
+            return own
+        spent = self._spent
+        return chain(own, (e for op, e in base._entries.items() if op not in spent))
 
     def balance(self, address: str) -> int:
         """Total unspent value held by an address."""
-        outpoints = self._by_address.get(address, set())
-        return sum(self._entries[op].value for op in outpoints)
+        return sum(entry.value for entry in self._owned(address))
 
     def spendable_by(self, address: str) -> list[UtxoEntry]:
         """All unspent entries owned by an address, ordered by outpoint."""
-        outpoints = self._by_address.get(address, set())
-        return sorted((self._entries[op] for op in outpoints), key=lambda e: e.outpoint)
+        return sorted(self._owned(address), key=lambda e: e.outpoint)
 
     def total_value(self) -> int:
         """Sum of all unspent values in the ledger."""
-        return sum(entry.value for entry in self._entries.values())
+        return sum(entry.value for entry in self.entries())
 
     # -------------------------------------------------------------- mutation
     def add(self, entry: UtxoEntry) -> None:
@@ -98,11 +153,12 @@ class UtxoSet:
         Raises:
             ValueError: if the outpoint already exists.
         """
-        if entry.outpoint in self._entries:
-            raise ValueError(f"outpoint {entry.outpoint} is already unspent")
+        outpoint = entry.outpoint
+        if outpoint in self:
+            raise ValueError(f"outpoint {outpoint} is already unspent")
         self._own()
-        self._entries[entry.outpoint] = entry
-        self._by_address.setdefault(entry.address, set()).add(entry.outpoint)
+        self._entries[outpoint] = entry
+        self._by_address.setdefault(entry.address, set()).add(outpoint)
 
     def remove(self, outpoint: tuple[str, int]) -> UtxoEntry:
         """Spend (remove) an outpoint.
@@ -110,16 +166,23 @@ class UtxoSet:
         Raises:
             KeyError: if the outpoint is not unspent.
         """
-        if outpoint not in self._entries:
-            raise KeyError(f"outpoint {outpoint} is not in the UTXO set")
-        self._own()
-        entry = self._entries.pop(outpoint)
-        owners = self._by_address.get(entry.address)
-        if owners is not None:
-            owners.discard(outpoint)
-            if not owners:
-                del self._by_address[entry.address]
-        return entry
+        if outpoint in self._entries:
+            self._own()
+            entry = self._entries.pop(outpoint)
+            owners = self._by_address.get(entry.address)
+            if owners is not None:
+                owners.discard(outpoint)
+                if not owners:
+                    del self._by_address[entry.address]
+            return entry
+        base = self._base
+        if base is not None and outpoint not in self._spent:
+            entry = base._entries.get(outpoint)
+            if entry is not None:
+                self._own()
+                self._spent.add(outpoint)
+                return entry
+        raise KeyError(f"outpoint {outpoint} is not in the UTXO set")
 
     def apply_transaction(
         self, tx: Transaction, *, block_hash: Optional[str] = None
@@ -163,14 +226,16 @@ class UtxoSet:
         """Whether every input of ``tx`` is currently unspent."""
         if tx.is_coinbase:
             return True
-        return all(tx_input.outpoint in self._entries for tx_input in tx.inputs)
+        return all(tx_input.outpoint in self for tx_input in tx.inputs)
 
     def copy(self) -> "UtxoSet":
         """An independent set with the same entries, sharing tables until a write."""
         clone = UtxoSet.__new__(UtxoSet)
+        clone._shares = self._shares
         clone._entries = self._entries
         clone._by_address = self._by_address
-        clone._shares = self._shares
+        clone._base = self._base
+        clone._spent = self._spent
         self._shares[0] += 1
         return clone
 

@@ -36,13 +36,19 @@ def fund_nodes(
 ) -> Block:
     """Give nodes confirmed spendable outputs by installing a shared funding block.
 
-    Every node stores the same block object and gets a copy-on-write view of
-    one ledger, and the network's shared confirmation index (see
-    :class:`~repro.protocol.blockchain.ConfirmationIndex`) registers the
-    funding txids once.  No node's ``known_transactions`` learns them: a
-    funding coinbase is never announced, so no INV, GETDATA or TX decision
-    reads such an entry, and confirmed lookups go to the chain.  Set-up
-    memory is therefore linear in the number of funding outputs.
+    Every node stores the same block object.  The ledger as of that block is
+    built once, flat, and registered as a checkpoint in every node's
+    confirmation index (one per network, see
+    :class:`~repro.protocol.blockchain.ConfirmationIndex`), which also
+    registers the funding txids once.  Each node's ledger becomes a view over
+    that checkpoint, and the views share one set of empty tables until their
+    first write.  A node's ledger writes then cost O(changes since funding),
+    and a reorg or side-branch check replays from the checkpoint, not from
+    genesis (:meth:`~repro.protocol.blockchain.Blockchain.utxo_as_of`).  No
+    node's ``known_transactions`` learns the funding txids: a funding
+    coinbase is never announced, so no INV, GETDATA or TX decision reads such
+    an entry, and confirmed lookups go to the chain.  Memory is therefore
+    linear in the number of funding outputs, before and after blocks flow.
 
     Args:
         nodes: every node in the network (all of them must learn the block so
@@ -59,7 +65,8 @@ def fund_nodes(
     Raises:
         ValueError: on nonsensical amounts/counts or if any node has already
             advanced past the genesis block (the funding block must be the
-            first block everyone agrees on).
+            first block everyone agrees on).  Every check runs before any node
+            changes, so a refused call leaves every node as it was.
     """
     if amount_satoshi <= 0:
         raise ValueError(f"amount_satoshi must be positive, got {amount_satoshi}")
@@ -72,10 +79,14 @@ def fund_nodes(
     unknown = funded - set(by_id)
     if unknown:
         raise ValueError(f"cannot fund unknown node ids: {sorted(unknown)}")
+    advanced = [node.node_id for node in nodes if node.blockchain.height != 0]
+    if advanced:
+        raise ValueError(
+            f"fund_nodes must run before any blocks are mined: nodes {advanced} "
+            "have already advanced past genesis"
+        )
 
     reference = nodes[0]
-    if reference.blockchain.height != 0:
-        raise ValueError("fund_nodes must run before any blocks are mined")
     funding_txs = [
         Transaction.coinbase(
             by_id[node_id].keypair.address,
@@ -92,18 +103,15 @@ def fund_nodes(
         nonce=0,
         miner_id=-1,
     )
-    # Every node ends up with the identical (genesis + funding block) ledger,
-    # so the UTXO set is computed once and every node gets a copy-on-write
-    # view of it: no table is copied until a node's ledger first changes.
-    ledger: Optional[UtxoSet] = None
     for node in nodes:
-        if node.blockchain.height != 0:
-            raise ValueError(f"node {node.node_id} has already advanced past genesis")
         node.blockchain.add_block(funding_block)
-        if ledger is None:
-            ledger = node.blockchain.utxo_set()
-        node.utxo = ledger.copy()
         node.known_blocks.add(funding_block.block_hash)
+    # Replayed before it is registered, so the replay is flat, from genesis.
+    checkpoint = reference.blockchain.utxo_set()
+    view = UtxoSet(checkpoint)
+    for node in nodes:
+        node.blockchain.index.register_checkpoint(funding_block.block_hash, checkpoint)
+        node.utxo = view.copy()
     return funding_block
 
 

@@ -326,7 +326,7 @@ def _cached_snapshot(path: Union[str, Path]) -> Optional[SimulatedNetwork]:
 #: Version of the pickled object layout.  It is part of every snapshot's
 #: filename, so bumping it makes a snapshot directory written by older code
 #: rebuild instead of loading objects that lack newer fields.
-SNAPSHOT_FORMAT = 6
+SNAPSHOT_FORMAT = 7
 
 
 def snapshot_filename(parameters: NetworkParameters) -> str:

@@ -3,11 +3,12 @@
 ``accept_block`` applies a block that extends the tip to the node's own
 ledger in place (undoing a partial apply when the block is invalid), checks a
 side-branch block on a ledger replayed to its parent, and replaces its ledger
-on a reorg.  The reference is a replay from genesis: after every accepted or
-rejected block the node's ledger must equal ``Blockchain.utxo_set()``, and
-every verdict (with its ``verification_cost_s``) must equal ``validate_block``
-on a ledger replayed to the block's parent.  Blocks arrive in random orders,
-so some wait in the orphan pool and are applied when their parent arrives.
+on a reorg.  The reference is a flat replay from genesis: after every
+accepted or rejected block the node's ledger and ``Blockchain.utxo_set()``
+(which replays from the funding checkpoint) must both read like it, and every
+verdict (with its ``verification_cost_s``) must equal ``validate_block`` on a
+ledger replayed to the block's parent.  Blocks arrive in random orders, so
+some wait in the orphan pool and are applied when their parent arrives.
 """
 
 from hypothesis import given, settings
@@ -49,9 +50,21 @@ def funded_nodes(seed=1):
     return nodes, funding
 
 
-def ledger_state(utxo):
-    """Both tables of a ledger, as plain comparable values."""
-    return dict(utxo._entries), {a: set(ops) for a, ops in utxo._by_address.items()}
+def ledger_state(utxo, addresses=()):
+    """What a ledger answers through its public API, as comparable values.
+
+    Every entry ``entries()`` yields must be found by ``in`` and ``get`` and
+    counted once by ``len``.  ``spendable_by`` and ``balance`` are read for
+    every owner it yields and for ``addresses``, so an owner whose last output
+    was spent is checked too.
+    """
+    entries = list(utxo.entries())
+    by_outpoint = {entry.outpoint: entry for entry in entries}
+    assert len(by_outpoint) == len(entries) == len(utxo)
+    for outpoint, entry in by_outpoint.items():
+        assert outpoint in utxo and utxo.get(outpoint) == entry
+    owners = {entry.address for entry in entries} | set(addresses)
+    return by_outpoint, {a: (utxo.spendable_by(a), utxo.balance(a)) for a in sorted(owners)}
 
 
 def replay(blocks):
@@ -82,12 +95,14 @@ def make_block(parent, transactions, index, keypairs):
     )
 
 
-def accept_and_check(node, block):
+def accept_and_check(node, block, keypairs):
     """Accept ``block``, then hold the node's ledger and every verdict it
     gave to the replay reference; returns the number of side-branch verdicts."""
     node.accept_block(block, origin_peer=None)
     chain = node.blockchain
-    assert ledger_state(node.utxo) == ledger_state(chain.utxo_set())
+    expected = ledger_state(replay(chain.best_chain()), keypairs)
+    assert ledger_state(node.utxo, keypairs) == expected
+    assert ledger_state(chain.utxo_set(), keypairs) == expected
     side_branch_verdicts = 0
     for validated, parent, result, side_branch in node.validator.verdicts:
         at_parent = replay(chain.chain_to(parent.block_hash))
@@ -165,7 +180,7 @@ class TestLedgerFollowsBestChain:
         ]
         for step in range(len(tree)):
             for node, order in zip(nodes, orders):
-                accept_and_check(node, tree[order[step]][0])
+                accept_and_check(node, tree[order[step]][0], keypairs)
         for block, valid in tree:
             for node in nodes:
                 assert node.blockchain.has_block(block.block_hash) == valid
@@ -193,9 +208,9 @@ class TestLedgerFollowsBestChain:
         branch_b = branch(funding, 4, 200, owners[2])
         side = 0
         for block in branch_a[:3] + branch_b:
-            side += accept_and_check(node, block)
+            side += accept_and_check(node, block, keypairs)
         assert node.blockchain.tip is branch_b[-1]  # reorg three blocks deep
         for block in branch_a[3:]:
-            side += accept_and_check(node, block)
+            side += accept_and_check(node, block, keypairs)
         assert node.blockchain.tip is branch_a[-1]  # and four blocks back
         assert side == len(branch_b) + 2  # all of branch b, then a's last two

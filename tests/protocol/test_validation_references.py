@@ -47,8 +47,20 @@ def fresh_ledger():
 
 
 def ledger_state(utxo):
-    """Both tables of a ledger, as plain comparable values."""
-    return dict(utxo._entries), {a: set(ops) for a, ops in utxo._by_address.items()}
+    """What a ledger answers through its public API, as comparable values.
+
+    Every entry ``entries()`` yields must be found by ``in`` and ``get`` and
+    counted once by ``len``.  ``spendable_by`` and ``balance`` are read for
+    every owner it yields and for the two key holders, so an owner whose last
+    output was spent is checked too.
+    """
+    entries = list(utxo.entries())
+    by_outpoint = {entry.outpoint: entry for entry in entries}
+    assert len(by_outpoint) == len(entries) == len(utxo)
+    for outpoint, entry in by_outpoint.items():
+        assert outpoint in utxo and utxo.get(outpoint) == entry
+    owners = {entry.address for entry in entries} | {OWNER.address, THIEF.address}
+    return by_outpoint, {a: (utxo.spendable_by(a), utxo.balance(a)) for a in sorted(owners)}
 
 
 def sign_spend(keypair, outpoints, outputs):

@@ -2,6 +2,8 @@
 
 import pytest
 
+from repro.protocol.block import Block
+from repro.protocol.transaction import Transaction
 from repro.workloads.generators import TransactionWorkload, WorkloadConfig, fund_nodes
 from repro.workloads.network_gen import NetworkParameters, build_network
 from repro.workloads.scenarios import (
@@ -91,6 +93,24 @@ class TestFunding:
         fund_nodes(nodes)
         with pytest.raises(ValueError):
             fund_nodes(nodes)
+
+    def test_refused_funding_changes_no_node(self):
+        """A node already past genesis makes ``fund_nodes`` refuse before any
+        node changes: no node gains the funding block or its outputs, and no
+        ledger checkpoint is registered."""
+        simulated = build_network(NetworkParameters(node_count=4, seed=2))
+        nodes = [simulated.node(node_id) for node_id in simulated.node_ids()]
+        early = nodes[3]
+        reward = Transaction.coinbase(early.keypair.address, 50, tag="early")
+        block = Block.create(early.blockchain.genesis, [reward], timestamp=1.0, nonce=1, miner_id=3)
+        assert early.accept_block(block, origin_peer=None)
+        before = [(node.blockchain.height, node.balance(), node.utxo) for node in nodes]
+        assert before[3][:2] == (1, 50)
+        with pytest.raises(ValueError, match="advanced past genesis"):
+            fund_nodes(nodes)
+        assert [(n.blockchain.height, n.balance(), n.utxo) for n in nodes] == before
+        assert all(node.blockchain.block_count == 1 for node in nodes[:3])
+        assert not nodes[0].blockchain.index._checkpoints
 
     def test_invalid_amounts_rejected(self, small_network):
         nodes = list(small_network.nodes.values())
