@@ -9,6 +9,11 @@ to a driver's job spec, seed function or pooled aggregate that moves any
 summary, verdict, report section or raw sample therefore fails here, at one
 worker and through the two-worker process pool.
 
+Each run is also pinned by a result digest (:func:`result_digest`) that
+covers results only, not how they are presented: a summary key added later
+is listed in :data:`ADDED_SUMMARY_KEYS` and dropped before hashing, so the
+values stored before it still match.
+
 Scale summaries and samples carry wall times and RSS, so the scale golden
 digests each cell's deterministic counters instead.
 
@@ -20,6 +25,7 @@ comparison.
 from __future__ import annotations
 
 import hashlib
+import json
 
 import pytest
 
@@ -94,12 +100,38 @@ GOLDEN_DIGESTS = {
 }
 
 
-def golden_digest(name: str, workers: int) -> str:
-    """The digest of one experiment's golden run at ``workers`` workers."""
+#: name -> summary keys that were added to the envelope after
+#: :data:`RESULT_DIGESTS` were captured.  :func:`result_digest` drops exactly
+#: these keys before hashing, so every value the capture commit stored is
+#: still pinned and nothing else may change.
+ADDED_SUMMARY_KEYS: dict[str, tuple[str, ...]] = {}
+
+#: The digests of :func:`result_digest`, captured on commit d3cad9f.  Unlike
+#: :data:`GOLDEN_DIGESTS` they cover results only: experiment, config (minus
+#: ``workers``), options, seeds, summaries, samples and verdicts.
+RESULT_DIGESTS = {
+    "fig3": "c43e9c6162a9c7c59c64e4904ff2e4c4737fd99b5060cfcd21b1bdcbbba32f3a",
+    "fig4": "20488b39626a96aa9fed01b3c877b958a89384ed461f5f6fa53ecc5c016a50c4",
+    "threshold_sweep": "5cfb1abc1ecfe4709a86cc2f0925ba3499cea66ae899bf4449d6fa89377254c2",
+    "overhead": "9c4a9b890720b1f89a8b5b0c9af00db661741d7b53ff68e49eb81050da61ae6e",
+    "attacks": "83a575d9fb6fad0ba1995c5f72a5c7f9b9054c9b5af47470983bd25c11d6c0e0",
+    "doublespend": "5416918e7687b535d6d2195a871f60424036b945b07689f249843d48e823b4bf",
+    "ablation": "a2d2abbade2de3268781bddaf2c32bf41be5ab55fe3385d7ba437503eedf1de7",
+    "churn_resilience": "c538a8db7e3cd267926fe446ef2aa2858f21dc7d876f4b29791776655563b4e4",
+    "relay_comparison": "be659628f02e23fbff080e9a93244a885b6c11aeea8ad662b4a4e0af5b0935d9",
+    "load_frontier": "a14e437c8eb5dd65a2002fc78c4a7e552beed01f703a6b4666518470b0392775",
+    "scale": "f859ed87cde63b138d1a83b9e45f2a0918bea8a1069284d95bf5754037d31e72",
+    "validation": "3bfcfcc6cf9f2b9974b7f3c8a5ae019e522ec9da84276f0a94785658e74810da",
+}
+
+
+def golden_run(name: str, workers: int):
+    """One experiment's golden run at ``workers`` workers."""
     config, options = CASES[name]
-    result = run_experiment(name, config.with_overrides(workers=workers), dict(options))
-    if name != "scale":
-        return result.fingerprint()
+    return run_experiment(name, config.with_overrides(workers=workers), dict(options))
+
+
+def _scale_cell_digest(result) -> str:
     cells = [
         (key, cell.events, cell.delay_samples, cell.state_prunes, cell.pruned_inventory_entries)
         for key, pooled in result.payload.items()
@@ -108,11 +140,54 @@ def golden_digest(name: str, workers: int) -> str:
     return hashlib.sha256(repr(cells).encode()).hexdigest()
 
 
+def golden_digest(result) -> str:
+    """The full envelope fingerprint (scale: its cell counters)."""
+    if result.experiment == "scale":
+        return _scale_cell_digest(result)
+    return result.fingerprint()
+
+
+def result_digest(result) -> str:
+    """sha256 over the canonical JSON of a run's results.
+
+    Summary keys listed in :data:`ADDED_SUMMARY_KEYS` are removed first, and
+    each of them must be present on at least one label.
+    """
+    if result.experiment == "scale":
+        return _scale_cell_digest(result)
+    data = result.to_dict()
+    added = set(ADDED_SUMMARY_KEYS.get(result.experiment, ()))
+    summaries = data["summaries"]
+    missing = {key for key in added if not any(key in m for m in summaries.values())}
+    assert not missing, f"listed but never stored: {sorted(missing)}"
+    results = {
+        "experiment": data["experiment"],
+        "config": {k: v for k, v in data["config"].items() if k != "workers"},
+        "options": data["options"],
+        "seeds": data["seeds"],
+        "summaries": {
+            label: {k: v for k, v in metrics.items() if k not in added}
+            for label, metrics in summaries.items()
+        },
+        "samples": data["samples"],
+        "verdicts": data["verdicts"],
+    }
+    return hashlib.sha256(json.dumps(results, indent=2, sort_keys=True).encode()).hexdigest()
+
+
 def test_every_experiment_has_a_golden():
-    assert sorted(CASES) == sorted(GOLDEN_DIGESTS) == sorted(experiment_names())
+    assert (
+        sorted(CASES)
+        == sorted(GOLDEN_DIGESTS)
+        == sorted(RESULT_DIGESTS)
+        == sorted(experiment_names())
+    )
+    assert set(ADDED_SUMMARY_KEYS) <= set(CASES)
 
 
 @pytest.mark.parametrize("workers", [1, 2])
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_envelope_matches_golden(name, workers):
-    assert golden_digest(name, workers) == GOLDEN_DIGESTS[name]
+    result = golden_run(name, workers)
+    assert result_digest(result) == RESULT_DIGESTS[name]
+    assert golden_digest(result) == GOLDEN_DIGESTS[name]
