@@ -7,6 +7,7 @@ import pytest
 pytestmark = pytest.mark.slow
 
 
+from repro.analysis.report import render_report
 from repro.experiments.api import run_experiment
 
 
@@ -36,7 +37,7 @@ def test_bench_ablation(benchmark, quick_config, ablation_run):
 
     benchmark.pedantic(pipelined_only, rounds=1, iterations=1)
     print()
-    print(ablation_run.render())
+    print(render_report(ablation_run))
 
 
 def test_ablation_verification_delay_costs_time(verification_points):

@@ -13,6 +13,7 @@ import time
 
 import pytest
 
+from repro.analysis.report import render_report
 from repro.experiments.api import run_experiment
 from repro.experiments.attacks import degradation_ratio
 from repro.experiments.config import ExperimentConfig
@@ -61,7 +62,7 @@ def test_bench_attacks(benchmark, quick_config, attacks_run):
 
     benchmark.pedantic(bcbpt_only, rounds=1, iterations=1)
     print()
-    print(attacks_run.render())
+    print(render_report(attacks_run))
 
 
 @slow

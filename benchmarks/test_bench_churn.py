@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import time
 
+from repro.analysis.report import render_report
 from repro.experiments.api import run_experiment
 
 #: Generous upper bound (the run takes a few seconds on any recent machine).
@@ -50,7 +51,7 @@ def test_churn_resilience_end_to_end_quickly(bench_config):
     assert run.verdicts["clustering_survives_churn"]
 
     print()
-    print(run.render())
+    print(render_report(run))
     assert elapsed < WALL_CLOCK_BOUND_S, (
         f"churn resilience run regressed: {elapsed:.1f}s (bound {WALL_CLOCK_BOUND_S}s)"
     )

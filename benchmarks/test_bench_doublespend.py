@@ -9,6 +9,7 @@ import pytest
 pytestmark = pytest.mark.slow
 
 
+from repro.analysis.report import render_report
 from repro.experiments.api import run_experiment
 
 
@@ -36,7 +37,7 @@ def test_bench_doublespend(benchmark, quick_config, doublespend_run):
 
     benchmark.pedantic(bcbpt_only, rounds=1, iterations=1)
     print()
-    print(doublespend_run.render())
+    print(render_report(doublespend_run))
 
 
 def test_doublespend_merchant_detects_conflict_everywhere(doublespend_points):

@@ -13,6 +13,7 @@ import pytest
 pytestmark = pytest.mark.slow
 
 
+from repro.analysis.report import render_report
 from repro.experiments.api import run_experiment
 
 
@@ -35,7 +36,7 @@ def test_bench_fig3_comparison(benchmark, bench_config, fig3_run):
 
     benchmark.pedantic(single_seed_campaign, rounds=1, iterations=1)
     print()
-    print(fig3_run.render())
+    print(render_report(fig3_run))
     # The headline reproduction criterion is asserted here too so that a
     # ``--benchmark-only`` run still verifies the paper's ordering.
     assert fig3_run.verdicts["paper_ordering"]
@@ -70,4 +71,6 @@ def test_fig3_variance_rank_shape(fig3_results):
 def test_fig3_envelope_summaries_match_payload(fig3_run, fig3_results):
     """The persisted envelope's summaries mirror the in-memory aggregates."""
     for protocol, result in fig3_results.items():
-        assert fig3_run.summaries[protocol] == result.summary()
+        stored = fig3_run.summaries[protocol]
+        assert {key: stored[key] for key in result.summary()} == result.summary()
+        assert stored["long_link_fallbacks"] == result.long_link_fallbacks()

@@ -13,6 +13,7 @@ import pytest
 pytestmark = pytest.mark.slow
 
 
+from repro.analysis.report import render_report
 from repro.experiments.api import run_experiment
 
 
@@ -35,7 +36,7 @@ def test_bench_fig4_threshold_study(benchmark, bench_config, fig4_run):
 
     benchmark.pedantic(single_seed_sweep, rounds=1, iterations=1)
     print()
-    print(fig4_run.render())
+    print(render_report(fig4_run))
     # Assert the paper's trend here too so a ``--benchmark-only`` run checks it.
     assert fig4_run.verdicts["variance_monotone"]
 

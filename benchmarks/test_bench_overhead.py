@@ -7,6 +7,7 @@ import pytest
 pytestmark = pytest.mark.slow
 
 
+from repro.analysis.report import render_report
 from repro.experiments.api import run_experiment
 
 
@@ -32,7 +33,7 @@ def test_bench_overhead(benchmark, quick_config, overhead_run):
 
     benchmark.pedantic(bcbpt_only, rounds=1, iterations=1)
     print()
-    print(overhead_run.render())
+    print(render_report(overhead_run))
 
 
 def test_overhead_bcbpt_pays_for_measurement(overhead_points):

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import time
 
+from repro.analysis.report import render_report
 from repro.experiments.api import run_experiment
 from repro.protocol.mining import MiningProcess, equal_hash_power
 from repro.protocol.node import NodeConfig
@@ -112,7 +113,7 @@ def test_relay_comparison_end_to_end_quickly(bench_config):
     assert run.verdicts["compact_faster_block_propagation"]
 
     print()
-    print(run.render())
+    print(render_report(run))
     assert elapsed < WALL_CLOCK_BOUND_S, (
         f"relay comparison run regressed: {elapsed:.1f}s (bound {WALL_CLOCK_BOUND_S}s)"
     )

@@ -7,6 +7,7 @@ import pytest
 pytestmark = pytest.mark.slow
 
 
+from repro.analysis.report import render_report
 from repro.experiments.api import run_experiment
 
 SWEEP_THRESHOLDS_MS = (15, 25, 50, 100, 200)
@@ -36,7 +37,7 @@ def test_bench_threshold_sweep(benchmark, quick_config, sweep_run):
 
     benchmark.pedantic(single_threshold, rounds=1, iterations=1)
     print()
-    print(sweep_run.render())
+    print(render_report(sweep_run))
 
 
 def test_sweep_cluster_count_decreases_with_threshold(sweep_points):

@@ -7,6 +7,7 @@ import pytest
 pytestmark = pytest.mark.slow
 
 
+from repro.analysis.report import render_report
 from repro.experiments.api import run_experiment
 
 
@@ -32,7 +33,7 @@ def test_bench_validation(benchmark, quick_config, validation_run):
 
     benchmark.pedantic(reduced_crawl, rounds=1, iterations=1)
     print()
-    print(validation_run.render())
+    print(render_report(validation_run))
 
 
 def test_validation_rtt_shape(validation_run, validation_summary):

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 
+from repro.analysis.report import render_report
 from repro.experiments.api import run_experiment
 from repro.experiments.config import ExperimentConfig
 
@@ -38,7 +39,7 @@ def main() -> int:
         "attacks", config, {"adversary_fraction": args.adversary_fraction}
     )
     print()
-    print(attacks.render())
+    print(render_report(attacks))
 
     print()
     print("Staging double-spend races ...")
@@ -46,7 +47,7 @@ def main() -> int:
         "doublespend", config, {"races_per_seed": args.races, "race_horizon_s": 2.0}
     )
     print()
-    print(doublespend.render())
+    print(render_report(doublespend))
 
     by_name = {r.protocol: r for r in attacks.payload.eclipse}
     print()

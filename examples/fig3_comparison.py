@@ -3,10 +3,11 @@
 
 Runs the measuring-node campaign under the vanilla Bitcoin protocol, the LBC
 geographic clustering protocol and BCBPT (d_t = 25 ms) on identically seeded
-networks — through the unified experiment API — then prints the delay
-summaries, the per-rank variance curve and whether the paper's ordering
-(BCBPT < LBC < Bitcoin) holds, and persists the run to the result store so it
-can be diffed against later runs::
+networks — through the unified experiment API — then persists the run to the
+result store, so it can be diffed against later runs, and prints its report
+(the delay percentiles, the stored summaries with the cluster structure, the
+per-rank variance curve) and whether the paper's ordering
+(BCBPT < LBC < Bitcoin) holds::
 
     python examples/fig3_comparison.py --nodes 200 --runs 10 --seeds 3 11
     python -m repro.experiments compare fig3     # after two runs
@@ -18,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 
+from repro.analysis.report import render_report
 from repro.experiments.api import run_experiment
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.results import ResultStore
@@ -45,11 +47,13 @@ def main() -> int:
         f"{len(args.seeds)} seed(s), {args.runs} runs per measuring node ..."
     )
     result = run_experiment("fig3", config)
-    print()
-    print(result.render())
+    run_id = ""
     if not args.no_save:
         run_dir = ResultStore().save(result)
-        print()
+        run_id = f"fig3/{run_dir.name}"
+    print()
+    print(render_report(result, run_id=run_id))
+    if run_id:
         print(f"saved: {run_dir}")
     if result.verdicts["paper_ordering"]:
         print("Paper ordering (BCBPT < LBC < Bitcoin in mean and variance): HOLDS")

@@ -5,8 +5,8 @@ The paper's Fig. 4 shows that smaller latency thresholds give lower delay
 variance, but very small thresholds fragment the overlay into many tiny
 clusters that lean on long-distance links.  This example runs the registered
 ``threshold_sweep`` experiment over a range of thresholds (including the
-paper's 25/30/50/100 ms values), prints the delay-vs-cluster-structure table,
-and recommends the threshold with the lowest p90 delay.
+paper's 25/30/50/100 ms values), prints its report (the delay and cluster
+structure per threshold), and recommends the threshold with the lowest p90 delay.
 
 Run with::
 
@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 
+from repro.analysis.report import render_report
 from repro.experiments.api import run_experiment
 from repro.experiments.config import ExperimentConfig
 
@@ -49,7 +50,7 @@ def main() -> int:
         {"thresholds_ms": tuple(sorted(args.thresholds_ms))},
     )
     print()
-    print(result.render())
+    print(render_report(result))
 
     points = result.payload
     best = min(points, key=lambda point: point.p90_delay_s)

@@ -1,11 +1,13 @@
-"""``repro report``: self-contained markdown reports from stored runs.
+"""The one renderer: every run becomes text here, as markdown.
 
-This module turns one persisted
+:func:`render_report` turns one
 :class:`~repro.experiments.results.ExperimentResult` envelope into a
 human-readable, machine-diffable markdown report — configuration provenance,
 verdicts, percentile tables with bootstrap confidence intervals over seeds,
-and the paper's figures regenerated from the envelope's raw ``samples``
-(:mod:`repro.analysis.figures`) — with **no re-simulation**.
+the stored summaries, and the paper's figures regenerated from the envelope's
+raw ``samples`` (:mod:`repro.analysis.figures`) — with **no re-simulation**.
+``repro run`` prints it for a fresh run, and ``repro report`` writes the same
+text to ``report.md`` for a stored one.
 
 Byte-stability contract: rendering the same stored run twice produces
 byte-identical markdown.  Everything in the report derives from the stored
@@ -268,16 +270,24 @@ def render_report(
     # Load frontier ---------------------------------------------------------
     lines.extend(_render_load_frontier(result, log))
 
-    # Stored scalar summaries (always present; the only table for legacy runs)
+    # Stored scalar summaries (always present; the only table for legacy runs):
+    # one row per label, one table per set of metrics, in envelope order.
     if result.summaries:
         lines.append("## Stored summaries")
         lines.append("")
-        summary_rows = []
+        groups: dict[frozenset[str], list[str]] = {}
         for label, metrics in result.summaries.items():
-            for name in sorted(metrics):
-                summary_rows.append([label, f"`{name}`", _plain(metrics[name])])
-        lines.append(format_markdown_table(["label", "metric", "value"], summary_rows))
-        lines.append("")
+            groups.setdefault(frozenset(metrics), []).append(label)
+        for labels in groups.values():
+            names = list(result.summaries[labels[0]])
+            rows = [
+                [label] + [_plain(result.summaries[label][name]) for name in names]
+                for label in labels
+            ]
+            lines.append(
+                format_markdown_table(["label"] + [f"`{name}`" for name in names], rows)
+            )
+            lines.append("")
 
     # Figures --------------------------------------------------------------
     if specs is None:
@@ -304,27 +314,21 @@ def render_report(
                     lines.append("")
                     lines.append(f"_Also rendered: {refs}._")
             else:
-                lines.append(
-                    "_matplotlib is not installed — table view shown "
-                    "(install the `repro[plots]` extra for PNG/SVG)._"
-                )
+                if figures_mod.matplotlib_available():
+                    lines.append(
+                        "_Figure not rendered — table view shown "
+                        "(`repro report` without `--no-figures` writes PNG/SVG)._"
+                    )
+                else:
+                    lines.append(
+                        "_matplotlib is not installed — table view shown "
+                        "(install the `repro[plots]` extra for PNG/SVG)._"
+                    )
                 lines.append("")
                 lines.append(figures_mod.figure_table(spec))
             if spec.caption:
                 lines.append("")
                 lines.append(f"_{spec.caption}_")
-            lines.append("")
-
-    # Stored text report ---------------------------------------------------
-    if result.sections:
-        lines.append("## Stored report sections")
-        lines.append("")
-        for heading, body in result.sections:
-            lines.append(f"### {heading}")
-            lines.append("")
-            lines.append("```text")
-            lines.append(body)
-            lines.append("```")
             lines.append("")
     return "\n".join(lines).rstrip("\n") + "\n"
 
@@ -398,6 +402,19 @@ def _render_load_frontier(result: ExperimentResult, log: SampleLog) -> list[str]
         f"P² quantiles; CIs bootstrap the seed groups ({_BOOTSTRAP_RESAMPLES} "
         f"resamples, seed {_BOOTSTRAP_SEED})._"
     )
+    lines.append("")
+    # The lowest offered load at which each policy saturates.
+    saturation: dict[str, Optional[float]] = {}
+    for label in sorted(result.summaries, key=sort_key):
+        summary = result.summaries[label]
+        policy = label.split("@", 1)[0]
+        if saturation.get(policy) is None:
+            saturation[policy] = summary["offered_tps"] if summary.get("saturated") else None
+    lines.append("Saturation points (lowest offered load that saturates):")
+    lines.append("")
+    for policy, point in saturation.items():
+        shown = f"{_fmt(point)} tx/s" if point is not None else "not reached in sweep"
+        lines.append(f"- {policy}: {shown}")
     lines.append("")
     return lines
 

@@ -24,8 +24,7 @@ Each module corresponds to one experiment in DESIGN.md's index:
 * :mod:`repro.experiments.validation` — Val-1: simulator validation against
   published real-network propagation shapes.
 
-They all build on :class:`repro.experiments.runner.PropagationExperiment` and
-report through :mod:`repro.experiments.reporting`.
+They all build on :class:`repro.experiments.runner.PropagationExperiment`.
 
 Every driver registers itself with the declarative registry
 (:mod:`repro.experiments.api`) and is reachable through the unified CLI::
@@ -35,7 +34,8 @@ Every driver registers itself with the declarative registry
 
 Results persist as JSON envelopes in a :class:`~repro.experiments.results.
 ResultStore` under ``results/`` and can be reloaded and diffed
-(``python -m repro.experiments compare fig3``).  Drivers that declare a
+(``python -m repro.experiments compare fig3``); every run becomes text
+through one renderer, :func:`repro.analysis.report.render_report`.  Drivers that declare a
 ``collect_samples`` hook additionally persist their raw per-seed measurement
 series in the envelope's ``samples`` field, from which the analysis plane
 (:mod:`repro.analysis`, CLI ``repro report``) regenerates the paper's
@@ -57,14 +57,13 @@ from repro.experiments.api import (
     run_experiment,
 )
 from repro.experiments.config import ExperimentConfig
-from repro.experiments.reporting import ExperimentReport, format_table
+from repro.experiments.reporting import format_table
 from repro.experiments.results import ExperimentResult, ResultStore, diff_results
 from repro.experiments.runner import PropagationExperiment, PropagationResult, run_protocol_comparison
 
 __all__ = [
     "ExperimentConfig",
     "ExperimentOption",
-    "ExperimentReport",
     "ExperimentResult",
     "ExperimentSpec",
     "PropagationExperiment",

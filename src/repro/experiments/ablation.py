@@ -23,7 +23,6 @@ from repro.core.bcbpt import BcbptConfig, BcbptPolicy
 from repro.experiments.api import experiment
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.grid import run_seed_grid
-from repro.experiments.reporting import ExperimentReport, format_table
 from repro.experiments.runner import PropagationExperiment
 from repro.measurement.stats import DelayDistribution
 from repro.protocol.node import NodeConfig
@@ -190,34 +189,6 @@ def run_long_link_ablation(
     )
 
 
-def build_report(
-    verification_points: list[AblationPoint], long_link_points: list[AblationPoint]
-) -> ExperimentReport:
-    """Render both ablations."""
-    report = ExperimentReport(
-        experiment_id="Ext-5",
-        description="Ablations: verification delay and long-distance links",
-    )
-
-    def rows(points: list[AblationPoint]) -> list[list[object]]:
-        return [
-            [
-                point.variant,
-                point.mean_delay_s * 1e3,
-                point.variance_s2 * 1e6,
-                point.p90_delay_s * 1e3,
-                point.average_degree,
-                point.average_path_length,
-            ]
-            for point in points
-        ]
-
-    headers = ["variant", "mean_ms", "var_ms2", "p90_ms", "avg degree", "avg path len"]
-    report.add_section("Verification-delay ablation", format_table(headers, rows(verification_points)))
-    report.add_section("Long-link ablation", format_table(headers, rows(long_link_points)))
-    return report
-
-
 def summarize(outcome: AblationOutcome) -> dict[str, dict[str, float]]:
     """Per-variant scalar summaries for the result envelope."""
     summaries: dict[str, dict[str, float]] = {}
@@ -236,7 +207,6 @@ def summarize(outcome: AblationOutcome) -> dict[str, dict[str, float]]:
     title="Ablations: verification delay and long-distance links",
     description=__doc__,
     protocols=("bcbpt",),
-    report=lambda outcome: build_report(outcome.verification, outcome.long_links),
     summarize=summarize,
 )
 def run_ablations(config: Optional[ExperimentConfig] = None) -> AblationOutcome:

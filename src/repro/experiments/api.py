@@ -9,7 +9,6 @@ registers itself with the :func:`experiment` decorator::
         experiment_id="Fig. 3",
         title="Δt distribution, Bitcoin vs LBC vs BCBPT (d_t = 25 ms)",
         protocols=FIG3_PROTOCOLS,
-        report=build_report,
         summarize=summarize,
         verdicts={"paper_ordering": expected_ordering_holds},
     )
@@ -24,14 +23,18 @@ and in return gets, for free:
   checkpoint — drivers no longer validate individually);
 * a JSON-serialisable :class:`~repro.experiments.results.ExperimentResult`
   envelope, persisted through the
-  :class:`~repro.experiments.results.ResultStore`;
+  :class:`~repro.experiments.results.ResultStore`: config, options, seeds,
+  the per-label ``summarize`` scalars and the verdicts;
 * raw-sample persistence: a driver that declares ``collect_samples`` (a
   ``payload -> SampleLog`` extractor) gets its per-seed measurement series
   stored in the envelope's ``samples`` field, which is what ``repro report``
   regenerates figures and percentile tables from without re-simulation.
 
 :func:`run_experiment` is the one dispatch path used by the CLI, the
-benchmark guards and the examples.
+benchmark guards and the examples.  An envelope holds data, never text: every
+run is rendered from it by :func:`repro.analysis.report.render_report`, so
+whatever a reader should see must be in ``summarize``, ``collect_samples`` or
+the verdicts.
 """
 
 from __future__ import annotations
@@ -44,7 +47,6 @@ from typing import Any, Callable, Iterable, Mapping, Optional, Sequence
 
 from repro.experiments.backends import ExecutionPlan, GridIncomplete, use_plan
 from repro.experiments.config import ExperimentConfig
-from repro.experiments.reporting import ExperimentReport
 from repro.experiments.results import ExperimentResult
 from repro.workloads.scenarios import validate_policy_name
 
@@ -129,8 +131,6 @@ class ExperimentSpec:
             dispatch; informational in ``describe``).
         options: experiment-specific options beyond the shared config flags.
         run: the driver function ``run(config, **option_kwargs) -> payload``.
-        report: turns the payload into an
-            :class:`~repro.experiments.reporting.ExperimentReport`.
         summarize: extracts JSON-safe per-label scalar summaries from the
             payload (feeds ``ExperimentResult.summaries`` and run diffs).
         collect_samples: extracts a
@@ -149,7 +149,6 @@ class ExperimentSpec:
     run: Callable[..., Any]
     protocols: tuple[str, ...] = ()
     options: tuple[ExperimentOption, ...] = ()
-    report: Optional[Callable[[Any], ExperimentReport]] = None
     summarize: Optional[Callable[[Any], dict[str, dict[str, Any]]]] = None
     collect_samples: Optional[Callable[[Any], Any]] = None
     verdicts: Mapping[str, Callable[[Any], bool]] = field(default_factory=dict)
@@ -182,7 +181,6 @@ def experiment(
     description: Optional[str] = None,
     protocols: Sequence[str] = (),
     options: Sequence[ExperimentOption] = (),
-    report: Optional[Callable[[Any], ExperimentReport]] = None,
     summarize: Optional[Callable[[Any], dict[str, dict[str, Any]]]] = None,
     collect_samples: Optional[Callable[[Any], Any]] = None,
     verdicts: Optional[Mapping[str, Callable[[Any], bool]]] = None,
@@ -205,7 +203,6 @@ def experiment(
             run=run_fn,
             protocols=tuple(protocols),
             options=tuple(options),
-            report=report,
             summarize=summarize,
             collect_samples=collect_samples,
             verdicts=dict(verdicts or {}),
@@ -307,8 +304,8 @@ def run_experiment(
     """Execute one registered experiment and wrap the outcome in an envelope.
 
     This is the single dispatch path: it resolves options, validates every
-    protocol label once (the registry checkpoint), runs the driver, builds
-    the report, evaluates the verdicts, and returns a JSON-serialisable
+    protocol label once (the registry checkpoint), runs the driver,
+    summarises it, evaluates the verdicts, and returns a JSON-serialisable
     :class:`~repro.experiments.results.ExperimentResult` whose in-memory
     ``payload`` attribute still carries the driver's native result objects
     (not serialised) for callers that need the full detail.
@@ -361,10 +358,6 @@ def run_experiment(
     if active_plan.incomplete:
         raise GridIncomplete(active_plan)
 
-    sections: list[tuple[str, str]] = []
-    if spec.report is not None:
-        report = spec.report(payload)
-        sections = list(report.sections)
     summaries = spec.summarize(payload) if spec.summarize is not None else {}
     samples: dict[str, Any] = {}
     if spec.collect_samples is not None:
@@ -385,7 +378,6 @@ def run_experiment(
         seeds=list(cfg.seeds),
         summaries=summaries,
         verdicts=verdicts,
-        sections=sections,
         extras={"duration_s": time.time() - started},
         samples=samples,
     )

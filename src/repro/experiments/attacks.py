@@ -68,7 +68,6 @@ from repro.analysis.stats import mean
 from repro.experiments.api import ExperimentOption, experiment
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.grid import run_seed_grid
-from repro.experiments.reporting import ExperimentReport, format_table
 from repro.net.topology import connected_components
 from repro.protocol.adversary import SelfishMiner
 from repro.protocol.mining import MinerProfile, MiningProcess, equal_hash_power
@@ -826,110 +825,6 @@ def selfish_mining_pays_somewhere(
     return False
 
 
-def build_report(
-    eclipse_results: list[EclipseResult],
-    partition_results: list[PartitionResult],
-    dynamic: Optional[dict[str, DynamicAttackResult]] = None,
-) -> ExperimentReport:
-    """Render the static surfaces and the dynamic outcomes into one report."""
-    report = ExperimentReport(
-        experiment_id="Ext-3",
-        description="Attack susceptibility: static surfaces and dynamic outcomes",
-    )
-    report.add_section(
-        "Eclipse: adversarial share of the victim's connections",
-        format_table(
-            ["protocol", "adversary frac", "victim conns", "adversarial", "eclipsed frac"],
-            [
-                [
-                    r.protocol,
-                    r.adversary_fraction,
-                    r.victim_connection_count,
-                    r.adversarial_connection_count,
-                    r.eclipsed_fraction,
-                ]
-                for r in eclipse_results
-            ],
-        ),
-    )
-    report.add_section(
-        "Partition: cost of isolating the largest cluster/region",
-        format_table(
-            [
-                "protocol",
-                "target size",
-                "boundary links",
-                "total links",
-                "boundary frac",
-                "partition achieved",
-                "largest comp frac",
-            ],
-            [
-                [
-                    r.protocol,
-                    r.target_group_size,
-                    r.boundary_links,
-                    r.total_links,
-                    r.boundary_fraction,
-                    r.partition_achieved,
-                    r.largest_component_fraction,
-                ]
-                for r in partition_results
-            ],
-        ),
-    )
-    if dynamic:
-        report.add_section(
-            "Dynamic outcomes per (attack, protocol) cell",
-            format_table(
-                [
-                    "attack/protocol",
-                    "samples",
-                    "mean Δt (ms)",
-                    "coverage",
-                    "victim cov",
-                    "suppressed",
-                    "withheld",
-                    "revenue",
-                ],
-                [
-                    [
-                        key,
-                        len(result.delay_samples),
-                        result.mean_delay() * 1e3,
-                        result.mean_coverage(),
-                        result.mean_victim_coverage(),
-                        result.total("messages_suppressed"),
-                        result.total("blocks_withheld"),
-                        result.mean_revenue_share(),
-                    ]
-                    for key, result in dynamic.items()
-                ],
-            ),
-        )
-        degradation_rows = [
-            [
-                key,
-                degradation_ratio(dynamic, result.attack, result.protocol),
-                coverage_loss(dynamic, result.attack, result.protocol),
-            ]
-            for key, result in dynamic.items()
-            if result.attack != "none"
-        ]
-        if degradation_rows:
-            report.add_section(
-                "Degradation vs each protocol's honest baseline",
-                format_table(
-                    ["attack/protocol", "Δt ratio", "coverage loss"], degradation_rows
-                ),
-            )
-    return report
-
-
-def _outcome_report(outcome: AttackOutcome) -> ExperimentReport:
-    return build_report(outcome.eclipse, outcome.partition, outcome.dynamic)
-
-
 def summarize(outcome: AttackOutcome) -> dict[str, dict[str, float]]:
     """Per-protocol scalar summaries for the result envelope."""
     summaries: dict[str, dict[str, float]] = {}
@@ -1046,7 +941,6 @@ def collect_samples(outcome: AttackOutcome) -> SampleLog:
             help="the selfish miner's hash-power share α (default: 0.35)",
         ),
     ),
-    report=_outcome_report,
     summarize=summarize,
     collect_samples=collect_samples,
     verdicts={

@@ -37,7 +37,6 @@ from repro.analysis.stats import mean
 from repro.experiments.api import ExperimentOption, experiment
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.grid import run_seed_grid
-from repro.experiments.reporting import ExperimentReport, format_table
 from repro.experiments.runner import select_measuring_nodes
 from repro.measurement.measuring_node import MeasuringNode
 from repro.measurement.stats import DelayDistribution
@@ -305,6 +304,17 @@ def collect_samples(results: dict[str, ChurnResilienceResult]) -> SampleLog:
 
 
 # ------------------------------------------------------------------- driver
+#: Per-seed counters each pair's envelope summary sums over its seeds.
+SUMMARY_COUNTERS = (
+    "leave_events",
+    "join_events",
+    "timed_out_receptions",
+    "orphans_reassigned",
+    "representatives_replaced",
+    "bridges_created",
+)
+
+
 @experiment(
     "churn_resilience",
     experiment_id="Ext-6",
@@ -330,12 +340,13 @@ def collect_samples(results: dict[str, ChurnResilienceResult]) -> SampleLog:
             convert=tuple,
         ),
     ),
-    report=lambda results: build_report(results),
     summarize=lambda results: {
-        key: {**result.summary(), "mean_coverage": result.mean_coverage(),
-              "leave_events": float(result.total("leave_events")),
-              "join_events": float(result.total("join_events")),
-              **result.cluster_drift()}
+        key: {
+            **result.summary(),
+            "mean_coverage": result.mean_coverage(),
+            **{name: float(result.total(name)) for name in SUMMARY_COUNTERS},
+            **result.cluster_drift(),
+        }
         for key, result in results.items()
     },
     collect_samples=collect_samples,
@@ -383,68 +394,6 @@ def run_churn_resilience(
         f"{protocol}/{level}": ChurnResilienceResult(protocol, level, tuple(cells))
         for (protocol, level, _), cells in grid
     }
-
-
-def build_report(results: dict[str, ChurnResilienceResult]) -> ExperimentReport:
-    """Turn churn-resilience results into a structured text report."""
-    report = ExperimentReport(
-        experiment_id="Ext-6",
-        description="Propagation delay and cluster quality under live join/leave churn",
-    )
-    delay_rows = []
-    for key, result in results.items():
-        summary = result.summary()
-        delay_rows.append(
-            [
-                key,
-                len(result.delays),
-                summary.get("mean_s", float("nan")) * 1e3,
-                summary.get("variance_s2", float("nan")) * 1e6,
-                result.mean_coverage(),
-                result.total("timed_out_receptions"),
-            ]
-        )
-    report.add_section(
-        "Δt under churn (ms / ms²)",
-        format_table(
-            ["protocol/level", "samples", "mean", "variance", "coverage", "timeouts"],
-            delay_rows,
-        ),
-    )
-    churn_rows = []
-    for key, result in results.items():
-        drift = result.cluster_drift()
-        churn_rows.append(
-            [key]
-            + [
-                result.total(name)
-                for name in (
-                    "leave_events",
-                    "join_events",
-                    "orphans_reassigned",
-                    "representatives_replaced",
-                    "bridges_created",
-                )
-            ]
-            + [drift["cluster_count_drift"], drift["mean_size_drift"]]
-        )
-    report.add_section(
-        "Churn volume and cluster maintenance",
-        format_table(
-            [
-                "protocol/level",
-                "leaves",
-                "joins",
-                "orphans rehomed",
-                "reps replaced",
-                "bridges",
-                "cluster# drift",
-                "size drift",
-            ],
-            churn_rows,
-        ),
-    )
-    return report
 
 
 def clustering_survives_churn(results: dict[str, ChurnResilienceResult]) -> bool:

@@ -21,9 +21,11 @@ One command drives every registered experiment::
 
 ``run`` composes the shared :meth:`ExperimentConfig.add_arguments` flags with
 the experiment's declarative options, executes through the registry dispatch
-(:func:`repro.experiments.api.run_experiment`), prints the report, and
-persists the envelope to the :class:`~repro.experiments.results.ResultStore`
-(``results/`` by default; disable with ``--no-save``).  ``--sweep
+(:func:`repro.experiments.api.run_experiment`), persists the envelope to the
+:class:`~repro.experiments.results.ResultStore` (``results/`` by default;
+disable with ``--no-save``), and prints it through the one renderer,
+:func:`repro.analysis.report.render_report` — the same text ``repro report
+<run> --no-figures`` writes to the run's ``report.md``.  ``--sweep
 field=v1,v2`` repeats the run across the values of any
 :class:`~repro.experiments.config.ExperimentConfig` field or experiment
 option; several ``--sweep`` flags form a grid.
@@ -40,6 +42,7 @@ from __future__ import annotations
 import argparse
 import itertools
 import sys
+from pathlib import Path
 from typing import Any, Optional, Sequence
 
 from repro.experiments.api import (
@@ -53,6 +56,7 @@ from repro.experiments.checkpoint import CellStore
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.reporting import format_table
 from repro.experiments.results import (
+    ExperimentResult,
     ResultStore,
     diff_results,
     json_safe,
@@ -374,6 +378,24 @@ def _report_incomplete(
     return EXIT_INCOMPLETE
 
 
+def _save_and_print(
+    result: ExperimentResult, store: Optional[ResultStore]
+) -> Optional[Path]:
+    """Save a run (unless ``store`` is None), then print it as ``repro report``
+    renders it; returns the run directory."""
+    # Imported lazily, as in `_cmd_report`: the analysis layer sits above the
+    # experiments layer, and nothing on the run_experiment path loads it.
+    from repro.analysis.report import render_report
+
+    run_dir = store.save(result) if store is not None else None
+    run_id = f"{result.experiment}/{run_dir.name}" if run_dir is not None else ""
+    print(render_report(result, run_id=run_id), end="")
+    if run_dir is not None:
+        print()
+        print(f"saved: {run_dir}")
+    return run_dir
+
+
 def _execute_run(spec: ExperimentSpec, args: argparse.Namespace) -> int:
     base_config = ExperimentConfig.from_args(args)
     base_options = {
@@ -424,13 +446,8 @@ def _execute_run(spec: ExperimentSpec, args: argparse.Namespace) -> int:
             result = run_experiment(spec.name, config, options, plan=plan)
         except GridIncomplete as exc:
             return _report_incomplete(spec, plan, exc)
-        print(result.render())
-        candidate_label = "(unsaved run)"
-        if not args.no_save:
-            run_dir = store.save(result)
-            candidate_label = str(run_dir)
-            print()
-            print(f"saved: {run_dir}")
+        run_dir = _save_and_print(result, None if args.no_save else store)
+        candidate_label = str(run_dir) if run_dir is not None else "(unsaved run)"
         if args.diff_latest:
             if previous is None:
                 print("no previous run to diff against")
@@ -512,7 +529,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     try:
         if len(runs) == 1:
             # One experiment name: diff its two newest stored runs, optionally
-            # restricted by `--where` parameter conditions (sqlite index).
+            # restricted by `--where` parameter conditions.
             if args.where:
                 ids = store.query(parse_where(args.where), experiment=runs[0])
             else:
@@ -648,10 +665,7 @@ def _shard_run(spec: ExperimentSpec, argv: list[str]) -> int:
         # The slice covered the whole grid (N=1, or every other cell was
         # already checkpointed): behave like a plain run.
         print()
-        print(result.render())
-        if not args.no_save:
-            run_dir = ResultStore(args.results_dir).save(result)
-            print(f"saved: {run_dir}")
+        _save_and_print(result, None if args.no_save else ResultStore(args.results_dir))
     return 0
 
 
@@ -683,11 +697,7 @@ def _shard_merge(spec: ExperimentSpec, argv: list[str]) -> int:
             file=sys.stderr,
         )
         return EXIT_INCOMPLETE
-    print(result.render())
-    if not args.no_save:
-        run_dir = ResultStore(args.results_dir).save(result)
-        print()
-        print(f"saved: {run_dir}")
+    _save_and_print(result, None if args.no_save else ResultStore(args.results_dir))
     return 0
 
 

@@ -29,7 +29,6 @@ from typing import Optional, Sequence
 from repro.experiments.api import ExperimentOption, experiment
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.grid import run_seed_grid
-from repro.experiments.reporting import ExperimentReport, format_table
 from repro.protocol.doublespend import DoubleSpendAttacker, merchant_detection, tally_first_seen
 from repro.protocol.messages import TxMessage
 from repro.protocol.node import NodeConfig
@@ -118,7 +117,6 @@ class DoubleSpendPoint:
             is_protocols=True,
         ),
     ),
-    report=lambda points: build_report(points),
     summarize=lambda points: {p.protocol: asdict(p) for p in points},
 )
 def run_doublespend(
@@ -248,27 +246,3 @@ def remote_peer_for(network, attacker_id: int, preferred: int) -> int:
         return preferred
     return max(neighbors, key=lambda peer: network.base_rtt(attacker_id, peer))
 
-
-def build_report(points: list[DoubleSpendPoint]) -> ExperimentReport:
-    """Render the double-spend comparison."""
-    report = ExperimentReport(
-        experiment_id="Ext-4",
-        description="Double-spend race outcomes (first-seen shares and detection)",
-    )
-    report.add_section(
-        "Race outcomes",
-        format_table(
-            ["protocol", "races", "attacker share", "merchant detection rate", "mean detection s"],
-            [
-                [
-                    p.protocol,
-                    p.races,
-                    p.mean_attacker_share,
-                    p.detection_rate,
-                    p.mean_detection_time_s,
-                ]
-                for p in points
-            ],
-        ),
-    )
-    return report

@@ -54,7 +54,6 @@ from repro.analysis.stats import mean
 from repro.experiments.api import ExperimentOption, experiment
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.grid import run_seed_grid
-from repro.experiments.reporting import ExperimentReport, format_table
 from repro.protocol.mining import MiningProcess, equal_hash_power
 from repro.protocol.node import NodeConfig
 from repro.workloads.generators import fund_nodes
@@ -548,56 +547,6 @@ def collect_samples(results: dict[str, LoadCellResult]) -> SampleLog:
     return log
 
 
-# ------------------------------------------------------------------- report
-def build_report(results: dict[str, LoadCellResult]) -> ExperimentReport:
-    """Text report: the frontier table plus the per-policy saturation points."""
-    report = ExperimentReport(
-        "Ext-9",
-        "Throughput/latency frontier under sustained Poisson load "
-        "(fee-priority mempools, byte-capped blocks)",
-    )
-    rows = []
-    for cell in sorted(results.values(), key=lambda c: (c.protocol, c.offered_tps)):
-        rows.append(
-            [
-                cell.protocol,
-                f"{cell.offered_tps:g}",
-                f"{cell.generated_tps():.3g}",
-                f"{cell.confirmed_tps():.3g}",
-                f"{cell.p50_latency_s():.4g}",
-                f"{cell.p99_latency_s():.4g}",
-                f"{cell.backlog_final():.4g}",
-                f"{cell.full_block_fraction():.2f}",
-                "yes" if cell.is_saturated() else "no",
-            ]
-        )
-    report.add_section(
-        "Latency-vs-load frontier",
-        format_table(
-            [
-                "policy",
-                "offered tx/s",
-                "generated tx/s",
-                "confirmed tx/s",
-                "p50 latency (s)",
-                "p99 latency (s)",
-                "final backlog",
-                "full blocks",
-                "saturated",
-            ],
-            rows,
-        ),
-    )
-    protocols = sorted({cell.protocol for cell in results.values()})
-    saturation_lines = []
-    for protocol in protocols:
-        point = saturation_point_tps(results, protocol)
-        shown = f"{point:g} tx/s" if point is not None else "not reached in sweep"
-        saturation_lines.append(f"{protocol}: {shown}")
-    report.add_section("Saturation points", "\n".join(saturation_lines))
-    return report
-
-
 # ------------------------------------------------------------------- driver
 @experiment(
     "load_frontier",
@@ -672,7 +621,6 @@ def build_report(results: dict[str, LoadCellResult]) -> ExperimentReport:
             help="confirmed outputs funded per node before load starts (default: 8)",
         ),
     ),
-    report=lambda results: build_report(results),
     summarize=lambda results: {key: cell.summary() for key, cell in results.items()},
     collect_samples=collect_samples,
     verdicts={

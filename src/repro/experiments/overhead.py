@@ -19,7 +19,6 @@ from typing import Optional, Sequence
 from repro.experiments.api import ExperimentOption, experiment
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.grid import run_seed_grid
-from repro.experiments.reporting import ExperimentReport, format_table
 from repro.experiments.runner import PropagationExperiment
 from repro.measurement.stats import DelayDistribution
 from repro.workloads.network_gen import NetworkParameters
@@ -103,44 +102,6 @@ def run_overhead_seed(job: OverheadJob) -> OverheadJobResult:
     )
 
 
-def build_report(points: list[OverheadPoint]) -> ExperimentReport:
-    """Render overhead-vs-benefit as a report."""
-    report = ExperimentReport(
-        experiment_id="Ext-2",
-        description="Topology-construction overhead vs propagation-delay benefit",
-    )
-    rows = [
-        [
-            point.protocol,
-            point.ping_messages_per_node,
-            point.control_messages_per_node,
-            point.control_bytes_per_node,
-            point.handshake_messages_per_node,
-            point.total_build_bytes_per_node,
-            point.mean_delay_s * 1e3,
-            point.delay_variance_s2 * 1e6,
-        ]
-        for point in points
-    ]
-    report.add_section(
-        "Per-node overhead (topology build) and resulting delay",
-        format_table(
-            [
-                "protocol",
-                "ping msgs",
-                "control msgs",
-                "control bytes",
-                "handshake msgs",
-                "total bytes",
-                "mean Δt ms",
-                "var Δt ms²",
-            ],
-            rows,
-        ),
-    )
-    return report
-
-
 def summarize(points: list[OverheadPoint]) -> dict[str, dict[str, float]]:
     """Per-protocol scalar summaries for the result envelope."""
     return {point.protocol: asdict(point) for point in points}
@@ -163,7 +124,6 @@ def summarize(points: list[OverheadPoint]) -> dict[str, dict[str, float]]:
             is_protocols=True,
         ),
     ),
-    report=build_report,
     summarize=summarize,
 )
 def run_overhead(

@@ -48,7 +48,6 @@ from repro.analysis.stats import mean
 from repro.experiments.api import ExperimentOption, experiment
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.grid import run_seed_grid
-from repro.experiments.reporting import ExperimentReport, format_table
 from repro.measurement.stats import DelayDistribution
 from repro.protocol.mining import MiningProcess, equal_hash_power
 from repro.protocol.relay import validate_relay_name
@@ -211,17 +210,28 @@ class RelayComparisonResult:
         base = delays.summary() if len(delays) else {"count": 0.0}
         summary = {
             **base,
+            "blocks_measured": float(self.total("blocks_measured")),
             "messages_per_block": self.messages_per_block(),
             "bytes_per_block": self.bytes_per_block(),
             "block_payload_bytes_per_block": self.block_payload_bytes_per_block(),
             "mean_coverage": self.mean_coverage(),
         }
+        if self.relay in ("compact", "push"):
+            for name in (
+                "compact_blocks_reconstructed",
+                "compact_txs_requested",
+                "compact_fallbacks",
+                "compact_txn_timeouts",
+                "blocks_pushed",
+            ):
+                summary[name] = float(self.total(name))
         if self.relay == "adaptive":
             summary["mean_final_fanout"] = self.mean_final_fanout()
             summary["fanout_widened"] = float(self.total("adaptive_fanout_widened"))
             summary["fanout_narrowed"] = float(self.total("adaptive_fanout_narrowed"))
         if self.relay == "headers":
             summary["getheaders_sent"] = float(self.total("getheaders_sent"))
+            summary["headers_received"] = float(self.total("headers_received"))
             summary["header_bodies_requested"] = float(self.total("header_bodies_requested"))
         return summary
 
@@ -422,7 +432,6 @@ def collect_samples(results: dict[str, RelayComparisonResult]) -> SampleLog:
             help="simulated seconds allowed per block to reach every node (default: 30)",
         ),
     ),
-    report=lambda results: build_report(results),
     summarize=lambda results: {key: result.summary() for key, result in results.items()},
     collect_samples=collect_samples,
     verdicts={
@@ -567,112 +576,3 @@ def compact_beats_flood(
             return False
     return compared > 0
 
-
-def build_report(results: dict[str, RelayComparisonResult]) -> ExperimentReport:
-    """Turn relay-comparison results into a structured text report."""
-    report = ExperimentReport(
-        experiment_id="Ext-7",
-        description="Block propagation and per-block overhead by relay strategy",
-    )
-    delay_rows = []
-    for key, result in results.items():
-        delays = result.delays
-        summary = delays.summary() if len(delays) else {}
-        delay_rows.append(
-            [
-                key,
-                len(delays),
-                summary.get("mean_s", float("nan")) * 1e3,
-                summary.get("variance_s2", float("nan")) * 1e6,
-                result.mean_coverage(),
-            ]
-        )
-    report.add_section(
-        "Block Δt by relay strategy (ms / ms²)",
-        format_table(
-            ["relay/protocol", "samples", "mean", "variance", "coverage"], delay_rows
-        ),
-    )
-    overhead_rows = [
-        [
-            key,
-            result.total("blocks_measured"),
-            result.messages_per_block(),
-            result.bytes_per_block() / 1e3,
-            result.block_payload_bytes_per_block() / 1e3,
-        ]
-        for key, result in results.items()
-    ]
-    report.add_section(
-        "Per-block overhead (messages / kB)",
-        format_table(
-            ["relay/protocol", "blocks", "msgs/block", "kB/block", "block-kB/block"],
-            overhead_rows,
-        ),
-    )
-    strategy_rows = [
-        [key]
-        + [
-            result.total(name)
-            for name in (
-                "compact_blocks_reconstructed",
-                "compact_txs_requested",
-                "compact_fallbacks",
-                "compact_txn_timeouts",
-                "blocks_pushed",
-            )
-        ]
-        for key, result in results.items()
-        if result.relay in ("compact", "push")
-    ]
-    if strategy_rows:
-        report.add_section(
-            "Strategy work counters",
-            format_table(
-                [
-                    "relay/protocol",
-                    "reconstructed",
-                    "txs fetched",
-                    "fallbacks",
-                    "timeouts",
-                    "pushes",
-                ],
-                strategy_rows,
-            ),
-        )
-    adaptive_rows = [
-        [
-            key,
-            result.total("adaptive_fanout_widened"),
-            result.total("adaptive_fanout_narrowed"),
-            result.mean_final_fanout(),
-        ]
-        for key, result in results.items()
-        if result.relay == "adaptive"
-    ]
-    if adaptive_rows:
-        report.add_section(
-            "Adaptive fan-out",
-            format_table(
-                ["relay/protocol", "widened", "narrowed", "final width"],
-                adaptive_rows,
-            ),
-        )
-    headers_rows = [
-        [key]
-        + [
-            result.total(name)
-            for name in ("getheaders_sent", "headers_received", "header_bodies_requested")
-        ]
-        for key, result in results.items()
-        if result.relay == "headers"
-    ]
-    if headers_rows:
-        report.add_section(
-            "Headers-first sync",
-            format_table(
-                ["relay/protocol", "getheaders", "headers", "bodies fetched"],
-                headers_rows,
-            ),
-        )
-    return report

@@ -1,18 +1,14 @@
-"""Plain-text and markdown reporting helpers for experiment results.
+"""Plain-text and markdown table helpers.
 
-The paper presents its results as figures; the terminal reports render the
-same information as text tables (one row per protocol / threshold / rank)
-that can be compared against the figures' shape.  Actual figure regeneration
-from stored raw samples lives one layer up, in :mod:`repro.analysis`
-(``repro report``), which builds its markdown tables with
-:func:`format_markdown_table` and takes its distribution math from
-:mod:`repro.analysis.stats`.
+Every run becomes text through one renderer one layer up,
+:func:`repro.analysis.report.render_report`, which builds its markdown tables
+with :func:`format_markdown_table`.  :func:`format_table` lays out the CLI's
+own listings (``repro list``, the sweep summary).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Mapping, Optional, Sequence
+from typing import Optional, Sequence
 
 
 def format_table(
@@ -71,52 +67,3 @@ def format_markdown_table(
             )
         lines.append("| " + " | ".join(_render_cell(cell) for cell in row) + " |")
     return "\n".join(lines)
-
-
-def format_delay_summaries(
-    summaries: Mapping[str, Mapping[str, float]],
-    *,
-    title: str = "Delay distribution summary",
-) -> str:
-    """Render per-protocol delay summaries as one comparison table."""
-    headers = ["protocol", "samples", "mean_ms", "median_ms", "std_ms", "var_ms2", "p90_ms", "max_ms"]
-    rows = []
-    for name, summary in summaries.items():
-        rows.append(
-            [
-                name,
-                int(summary["count"]),
-                summary["mean_s"] * 1e3,
-                summary["median_s"] * 1e3,
-                summary["std_s"] * 1e3,
-                summary["variance_s2"] * 1e6,
-                summary["p90_s"] * 1e3,
-                summary["max_s"] * 1e3,
-            ]
-        )
-    return format_table(headers, rows, title=title)
-
-
-@dataclass
-class ExperimentReport:
-    """A structured experiment report: named sections of text."""
-
-    experiment_id: str
-    description: str
-    sections: list[tuple[str, str]] = field(default_factory=list)
-
-    def add_section(self, heading: str, body: str) -> None:
-        """Append a titled text section."""
-        self.sections.append((heading, body))
-
-    def render(self) -> str:
-        """Full plain-text rendering of the report."""
-        lines = [f"=== {self.experiment_id}: {self.description} ==="]
-        for heading, body in self.sections:
-            lines.append("")
-            lines.append(f"--- {heading} ---")
-            lines.append(body)
-        return "\n".join(lines)
-
-    def __str__(self) -> str:  # pragma: no cover - convenience
-        return self.render()

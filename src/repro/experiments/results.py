@@ -3,9 +3,10 @@
 Every experiment executed through :func:`repro.experiments.api.run_experiment`
 produces one :class:`ExperimentResult`: a JSON-serialisable envelope carrying
 the full configuration provenance (config, options, seeds), the per-label
-summary statistics, the rendered report sections, and the verdict booleans the
-old drivers printed as prose.  The envelope round-trips through JSON, so a run
-written today can be reloaded and compared against a run written next month.
+summary statistics and the verdict booleans.  The envelope round-trips through
+JSON, so a run written today can be reloaded and compared against a run
+written next month.  It holds data only: text is a view of it, rendered by
+:func:`repro.analysis.report.render_report`.
 
 Since schema v2 the envelope also carries ``samples``: the raw per-seed
 measurement series and time-series counters an experiment opted to persist
@@ -13,7 +14,8 @@ measurement series and time-series counters an experiment opted to persist
 what make a stored run *re-analysable* — ``repro report`` regenerates the
 paper's figures and percentile tables from them with no re-simulation.
 Legacy v1 envelopes (no ``samples`` key) still load; they simply report with
-summary tables only.
+summary tables only.  Up to v2 the envelope also stored pre-rendered report
+``sections``; v3 dropped them, and a stored ``sections`` key is ignored.
 
 :class:`ResultStore` persists envelopes under timestamped run directories::
 
@@ -21,7 +23,6 @@ summary tables only.
       fig3/
         20260729T144501-001/
           result.json     # the ExperimentResult envelope
-          report.txt      # the rendered plain-text report
           report.md       # written by `repro report` (on demand)
           figures/        # written by `repro report` when matplotlib exists
         20260729T151210-002/
@@ -31,6 +32,7 @@ Run ids are ``"<experiment>/<directory>"`` (e.g. ``"fig3/20260729T144501-001"``)
 and sort chronologically.  :meth:`ResultStore.diff` compares two stored runs:
 config drift, per-label metric deltas, and verdict flips (raw samples are
 deliberately *not* diffed — the scalar summaries derived from them are).
+:meth:`ResultStore.query` selects stored runs by their provenance.
 """
 
 from __future__ import annotations
@@ -41,7 +43,6 @@ import json
 import math
 import os
 import re
-import sqlite3
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -49,8 +50,9 @@ from typing import Any, Mapping, Optional, Sequence, Union
 
 #: Envelope schema version, bumped on breaking layout changes.
 #: v2 added the optional ``samples`` field (raw measurement series); v1
-#: envelopes load unchanged with an empty ``samples``.
-RESULT_SCHEMA_VERSION = 2
+#: envelopes load unchanged with an empty ``samples``.  v3 stopped storing
+#: pre-rendered report ``sections``; older envelopes load without them.
+RESULT_SCHEMA_VERSION = 3
 
 _RUN_DIR_RE = re.compile(r"^\d{8}T\d{6}-\d{3}$")
 
@@ -94,7 +96,6 @@ class ExperimentResult:
             machine-readable core used by :meth:`diff`.
         verdicts: named boolean reproduction criteria (e.g. the Fig. 3
             ordering check).
-        sections: the rendered report as (heading, body) pairs.
         extras: any additional JSON-safe data an experiment wants persisted.
         samples: raw measurement series and time-series counters, in the
             plain :meth:`repro.analysis.samples.SampleLog.to_dict` form
@@ -112,23 +113,8 @@ class ExperimentResult:
     seeds: list[int] = field(default_factory=list)
     summaries: dict[str, dict[str, Any]] = field(default_factory=dict)
     verdicts: dict[str, bool] = field(default_factory=dict)
-    sections: list[tuple[str, str]] = field(default_factory=list)
     extras: dict[str, Any] = field(default_factory=dict)
     samples: dict[str, Any] = field(default_factory=dict)
-
-    def render(self) -> str:
-        """Plain-text rendering (mirrors ``ExperimentReport.render``)."""
-        lines = [f"=== {self.experiment_id}: {self.title} ==="]
-        for heading, body in self.sections:
-            lines.append("")
-            lines.append(f"--- {heading} ---")
-            lines.append(body)
-        if self.verdicts:
-            lines.append("")
-            lines.append("--- Verdicts ---")
-            for name, value in self.verdicts.items():
-                lines.append(f"{name}: {'PASS' if value else 'FAIL'}")
-        return "\n".join(lines)
 
     def to_dict(self) -> dict[str, Any]:
         """The envelope as plain JSON-safe data."""
@@ -143,7 +129,6 @@ class ExperimentResult:
             "seeds": list(self.seeds),
             "summaries": json_safe(self.summaries),
             "verdicts": dict(self.verdicts),
-            "sections": [[heading, body] for heading, body in self.sections],
             "extras": json_safe(self.extras),
             "samples": json_safe(self.samples),
         }
@@ -154,7 +139,10 @@ class ExperimentResult:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "ExperimentResult":
-        """Rebuild an envelope from :meth:`to_dict` output."""
+        """Rebuild an envelope from :meth:`to_dict` output (schema v1–v3).
+
+        The ``sections`` that v1 and v2 envelopes stored are ignored.
+        """
         version = data.get("schema_version", RESULT_SCHEMA_VERSION)
         if version > RESULT_SCHEMA_VERSION:
             raise ValueError(
@@ -170,7 +158,6 @@ class ExperimentResult:
             seeds=[int(seed) for seed in data.get("seeds", [])],
             summaries={k: dict(v) for k, v in data.get("summaries", {}).items()},
             verdicts={k: bool(v) for k, v in data.get("verdicts", {}).items()},
-            sections=[(heading, body) for heading, body in data.get("sections", [])],
             extras=dict(data.get("extras", {})),
             # Legacy (v1) envelopes predate raw-sample capture; they load
             # with an empty samples field and report with tables only.
@@ -208,7 +195,11 @@ class ExperimentResult:
         return json.dumps(self.canonical_dict(), indent=2, sort_keys=True)
 
     def fingerprint(self) -> str:
-        """SHA-256 over :meth:`canonical_json` — the run-equivalence digest."""
+        """SHA-256 over :meth:`canonical_json` — the run-equivalence digest.
+
+        The envelope holds no rendered text, so the digest covers results
+        only: rewording a report cannot move it.
+        """
         return hashlib.sha256(self.canonical_json().encode()).hexdigest()
 
     def diff(self, other: "ExperimentResult") -> "ResultDiff":
@@ -326,7 +317,6 @@ class ResultStore:
     """
 
     RESULT_FILE = "result.json"
-    REPORT_FILE = "report.txt"
 
     def __init__(self, root: Union[str, Path, None] = None) -> None:
         if root is None:
@@ -357,13 +347,6 @@ class ResultStore:
         else:  # pragma: no cover - 999 runs in one second
             raise RuntimeError(f"no free run directory under {experiment_dir}")
         (run_dir / self.RESULT_FILE).write_text(result.to_json() + "\n")
-        (run_dir / self.REPORT_FILE).write_text(result.render() + "\n")
-        # Best-effort provenance indexing: a locked or unwritable index never
-        # fails the save — `query` lazily re-syncs from the run directories.
-        try:
-            self.index().add(f"{result.experiment}/{run_dir.name}", result)
-        except (sqlite3.Error, OSError):  # pragma: no cover - degraded disk
-            pass
         return run_dir
 
     # ------------------------------------------------------------------ read
@@ -435,10 +418,6 @@ class ResultStore:
         return diff
 
     # ----------------------------------------------------------------- query
-    def index(self) -> "ResultIndex":
-        """The sqlite provenance index at the store root."""
-        return ResultIndex(self.root)
-
     def query(
         self,
         where: Mapping[str, str],
@@ -447,20 +426,28 @@ class ResultStore:
         """Run ids matching every ``key=value`` condition, oldest first.
 
         Conditions select on config fields, experiment options, summary
-        labels and seeds as indexed by :class:`ResultIndex` — e.g.
-        ``{"nodes": "10000", "policy": "bcbpt"}``.  The index is re-synced
-        against the run directories first, so runs written by other
-        processes (shard runners, older checkouts without the index) are
-        always visible.
+        labels and seeds (see :func:`_provenance`) — e.g.
+        ``{"nodes": "10000", "policy": "bcbpt"}``.  Every stored envelope is
+        read, so runs written by other processes are always visible; a run
+        directory whose envelope is not (yet) readable is skipped.
         """
-        index = self.index()
-        index.refresh(self)
-        return index.query(where, experiment=experiment)
+        conditions = [
+            (WHERE_ALIASES.get(key, key), str(value)) for key, value in where.items()
+        ]
+        matches = []
+        for run_id in self.run_ids(experiment):
+            try:
+                values = _provenance(self.load(run_id))
+            except (OSError, ValueError, KeyError):  # a run being written
+                continue
+            if all(_any_equal(values.get(key, ()), wanted) for key, wanted in conditions):
+                matches.append(run_id)
+        return matches
 
 
 # ------------------------------------------------------------------ queries
 #: Friendly aliases accepted in `--where` conditions alongside the exact
-#: config-field / option / index keys.
+#: config-field / option / provenance keys.
 WHERE_ALIASES = {
     "nodes": "node_count",
     "policy": "label",
@@ -492,9 +479,10 @@ def resolve_run_selector(store: ResultStore, ref: str) -> str:
     """Resolve a run reference that may select by parameters.
 
     ``"fig3?nodes=200,policy=bcbpt"`` (or bare ``"?nodes=200"`` across all
-    experiments) resolves — via the sqlite index — to the **newest** stored
-    run matching every condition.  Anything without a ``?`` passes through
-    unchanged (plain run ids, paths and experiment names keep working).
+    experiments) resolves — via :meth:`ResultStore.query` — to the **newest**
+    stored run matching every condition.  Anything without a ``?`` passes
+    through unchanged (plain run ids, paths and experiment names keep
+    working).
     """
     if "?" not in ref:
         return ref
@@ -505,151 +493,27 @@ def resolve_run_selector(store: ResultStore, ref: str) -> str:
     return matches[-1]
 
 
-class ResultIndex:
-    """A sqlite index over stored runs' configuration provenance.
+def _provenance(result: ExperimentResult) -> dict[str, list[Any]]:
+    """The values a ``--where`` condition can select one run by, per key.
 
-    One database per store root (``results/index.sqlite``) with two tables:
-    ``runs`` (one row per stored run) and ``params`` (one row per indexed
-    key/value, several rows per multi-valued key).  Indexed per run:
-
-    * every scalar ``config`` field (``node_count``, ``latency_threshold_s``,
-      ...) — sequence fields additionally index each element;
-    * every resolved experiment option (``relays``, ``rates``, ...);
-    * each summary label under ``label`` (so ``policy=bcbpt`` finds every
-      run that compared BCBPT, whatever the experiment);
+    * every ``config`` field — a sequence field lists each element and the
+      comma-joined whole (``seeds=3,11``), a mapping its sorted JSON;
+    * every resolved experiment option, flattened the same way;
     * each master seed under ``seed``;
+    * each summary label under ``label``, plus a threshold-suffixed label's
+      base policy (``bcbpt@50ms`` also lists ``bcbpt``);
     * the experiment name under ``experiment``.
-
-    Numeric values also carry a REAL column so ``nodes=10000`` matches
-    however the number was spelled.  All writes are short transactions with
-    a generous busy timeout, so concurrent shard runners indexing into the
-    same store serialise instead of corrupting.
     """
-
-    DB_FILE = "index.sqlite"
-
-    _SCHEMA = """
-        CREATE TABLE IF NOT EXISTS runs (
-            run_id TEXT PRIMARY KEY,
-            experiment TEXT NOT NULL,
-            created_at REAL
-        );
-        CREATE TABLE IF NOT EXISTS params (
-            run_id TEXT NOT NULL,
-            key TEXT NOT NULL,
-            value TEXT NOT NULL,
-            number REAL
-        );
-        CREATE INDEX IF NOT EXISTS params_by_key_value ON params (key, value);
-        CREATE INDEX IF NOT EXISTS params_by_run ON params (run_id);
-    """
-
-    def __init__(self, root: Union[str, Path]) -> None:
-        self.root = Path(root)
-        self.path = self.root / self.DB_FILE
-
-    def _connect(self) -> sqlite3.Connection:
-        self.root.mkdir(parents=True, exist_ok=True)
-        connection = sqlite3.connect(self.path, timeout=10.0)
-        connection.executescript(self._SCHEMA)
-        return connection
-
-    # ----------------------------------------------------------------- write
-    def add(self, run_id: str, result: ExperimentResult) -> None:
-        """(Re-)index one stored run."""
-        rows = [
-            (run_id, key, value, number)
-            for key, value, number in _provenance_rows(result)
-        ]
-        with self._connect() as connection:
-            connection.execute("DELETE FROM params WHERE run_id = ?", (run_id,))
-            connection.execute(
-                "INSERT OR REPLACE INTO runs (run_id, experiment, created_at) "
-                "VALUES (?, ?, ?)",
-                (run_id, result.experiment, result.created_at),
-            )
-            connection.executemany(
-                "INSERT INTO params (run_id, key, value, number) VALUES (?, ?, ?, ?)",
-                rows,
-            )
-
-    def remove(self, run_id: str) -> None:
-        """Drop one run from the index."""
-        with self._connect() as connection:
-            connection.execute("DELETE FROM params WHERE run_id = ?", (run_id,))
-            connection.execute("DELETE FROM runs WHERE run_id = ?", (run_id,))
-
-    def refresh(self, store: ResultStore) -> None:
-        """Sync the index with the run directories on disk.
-
-        Runs saved by other processes (or before the index existed) are
-        indexed from their envelopes; rows for deleted run directories are
-        dropped.  Append-mostly stores make this a cheap set difference.
-        """
-        on_disk = set(store.run_ids())
-        with self._connect() as connection:
-            indexed = {row[0] for row in connection.execute("SELECT run_id FROM runs")}
-        for run_id in sorted(on_disk - indexed):
-            try:
-                self.add(run_id, store.load(run_id))
-            except (OSError, ValueError, KeyError):  # pragma: no cover - torn run dir
-                continue
-        for run_id in sorted(indexed - on_disk):
-            self.remove(run_id)
-
-    # ------------------------------------------------------------------ read
-    def query(
-        self,
-        where: Mapping[str, str],
-        experiment: Optional[str] = None,
-    ) -> list[str]:
-        """Run ids matching every condition (AND), oldest first."""
-        sql = "SELECT run_id FROM runs"
-        clauses: list[str] = []
-        arguments: list[Any] = []
-        if experiment:
-            clauses.append("experiment = ?")
-            arguments.append(experiment)
-        for raw_key, raw_value in where.items():
-            key = WHERE_ALIASES.get(raw_key, raw_key)
-            value = str(raw_value)
-            try:
-                number: Optional[float] = float(value)
-            except ValueError:
-                number = None
-            clauses.append(
-                "run_id IN (SELECT run_id FROM params WHERE key = ? "
-                "AND (value = ? OR (number IS NOT NULL AND number = ?)))"
-            )
-            arguments.extend([key, value, number])
-        if clauses:
-            sql += " WHERE " + " AND ".join(clauses)
-        sql += " ORDER BY run_id"
-        with self._connect() as connection:
-            return [row[0] for row in connection.execute(sql, arguments)]
-
-
-def _provenance_rows(result: ExperimentResult) -> list[tuple[str, str, Optional[float]]]:
-    """Flatten one envelope into (key, value, numeric value) index rows."""
-    rows: list[tuple[str, str, Optional[float]]] = []
+    values: dict[str, list[Any]] = {}
 
     def emit(key: str, value: Any) -> None:
         if isinstance(value, (list, tuple)):
             for item in value:
                 emit(key, item)
-            rows.append((key, ",".join(str(item) for item in value), None))
-            return
-        if isinstance(value, Mapping):
-            rows.append((key, json.dumps(json_safe(value), sort_keys=True), None))
-            return
-        number: Optional[float] = None
-        if isinstance(value, bool):
-            number = float(value)
-        elif isinstance(value, (int, float)) and not (
-            isinstance(value, float) and math.isnan(value)
-        ):
-            number = float(value)
-        rows.append((key, str(value), number))
+            value = ",".join(str(item) for item in value)
+        elif isinstance(value, Mapping):
+            value = json.dumps(json_safe(value), sort_keys=True)
+        values.setdefault(key, []).append(value)
 
     emit("experiment", result.experiment)
     for key, value in json_safe(result.config).items():
@@ -660,8 +524,20 @@ def _provenance_rows(result: ExperimentResult) -> list[tuple[str, str, Optional[
         emit("seed", seed)
     for label in result.summaries:
         emit("label", label)
-        # Threshold-suffixed labels ("bcbpt@50ms") also index their base
-        # policy so `policy=bcbpt` finds them.
         if "@" in label:
             emit("label", label.split("@", 1)[0])
-    return rows
+    return values
+
+
+def _any_equal(values: Sequence[Any], wanted: str) -> bool:
+    """Whether one value equals ``wanted`` as text, or as a number (so
+    ``nodes=1e4`` finds ``node_count`` 10000)."""
+    try:
+        number: Optional[float] = float(wanted)
+    except ValueError:
+        number = None
+    return any(
+        str(value) == wanted
+        or (number is not None and isinstance(value, (int, float)) and value == number)
+        for value in values
+    )

@@ -80,6 +80,35 @@ class PropagationResult:
             if len(self.per_rank[rank]) >= 1
         ]
 
+    def long_link_fallbacks(self) -> int:
+        """Campaigns that measured long links for want of a proximity connection."""
+        return sum(campaign.long_link_fallback for campaign in self.campaigns)
+
+
+def summarize_propagation(
+    results: dict[str, PropagationResult],
+) -> dict[str, dict[str, float]]:
+    """Per-label envelope summaries of the propagation experiments (Fig. 3/4).
+
+    Each label gets its pooled Δt summary and ``long_link_fallbacks``.  A
+    clustered label also gets the cluster structure behind its Δt, over the
+    seeds: the mean ``cluster_count`` and ``mean_cluster_size``, and the
+    largest cluster of any seed as ``max_cluster_size``.
+    """
+    summaries: dict[str, dict[str, float]] = {}
+    for label, result in results.items():
+        summary = {
+            **result.summary(),
+            "long_link_fallbacks": float(result.long_link_fallbacks()),
+        }
+        clustered = [s for s in result.cluster_summaries.values() if s.get("cluster_count")]
+        if clustered:
+            summary["cluster_count"] = sum(s["cluster_count"] for s in clustered) / len(clustered)
+            summary["mean_cluster_size"] = sum(s["mean_size"] for s in clustered) / len(clustered)
+            summary["max_cluster_size"] = float(max(s["max_size"] for s in clustered))
+        summaries[label] = summary
+    return summaries
+
 
 def select_measuring_nodes(node_ids: Sequence[int], count: int) -> list[int]:
     """Measuring nodes spread evenly across the node id space.

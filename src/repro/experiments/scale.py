@@ -41,7 +41,6 @@ from repro.experiments.api import ExperimentOption, experiment
 from repro.experiments.backends import current_plan
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.grid import run_seed_grid
-from repro.experiments.reporting import ExperimentReport, format_table
 from repro.experiments.runner import PropagationExperiment
 from repro.protocol.node import NodeConfig
 from repro.workloads.network_gen import NetworkParameters, ensure_network_snapshot
@@ -262,61 +261,6 @@ def collect_samples(results: dict[str, ScaleResult]) -> SampleLog:
     return log
 
 
-def build_report(results: dict[str, ScaleResult]) -> ExperimentReport:
-    """Turn scale-ladder results into a structured text report."""
-    report = ExperimentReport(
-        experiment_id="Ext-8",
-        description="Wall time, throughput and memory vs network size",
-    )
-    rows = []
-    for result in results.values():
-        summary = result.summary()
-        rows.append(
-            [
-                result.protocol,
-                result.node_count,
-                summary["mean_build_s"],
-                summary["mean_run_s"],
-                int(summary["total_events"]),
-                summary["mean_events_per_s"],
-                summary["max_peak_traced_mb"],
-                summary["max_rss_mb"],
-            ]
-        )
-    report.add_section(
-        "Scale ladder (seconds / events / MB)",
-        format_table(
-            [
-                "protocol",
-                "nodes",
-                "build",
-                "run",
-                "events",
-                "events/s",
-                "peak-MB",
-                "rss-MB",
-            ],
-            rows,
-        ),
-    )
-    prune_rows = [
-        [
-            result.protocol,
-            result.node_count,
-            int(result.summary()["state_prunes"]),
-            int(result.summary()["pruned_inventory_entries"]),
-        ]
-        for result in results.values()
-        if result.summary()["state_prunes"]
-    ]
-    if prune_rows:
-        report.add_section(
-            "In-run pruning",
-            format_table(["protocol", "nodes", "sweeps", "entries pruned"], prune_rows),
-        )
-    return report
-
-
 @experiment(
     "scale",
     experiment_id="Ext-8",
@@ -361,7 +305,6 @@ def build_report(results: dict[str, ScaleResult]) -> ExperimentReport:
             convert=bool,
         ),
     ),
-    report=build_report,
     summarize=lambda results: {key: r.summary() for key, r in results.items()},
     collect_samples=collect_samples,
     verdicts={"all_cells_completed": all_cells_completed},

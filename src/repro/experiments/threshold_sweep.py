@@ -19,7 +19,6 @@ from typing import Optional, Sequence
 from repro.experiments.api import ExperimentOption, experiment
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.grid import run_seed_grid
-from repro.experiments.reporting import ExperimentReport, format_table
 from repro.experiments.runner import PropagationExperiment
 from repro.measurement.stats import DelayDistribution
 from repro.workloads.network_gen import NetworkParameters
@@ -97,46 +96,6 @@ def run_threshold_job(job: ThresholdJob) -> ThresholdJobResult:
     )
 
 
-def build_report(points: list[ThresholdPoint]) -> ExperimentReport:
-    """Render the sweep as a report table."""
-    report = ExperimentReport(
-        experiment_id="Ext-1",
-        description="Fine-grained BCBPT latency-threshold sweep",
-    )
-    rows = [
-        [
-            f"{point.threshold_s * 1000:.0f} ms",
-            point.mean_delay_s * 1e3,
-            point.median_delay_s * 1e3,
-            point.variance_s2 * 1e6,
-            point.p90_delay_s * 1e3,
-            point.cluster_count,
-            point.mean_cluster_size,
-            point.mean_link_rtt_s * 1e3,
-            point.long_link_fraction,
-        ]
-        for point in points
-    ]
-    report.add_section(
-        "Threshold sweep",
-        format_table(
-            [
-                "d_t",
-                "mean_ms",
-                "median_ms",
-                "var_ms2",
-                "p90_ms",
-                "clusters",
-                "mean size",
-                "link RTT ms",
-                "long-link frac",
-            ],
-            rows,
-        ),
-    )
-    return report
-
-
 def summarize(points: list[ThresholdPoint]) -> dict[str, dict[str, float]]:
     """Per-threshold scalar summaries for the result envelope."""
     from dataclasses import asdict
@@ -162,7 +121,6 @@ def summarize(points: list[ThresholdPoint]) -> dict[str, dict[str, float]]:
             kwarg="thresholds_s",
         ),
     ),
-    report=build_report,
     summarize=summarize,
 )
 def run_threshold_sweep(

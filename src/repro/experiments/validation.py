@@ -23,7 +23,6 @@ from typing import Optional
 
 from repro.experiments.api import ExperimentOption, experiment
 from repro.experiments.config import ExperimentConfig
-from repro.experiments.reporting import ExperimentReport, format_table
 from repro.experiments.runner import PropagationExperiment
 from repro.measurement.crawler import CrawlerReport, NetworkCrawler
 from repro.workloads.network_gen import NetworkParameters, build_network
@@ -97,7 +96,6 @@ def summarize(summary: ValidationResultSummary) -> dict[str, dict[str, float]]:
             help="ping samples for the substrate crawl (default: 5000)",
         ),
     ),
-    report=lambda summary: build_report(summary),
     summarize=summarize,
     verdicts={
         "rtt_shape_ok": lambda summary: summary.rtt_shape_ok,
@@ -142,38 +140,3 @@ def run_validation(
         bitcoin_delay_p95_s=delays["p95_s"],
     )
 
-
-def build_report(summary: ValidationResultSummary) -> ExperimentReport:
-    """Render the validation outcome."""
-    report = ExperimentReport(
-        experiment_id="Val-1",
-        description="Simulator validation against published real-network shapes",
-    )
-    report.add_section(
-        "Crawler RTT distribution",
-        format_table(
-            ["metric", "value"],
-            [
-                ["reachable nodes", summary.crawler.reachable_nodes],
-                ["ping samples", summary.crawler.ping_samples],
-                ["median RTT (ms)", summary.rtt_median_s * 1e3],
-                ["p90 RTT (ms)", summary.rtt_p90_s * 1e3],
-                ["intra-region median (ms)", summary.intra_region_median_s * 1e3],
-                ["inter-region median (ms)", summary.inter_region_median_s * 1e3],
-                ["RTT shape OK", summary.rtt_shape_ok],
-            ],
-        ),
-    )
-    report.add_section(
-        "Vanilla Bitcoin Δt shape",
-        format_table(
-            ["metric", "value"],
-            [
-                ["mean Δt (ms)", summary.bitcoin_delay_mean_s * 1e3],
-                ["median Δt (ms)", summary.bitcoin_delay_median_s * 1e3],
-                ["p95 Δt (ms)", summary.bitcoin_delay_p95_s * 1e3],
-                ["delay shape OK", summary.delay_shape_ok],
-            ],
-        ),
-    )
-    return report

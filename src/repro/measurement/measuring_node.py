@@ -45,8 +45,10 @@ class MeasuringNode:
             (1, 2, 3, ..., n)", i.e. the links the clustering protocol chose;
             the handful of random long links every node keeps for
             inter-cluster visibility are maintenance plumbing, not proximity
-            connections.  Has no effect under the vanilla Bitcoin policy,
-            which creates no long links.
+            connections.  A node that clustering left alone in its cluster
+            has long links only; it then measures those, and each run says
+            so (:attr:`PropagationRun.long_link_fallback`).  Has no effect
+            under the vanilla Bitcoin policy, which creates no long links.
     """
 
     def __init__(
@@ -117,6 +119,11 @@ class MeasuringNode:
         network = self._network()
         simulator = network.simulator
         connections = tuple(sorted(self._measured_connections()))
+        long_link_fallback = not connections and self.exclude_long_links
+        if long_link_fallback:
+            # No proximity connection is left: measure the long links rather
+            # than nothing, and mark the run.
+            connections = tuple(sorted(self.node.neighbors()))
         if not connections:
             raise RuntimeError(
                 f"measuring node {self.node.node_id} has no connections to measure against"
@@ -136,6 +143,7 @@ class MeasuringNode:
             sent_at=sent_at,
             first_recipient=first_recipient,
             connected_nodes=connections,
+            long_link_fallback=long_link_fallback,
         )
         self._active_run = run
         # "The transaction is propagated from node m to one connected node only."
@@ -168,6 +176,11 @@ class CampaignResult:
     def run_count(self) -> int:
         """Number of repetitions performed."""
         return len(self.runs)
+
+    @property
+    def long_link_fallback(self) -> bool:
+        """Whether a run measured long links for want of a proximity connection."""
+        return any(run.long_link_fallback for run in self.runs)
 
     def coverage(self) -> float:
         """Mean fraction of connections reached per run."""

@@ -49,6 +49,9 @@ class PropagationRun:
         timed_out_nodes: connections that never received the transaction within
             the run horizon (loss of connection; the paper notes such errors
             are expected and simply averages over many runs).
+        long_link_fallback: the measured connections are long links, because
+            the measuring node had no proximity connection left (see
+            :class:`~repro.measurement.measuring_node.MeasuringNode`).
     """
 
     run_index: int
@@ -58,6 +61,7 @@ class PropagationRun:
     connected_nodes: tuple[int, ...]
     receptions: list[ReceptionRecord] = field(default_factory=list)
     timed_out_nodes: tuple[int, ...] = ()
+    long_link_fallback: bool = False
 
     # ---------------------------------------------------------------- intake
     def record_reception(self, node_id: int, received_at: float) -> Optional[ReceptionRecord]:

@@ -102,8 +102,12 @@ class TestWriteReport:
         assert "## Percentiles — `delay_s` (ms)" in markdown
         assert "95% CI of mean" in markdown
         assert "## Figures" in markdown
-        # No re-simulation markers: the report derives from the envelope only.
-        assert "## Stored report sections" in markdown
+        # One row per label; the clustered labels carry their cluster structure.
+        assert "## Stored summaries" in markdown
+        assert "| label | `count` | `mean_s` |" in markdown
+        assert "| bitcoin |" in markdown and "`max_cluster_size`" in markdown
+        # The envelope stores no pre-rendered text to print a second time.
+        assert "## Stored report sections" not in markdown
 
     def test_out_dir_override(self, stored_run, tmp_path):
         store, run_id = stored_run
@@ -124,6 +128,43 @@ class TestWriteReport:
         assert "## Stored summaries" in markdown
         assert "## Percentiles" not in markdown
         assert "## Figures" not in markdown
+
+    def test_summary_tables_group_labels_by_metric_set(self):
+        result = ExperimentResult(
+            experiment="x",
+            experiment_id="X",
+            title="t",
+            created_at=0.0,
+            config={},
+            summaries={
+                "flood/a": {"count": 2, "mean_s": 0.5},
+                "compact/a": {"count": 3, "mean_s": 0.25, "compact_fallbacks": 1.0},
+                "flood/b": {"count": 4, "mean_s": 1.5},
+            },
+        )
+        markdown = render_report(result)
+        body = markdown.split("## Stored summaries\n\n", 1)[1]
+        assert body == (
+            "| label | `count` | `mean_s` |\n"
+            "|---|---|---|\n"
+            "| flood/a | 2 | 0.5 |\n"
+            "| flood/b | 4 | 1.5 |\n"
+            "\n"
+            "| label | `count` | `mean_s` | `compact_fallbacks` |\n"
+            "|---|---|---|---|\n"
+            "| compact/a | 3 | 0.25 | 1 |\n"
+        )
+
+    @pytest.mark.parametrize("installed", [True, False])
+    def test_figure_note_names_why_a_table_is_shown(
+        self, stored_run, monkeypatch, installed
+    ):
+        store, run_id = stored_run
+        monkeypatch.setattr(figures_mod, "matplotlib_available", lambda: installed)
+        markdown = render_report(store.load(run_id), run_id=run_id)
+        assert "| propagation delay (ms) | bitcoin | lbc | bcbpt |" in markdown
+        assert ("matplotlib is not installed" in markdown) is not installed
+        assert ("_Figure not rendered — table view shown" in markdown) is installed
 
     def test_resolve_run_ref_forms(self, stored_run):
         store, run_id = stored_run

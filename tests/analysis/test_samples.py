@@ -104,7 +104,7 @@ class TestEnvelopeRoundTrip:
         legacy = ExperimentResult.from_dict(data)
         assert legacy.samples == {}
         assert legacy.summaries == result.summaries
-        assert legacy.render() == result.render()
+        assert legacy.verdicts == result.verdicts
 
     def test_schema_version_bumped_for_samples(self):
         assert RESULT_SCHEMA_VERSION >= 2

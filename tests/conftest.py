@@ -78,3 +78,32 @@ def small_bcbpt_scenario():
 def small_lbc_scenario():
     """A 40-node network wired by the LBC geographic policy."""
     return build_scenario("lbc", NetworkParameters(node_count=40, seed=5))
+
+
+@pytest.fixture
+def render_payload():
+    """Render a driver's payload through the one renderer.
+
+    The envelope is built from the experiment's own ``summarize`` and
+    ``collect_samples`` hooks, as ``run_experiment`` builds it, with no
+    provenance or verdicts; returns the markdown ``render_report`` prints.
+    """
+    from repro.analysis.report import render_report
+    from repro.experiments.api import get_experiment
+    from repro.experiments.results import ExperimentResult
+
+    def render(name: str, payload) -> str:
+        spec = get_experiment(name)
+        samples = spec.collect_samples(payload) if spec.collect_samples else None
+        result = ExperimentResult(
+            experiment=name,
+            experiment_id=spec.experiment_id,
+            title=spec.title,
+            created_at=0.0,
+            config={},
+            summaries=spec.summarize(payload),
+            samples=samples.to_dict() if samples else {},
+        )
+        return render_report(result)
+
+    return render

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.experiments.ablation import (
-    build_report,
+    AblationOutcome,
     run_long_link_ablation,
     run_verification_ablation,
 )
@@ -41,11 +41,11 @@ class TestLongLinkAblation:
 
 
 class TestAblationReport:
-    def test_report_renders_both_sections(self):
+    def test_report_renders_both_sections(self, render_payload):
         verification = run_verification_ablation(SMALL)
         long_links = run_long_link_ablation(SMALL, counts=(0, 2))
-        report = build_report(verification, long_links)
-        text = report.render()
+        outcome = AblationOutcome(verification=verification, long_links=long_links)
+        text = render_payload("ablation", outcome)
         assert "Ext-5" in text
-        assert "Verification-delay ablation" in text
-        assert "Long-link ablation" in text
+        assert "| verification/pipelined-relay |" in text
+        assert "| long-links/long-links=2 |" in text

@@ -17,7 +17,7 @@ from repro.experiments.api import (
 )
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.fig3 import FIG3_PROTOCOLS
-from repro.experiments.runner import run_protocol_comparison
+from repro.experiments.runner import run_protocol_comparison, summarize_propagation
 
 #: Every experiment the paper/extension index defines, in display order.
 EXPECTED_NAMES = [
@@ -140,7 +140,6 @@ class TestEnvelope:
         assert result.config["node_count"] == 40
         assert result.options == {"crawler_samples": 500}
         assert result.payload.all_ok == result.verdicts["all_ok"]
-        assert result.sections, "report sections must be captured"
         # The envelope must survive a JSON round trip untouched.
         from repro.experiments.results import ExperimentResult
 
@@ -177,8 +176,12 @@ class TestFig3Equivalence:
     def test_envelope_summaries_worker_invariant(self, reference, workers):
         config = SMALL.with_overrides(workers=workers)
         result = run_experiment("fig3", config)
+        assert result.summaries == summarize_propagation(reference)
         for protocol in reference:
-            assert result.summaries[protocol] == reference[protocol].summary()
+            stored = result.summaries[protocol]
+            assert {key: stored[key] for key in reference[protocol].summary()} == (
+                reference[protocol].summary()
+            )
 
 
 class TestNewlyParallelJobs:

@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 
 from repro.experiments.churn_resilience import (
     CHURN_LEVELS,
-    build_report,
     resolve_levels,
     run_churn_resilience,
 )
@@ -155,7 +154,7 @@ class TestWorkerInvariance:
         )
         assert _fingerprint(serial) == _fingerprint(parallel)
 
-    def test_static_and_dynamic_levels_merge_across_protocols(self):
+    def test_static_and_dynamic_levels_merge_across_protocols(self, render_payload):
         results = run_churn_resilience(
             _tiny_config((3,), workers=1),
             protocols=("bitcoin", "bcbpt"),
@@ -172,10 +171,10 @@ class TestWorkerInvariance:
                 assert result.total("leave_events") == 0
                 assert result.total("join_events") == 0
             assert len(result.delays) > 0
-        report = build_report(results)
-        rendered = report.render()
-        assert "Δt under churn" in rendered
-        assert "bcbpt/heavy" in rendered
+        rendered = render_payload("churn_resilience", results)
+        assert "| bcbpt/heavy |" in rendered
+        assert "`timed_out_receptions`" in rendered
+        assert "`bridges_created`" in rendered
 
 
 class TestValidation:

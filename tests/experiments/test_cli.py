@@ -88,7 +88,8 @@ def test_unknown_experiment_fails_cleanly(capsys):
 
 @pytest.mark.parametrize("name", sorted(TINY_ARGS))
 def test_run_smoke_with_persistence(name, tmp_path, capsys):
-    """`run <name>` at tiny scale: exit 0, report printed, envelope stored."""
+    """`run <name>` at tiny scale: exit 0, envelope stored, and the printed
+    report is the one `repro report <run> --no-figures` writes."""
     store_dir = tmp_path / "results"
     rc = main(["run", name, *TINY_ARGS[name], "--results-dir", str(store_dir)])
     assert rc == 0
@@ -100,7 +101,12 @@ def test_run_smoke_with_persistence(name, tmp_path, capsys):
     loaded = store.load(ids[0])
     assert loaded.experiment == name
     assert loaded.seeds == [3]
-    assert loaded.sections
+    assert main(["report", ids[0], "--no-figures", "--results-dir", str(store_dir)]) == 0
+    capsys.readouterr()
+    markdown = (store.run_dir(ids[0]) / "report.md").read_text()
+    assert markdown in out
+    for label in loaded.summaries:
+        assert f"| {label} |" in markdown
 
 
 def test_repeated_seed_fails_before_any_cell_runs(tmp_path):

@@ -5,8 +5,7 @@ import argparse
 import pytest
 
 from repro.experiments.config import ExperimentConfig
-from repro.experiments.reporting import ExperimentReport, format_delay_summaries, format_table
-from repro.measurement.stats import DelayDistribution
+from repro.experiments.reporting import format_table
 
 
 class TestExperimentConfig:
@@ -82,32 +81,3 @@ class TestFormatTable:
     def test_float_formatting(self):
         text = format_table(["v"], [[0.123456789]])
         assert "0.123457" in text
-
-    def test_delay_summary_table(self):
-        summaries = {
-            "bitcoin": DelayDistribution([0.2, 0.3, 0.4]).summary(),
-            "bcbpt": DelayDistribution([0.02, 0.03]).summary(),
-        }
-        text = format_delay_summaries(summaries)
-        assert "bitcoin" in text and "bcbpt" in text
-        assert "mean_ms" in text
-
-
-class TestExperimentReport:
-    def test_sections_render_in_order(self):
-        report = ExperimentReport("X", "desc")
-        report.add_section("first", "body1")
-        report.add_section("second", "body2")
-        text = report.render()
-        assert text.index("first") < text.index("second")
-        assert "X: desc" in text
-
-    def test_sections_are_heading_body_pairs(self):
-        # The envelope stores `sections` as-is, so they stay plain pairs.
-        report = ExperimentReport("X", "desc")
-        report.add_section("heading", "body")
-        assert report.sections == [("heading", "body")]
-
-    def test_str_matches_render(self):
-        report = ExperimentReport("X", "desc")
-        assert str(report) == report.render()

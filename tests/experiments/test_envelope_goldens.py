@@ -4,10 +4,11 @@ Apart from the fig3 sample digests and the overlay goldens, the other
 envelope tests compare two runs of one commit.  These pin every
 experiment's canonical envelope fingerprint
 (:meth:`~repro.experiments.results.ExperimentResult.fingerprint`: wall clock
-and worker count masked) to the value captured on commit 029bb60.  A change
-to a driver's job spec, seed function or pooled aggregate that moves any
-summary, verdict, report section or raw sample therefore fails here, at one
-worker and through the two-worker process pool.
+and worker count masked).  They were captured on commit 029bb60 and re-pinned
+when envelope schema v3 stopped storing pre-rendered report sections and
+added summary keys.  A change to a driver's job spec, seed function or
+pooled aggregate that moves any summary, verdict or raw sample therefore
+fails here, at one worker and through the two-worker process pool.
 
 Each run is also pinned by a result digest (:func:`result_digest`) that
 covers results only, not how they are presented: a summary key added later
@@ -85,18 +86,18 @@ CASES: dict[str, tuple[ExperimentConfig, dict]] = {
 }
 
 GOLDEN_DIGESTS = {
-    "fig3": "e93ec63af5a9957eb569615995604e2419f91256f102a32b39bfe53def3f2b14",
-    "fig4": "01adda60d8f887312680adbc20d5f3b9b6484f24f1e2d89f887b654164828146",
-    "threshold_sweep": "9c7e6c9902a73fa61d9d49455d9b91612139680f91500c7b82992370618805b8",
-    "overhead": "0fd278fa769d046a68834aaebed55393ef48922b39e4f9a2771ecb54b1faf703",
-    "attacks": "b7ab5a144fd364589b1b4379a6955c77a68eac62b015bac4777f964d6c0252f0",
-    "doublespend": "7e27e64c4301536cfe764e7051ccf3f2526a34cb10cf399253a1c090ac3e578f",
-    "ablation": "ebac927c43720c97ed32774561d12a23f4714b50955837ad481a73b862d7bf81",
-    "churn_resilience": "2257c9364c90b1a7f0ffafd6f1c0ffb30d2aa98f5bf56dff1d2c99a73f502016",
-    "relay_comparison": "f1411feb3067503733a3862794ebc182833b1b8905ee64428d9ee78eab0fdaef",
-    "load_frontier": "63977153cedce1d8ef0515f1aec63109d5cdb2035ec9f1996f71226c1d947ee8",
+    "fig3": "0bdd81c917a525c2ce978183f7b95961fb9b95022f19d8a8c76b7074d11da9e9",
+    "fig4": "9f0ad0dabfebe5105d64361c96d85021347131935218c465af44deaf71babdf2",
+    "threshold_sweep": "9f69db42d54ea3cb8311040c3ab19216a7d60f8ec06325a350c68fc71f1f02db",
+    "overhead": "1b7db30b64b7ed696f3db2c8e42d968a86151e3b495935fb61739a891b892a9c",
+    "attacks": "13596698c2631fd2dd296b87a63d890ef77119c08751e0efe1b1cc2b01769874",
+    "doublespend": "e9cdfc312fcc7a03487b9fe06325a078eb8441bbac5400c77147a74986655987",
+    "ablation": "5a29ca7949e8b40a442596523a9a91662478562e85a8fa4e5bfd508ed59d1227",
+    "churn_resilience": "5dc99b966aafc60bfda495b465dc20304ebe69cb2c52fa64b283202655368355",
+    "relay_comparison": "48379eaccc203c119ef5d089a45a4d1a8e10df49810d4158f707cad7fbb2b6f8",
+    "load_frontier": "f8d78971ce892034de51495d92b7b1a149f6d367eae0319d348788bf48d567eb",
     "scale": "f859ed87cde63b138d1a83b9e45f2a0918bea8a1069284d95bf5754037d31e72",
-    "validation": "e9a49189bfdeecd2f74c669d103b1de2fa6fefd912f85ff86a04bb5a961ca8b8",
+    "validation": "c14abeec96066349eaef846694ec19e68cde2692e1865c6c87f28b62da3ea7ca",
 }
 
 
@@ -104,7 +105,25 @@ GOLDEN_DIGESTS = {
 #: :data:`RESULT_DIGESTS` were captured.  :func:`result_digest` drops exactly
 #: these keys before hashing, so every value the capture commit stored is
 #: still pinned and nothing else may change.
-ADDED_SUMMARY_KEYS: dict[str, tuple[str, ...]] = {}
+ADDED_SUMMARY_KEYS: dict[str, tuple[str, ...]] = {
+    "fig3": ("long_link_fallbacks", "cluster_count", "mean_cluster_size", "max_cluster_size"),
+    "fig4": ("long_link_fallbacks", "cluster_count", "mean_cluster_size", "max_cluster_size"),
+    "churn_resilience": (
+        "timed_out_receptions",
+        "orphans_reassigned",
+        "representatives_replaced",
+        "bridges_created",
+    ),
+    "relay_comparison": (
+        "blocks_measured",
+        "compact_blocks_reconstructed",
+        "compact_txs_requested",
+        "compact_fallbacks",
+        "compact_txn_timeouts",
+        "blocks_pushed",
+        "headers_received",
+    ),
+}
 
 #: The digests of :func:`result_digest`, captured on commit d3cad9f.  Unlike
 #: :data:`GOLDEN_DIGESTS` they cover results only: experiment, config (minus

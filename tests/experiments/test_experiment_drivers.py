@@ -7,20 +7,16 @@ reproduction lives in ``benchmarks/``.
 
 import pytest
 
-from repro.experiments.attacks import run_eclipse, run_partition, build_report as attacks_report
+from repro.experiments.api import run_experiment
+from repro.experiments.attacks import AttackOutcome, run_eclipse, run_partition
 from repro.experiments.config import ExperimentConfig
-from repro.experiments.doublespend import build_report as ds_report, run_doublespend
-from repro.experiments.fig3 import FIG3_PROTOCOLS, build_report as fig3_report, run_fig3
-from repro.experiments.fig4 import (
-    build_report as fig4_report,
-    run_fig4,
-    threshold_labels,
-    variance_is_monotone,
-)
-from repro.experiments.overhead import build_report as overhead_report, run_overhead
+from repro.experiments.doublespend import run_doublespend
+from repro.experiments.fig3 import FIG3_PROTOCOLS, run_fig3
+from repro.experiments.fig4 import run_fig4, threshold_labels, variance_is_monotone
+from repro.experiments.overhead import run_overhead
 from repro.experiments.runner import PropagationExperiment, run_protocol_comparison
-from repro.experiments.threshold_sweep import build_report as sweep_report, run_threshold_sweep
-from repro.experiments.validation import build_report as validation_report, run_validation
+from repro.experiments.threshold_sweep import run_threshold_sweep
+from repro.experiments.validation import run_validation
 from repro.workloads.network_gen import NetworkParameters
 from repro.workloads.scenarios import build_scenario
 
@@ -74,13 +70,24 @@ class TestProtocolComparison:
 
 
 class TestFig3:
-    def test_runs_and_reports(self):
+    def test_runs_and_reports(self, render_payload):
         results = run_fig3(SMALL)
         assert set(results) == set(FIG3_PROTOCOLS)
-        report = fig3_report(results)
-        text = report.render()
+        text = render_payload("fig3", results)
         assert "Fig. 3" in text
-        assert "bitcoin" in text and "bcbpt" in text
+        assert "| bitcoin |" in text and "| bcbpt |" in text
+        # The cluster structure behind the clustered protocols' Δt.
+        assert "`cluster_count`" in text and "`max_cluster_size`" in text
+
+    @pytest.mark.parametrize("seed, lone", [(8, "lbc"), (27, "bcbpt")])
+    def test_lone_measuring_node_measures_its_long_links(self, seed, lone):
+        """Regression: at its defaults fig3 raised at seeds 8 and 27, where
+        clustering left a measuring node alone in its cluster.  The node now
+        measures its long links, and the envelope counts the campaign."""
+        result = run_experiment("fig3", ExperimentConfig(runs=1, seeds=(seed,)))
+        fallbacks = {label: s["long_link_fallbacks"] for label, s in result.summaries.items()}
+        assert fallbacks == {**dict.fromkeys(FIG3_PROTOCOLS, 0.0), lone: 1.0}
+        assert result.summaries[lone]["count"] > 0
 
     def test_bitcoin_is_slowest_even_at_small_scale(self):
         results = run_fig3(SMALL)
@@ -94,18 +101,19 @@ class TestFig4:
     def test_threshold_labels(self):
         assert threshold_labels([0.03, 0.1]) == ["bcbpt@30ms", "bcbpt@100ms"]
 
-    def test_runs_and_reports(self):
+    def test_runs_and_reports(self, render_payload):
         config = SMALL.with_overrides(fig4_thresholds_s=(0.030, 0.100))
         results = run_fig4(config)
         assert set(results) == {"bcbpt@30ms", "bcbpt@100ms"}
-        report = fig4_report(results)
-        assert "Fig. 4" in report.render()
+        text = render_payload("fig4", results)
+        assert "Fig. 4" in text
+        assert "`mean_cluster_size`" in text
         # Monotonicity check runs without error on two points.
         assert variance_is_monotone(results) in (True, False)
 
 
 class TestThresholdSweep:
-    def test_sweep_points_and_cluster_trend(self):
+    def test_sweep_points_and_cluster_trend(self, render_payload):
         points = run_threshold_sweep(
             SMALL.with_overrides(runs=1, measuring_nodes=1), thresholds_s=(0.02, 0.15)
         )
@@ -113,19 +121,18 @@ class TestThresholdSweep:
         assert points[0].threshold_s == pytest.approx(0.02)
         # Smaller threshold -> at least as many clusters.
         assert points[0].cluster_count >= points[1].cluster_count
-        report = sweep_report(points)
-        assert "Ext-1" in report.render()
+        assert "Ext-1" in render_payload("threshold_sweep", points)
 
 
 class TestOverhead:
-    def test_bcbpt_pays_ping_overhead_bitcoin_does_not(self):
+    def test_bcbpt_pays_ping_overhead_bitcoin_does_not(self, render_payload):
         points = run_overhead(SMALL.with_overrides(runs=1, measuring_nodes=1))
         by_name = {p.protocol: p for p in points}
         assert by_name["bitcoin"].ping_messages_per_node == 0
         assert by_name["bcbpt"].ping_messages_per_node > 0
         assert by_name["bcbpt"].control_messages_per_node > 0
-        report = overhead_report(points)
-        assert "Ext-2" in report.render()
+        text = render_payload("overhead", points)
+        assert "Ext-2" in text and "`ping_messages_per_node`" in text
 
 
 class TestAttacks:
@@ -139,7 +146,7 @@ class TestAttacks:
         # nearby (adversarial) peers at least as much as random selection.
         assert clustered["bcbpt"] >= clustered["bitcoin"] * 0.5
 
-    def test_partition_results(self):
+    def test_partition_results(self, render_payload):
         results = run_partition(SMALL)
         by_name = {r.protocol: r for r in results}
         for result in results:
@@ -148,8 +155,9 @@ class TestAttacks:
         # Severing a cluster boundary is cheaper (fewer links) than severing a
         # comparable region boundary in the random topology.
         assert by_name["bcbpt"].boundary_fraction <= by_name["bitcoin"].boundary_fraction * 1.5
-        report = attacks_report(run_eclipse(SMALL), results)
-        assert "Ext-3" in report.render()
+        outcome = AttackOutcome(eclipse=run_eclipse(SMALL), partition=results, dynamic={})
+        text = render_payload("attacks", outcome)
+        assert "Ext-3" in text and "| partition/bcbpt |" in text
 
     def test_invalid_adversary_fraction(self):
         with pytest.raises(ValueError):
@@ -157,15 +165,15 @@ class TestAttacks:
 
 
 class TestDoubleSpend:
-    def test_races_produce_outcomes(self):
+    def test_races_produce_outcomes(self, render_payload):
         points = run_doublespend(SMALL, races_per_seed=2, race_horizon_s=1.0)
         assert len(points) == 3
         for point in points:
             assert point.races == 2
             assert 0.0 <= point.mean_attacker_share <= 1.0
             assert 0.0 <= point.detection_rate <= 1.0
-        report = ds_report(points)
-        assert "Ext-4" in report.render()
+        text = render_payload("doublespend", points)
+        assert "Ext-4" in text and "`mean_attacker_share`" in text
 
     def test_invalid_arguments_rejected(self):
         with pytest.raises(ValueError):
@@ -175,13 +183,13 @@ class TestDoubleSpend:
 
 
 class TestValidation:
-    def test_validation_passes_on_default_substrate(self):
+    def test_validation_passes_on_default_substrate(self, render_payload):
         summary = run_validation(SMALL, crawler_samples=1_000)
         assert summary.rtt_shape_ok
         assert summary.delay_shape_ok
         assert summary.all_ok
-        report = validation_report(summary)
-        assert "Val-1" in report.render()
+        text = render_payload("validation", summary)
+        assert "Val-1" in text and "`rtt_median_s`" in text
 
     def test_invalid_crawler_samples_rejected(self):
         with pytest.raises(ValueError):

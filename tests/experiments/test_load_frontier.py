@@ -20,7 +20,6 @@ from repro.experiments.load_frontier import (
     DEFAULT_RATES,
     LOAD_PROTOCOLS,
     bcbpt_advantage_under_load,
-    build_report,
     cell_label,
     collect_samples,
     confirms_at_every_rate,
@@ -111,12 +110,15 @@ class TestDriver:
             assert tiny_results[cell_label(protocol, 6.0)].is_saturated()
             assert saturation_point_tps(tiny_results, protocol) == 6.0
 
-    def test_verdicts_and_report(self, tiny_results):
+    def test_verdicts_and_report(self, tiny_results, render_payload):
         assert confirms_at_every_rate(tiny_results)
         assert isinstance(bcbpt_advantage_under_load(tiny_results), bool)
-        rendered = build_report(tiny_results).render()
-        assert "Latency-vs-load frontier" in rendered
+        rendered = render_payload("load_frontier", tiny_results)
+        assert "## Latency vs offered load" in rendered
+        # The saturation points come from the stored `saturated` flags.
         assert "Saturation points" in rendered
+        assert "- bcbpt: 6 tx/s" in rendered
+        assert "- bitcoin: 6 tx/s" in rendered
 
     def test_collect_samples_series(self, tiny_results):
         log = collect_samples(tiny_results)

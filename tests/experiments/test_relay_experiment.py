@@ -17,7 +17,6 @@ from repro.experiments.relay_comparison import (
     RELAY_PROTOCOLS,
     RELAY_SWEEP,
     adaptive_narrows_clustering_advantage,
-    build_report,
     clustering_beats_vanilla_under_adaptive,
     compact_beats_flood,
     run_relay_comparison,
@@ -64,7 +63,7 @@ class TestRelayComparisonExperiment:
         assert spec.exit_verdict == "compact_fewer_messages_per_block"
         assert {o.dest for o in spec.options} >= {"relays", "protocols", "blocks"}
 
-    def test_runs_and_reports(self):
+    def test_runs_and_reports(self, render_payload):
         results = run_relay_comparison(
             SMALL, relays=("flood", "compact"), protocols=("bitcoin",), blocks=1,
             txs_per_block=3,
@@ -78,10 +77,10 @@ class TestRelayComparisonExperiment:
             results["compact/bitcoin"].messages_per_block()
             < results["flood/bitcoin"].messages_per_block()
         )
-        report = build_report(results)
-        text = report.render()
+        text = render_payload("relay_comparison", results)
         assert "Ext-7" in text
-        assert "msgs/block" in text
+        assert "`messages_per_block`" in text and "`blocks_measured`" in text
+        assert "`compact_blocks_reconstructed`" in text
 
     def test_worker_count_invariance(self):
         kwargs = dict(relays=("flood", "compact"), protocols=("bitcoin",), blocks=1,
@@ -125,7 +124,7 @@ class TestRelayComparisonExperiment:
         assert not clustering_beats_vanilla_under_adaptive({})
         assert not adaptive_narrows_clustering_advantage({})
 
-    def test_full_sweep_with_adaptive_and_headers(self):
+    def test_full_sweep_with_adaptive_and_headers(self, render_payload):
         """The enlarged grid: all five strategies cross one policy, every
         strategy reaches the whole network, and the strategy-specific
         counters show each mechanism actually ran."""
@@ -146,9 +145,10 @@ class TestRelayComparisonExperiment:
         assert headers.total("header_bodies_requested") > 0
         adaptive = results["adaptive/bitcoin"]
         assert adaptive.summary()["mean_final_fanout"] > 0
-        report = build_report(results).render()
-        assert "Adaptive fan-out" in report
-        assert "Headers-first sync" in report
+        assert headers.summary()["headers_received"] > 0
+        report = render_payload("relay_comparison", results)
+        assert "`fanout_widened`" in report
+        assert "`headers_received`" in report
 
     def test_adaptive_verdict_cells(self):
         results = run_relay_comparison(

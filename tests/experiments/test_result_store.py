@@ -5,7 +5,9 @@ import math
 
 import pytest
 
+from repro.analysis.report import render_report
 from repro.experiments.results import (
+    RESULT_SCHEMA_VERSION,
     ExperimentResult,
     ResultStore,
     diff_results,
@@ -27,7 +29,6 @@ def make_result(**overrides) -> ExperimentResult:
             "bcbpt": {"mean_s": 0.02, "variance_s2": 1e-4, "count": 6},
         },
         verdicts={"paper_ordering": True},
-        sections=[("Delay summary", "protocol  mean\nbitcoin  180")],
         extras={"duration_s": 1.5},
     )
     fields.update(overrides)
@@ -67,7 +68,6 @@ class TestEnvelopeRoundTrip:
         result = make_result()
         clone = ExperimentResult.from_json(result.to_json())
         assert clone.to_dict() == result.to_dict()
-        assert clone.sections == result.sections
 
     def test_nan_metrics_survive_round_trip(self):
         result = make_result(
@@ -82,10 +82,24 @@ class TestEnvelopeRoundTrip:
         with pytest.raises(ValueError, match="newer"):
             ExperimentResult.from_dict(data)
 
-    def test_render_includes_sections_and_verdicts(self):
-        text = make_result().render()
-        assert "Delay summary" in text
-        assert "paper_ordering: PASS" in text
+    def test_render_includes_summaries_and_verdicts(self):
+        text = render_report(make_result())
+        assert "| bitcoin | 0.18 | 0.008 | 15 |" in text
+        assert "| paper_ordering | PASS |" in text
+
+    def test_v2_envelope_with_sections_loads_renders_and_drops_them(self):
+        """Up to schema v2 envelopes stored pre-rendered report sections; they
+        still load and render, and round-trip without them."""
+        data = make_result().to_dict()
+        data["schema_version"] = 2
+        data["sections"] = [["Delay summary", "protocol  mean\nbitcoin  180"]]
+        legacy = ExperimentResult.from_dict(data)
+        assert render_report(legacy) == render_report(make_result())
+        stored = legacy.to_dict()
+        assert "sections" not in stored
+        assert stored["schema_version"] == RESULT_SCHEMA_VERSION == 3
+        assert ExperimentResult.from_json(legacy.to_json()).to_dict() == stored
+        assert legacy.fingerprint() == make_result().fingerprint()
 
 
 class TestDiff:
@@ -125,11 +139,12 @@ class TestDiff:
 
 
 class TestResultStore:
-    def test_save_creates_run_directory_with_report(self, tmp_path):
+    def test_save_creates_run_directory_with_envelope(self, tmp_path):
         store = ResultStore(tmp_path / "results")
         run_dir = store.save(make_result())
-        assert (run_dir / "result.json").is_file()
-        assert (run_dir / "report.txt").is_file()
+        # The envelope only: `repro report` renders report.md on demand.
+        assert [path.name for path in run_dir.iterdir()] == ["result.json"]
+        assert sorted(path.name for path in store.root.iterdir()) == ["fig3"]
         assert json.loads((run_dir / "result.json").read_text())["experiment"] == "fig3"
 
     def test_save_load_round_trip(self, tmp_path):

@@ -21,7 +21,6 @@ from repro.experiments.scale import (
     DEFAULT_PRUNE_DEPTH,
     SCALE_PROTOCOLS,
     ScaleJob,
-    build_report,
     default_ladder,
     run_scale,
     scale_parameters,
@@ -191,7 +190,7 @@ class TestScaleExperiment:
         )
         assert pickle.loads(pickle.dumps(job)) == job
 
-    def test_runs_end_to_end(self):
+    def test_runs_end_to_end(self, render_payload):
         results = run_scale(
             SMALL, node_counts=(20, 30), protocols=("bitcoin",), cell_runs=1
         )
@@ -204,10 +203,9 @@ class TestScaleExperiment:
                 assert cell.build_s >= 0.0
                 assert cell.rss_mb > 0.0
                 assert cell.peak_traced_mb is not None
-        report = build_report(results)
-        text = report.render()
+        text = render_payload("scale", results)
         assert "Ext-8" in text
-        assert "events/s" in text
+        assert "`mean_events_per_s`" in text
 
     def test_prune_depth_zero_disables_pruning(self):
         results = run_scale(

@@ -87,6 +87,15 @@ class TestMeasuringNode:
         with pytest.raises(RuntimeError):
             measuring.measure_once()
 
+    def test_unconnected_node_rejected_without_long_links_either(self):
+        simulated = build_network(NetworkParameters(node_count=10, seed=2))
+        fund_nodes(list(simulated.nodes.values()))
+        measuring = MeasuringNode(
+            simulated.node(0), simulated.simulator.random.stream("m"), exclude_long_links=True
+        )
+        with pytest.raises(RuntimeError, match="no connections"):
+            measuring.measure_once()
+
 
 class TestMeasurementCampaign:
     def test_campaign_aggregates_runs(self, measured_scenario):
