@@ -1,8 +1,9 @@
 """Shared configuration for the benchmark harness.
 
 Every benchmark regenerates one of the paper's figures (or one of the
-extensions documented in DESIGN.md) and prints the corresponding text table so
-the shape can be compared against the paper.  Scale is controlled by
+extensions documented in DESIGN.md) and prints its report
+(``repro.analysis.report.render_report``) so the shape can be compared against
+the paper.  Scale is controlled by
 environment variables so the same harness covers both the minutes-scale CI
 run and a paper-scale reproduction:
 
