@@ -57,8 +57,8 @@ def test_fig4_smallest_threshold_is_best(fig4_results):
 def test_fig4_cluster_size_explains_trend(fig4_results):
     """The paper's explanation: a smaller threshold yields smaller clusters."""
     def mean_cluster_size(label):
-        summaries = fig4_results[label].cluster_summaries.values()
-        sizes = [s["mean_size"] for s in summaries if s.get("cluster_count")]
+        clusters = [cell.clusters for cell in fig4_results[label].cells]
+        sizes = [s["mean_size"] for s in clusters if s.get("cluster_count")]
         return sum(sizes) / len(sizes)
 
     assert mean_cluster_size("bcbpt@30ms") <= mean_cluster_size("bcbpt@100ms")

@@ -17,8 +17,9 @@ from __future__ import annotations
 
 import argparse
 
+from repro.analysis.stats import summarize_values
 from repro.experiments.config import ExperimentConfig
-from repro.experiments.runner import PropagationExperiment
+from repro.experiments.runner import measure_propagation
 from repro.workloads.network_gen import NetworkParameters
 from repro.workloads.scenarios import build_scenario
 
@@ -49,8 +50,8 @@ def main() -> int:
         node_count=args.nodes, runs=args.runs, seeds=(args.seed,), measuring_nodes=2
     )
     print(f"Measuring transaction propagation over {args.runs} runs per measuring node ...")
-    result = PropagationExperiment(scenario, config).run()
-    summary = result.summary()
+    campaign = measure_propagation(scenario, config)
+    summary = summarize_values(campaign.delays)
     print()
     print("Δt distribution over the measuring nodes' proximity connections:")
     print(f"  samples : {int(summary['count'])}")

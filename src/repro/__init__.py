@@ -12,13 +12,14 @@ map and the determinism contract.
 
 Quickstart::
 
+    from repro.analysis.stats import summarize_values
+    from repro.experiments import ExperimentConfig, measure_propagation
     from repro.workloads import NetworkParameters, build_scenario
-    from repro.experiments import PropagationExperiment
 
     scenario = build_scenario("bcbpt", NetworkParameters(node_count=150, seed=7),
                               latency_threshold_s=0.025)
-    result = PropagationExperiment(scenario).run(repetitions=20)
-    print(result.delays.summary())
+    campaign = measure_propagation(scenario, ExperimentConfig(node_count=150, runs=20))
+    print(summarize_values(campaign.delays))
 """
 
 from repro.version import __version__

@@ -24,7 +24,11 @@ Each module corresponds to one experiment in DESIGN.md's index:
 * :mod:`repro.experiments.validation` — Val-1: simulator validation against
   published real-network propagation shapes.
 
-They all build on :class:`repro.experiments.runner.PropagationExperiment`.
+The eight that measure Δt (fig3, fig4, threshold_sweep, overhead, ablation,
+churn_resilience, scale, validation) run the Fig. 2 campaign through one
+function, :func:`repro.experiments.runner.measure_propagation`, which returns
+one plain :class:`~repro.experiments.runner.Campaign` record per (scenario,
+seed).
 
 Every driver registers itself with the declarative registry
 (:mod:`repro.experiments.api`) and is reachable through the unified CLI::
@@ -59,14 +63,19 @@ from repro.experiments.api import (
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.reporting import format_table
 from repro.experiments.results import ExperimentResult, ResultStore, diff_results
-from repro.experiments.runner import PropagationExperiment, PropagationResult, run_protocol_comparison
+from repro.experiments.runner import (
+    Campaign,
+    PropagationResult,
+    measure_propagation,
+    run_protocol_comparison,
+)
 
 __all__ = [
+    "Campaign",
     "ExperimentConfig",
     "ExperimentOption",
     "ExperimentResult",
     "ExperimentSpec",
-    "PropagationExperiment",
     "PropagationResult",
     "ResultStore",
     "diff_results",
@@ -74,6 +83,7 @@ __all__ = [
     "experiment_names",
     "format_table",
     "get_experiment",
+    "measure_propagation",
     "run_experiment",
     "run_protocol_comparison",
 ]

@@ -19,12 +19,12 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass
 from typing import Optional, Sequence
 
+from repro.analysis.stats import summarize_values
 from repro.core.bcbpt import BcbptConfig, BcbptPolicy
 from repro.experiments.api import experiment
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.grid import run_seed_grid
-from repro.experiments.runner import PropagationExperiment
-from repro.measurement.stats import DelayDistribution
+from repro.experiments.runner import Campaign, measure_propagation
 from repro.protocol.node import NodeConfig
 from repro.workloads.network_gen import NetworkParameters, build_network
 from repro.workloads.scenarios import Scenario
@@ -40,6 +40,7 @@ class AblationPoint:
     p90_delay_s: float
     average_degree: float
     average_path_length: float
+    long_link_fallbacks: float
 
 
 def build_ablation_scenario(
@@ -87,7 +88,7 @@ class AblationJobResult:
 
     variant: str
     seed: int
-    delay_samples: tuple[float, ...]
+    campaign: Campaign
     average_degree: float
     average_path_length: float
 
@@ -103,11 +104,11 @@ def run_ablation_job(job: AblationJob) -> AblationJobResult:
     topology = scenario.network.network.topology
     average_degree = topology.average_degree()
     average_path_length = topology.average_shortest_path_length()
-    result = PropagationExperiment(scenario, job.config).run()
+    campaign = measure_propagation(scenario, job.config)
     return AblationJobResult(
         variant=job.variant,
         seed=job.seed,
-        delay_samples=tuple(result.delays.samples),
+        campaign=campaign,
         average_degree=average_degree,
         average_path_length=average_path_length,
     )
@@ -136,14 +137,11 @@ def _measure_variants(
 
     points: list[AblationPoint] = []
     for (variant, _), seed_results in grid:
-        delays = DelayDistribution()
-        degrees: list[float] = []
-        path_lengths: list[float] = []
-        for seed_result in seed_results:
-            delays.extend(seed_result.delay_samples)
-            degrees.append(seed_result.average_degree)
-            path_lengths.append(seed_result.average_path_length)
-        stats = delays.summary()
+        stats = summarize_values(
+            [delay for r in seed_results for delay in r.campaign.delays]
+        )
+        degrees = [r.average_degree for r in seed_results]
+        path_lengths = [r.average_path_length for r in seed_results]
         points.append(
             AblationPoint(
                 variant=variant,
@@ -152,6 +150,9 @@ def _measure_variants(
                 p90_delay_s=stats["p90_s"],
                 average_degree=sum(degrees) / len(degrees),
                 average_path_length=sum(path_lengths) / len(path_lengths),
+                long_link_fallbacks=float(
+                    sum(r.campaign.long_link_fallbacks for r in seed_results)
+                ),
             )
         )
     return points

@@ -859,18 +859,21 @@ def collect_samples(outcome: AttackOutcome) -> SampleLog:
 
     One ``block_delay_s`` series per (attack/protocol, seed) in seed order,
     plus the per-seed coverage curve — worker-count invariant like every
-    other sample capture built on the seed grid.
+    other sample capture built on the seed grid.  Each is labelled like the
+    cell's summary, ``dynamic/<attack>/<protocol>``: the static eclipse
+    surface's summary already holds ``eclipse/<protocol>``.
     """
     log = SampleLog()
     for key, result in outcome.dynamic.items():
+        label = f"dynamic/{key}"
         log.add_per_seed(
-            key,
+            label,
             "block_delay_s",
             {cell.seed: cell.block_delay_samples for cell in result.cells},
             unit="s",
         )
         for index, cell in enumerate(result.cells):
-            log.add_point(key, "coverage", float(index), cell.coverage, unit="fraction")
+            log.add_point(label, "coverage", float(index), cell.coverage, unit="fraction")
     return log
 
 

@@ -53,7 +53,8 @@ from repro.experiments.results import RESULT_SCHEMA_VERSION, json_safe
 #: Cell identity schema, bumped when the key material or the pickle layout
 #: changes (old stores are then simply ignored rather than misread).
 #: v3: propagation runs record ``long_link_fallback``.
-CELL_SCHEMA_VERSION = 3
+#: v4: Δt cells hold plain :class:`~repro.experiments.runner.Campaign` records.
+CELL_SCHEMA_VERSION = 4
 
 #: Job-spec fields that configure *how* a cell runs, not *what* it computes.
 #: They are stripped from the key material; see the module docstring.

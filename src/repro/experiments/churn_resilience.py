@@ -37,10 +37,8 @@ from repro.analysis.stats import mean
 from repro.experiments.api import ExperimentOption, experiment
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.grid import run_seed_grid
-from repro.experiments.runner import select_measuring_nodes
-from repro.measurement.measuring_node import MeasuringNode
+from repro.experiments.runner import Campaign, measure_propagation
 from repro.measurement.stats import DelayDistribution
-from repro.workloads.generators import fund_nodes
 from repro.workloads.network_gen import NetworkParameters
 from repro.workloads.scenarios import ChurnSchedule, build_scenario
 
@@ -97,26 +95,18 @@ class ChurnJobResult:
     """Everything one (protocol, level, seed) churn campaign measured.
 
     Attributes:
-        delay_samples: Δt samples across the measuring nodes.
-        coverages: per-run fraction of connections reached.
-        timed_out_receptions: connections that never received a measured
-            transaction within the run horizon (churned away mid-run).
-        failed_runs: repetitions abandoned because the measuring node had no
-            connections at send time (heavy churn starved it momentarily).
+        campaign: the measuring-node campaign; its ``clusters`` are the
+            cluster summary after the campaign.
         join_events / leave_events: churn volume.
         repair_sweeps / orphans_reassigned / representatives_replaced /
             bridges_created: maintenance work.
-        cluster_before / cluster_after: cluster summaries at build time and
-            after the campaign.
+        cluster_before: the cluster summary at build time.
     """
 
     protocol: str
     level: str
     seed: int
-    delay_samples: tuple[float, ...]
-    coverages: tuple[float, ...]
-    timed_out_receptions: int
-    failed_runs: int
+    campaign: Campaign
     join_events: int
     leave_events: int
     repair_sweeps: int
@@ -124,7 +114,6 @@ class ChurnJobResult:
     representatives_replaced: int
     bridges_created: int
     cluster_before: dict[str, float]
-    cluster_after: dict[str, float]
 
 
 @dataclass(frozen=True)
@@ -148,20 +137,24 @@ class ChurnResilienceResult:
         return f"{self.protocol}/{self.level}"
 
     def total(self, name: str) -> int:
-        """One per-seed counter summed across the cells."""
-        return sum(getattr(cell, name) for cell in self.cells)
+        """One per-seed counter summed across the cells (the counters of
+        :data:`CAMPAIGN_COUNTERS` are read from each cell's campaign)."""
+        return sum(
+            getattr(cell.campaign if name in CAMPAIGN_COUNTERS else cell, name)
+            for cell in self.cells
+        )
 
     @property
     def delays(self) -> DelayDistribution:
         """Δt samples pooled across seeds and measuring nodes, in seed order."""
         return DelayDistribution(
-            [sample for cell in self.cells for sample in cell.delay_samples]
+            sample for cell in self.cells for sample in cell.campaign.delays
         )
 
     @property
     def coverages(self) -> list[float]:
-        """Per-campaign fractions of connections reached, in seed order."""
-        return [coverage for cell in self.cells for coverage in cell.coverages]
+        """Per-run fractions of connections reached, in seed order."""
+        return [coverage for cell in self.cells for coverage in cell.campaign.coverages]
 
     def summary(self) -> dict[str, float]:
         """Summary statistics of the pooled Δt distribution (``{"count": 0.0}``
@@ -181,11 +174,11 @@ class ChurnResilienceResult:
     def cluster_drift(self) -> dict[str, float]:
         """Mean absolute drift of cluster count / size across the run."""
         count_drift = [
-            abs(cell.cluster_after["cluster_count"] - cell.cluster_before["cluster_count"])
+            abs(cell.campaign.clusters["cluster_count"] - cell.cluster_before["cluster_count"])
             for cell in self.cells
         ]
         size_drift = [
-            abs(cell.cluster_after["mean_size"] - cell.cluster_before["mean_size"])
+            abs(cell.campaign.clusters["mean_size"] - cell.cluster_before["mean_size"])
             for cell in self.cells
         ]
         return {
@@ -223,55 +216,14 @@ def run_churn_seed(job: ChurnResilienceJob) -> ChurnJobResult:
         max_outbound=config.max_outbound,
         churn=job.schedule,
     )
-    simulated = scenario.network
     cluster_before = dict(scenario.policy.clusters.summary())
-    fund_nodes(list(simulated.nodes.values()), outputs_per_node=config.funding_outputs)
-
-    measuring_ids = select_measuring_nodes(simulated.node_ids(), config.measuring_nodes)
-    if scenario.dynamic:
-        # The measuring nodes are the experiment's observers; sparing them
-        # from churn keeps every campaign comparable (the paper's measuring
-        # node m never leaves either).
-        scenario.start_churn(spare=measuring_ids)
-
-    delays = DelayDistribution()
-    coverages: list[float] = []
-    timed_out = 0
-    failed_runs = 0
-    for measuring_id in measuring_ids:
-        measuring = MeasuringNode(
-            simulated.node(measuring_id),
-            simulated.simulator.random.stream(f"measuring-{measuring_id}"),
-            payment_satoshi=config.payment_satoshi,
-            run_timeout_s=config.run_timeout_s,
-            exclude_long_links=config.exclude_long_links,
-        )
-        simulator = simulated.simulator
-        for index in range(config.runs):
-            try:
-                run = measuring.measure_once(run_index=index)
-            except RuntimeError:
-                # Churn momentarily starved the measuring node of
-                # connections; the discovery sweep will top it up.
-                failed_runs += 1
-                simulator.run(until=simulator.now + 5.0)
-                continue
-            for record in run.receptions:
-                delays.add(record.delta_t_s)
-            coverages.append(run.coverage)
-            timed_out += len(run.timed_out_nodes)
-            # Idle gap between repetitions, letting relay traffic drain.
-            simulator.run(until=simulator.now + 5.0)
-
+    campaign = measure_propagation(scenario, config)
     maintainer = scenario.maintainer
     return ChurnJobResult(
         protocol=job.protocol,
         level=job.level,
         seed=job.seed,
-        delay_samples=tuple(delays.samples),
-        coverages=tuple(coverages),
-        timed_out_receptions=timed_out,
-        failed_runs=failed_runs,
+        campaign=campaign,
         join_events=maintainer.churn.join_events if maintainer else 0,
         leave_events=maintainer.churn.leave_events if maintainer else 0,
         repair_sweeps=maintainer.repair_sweeps if maintainer else 0,
@@ -279,7 +231,6 @@ def run_churn_seed(job: ChurnResilienceJob) -> ChurnJobResult:
         representatives_replaced=maintainer.representatives_replaced if maintainer else 0,
         bridges_created=maintainer.bridges_created if maintainer else 0,
         cluster_before=cluster_before,
-        cluster_after=dict(scenario.policy.clusters.summary()),
     )
 
 
@@ -287,7 +238,7 @@ def collect_samples(results: dict[str, ChurnResilienceResult]) -> SampleLog:
     """Raw Δt samples for the envelope's ``samples`` field.
 
     One ``delay_s`` series per (protocol/level, seed) in seed order, so the
-    pooled concatenation is worker-count invariant, plus the per-campaign
+    pooled concatenation is worker-count invariant, plus the per-run
     ``coverage`` curve.
     """
     log = SampleLog()
@@ -295,7 +246,7 @@ def collect_samples(results: dict[str, ChurnResilienceResult]) -> SampleLog:
         log.add_per_seed(
             key,
             "delay_s",
-            {cell.seed: cell.delay_samples for cell in result.cells},
+            {cell.seed: cell.campaign.delays for cell in result.cells},
             unit="s",
         )
         for index, coverage in enumerate(result.coverages):
@@ -312,7 +263,12 @@ SUMMARY_COUNTERS = (
     "orphans_reassigned",
     "representatives_replaced",
     "bridges_created",
+    "failed_runs",
+    "long_link_fallbacks",
 )
+
+#: The counters of :data:`SUMMARY_COUNTERS` that each cell's campaign holds.
+CAMPAIGN_COUNTERS = ("timed_out_receptions", "failed_runs", "long_link_fallbacks")
 
 
 @experiment(

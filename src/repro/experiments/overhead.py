@@ -16,11 +16,11 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass
 from typing import Optional, Sequence
 
+from repro.analysis.stats import summarize_values
 from repro.experiments.api import ExperimentOption, experiment
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.grid import run_seed_grid
-from repro.experiments.runner import PropagationExperiment
-from repro.measurement.stats import DelayDistribution
+from repro.experiments.runner import Campaign, measure_propagation
 from repro.workloads.network_gen import NetworkParameters
 from repro.workloads.scenarios import build_scenario
 
@@ -42,6 +42,7 @@ class OverheadPoint:
     total_build_bytes_per_node: float
     mean_delay_s: float
     delay_variance_s2: float
+    long_link_fallbacks: float
 
 
 @dataclass(frozen=True)
@@ -64,7 +65,7 @@ class OverheadJobResult:
     control_bytes_per_node: float
     handshake_messages_per_node: float
     total_build_bytes_per_node: float
-    delay_samples: tuple[float, ...]
+    campaign: Campaign
 
 
 def run_overhead_seed(job: OverheadJob) -> OverheadJobResult:
@@ -89,7 +90,7 @@ def run_overhead_seed(job: OverheadJob) -> OverheadJobResult:
         network.messages_sent.get("version", 0) + network.messages_sent.get("verack", 0)
     ) / nodes
     total_bytes = network.total_bytes() / nodes
-    result = PropagationExperiment(scenario, cfg).run()
+    campaign = measure_propagation(scenario, cfg)
     return OverheadJobResult(
         protocol=job.protocol,
         seed=job.seed,
@@ -98,7 +99,7 @@ def run_overhead_seed(job: OverheadJob) -> OverheadJobResult:
         control_bytes_per_node=control_bytes,
         handshake_messages_per_node=handshake,
         total_build_bytes_per_node=total_bytes,
-        delay_samples=tuple(result.delays.samples),
+        campaign=campaign,
     )
 
 
@@ -145,10 +146,9 @@ def run_overhead(
 
     points: list[OverheadPoint] = []
     for protocol, seed_results in grid:
-        delays = DelayDistribution()
-        for seed_result in seed_results:
-            delays.extend(seed_result.delay_samples)
-        stats = delays.summary()
+        stats = summarize_values(
+            [delay for r in seed_results for delay in r.campaign.delays]
+        )
         count = len(seed_results)
         points.append(
             OverheadPoint(
@@ -165,6 +165,9 @@ def run_overhead(
                 / count,
                 mean_delay_s=stats["mean_s"],
                 delay_variance_s2=stats["variance_s2"],
+                long_link_fallbacks=float(
+                    sum(r.campaign.long_link_fallbacks for r in seed_results)
+                ),
             )
         )
     return points

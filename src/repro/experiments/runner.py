@@ -1,88 +1,218 @@
 """The propagation experiment runner.
 
-:class:`PropagationExperiment` executes the paper's measurement methodology on
-one built :class:`~repro.workloads.scenarios.Scenario`:
+:func:`measure_propagation` executes the paper's measurement methodology
+(Section V.B, Fig. 2) on one built
+:class:`~repro.workloads.scenarios.Scenario`:
 
-1. fund every node so wallets can emit payments;
-2. pick a set of measuring nodes spread across the id space;
-3. run the Fig. 2 measuring-node campaign from each of them;
-4. aggregate the Δt_{m,n} samples into one distribution per protocol.
+1. pick a set of measuring nodes spread across the id space;
+2. fund the nodes so wallets can emit payments;
+3. run the measuring-node campaign from each of them;
+4. return every Δt_{m,n} sample as one plain :class:`Campaign` record.
+
+Every experiment that measures Δt (fig3, fig4, threshold_sweep, overhead,
+ablation, churn_resilience, scale, validation) calls it once per
+(scenario, seed) cell, so one function decides what a campaign records.
 
 :func:`run_protocol_comparison` repeats that over several protocols and seeds
 on *identically parameterised* networks — the controlled comparison behind
-Fig. 3 — and returns per-protocol aggregates.  Because every (protocol, seed)
-job is an independent simulation, the comparison fans :class:`PropagationJob`
-cells out over the shared seed-grid executor
-(:func:`~repro.experiments.grid.run_seed_grid`); the merge below consumes job
-results in submission order, so the aggregates are identical for every worker
+Fig. 3 — and pools each protocol's campaigns in a :class:`PropagationResult`.
+Because every (protocol, seed) job is an independent simulation, the
+comparison fans :class:`PropagationJob` cells out over the shared seed-grid
+executor (:func:`~repro.experiments.grid.run_seed_grid`), which returns them
+in submission order, so the pooled results are identical for every worker
 count.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence, Union
 
 from repro.analysis.samples import SampleLog
+from repro.analysis.stats import sample_variance
 from repro.experiments.backends import current_plan
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.grid import run_seed_grid
-from repro.measurement.measuring_node import CampaignResult, MeasurementCampaign, MeasuringNode
+from repro.measurement.measuring_node import MeasuringNode
 from repro.measurement.stats import DelayDistribution
 from repro.workloads.generators import fund_nodes
 from repro.workloads.network_gen import NetworkParameters, ensure_network_snapshot
 from repro.workloads.scenarios import Scenario, build_scenario, validate_policy_name
 
+#: Simulated idle time after every run, failed runs included, letting
+#: residual relay traffic drain before the next transaction.
+INTER_RUN_GAP_S = 5.0
 
-@dataclass
+
+@dataclass(frozen=True)
+class Campaign:
+    """What one (scenario, seed) measuring-node campaign measured.
+
+    Plain values only, so a pickled grid cell holds no simulator objects.
+
+    Attributes:
+        seed: the scenario's master seed.
+        delays: every Δt, measuring node after measuring node, run after
+            run, in reception order.
+        ranks: the reception rank of each entry of ``delays`` (1 = first
+            connection to receive) — the x-axis of the paper's figures.
+        coverages: fraction of the measured connections reached, one per
+            completed run.
+        timed_out_receptions: connections that never received a measured
+            transaction within the run horizon.
+        failed_runs: runs abandoned because churn had left the measuring
+            node without connections at send time.
+        long_link_fallbacks: measuring nodes that measured long links in any
+            run, for want of a proximity connection.
+        clusters: the policy's cluster summary after the campaign.
+    """
+
+    seed: int
+    delays: tuple[float, ...]
+    ranks: tuple[int, ...]
+    coverages: tuple[float, ...]
+    timed_out_receptions: int
+    failed_runs: int
+    long_link_fallbacks: int
+    clusters: dict[str, float]
+
+
+def select_measuring_nodes(node_ids: Sequence[int], count: int) -> list[int]:
+    """Measuring nodes spread evenly across the node id space.
+
+    The single source of the placement rule, so every experiment observes
+    from the same nodes.
+    """
+    count = min(count, len(node_ids))
+    stride = max(1, len(node_ids) // count)
+    return [node_ids[i * stride] for i in range(count)]
+
+
+def measure_propagation(
+    scenario: Scenario,
+    config: ExperimentConfig,
+    *,
+    fund_measuring_only: bool = False,
+) -> Campaign:
+    """Run the Fig. 2 campaign on one built scenario.
+
+    Each of ``config.measuring_nodes`` measuring nodes sends ``config.runs``
+    transactions, one at a time, and every run is followed by
+    :data:`INTER_RUN_GAP_S` of simulated time.  On a dynamic (churned)
+    scenario the measuring nodes are spared from churn, and a run whose
+    measuring node has no connection at send time counts as failed.
+
+    Args:
+        scenario: the built scenario to measure.
+        config: shared experiment configuration.
+        fund_measuring_only: fund only the measuring nodes instead of every
+            node.  Only measuring nodes spend during a campaign, so 10k-node
+            scale cells skip building and hashing N×k funding transactions
+            and the shared ledger they fill.  The funding block's contents
+            shape every node's ledger, so the figure experiments keep
+            funding everyone (pinned by the golden-fingerprint tests).
+
+    Raises:
+        RuntimeError: on a static scenario, if a measuring node has no
+            connection at all.
+    """
+    simulated = scenario.network
+    simulator = simulated.simulator
+    measuring_ids = select_measuring_nodes(simulated.node_ids(), config.measuring_nodes)
+    fund_nodes(
+        list(simulated.nodes.values()),
+        outputs_per_node=config.funding_outputs,
+        funded_node_ids=measuring_ids if fund_measuring_only else None,
+    )
+    if scenario.dynamic:
+        # The measuring node m of the paper never leaves either.
+        scenario.start_churn(spare=measuring_ids)
+
+    delays: list[float] = []
+    ranks: list[int] = []
+    coverages: list[float] = []
+    timed_out = failed_runs = long_link_fallbacks = 0
+    for measuring_id in measuring_ids:
+        measuring = MeasuringNode(
+            simulated.node(measuring_id),
+            simulator.random.stream(f"measuring-{measuring_id}"),
+            payment_satoshi=config.payment_satoshi,
+            run_timeout_s=config.run_timeout_s,
+            exclude_long_links=config.exclude_long_links,
+        )
+        for index in range(config.runs):
+            try:
+                run = measuring.measure_once(run_index=index)
+            except RuntimeError:
+                if not scenario.dynamic:
+                    raise
+                # Churn momentarily starved the measuring node of
+                # connections; the discovery sweep will top it up.
+                failed_runs += 1
+            else:
+                for record in run.receptions:
+                    delays.append(record.delta_t_s)
+                    ranks.append(record.rank)
+                coverages.append(run.coverage)
+                timed_out += len(run.timed_out_nodes)
+            simulator.run(until=simulator.now + INTER_RUN_GAP_S)
+        long_link_fallbacks += any(run.long_link_fallback for run in measuring.runs)
+    return Campaign(
+        seed=simulated.parameters.seed,
+        delays=tuple(delays),
+        ranks=tuple(ranks),
+        coverages=tuple(coverages),
+        timed_out_receptions=timed_out,
+        failed_runs=failed_runs,
+        long_link_fallbacks=long_link_fallbacks,
+        clusters=dict(scenario.policy.clusters.summary()),
+    )
+
+
+@dataclass(frozen=True)
 class PropagationResult:
-    """Aggregated propagation-delay measurements for one protocol.
+    """One protocol's campaigns, pooled across seeds.
 
     Attributes:
         protocol: protocol label ("bitcoin", "lbc", "bcbpt", or
             "bcbpt@XXms" for threshold sweeps).
-        delays: all Δt samples pooled across seeds and measuring nodes.
-        per_seed: Δt distribution per master seed.
-        per_rank: Δt distribution by reception rank (1 = first connection to
-            receive), pooled across seeds — the x-axis of the paper's figures.
-        campaigns: the underlying per-measuring-node campaign results.
-        cluster_summaries: cluster statistics per seed (empty for "bitcoin").
-        build_reports: topology build reports per seed.
+        cells: the per-seed campaigns, in seed order; every aggregate below
+            is computed from them.
     """
 
     protocol: str
-    delays: DelayDistribution = field(default_factory=DelayDistribution)
-    per_seed: dict[int, DelayDistribution] = field(default_factory=dict)
-    per_rank: dict[int, DelayDistribution] = field(default_factory=dict)
-    campaigns: list[CampaignResult] = field(default_factory=list)
-    cluster_summaries: dict[int, dict[str, float]] = field(default_factory=dict)
-    build_reports: dict[int, object] = field(default_factory=dict)
+    cells: tuple[Campaign, ...]
+
+    @property
+    def delays(self) -> DelayDistribution:
+        """Δt samples pooled across seeds and measuring nodes, in seed order."""
+        return DelayDistribution(delay for cell in self.cells for delay in cell.delays)
 
     def summary(self) -> dict[str, float]:
         """Summary statistics of the pooled Δt distribution."""
         return self.delays.summary()
 
     def rank_variance_curve(self) -> list[tuple[int, float]]:
-        """(rank, variance) pairs pooled across campaigns."""
-        curve = []
-        for rank in sorted(self.per_rank):
-            dist = self.per_rank[rank]
-            if len(dist) >= 2:
-                curve.append((rank, dist.variance()))
-        return curve
+        """(rank, variance of Δt) pairs pooled across seeds.
 
-    def rank_mean_curve(self) -> list[tuple[int, float]]:
-        """(rank, mean Δt) pairs pooled across campaigns."""
+        Rank *k* is the k-th connection to receive the transaction; the paper
+        observes that under vanilla Bitcoin the variance grows with the rank
+        while BCBPT keeps it flat.
+        """
+        by_rank: dict[int, list[float]] = {}
+        for cell in self.cells:
+            for rank, delay in zip(cell.ranks, cell.delays):
+                by_rank.setdefault(rank, []).append(delay)
         return [
-            (rank, self.per_rank[rank].mean())
-            for rank in sorted(self.per_rank)
-            if len(self.per_rank[rank]) >= 1
+            (rank, sample_variance(delays))
+            for rank, delays in sorted(by_rank.items())
+            if len(delays) >= 2
         ]
 
     def long_link_fallbacks(self) -> int:
-        """Campaigns that measured long links for want of a proximity connection."""
-        return sum(campaign.long_link_fallback for campaign in self.campaigns)
+        """Measuring nodes that measured long links for want of a proximity connection."""
+        return sum(cell.long_link_fallbacks for cell in self.cells)
 
 
 def summarize_propagation(
@@ -101,98 +231,13 @@ def summarize_propagation(
             **result.summary(),
             "long_link_fallbacks": float(result.long_link_fallbacks()),
         }
-        clustered = [s for s in result.cluster_summaries.values() if s.get("cluster_count")]
+        clustered = [cell.clusters for cell in result.cells if cell.clusters.get("cluster_count")]
         if clustered:
             summary["cluster_count"] = sum(s["cluster_count"] for s in clustered) / len(clustered)
             summary["mean_cluster_size"] = sum(s["mean_size"] for s in clustered) / len(clustered)
             summary["max_cluster_size"] = float(max(s["max_size"] for s in clustered))
         summaries[label] = summary
     return summaries
-
-
-def select_measuring_nodes(node_ids: Sequence[int], count: int) -> list[int]:
-    """Measuring nodes spread evenly across the node id space.
-
-    The single source of the placement rule: every experiment that rotates
-    measuring nodes (the figure campaigns, the churn-resilience sweep) uses
-    this, so cross-experiment comparisons observe from the same nodes.
-    """
-    count = min(count, len(node_ids))
-    stride = max(1, len(node_ids) // count)
-    return [node_ids[i * stride] for i in range(count)]
-
-
-class PropagationExperiment:
-    """Runs the measuring-node campaign on one prepared scenario.
-
-    Args:
-        scenario: the built scenario to measure.
-        config: shared experiment configuration.
-        fund_measuring_only: fund only the measuring nodes instead of every
-            node.  Only measuring nodes spend during a campaign, so 10k-node
-            scale cells opt out of building and hashing N×k funding
-            transactions and of the shared ledger they fill.
-            Default False: the funding block's contents shape every node's
-            ledger, so the figure experiments keep the historical
-            fund-everyone behaviour (pinned by the golden-fingerprint tests).
-    """
-
-    def __init__(
-        self,
-        scenario: Scenario,
-        config: Optional[ExperimentConfig] = None,
-        *,
-        fund_measuring_only: bool = False,
-    ) -> None:
-        self.scenario = scenario
-        self.config = config if config is not None else ExperimentConfig(
-            node_count=scenario.network.node_count
-        )
-        self.fund_measuring_only = fund_measuring_only
-        self._funded = False
-
-    def _ensure_funding(self) -> None:
-        if self._funded:
-            return
-        fund_nodes(
-            list(self.scenario.network.nodes.values()),
-            outputs_per_node=self.config.funding_outputs,
-            funded_node_ids=self.measuring_node_ids() if self.fund_measuring_only else None,
-        )
-        self._funded = True
-
-    def measuring_node_ids(self) -> list[int]:
-        """Measuring nodes spread evenly across the node id space."""
-        return select_measuring_nodes(
-            self.scenario.network.node_ids(), self.config.measuring_nodes
-        )
-
-    def run(self, repetitions: Optional[int] = None) -> PropagationResult:
-        """Execute the campaign and return pooled results for this scenario."""
-        self._ensure_funding()
-        runs = repetitions if repetitions is not None else self.config.runs
-        result = PropagationResult(protocol=self.scenario.name)
-        simulated = self.scenario.network
-        for measuring_id in self.measuring_node_ids():
-            node = simulated.node(measuring_id)
-            measuring = MeasuringNode(
-                node,
-                simulated.simulator.random.stream(f"measuring-{measuring_id}"),
-                payment_satoshi=self.config.payment_satoshi,
-                run_timeout_s=self.config.run_timeout_s,
-                exclude_long_links=self.config.exclude_long_links,
-            )
-            campaign = MeasurementCampaign(measuring, self.scenario.name)
-            campaign_result = campaign.run(runs)
-            result.campaigns.append(campaign_result)
-            result.delays = result.delays.merge(campaign_result.delays)
-            for rank, dist in campaign_result.per_rank_delays.items():
-                result.per_rank.setdefault(rank, DelayDistribution()).extend(dist.samples)
-        seed = simulated.parameters.seed
-        result.per_seed[seed] = result.delays
-        result.cluster_summaries[seed] = self.scenario.policy.clusters.summary()
-        result.build_reports[seed] = self.scenario.build_report
-        return result
 
 
 @dataclass(frozen=True)
@@ -220,7 +265,7 @@ class PropagationJob:
     snapshot_path: Optional[str] = None
 
 
-def run_propagation_job(job: PropagationJob) -> PropagationResult:
+def run_propagation_job(job: PropagationJob) -> Campaign:
     """Execute one (protocol, seed) campaign — the process-pool entry point."""
     parameters = NetworkParameters(node_count=job.config.node_count, seed=job.seed)
     scenario = build_scenario(
@@ -230,8 +275,7 @@ def run_propagation_job(job: PropagationJob) -> PropagationResult:
         max_outbound=job.config.max_outbound,
         snapshot=job.snapshot_path,
     )
-    scenario.name = job.label
-    return PropagationExperiment(scenario, job.config).run()
+    return measure_propagation(scenario, job.config)
 
 
 def collect_propagation_samples(
@@ -239,8 +283,8 @@ def collect_propagation_samples(
 ) -> SampleLog:
     """Raw-sample extraction shared by the propagation experiments (Fig. 3/4).
 
-    Per label, the log carries one ``delay_s`` series per master seed (in the
-    merge's insertion order, so the pooled concatenation reproduces
+    Per label, the log carries one ``delay_s`` series per master seed (in
+    seed order, so the pooled concatenation reproduces
     ``PropagationResult.delays`` exactly and is worker-count invariant) plus
     the ``rank_variance_s2`` curve the paper plots against the connection
     rank.  This is what lets ``repro report`` regenerate Fig. 3/4 from a
@@ -251,7 +295,7 @@ def collect_propagation_samples(
         log.add_per_seed(
             label,
             "delay_s",
-            {seed: dist.samples for seed, dist in result.per_seed.items()},
+            {cell.seed: cell.delays for cell in result.cells},
             unit="s",
         )
         for rank, variance in result.rank_variance_curve():
@@ -314,23 +358,7 @@ def run_protocol_comparison(
         )
 
     grid = run_seed_grid(protocols, make_job, run_propagation_job, config)
-
-    # Merge in submission order — exactly the order the serial nested loop
-    # used, so pooled aggregates are identical for every worker count.
-    results: dict[str, PropagationResult] = {}
-    for label, seed_results in grid:
-        pooled = results.get(label)
-        if pooled is None:
-            pooled = results[label] = PropagationResult(protocol=label)
-        for seed, result in zip(config.seeds, seed_results):
-            pooled.delays = pooled.delays.merge(result.delays)
-            pooled.per_seed[seed] = result.delays
-            pooled.campaigns.extend(result.campaigns)
-            pooled.cluster_summaries[seed] = result.cluster_summaries[seed]
-            pooled.build_reports[seed] = result.build_reports[seed]
-            for rank, dist in result.per_rank.items():
-                pooled.per_rank.setdefault(rank, DelayDistribution()).extend(dist.samples)
-    return results
+    return {label: PropagationResult(label, tuple(cells)) for label, cells in grid}
 
 
 def _parse_label(

@@ -41,7 +41,7 @@ from repro.experiments.api import ExperimentOption, experiment
 from repro.experiments.backends import current_plan
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.grid import run_seed_grid
-from repro.experiments.runner import PropagationExperiment
+from repro.experiments.runner import measure_propagation
 from repro.protocol.node import NodeConfig
 from repro.workloads.network_gen import NetworkParameters, ensure_network_snapshot
 from repro.workloads.scenarios import build_scenario, validate_policy_name
@@ -129,6 +129,7 @@ class ScaleJobResult:
     rss_mb: float
     state_prunes: int
     pruned_inventory_entries: int
+    long_link_fallbacks: int
 
     @property
     def wall_s(self) -> float:
@@ -163,7 +164,7 @@ def run_scale_job(job: ScaleJob) -> ScaleJobResult:
             snapshot=job.snapshot_path,
         )
         built = time.perf_counter()
-        result = PropagationExperiment(scenario, cfg, fund_measuring_only=True).run()
+        campaign = measure_propagation(scenario, cfg, fund_measuring_only=True)
         finished = time.perf_counter()
         peak_traced_mb: Optional[float] = None
         if job.profile_memory:
@@ -179,7 +180,7 @@ def run_scale_job(job: ScaleJob) -> ScaleJobResult:
         build_s=built - start,
         run_s=finished - built,
         events=scenario.simulator.events_executed,
-        delay_samples=len(result.delays),
+        delay_samples=len(campaign.delays),
         peak_traced_mb=peak_traced_mb,
         # ru_maxrss is the process-lifetime high-water mark in KB on Linux;
         # under a reused pool worker it is an upper bound, not a per-cell peak
@@ -189,6 +190,7 @@ def run_scale_job(job: ScaleJob) -> ScaleJobResult:
         pruned_inventory_entries=sum(
             node.stats.pruned_inventory_entries for node in nodes
         ),
+        long_link_fallbacks=campaign.long_link_fallbacks,
     )
 
 
@@ -227,6 +229,7 @@ class ScaleResult:
             "pruned_inventory_entries": float(
                 sum(c.pruned_inventory_entries for c in self.cells)
             ),
+            "long_link_fallbacks": float(sum(c.long_link_fallbacks for c in self.cells)),
         }
 
 

@@ -16,11 +16,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
+from repro.analysis.stats import summarize_values
 from repro.experiments.api import ExperimentOption, experiment
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.grid import run_seed_grid
-from repro.experiments.runner import PropagationExperiment
-from repro.measurement.stats import DelayDistribution
+from repro.experiments.runner import Campaign, measure_propagation
 from repro.workloads.network_gen import NetworkParameters
 from repro.workloads.scenarios import build_scenario
 
@@ -41,6 +41,7 @@ class ThresholdPoint:
     mean_cluster_size: float
     mean_link_rtt_s: float
     long_link_fraction: float
+    long_link_fallbacks: float
 
 
 @dataclass(frozen=True)
@@ -58,9 +59,7 @@ class ThresholdJobResult:
 
     threshold_s: float
     seed: int
-    delay_samples: tuple[float, ...]
-    cluster_count: float
-    mean_cluster_size: float
+    campaign: Campaign
     mean_link_rtt_s: Optional[float]
     long_link_fraction: Optional[float]
 
@@ -73,9 +72,7 @@ def run_threshold_job(job: ThresholdJob) -> ThresholdJobResult:
         latency_threshold_s=job.threshold_s,
         max_outbound=job.config.max_outbound,
     )
-    experiment = PropagationExperiment(scenario, job.config)
-    result = experiment.run()
-    summary = scenario.policy.clusters.summary()
+    campaign = measure_propagation(scenario, job.config)
     network = scenario.network.network
     links = list(network.topology.links())
     mean_link_rtt_s: Optional[float] = None
@@ -88,9 +85,7 @@ def run_threshold_job(job: ThresholdJob) -> ThresholdJobResult:
     return ThresholdJobResult(
         threshold_s=job.threshold_s,
         seed=job.seed,
-        delay_samples=tuple(result.delays.samples),
-        cluster_count=summary["cluster_count"],
-        mean_cluster_size=summary["mean_size"],
+        campaign=campaign,
         mean_link_rtt_s=mean_link_rtt_s,
         long_link_fraction=long_link_fraction,
     )
@@ -143,20 +138,17 @@ def run_threshold_sweep(
 
     points: list[ThresholdPoint] = []
     for threshold, seed_results in grid:
-        delays = DelayDistribution()
-        cluster_counts: list[float] = []
-        cluster_sizes: list[float] = []
+        campaigns = [seed_result.campaign for seed_result in seed_results]
+        cluster_counts = [campaign.clusters["cluster_count"] for campaign in campaigns]
+        cluster_sizes = [campaign.clusters["mean_size"] for campaign in campaigns]
         link_rtts: list[float] = []
         long_fractions: list[float] = []
         for seed_result in seed_results:
-            delays.extend(seed_result.delay_samples)
-            cluster_counts.append(seed_result.cluster_count)
-            cluster_sizes.append(seed_result.mean_cluster_size)
             if seed_result.mean_link_rtt_s is not None:
                 link_rtts.append(seed_result.mean_link_rtt_s)
             if seed_result.long_link_fraction is not None:
                 long_fractions.append(seed_result.long_link_fraction)
-        stats = delays.summary()
+        stats = summarize_values([delay for campaign in campaigns for delay in campaign.delays])
         points.append(
             ThresholdPoint(
                 threshold_s=threshold,
@@ -169,6 +161,9 @@ def run_threshold_sweep(
                 mean_link_rtt_s=sum(link_rtts) / len(link_rtts) if link_rtts else float("nan"),
                 long_link_fraction=(
                     sum(long_fractions) / len(long_fractions) if long_fractions else float("nan")
+                ),
+                long_link_fallbacks=float(
+                    sum(campaign.long_link_fallbacks for campaign in campaigns)
                 ),
             )
         )

@@ -21,9 +21,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
+from repro.analysis.stats import summarize_values
 from repro.experiments.api import ExperimentOption, experiment
 from repro.experiments.config import ExperimentConfig
-from repro.experiments.runner import PropagationExperiment
+from repro.experiments.runner import measure_propagation
 from repro.measurement.crawler import CrawlerReport, NetworkCrawler
 from repro.workloads.network_gen import NetworkParameters, build_network
 from repro.workloads.scenarios import build_scenario
@@ -126,8 +127,7 @@ def run_validation(
         NetworkParameters(node_count=cfg.node_count, seed=seed),
         max_outbound=cfg.max_outbound,
     )
-    result = PropagationExperiment(scenario, cfg).run()
-    delays = result.summary()
+    delays = summarize_values(measure_propagation(scenario, cfg).delays)
 
     return ValidationResultSummary(
         crawler=crawl,

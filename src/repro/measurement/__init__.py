@@ -2,8 +2,9 @@
 
 Implements the paper's evaluation methodology (Section V):
 
-* :mod:`repro.measurement.stats` — delay-distribution statistics (mean,
-  median, variance, percentiles, CDF) used to summarise Δt_{m,n};
+* :mod:`repro.measurement.stats` — the delay distribution that holds Δt_{m,n}
+  samples (finite and non-negative) and summarises them (mean, median,
+  percentiles);
 * :mod:`repro.measurement.propagation` — the record of one measurement run
   (which neighbour received the transaction when);
 * :mod:`repro.measurement.measuring_node` — the measuring node *m* of Fig. 2:
@@ -14,24 +15,22 @@ Implements the paper's evaluation methodology (Section V):
   to parameterise and validate their simulator.
 
 Public entry points: :class:`~repro.measurement.measuring_node.MeasuringNode`
-and :class:`~repro.measurement.measuring_node.MeasurementCampaign` (run the
-Fig. 2 methodology), :class:`~repro.measurement.stats.DelayDistribution`
-(aggregate Δt samples; its math lives in :mod:`repro.analysis.stats`) and
+(one Fig. 2 repetition; :func:`repro.experiments.runner.measure_propagation`
+runs the whole campaign), :class:`~repro.measurement.stats.DelayDistribution`
+(its math lives in :mod:`repro.analysis.stats`) and
 :class:`~repro.measurement.crawler.NetworkCrawler`.
 """
 
 from repro.measurement.crawler import CrawlerReport, NetworkCrawler
-from repro.measurement.measuring_node import MeasurementCampaign, MeasuringNode
+from repro.measurement.measuring_node import MeasuringNode
 from repro.measurement.propagation import PropagationRun, ReceptionRecord
-from repro.measurement.stats import DelayDistribution, summarize_delays
+from repro.measurement.stats import DelayDistribution
 
 __all__ = [
     "CrawlerReport",
     "DelayDistribution",
-    "MeasurementCampaign",
     "MeasuringNode",
     "NetworkCrawler",
     "PropagationRun",
     "ReceptionRecord",
-    "summarize_delays",
 ]

@@ -8,20 +8,18 @@ announces the transaction." (Section V.B)
 :class:`MeasuringNode` wraps an ordinary :class:`~repro.protocol.node.BitcoinNode`
 that already has connections established by whatever neighbour-selection
 policy is under test.  One :meth:`measure_once` call performs a single
-repetition; :class:`MeasurementCampaign` repeats it (the paper averages about
-1000 runs) and aggregates the Δt_{m,n} samples into a
-:class:`~repro.measurement.stats.DelayDistribution`.
+repetition; :func:`repro.experiments.runner.measure_propagation` repeats it
+(the paper averages about 1000 runs) from several measuring nodes and
+records the Δt_{m,n} samples.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
 from repro.measurement.propagation import PropagationRun
-from repro.measurement.stats import DelayDistribution
 from repro.protocol.messages import TxMessage
 from repro.protocol.network import P2PNetwork
 from repro.protocol.node import BitcoinNode
@@ -161,100 +159,3 @@ class MeasuringNode:
         self._active_run = None
         self.runs.append(run)
         return run
-
-
-@dataclass
-class CampaignResult:
-    """Aggregated result of a measurement campaign under one protocol."""
-
-    protocol: str
-    runs: list[PropagationRun]
-    delays: DelayDistribution
-    per_rank_delays: dict[int, DelayDistribution] = field(default_factory=dict)
-
-    @property
-    def run_count(self) -> int:
-        """Number of repetitions performed."""
-        return len(self.runs)
-
-    @property
-    def long_link_fallback(self) -> bool:
-        """Whether a run measured long links for want of a proximity connection."""
-        return any(run.long_link_fallback for run in self.runs)
-
-    def coverage(self) -> float:
-        """Mean fraction of connections reached per run."""
-        if not self.runs:
-            return 0.0
-        return sum(run.coverage for run in self.runs) / len(self.runs)
-
-    def rank_variance_curve(self) -> list[tuple[int, float]]:
-        """(rank, variance of Δt) pairs — the curve the paper's figures plot.
-
-        Rank *k* is the k-th connection to receive the transaction; the paper
-        observes that under vanilla Bitcoin the variance grows with the rank
-        while BCBPT keeps it flat.
-        """
-        curve = []
-        for rank in sorted(self.per_rank_delays):
-            dist = self.per_rank_delays[rank]
-            if len(dist) >= 2:
-                curve.append((rank, dist.variance()))
-        return curve
-
-    def rank_mean_curve(self) -> list[tuple[int, float]]:
-        """(rank, mean Δt) pairs."""
-        curve = []
-        for rank in sorted(self.per_rank_delays):
-            dist = self.per_rank_delays[rank]
-            if len(dist) >= 1:
-                curve.append((rank, dist.mean()))
-        return curve
-
-
-class MeasurementCampaign:
-    """Repeats the measuring-node experiment and aggregates Δt samples.
-
-    Args:
-        measuring_node: the driver for single repetitions.
-        protocol_name: label stored in the result ("bitcoin", "lbc", "bcbpt", ...).
-        inter_run_gap_s: simulated idle time between repetitions, letting
-            residual relay traffic drain.
-    """
-
-    def __init__(
-        self,
-        measuring_node: MeasuringNode,
-        protocol_name: str,
-        *,
-        inter_run_gap_s: float = 5.0,
-    ) -> None:
-        if inter_run_gap_s < 0:
-            raise ValueError(f"inter_run_gap_s cannot be negative, got {inter_run_gap_s}")
-        self.measuring_node = measuring_node
-        self.protocol_name = protocol_name
-        self.inter_run_gap_s = inter_run_gap_s
-
-    def run(self, repetitions: int) -> CampaignResult:
-        """Perform ``repetitions`` measurement runs and aggregate the delays."""
-        if repetitions <= 0:
-            raise ValueError(f"repetitions must be positive, got {repetitions}")
-        network = self.measuring_node._network()
-        simulator = network.simulator
-        all_delays = DelayDistribution()
-        per_rank: dict[int, DelayDistribution] = {}
-        runs: list[PropagationRun] = []
-        for index in range(repetitions):
-            run = self.measuring_node.measure_once(run_index=index)
-            runs.append(run)
-            for record in run.receptions:
-                all_delays.add(record.delta_t_s)
-                per_rank.setdefault(record.rank, DelayDistribution()).add(record.delta_t_s)
-            if self.inter_run_gap_s > 0:
-                simulator.run(until=simulator.now + self.inter_run_gap_s)
-        return CampaignResult(
-            protocol=self.protocol_name,
-            runs=runs,
-            delays=all_delays,
-            per_rank_delays=per_rank,
-        )

@@ -12,8 +12,6 @@ import math
 from dataclasses import dataclass, field
 from typing import Optional
 
-from repro.measurement.stats import DelayDistribution
-
 
 @dataclass(frozen=True)
 class ReceptionRecord:
@@ -112,7 +110,3 @@ class PropagationRun:
         if not self.receptions:
             return None
         return max(r.delta_t_s for r in self.receptions)
-
-    def to_distribution(self) -> DelayDistribution:
-        """The run's delays as a :class:`DelayDistribution`."""
-        return DelayDistribution(self.delays())

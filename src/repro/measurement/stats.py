@@ -2,31 +2,20 @@
 
 The paper reports the *distribution* of the time differences Δt_{m,n} and, in
 particular, their variance ("variances of delays").  :class:`DelayDistribution`
-wraps a sample of delays and exposes the summary statistics the figures and
-benchmarks need: mean, median, variance, standard deviation, arbitrary
-percentiles and CDF points.
-
-The statistics themselves are implemented once, in
+holds a sample of delays and guarantees that every one of them is finite and
+non-negative; its summary statistics are computed once, in
 :mod:`repro.analysis.stats` (the shared stats core also used by the report
-layer); this class owns the *delay semantics* — non-negativity validation,
-merging, and the ``*_s``-suffixed summary vocabulary.
+layer).
 """
 
 from __future__ import annotations
 
 import math
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
-from repro.analysis.stats import (
-    Ecdf,
-    clamped_mean,
-    percentile as _percentile,
-    sample_std,
-    sample_variance,
-    summarize_values,
-)
+from repro.analysis.stats import clamped_mean, percentile as _percentile, summarize_values
 
 
 class DelayDistribution:
@@ -52,12 +41,6 @@ class DelayDistribution:
         """Add many delay samples."""
         for delay in delays:
             self.add(delay)
-
-    def merge(self, other: "DelayDistribution") -> "DelayDistribution":
-        """A new distribution containing both sample sets."""
-        merged = DelayDistribution(self._samples)
-        merged.extend(other.samples)
-        return merged
 
     # ---------------------------------------------------------------- access
     @property
@@ -90,51 +73,10 @@ class DelayDistribution:
         """Median delay."""
         return float(np.median(self._require_samples()))
 
-    def variance(self) -> float:
-        """Sample variance (the quantity the paper's figures compare)."""
-        return sample_variance(self._require_samples())
-
-    def std(self) -> float:
-        """Sample standard deviation."""
-        return sample_std(self._require_samples())
-
-    def minimum(self) -> float:
-        """Smallest delay observed."""
-        return float(np.min(self._require_samples()))
-
-    def maximum(self) -> float:
-        """Largest delay observed."""
-        return float(np.max(self._require_samples()))
-
     def percentile(self, q: float) -> float:
         """The ``q``-th percentile (``0 <= q <= 100``)."""
         return _percentile(self._require_samples(), q)
 
-    def ecdf(self) -> Ecdf:
-        """The empirical CDF of the samples (see :class:`repro.analysis.stats.Ecdf`)."""
-        return Ecdf(self._require_samples())
-
-    def cdf(self, points: Sequence[float]) -> list[float]:
-        """Empirical CDF evaluated at the given delay points."""
-        return self.ecdf().evaluate_many([float(p) for p in points])
-
-    def cdf_curve(self, resolution: int = 50) -> list[tuple[float, float]]:
-        """(delay, cumulative fraction) pairs spanning the sample range."""
-        return self.ecdf().curve(resolution)
-
     def summary(self) -> dict[str, float]:
         """The summary statistics used throughout the experiment reports."""
         return summarize_values(self._require_samples())
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        if not self._samples:
-            return "DelayDistribution(empty)"
-        return (
-            f"DelayDistribution(n={len(self._samples)}, mean={self.mean():.4f}s, "
-            f"median={self.median():.4f}s, var={self.variance():.6f})"
-        )
-
-
-def summarize_delays(distributions: dict[str, DelayDistribution]) -> dict[str, dict[str, float]]:
-    """Summaries of several named distributions (one per protocol/threshold)."""
-    return {name: dist.summary() for name, dist in distributions.items() if len(dist) > 0}

@@ -86,14 +86,6 @@ class TestEcdf:
             (3.0, 1.0),
         ]
 
-    def test_matches_delay_distribution_cdf(self):
-        rng = np.random.default_rng(3)
-        samples = list(rng.uniform(0.0, 1.0, size=257))
-        dist = DelayDistribution(samples)
-        grid = [0.1, 0.25, 0.5, 0.9]
-        assert Ecdf(samples).evaluate_many(grid) == dist.cdf(grid)
-        assert Ecdf(samples).curve(17) == dist.cdf_curve(17)
-
     def test_quantile_closed_form(self):
         ecdf = Ecdf(list(range(11)))
         assert ecdf.quantile(0.5) == 5.0

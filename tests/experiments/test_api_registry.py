@@ -162,15 +162,7 @@ class TestFig3Equivalence:
         ported = run_experiment("fig3", config).payload
         assert set(ported) == set(reference)
         for protocol in reference:
-            old, new = reference[protocol], ported[protocol]
-            assert new.delays.samples == old.delays.samples
-            assert set(new.per_seed) == set(old.per_seed)
-            for seed in old.per_seed:
-                assert new.per_seed[seed].samples == old.per_seed[seed].samples
-            assert set(new.per_rank) == set(old.per_rank)
-            for rank in old.per_rank:
-                assert new.per_rank[rank].samples == old.per_rank[rank].samples
-            assert new.cluster_summaries == old.cluster_summaries
+            assert ported[protocol].cells == reference[protocol].cells
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_envelope_summaries_worker_invariant(self, reference, workers):

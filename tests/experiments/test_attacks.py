@@ -160,9 +160,13 @@ class TestEnvelope:
             assert isinstance(attacks_result.verdicts[name], bool)
 
     def test_samples_carry_per_seed_block_delays(self, attacks_result):
-        labels = {series["label"] for series in attacks_result.samples["series"]}
-        assert any(label.startswith("none/") for label in labels)
-        assert any(label.startswith("eclipse/") for label in labels)
+        samples = attacks_result.samples
+        labels = {entry["label"] for entry in samples["series"] + samples["timeseries"]}
+        assert any(label.startswith("dynamic/none/") for label in labels)
+        assert any(label.startswith("dynamic/eclipse/") for label in labels)
+        # Every sample series belongs to the cell whose summary has its label
+        # (the static eclipse surface's summary is ``eclipse/<protocol>``).
+        assert labels <= set(attacks_result.summaries)
 
 
 class TestVictimSelection:

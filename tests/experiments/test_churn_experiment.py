@@ -118,26 +118,6 @@ def _tiny_config(seeds: tuple[int, ...], workers: int) -> ExperimentConfig:
     )
 
 
-def _fingerprint(results) -> dict:
-    return {
-        key: (
-            tuple(result.delays.samples),
-            tuple(sorted(cell.seed for cell in result.cells)),
-            tuple(result.coverages),
-            result.total("leave_events"),
-            result.total("join_events"),
-            result.total("repair_sweeps"),
-            result.total("orphans_reassigned"),
-            result.total("representatives_replaced"),
-            result.total("bridges_created"),
-            tuple(
-                sorted((cell.seed, tuple(sorted(cell.cluster_after.items()))) for cell in result.cells)
-            ),
-        )
-        for key, result in results.items()
-    }
-
-
 class TestWorkerInvariance:
     @given(seed_pair=st.tuples(st.integers(0, 500), st.integers(501, 1000)))
     @settings(max_examples=2, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -152,7 +132,12 @@ class TestWorkerInvariance:
             protocols=("bcbpt",),
             levels=("heavy",),
         )
-        assert _fingerprint(serial) == _fingerprint(parallel)
+        assert set(serial) == set(parallel)
+        for key, result in serial.items():
+            assert [cell.seed for cell in result.cells] == list(seed_pair)
+            # Frozen records of plain values: equal field by field, the
+            # campaign's Δt samples, coverages and cluster summary included.
+            assert result.cells == parallel[key].cells
 
     def test_static_and_dynamic_levels_merge_across_protocols(self, render_payload):
         results = run_churn_resilience(
@@ -174,6 +159,7 @@ class TestWorkerInvariance:
         rendered = render_payload("churn_resilience", results)
         assert "| bcbpt/heavy |" in rendered
         assert "`timed_out_receptions`" in rendered
+        assert "`failed_runs`" in rendered and "`long_link_fallbacks`" in rendered
         assert "`bridges_created`" in rendered
 
 

@@ -6,14 +6,18 @@ experiment's canonical envelope fingerprint
 (:meth:`~repro.experiments.results.ExperimentResult.fingerprint`: wall clock
 and worker count masked).  They were captured on commit 029bb60 and re-pinned
 when envelope schema v3 stopped storing pre-rendered report sections and
-added summary keys.  A change to a driver's job spec, seed function or
+added summary keys, and again (threshold_sweep, overhead, ablation,
+churn_resilience, attacks) when every Δt experiment stored its
+``long_link_fallbacks`` and attacks labelled its dynamic cells' samples
+like their summaries.  A change to a driver's job spec, seed function or
 pooled aggregate that moves any summary, verdict or raw sample therefore
 fails here, at one worker and through the two-worker process pool.
 
 Each run is also pinned by a result digest (:func:`result_digest`) that
 covers results only, not how they are presented: a summary key added later
-is listed in :data:`ADDED_SUMMARY_KEYS` and dropped before hashing, so the
-values stored before it still match.
+is listed in :data:`ADDED_SUMMARY_KEYS` and dropped before hashing, and a
+sample-label prefix added later is listed in :data:`ADDED_SAMPLE_PREFIXES`
+and stripped before hashing, so the values stored before them still match.
 
 Scale summaries and samples carry wall times and RSS, so the scale golden
 digests each cell's deterministic counters instead.
@@ -88,12 +92,12 @@ CASES: dict[str, tuple[ExperimentConfig, dict]] = {
 GOLDEN_DIGESTS = {
     "fig3": "0bdd81c917a525c2ce978183f7b95961fb9b95022f19d8a8c76b7074d11da9e9",
     "fig4": "9f0ad0dabfebe5105d64361c96d85021347131935218c465af44deaf71babdf2",
-    "threshold_sweep": "9f69db42d54ea3cb8311040c3ab19216a7d60f8ec06325a350c68fc71f1f02db",
-    "overhead": "1b7db30b64b7ed696f3db2c8e42d968a86151e3b495935fb61739a891b892a9c",
-    "attacks": "13596698c2631fd2dd296b87a63d890ef77119c08751e0efe1b1cc2b01769874",
+    "threshold_sweep": "bf03684399a2f8f14b49e8aa811278147bc1769099f696e02239f0c083cbe33d",
+    "overhead": "d86dd182e493fb4509a6e709ff930963b7ded5b28f3e6d5b6ac83caec833281a",
+    "attacks": "bc22673711f711b23e1351e821684f22c7708a104a437bb22e5b22b0554b9a56",
     "doublespend": "e9cdfc312fcc7a03487b9fe06325a078eb8441bbac5400c77147a74986655987",
-    "ablation": "5a29ca7949e8b40a442596523a9a91662478562e85a8fa4e5bfd508ed59d1227",
-    "churn_resilience": "5dc99b966aafc60bfda495b465dc20304ebe69cb2c52fa64b283202655368355",
+    "ablation": "5fe1a7f03e99b0474838e08ad8187518c5b6ceb51bce676fa2af25a3d7d205d5",
+    "churn_resilience": "a8c363c45fc405c945652f85ad6597c0855a3dbc82590931b05f295da1a26009",
     "relay_comparison": "48379eaccc203c119ef5d089a45a4d1a8e10df49810d4158f707cad7fbb2b6f8",
     "load_frontier": "f8d78971ce892034de51495d92b7b1a149f6d367eae0319d348788bf48d567eb",
     "scale": "f859ed87cde63b138d1a83b9e45f2a0918bea8a1069284d95bf5754037d31e72",
@@ -108,11 +112,16 @@ GOLDEN_DIGESTS = {
 ADDED_SUMMARY_KEYS: dict[str, tuple[str, ...]] = {
     "fig3": ("long_link_fallbacks", "cluster_count", "mean_cluster_size", "max_cluster_size"),
     "fig4": ("long_link_fallbacks", "cluster_count", "mean_cluster_size", "max_cluster_size"),
+    "threshold_sweep": ("long_link_fallbacks",),
+    "overhead": ("long_link_fallbacks",),
+    "ablation": ("long_link_fallbacks",),
     "churn_resilience": (
         "timed_out_receptions",
         "orphans_reassigned",
         "representatives_replaced",
         "bridges_created",
+        "failed_runs",
+        "long_link_fallbacks",
     ),
     "relay_comparison": (
         "blocks_measured",
@@ -124,6 +133,11 @@ ADDED_SUMMARY_KEYS: dict[str, tuple[str, ...]] = {
         "headers_received",
     ),
 }
+
+#: name -> prefix that sample labels gained after :data:`RESULT_DIGESTS` were
+#: captured: attacks labels its dynamic cells' samples like their summaries.
+#: :func:`result_digest` strips it from every sample label before hashing.
+ADDED_SAMPLE_PREFIXES: dict[str, str] = {"attacks": "dynamic/"}
 
 #: The digests of :func:`result_digest`, captured on commit d3cad9f.  Unlike
 #: :data:`GOLDEN_DIGESTS` they cover results only: experiment, config (minus
@@ -170,7 +184,9 @@ def result_digest(result) -> str:
     """sha256 over the canonical JSON of a run's results.
 
     Summary keys listed in :data:`ADDED_SUMMARY_KEYS` are removed first, and
-    each of them must be present on at least one label.
+    each of them must be present on at least one label.  A prefix listed in
+    :data:`ADDED_SAMPLE_PREFIXES` is stripped from every sample label, and
+    every sample label must carry it.
     """
     if result.experiment == "scale":
         return _scale_cell_digest(result)
@@ -179,6 +195,19 @@ def result_digest(result) -> str:
     summaries = data["summaries"]
     missing = {key for key in added if not any(key in m for m in summaries.values())}
     assert not missing, f"listed but never stored: {sorted(missing)}"
+    samples = data["samples"]
+    prefix = ADDED_SAMPLE_PREFIXES.get(result.experiment)
+    if prefix is not None:
+        entries = {kind: samples[kind] for kind in ("series", "timeseries")}
+        labels = [entry["label"] for kind in entries.values() for entry in kind]
+        assert labels and all(label.startswith(prefix) for label in labels)
+        samples = {
+            **samples,
+            **{
+                kind: [{**entry, "label": entry["label"][len(prefix) :]} for entry in kind_entries]
+                for kind, kind_entries in entries.items()
+            },
+        }
     results = {
         "experiment": data["experiment"],
         "config": {k: v for k, v in data["config"].items() if k != "workers"},
@@ -188,7 +217,7 @@ def result_digest(result) -> str:
             label: {k: v for k, v in metrics.items() if k not in added}
             for label, metrics in summaries.items()
         },
-        "samples": data["samples"],
+        "samples": samples,
         "verdicts": data["verdicts"],
     }
     return hashlib.sha256(json.dumps(results, indent=2, sort_keys=True).encode()).hexdigest()
@@ -202,6 +231,7 @@ def test_every_experiment_has_a_golden():
         == sorted(experiment_names())
     )
     assert set(ADDED_SUMMARY_KEYS) <= set(CASES)
+    assert set(ADDED_SAMPLE_PREFIXES) <= set(CASES)
 
 
 @pytest.mark.parametrize("workers", [1, 2])

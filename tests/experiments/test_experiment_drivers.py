@@ -5,16 +5,28 @@ runs) so the whole module executes in well under a minute; the full-scale
 reproduction lives in ``benchmarks/``.
 """
 
+import pickle
+
+import numpy as np
 import pytest
 
 from repro.experiments.api import run_experiment
 from repro.experiments.attacks import AttackOutcome, run_eclipse, run_partition
+from repro.experiments.churn_resilience import CHURN_LEVELS
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.doublespend import run_doublespend
 from repro.experiments.fig3 import FIG3_PROTOCOLS, run_fig3
 from repro.experiments.fig4 import run_fig4, threshold_labels, variance_is_monotone
 from repro.experiments.overhead import run_overhead
-from repro.experiments.runner import PropagationExperiment, run_protocol_comparison
+from repro.experiments.runner import (
+    Campaign,
+    PropagationResult,
+    collect_propagation_samples,
+    measure_propagation,
+    run_protocol_comparison,
+    select_measuring_nodes,
+    summarize_propagation,
+)
 from repro.experiments.threshold_sweep import run_threshold_sweep
 from repro.experiments.validation import run_validation
 from repro.workloads.network_gen import NetworkParameters
@@ -26,29 +38,146 @@ SMALL = ExperimentConfig(
 )
 
 
-class TestPropagationExperiment:
-    def test_run_produces_samples(self):
-        scenario = build_scenario(
-            "bcbpt", NetworkParameters(node_count=40, seed=5), latency_threshold_s=0.025
+class TestMeasurePropagation:
+    #: One measuring node, so cutting it off starves the whole campaign.
+    CUT_OFF = SMALL.with_overrides(runs=3, measuring_nodes=1)
+
+    def _scenario(self, policy="bcbpt", *, seed=5, churn=None):
+        return build_scenario(
+            policy,
+            NetworkParameters(node_count=40, seed=seed),
+            latency_threshold_s=0.025,
+            churn=churn,
         )
-        result = PropagationExperiment(scenario, SMALL).run()
-        assert len(result.delays) > 0
-        assert result.protocol == "bcbpt"
-        assert 1 in result.per_rank
-        assert 5 in result.per_seed
-        assert result.cluster_summaries[5]["cluster_count"] >= 1
+
+    def test_campaign_records_plain_values(self):
+        campaign = measure_propagation(self._scenario(), SMALL)
+        assert campaign.seed == 5
+        assert len(campaign.delays) > 0
+        assert len(campaign.ranks) == len(campaign.delays)
+        assert 1 in campaign.ranks
+        assert campaign.clusters["cluster_count"] >= 1
+        assert (campaign.failed_runs, campaign.long_link_fallbacks) == (0, 0)
+        # A pickled grid cell carries no simulator objects.
+        data = pickle.dumps(campaign)
+        assert b"repro.protocol" not in data and b"repro.sim" not in data
+        assert pickle.loads(data) == campaign
 
     def test_measuring_nodes_spread(self):
-        scenario = build_scenario("bitcoin", NetworkParameters(node_count=40, seed=5))
-        experiment = PropagationExperiment(scenario, SMALL)
-        ids = experiment.measuring_node_ids()
+        scenario = self._scenario("bitcoin")
+        ids = select_measuring_nodes(scenario.network.node_ids(), SMALL.measuring_nodes)
         assert len(ids) == 2
         assert len(set(ids)) == 2
 
-    def test_repetition_override(self):
-        scenario = build_scenario("bitcoin", NetworkParameters(node_count=40, seed=5))
-        result = PropagationExperiment(scenario, SMALL).run(repetitions=1)
-        assert all(c.run_count == 1 for c in result.campaigns)
+    def test_every_run_of_every_measuring_node_is_recorded(self):
+        campaign = measure_propagation(self._scenario(), SMALL.with_overrides(runs=3))
+        assert len(campaign.coverages) == 3 * SMALL.measuring_nodes
+        assert all(coverage == pytest.approx(1.0) for coverage in campaign.coverages)
+        # One reception per rank per run: each run restarts at rank 1.
+        assert campaign.ranks.count(1) == 3 * SMALL.measuring_nodes
+        by_rank: dict[int, list[float]] = {}
+        for rank, delay in zip(campaign.ranks, campaign.delays):
+            by_rank.setdefault(rank, []).append(delay)
+        first, last = by_rank[min(by_rank)], by_rank[max(by_rank)]
+        # Later ranks receive later on average.
+        assert sum(last) / len(last) >= sum(first) / len(first)
+
+    @pytest.mark.parametrize("fund_measuring_only", [False, True])
+    def test_funding_scope(self, fund_measuring_only):
+        scenario = self._scenario("bitcoin")
+        measure_propagation(scenario, SMALL, fund_measuring_only=fund_measuring_only)
+        measuring = set(select_measuring_nodes(scenario.network.node_ids(), SMALL.measuring_nodes))
+        funded = {
+            node_id for node_id, node in scenario.network.nodes.items() if node.balance() > 0
+        }
+        expected = measuring if fund_measuring_only else set(scenario.network.node_ids())
+        assert funded == expected
+
+    def _cut_off_measuring_node(self, scenario):
+        network = scenario.network.network
+        (measuring_id,) = select_measuring_nodes(scenario.network.node_ids(), 1)
+        for peer in list(network.neighbors(measuring_id)):
+            network.disconnect(measuring_id, peer)
+
+    def test_static_scenario_with_a_cut_off_measuring_node_raises(self):
+        scenario = self._scenario(seed=3)
+        self._cut_off_measuring_node(scenario)
+        with pytest.raises(RuntimeError, match="no connections"):
+            measure_propagation(scenario, self.CUT_OFF)
+
+    def test_churned_scenario_counts_the_failed_run_and_measures(self):
+        scenario = self._scenario(seed=3, churn=CHURN_LEVELS["heavy"])
+        self._cut_off_measuring_node(scenario)
+        campaign = measure_propagation(scenario, self.CUT_OFF)
+        # The discovery sweep reconnects the node during the gap after the
+        # failed run, so the later runs measure.
+        assert campaign.failed_runs >= 1
+        assert len(campaign.coverages) == self.CUT_OFF.runs - campaign.failed_runs
+        assert len(campaign.delays) > 0
+
+
+def _campaign(seed, delays, ranks, *, fallbacks=0, clusters=None):
+    return Campaign(
+        seed=seed,
+        delays=tuple(delays),
+        ranks=tuple(ranks),
+        coverages=(1.0,),
+        timed_out_receptions=0,
+        failed_runs=0,
+        long_link_fallbacks=fallbacks,
+        clusters=clusters or {"cluster_count": 0, "mean_size": 0.0, "max_size": 0},
+    )
+
+
+class TestPropagationResult:
+    """Pooling over hand-built campaigns, against plain reference loops."""
+
+    CELLS = (
+        _campaign(
+            3,
+            [0.1, 0.2, 0.4, 0.15, 0.3],
+            [1, 2, 3, 1, 2],
+            fallbacks=1,
+            clusters={"cluster_count": 4, "mean_size": 10.0, "max_size": 15},
+        ),
+        _campaign(
+            11,
+            [0.05, 0.5],
+            [1, 2],
+            clusters={"cluster_count": 2, "mean_size": 20.0, "max_size": 25},
+        ),
+    )
+
+    def test_pooled_delays_follow_seed_order(self):
+        result = PropagationResult("bcbpt", self.CELLS)
+        assert result.delays.samples == [0.1, 0.2, 0.4, 0.15, 0.3, 0.05, 0.5]
+        assert result.long_link_fallbacks() == 1
+
+    def test_rank_variance_curve_pools_each_rank_across_cells(self):
+        result = PropagationResult("bcbpt", self.CELLS)
+        # Rank 3 has a single sample, so it has no variance to plot.
+        assert result.rank_variance_curve() == [
+            (1, float(np.var([0.1, 0.15, 0.05], ddof=1))),
+            (2, float(np.var([0.2, 0.3, 0.5], ddof=1))),
+        ]
+
+    def test_summaries_and_samples_read_the_cells(self):
+        results = {
+            "bcbpt": PropagationResult("bcbpt", self.CELLS),
+            "bitcoin": PropagationResult("bitcoin", (_campaign(3, [0.2, 0.4], [1, 2]),)),
+        }
+        summaries = summarize_propagation(results)
+        bcbpt = summaries["bcbpt"]
+        assert bcbpt["long_link_fallbacks"] == 1.0
+        assert (bcbpt["cluster_count"], bcbpt["mean_cluster_size"]) == (3.0, 15.0)
+        assert bcbpt["max_cluster_size"] == 25.0
+        # An unclustered protocol stores no cluster structure.
+        assert "cluster_count" not in summaries["bitcoin"]
+        log = collect_propagation_samples(results)
+        assert log.per_seed("bcbpt", "delay_s") == {
+            3: [0.1, 0.2, 0.4, 0.15, 0.3],
+            11: [0.05, 0.5],
+        }
 
 
 class TestProtocolComparison:
@@ -65,7 +194,7 @@ class TestProtocolComparison:
 
     def test_rank_curves_available(self):
         results = run_protocol_comparison(("bitcoin",), SMALL.with_overrides(runs=2))
-        curve = results["bitcoin"].rank_mean_curve()
+        curve = results["bitcoin"].rank_variance_curve()
         assert curve and curve[0][0] == 1
 
 
@@ -122,6 +251,15 @@ class TestThresholdSweep:
         # Smaller threshold -> at least as many clusters.
         assert points[0].cluster_count >= points[1].cluster_count
         assert "Ext-1" in render_payload("threshold_sweep", points)
+
+    def test_lone_measuring_node_fallback_is_stored(self):
+        """Regression: at 200 nodes, seed 27 and 25 ms, BCBPT leaves the
+        measuring node with long links only.  The sweep measured them and
+        stored nothing that said so."""
+        result = run_experiment(
+            "threshold_sweep", ExperimentConfig(runs=1, seeds=(27,)), {"thresholds_ms": (25.0,)}
+        )
+        assert result.summaries["25ms"]["long_link_fallbacks"] == 1.0
 
 
 class TestOverhead:
@@ -194,3 +332,29 @@ class TestValidation:
     def test_invalid_crawler_samples_rejected(self):
         with pytest.raises(ValueError):
             run_validation(SMALL, crawler_samples=0)
+
+
+#: name -> options of a tiny run of every experiment that measures Δt.
+DELTA_T_EXPERIMENTS = {
+    "fig3": {},
+    "fig4": {},
+    "threshold_sweep": {"thresholds_ms": (25.0,)},
+    "overhead": {"protocols": ("bcbpt",)},
+    "ablation": {},
+    "churn_resilience": {"protocols": ("bcbpt",), "levels": ("static", "heavy")},
+    "scale": {"node_counts": (40,), "protocols": ("bcbpt",), "cell_runs": 1, "profile_memory": 0},
+    "validation": {"crawler_samples": 200},
+}
+
+
+@pytest.mark.parametrize("name", sorted(DELTA_T_EXPERIMENTS))
+def test_every_delta_t_experiment_records_its_campaign_counters(name):
+    """Every Δt experiment measures through ``measure_propagation``, so each
+    stores the long-link fallbacks on every label (churn also its failed
+    runs).  validation measures vanilla Bitcoin only, which has no long
+    links, and stores neither."""
+    config = SMALL.with_overrides(runs=1, measuring_nodes=1, seeds=(3,))
+    result = run_experiment(name, config, dict(DELTA_T_EXPERIMENTS[name]))
+    for label, summary in result.summaries.items():
+        assert ("long_link_fallbacks" in summary) == (name != "validation"), label
+        assert ("failed_runs" in summary) == (name == "churn_resilience"), label

@@ -14,7 +14,7 @@ import hashlib
 import pytest
 
 from repro.experiments.config import ExperimentConfig
-from repro.experiments.runner import PropagationExperiment
+from repro.experiments.runner import measure_propagation
 from repro.workloads.network_gen import NetworkParameters
 from repro.workloads.scenarios import build_scenario
 
@@ -65,7 +65,7 @@ def test_150_node_overlay_and_fig3_samples_match_golden(seed, policy):
         (link.node_a, link.node_b, link.is_cluster_link, link.is_long_link)
         for link in scenario.network.network.topology.links()
     )
-    samples = PropagationExperiment(scenario, config).run().delays.samples
+    samples = measure_propagation(scenario, config).delays
     expected_edges, expected_samples = GOLDEN_150[(seed, policy)]
     assert hashlib.sha256(repr(edges).encode()).hexdigest() == expected_edges
     assert _digest(samples) == expected_samples

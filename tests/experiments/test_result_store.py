@@ -52,6 +52,7 @@ class TestJsonSafe:
             mean_cluster_size=4.0,
             mean_link_rtt_s=0.07,
             long_link_fraction=0.5,
+            long_link_fallbacks=0.0,
         )
         assert json_safe(point)["threshold_s"] == 0.025
 

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.measurement.propagation import PropagationRun, ReceptionRecord
-from repro.measurement.stats import DelayDistribution, summarize_delays
+from repro.measurement.stats import DelayDistribution
 
 
 class TestDelayDistribution:
@@ -33,7 +33,7 @@ class TestDelayDistribution:
                 dist.add(delay)
         assert dist.samples == [1.0, 3.0]
         assert dist.mean() == 2.0
-        assert dist.variance() == 2.0
+        assert dist.summary()["variance_s2"] == 2.0
 
     def test_large_finite_delays_accepted(self):
         assert DelayDistribution([0.0, 1e300]).samples == [0.0, 1e300]
@@ -42,13 +42,10 @@ class TestDelayDistribution:
         dist = DelayDistribution([1.0, 2.0, 3.0, 4.0])
         assert dist.mean() == pytest.approx(2.5)
         assert dist.median() == pytest.approx(2.5)
-        assert dist.minimum() == 1.0
-        assert dist.maximum() == 4.0
-        assert dist.variance() == pytest.approx(np.var([1, 2, 3, 4], ddof=1))
-        assert dist.std() == pytest.approx(np.sqrt(dist.variance()))
-
-    def test_single_sample_has_zero_variance(self):
-        assert DelayDistribution([0.5]).variance() == 0.0
+        summary = dist.summary()
+        assert (summary["min_s"], summary["max_s"]) == (1.0, 4.0)
+        assert summary["variance_s2"] == pytest.approx(np.var([1, 2, 3, 4], ddof=1))
+        assert summary["std_s"] == pytest.approx(np.sqrt(summary["variance_s2"]))
 
     def test_percentiles(self):
         dist = DelayDistribution(list(np.linspace(0.0, 1.0, 101)))
@@ -57,54 +54,20 @@ class TestDelayDistribution:
         with pytest.raises(ValueError):
             dist.percentile(120)
 
-    def test_cdf_monotone_and_bounded(self):
-        dist = DelayDistribution([0.1, 0.2, 0.4, 0.8])
-        fractions = dist.cdf([0.0, 0.1, 0.3, 1.0])
-        assert fractions == sorted(fractions)
-        assert fractions[0] == 0.0 or fractions[0] >= 0.0
-        assert fractions[-1] == 1.0
-
-    def test_cdf_curve_resolution(self):
-        dist = DelayDistribution([0.1, 0.2, 0.3])
-        curve = dist.cdf_curve(resolution=10)
-        assert len(curve) == 10
-        assert curve[-1][1] == pytest.approx(1.0)
-        with pytest.raises(ValueError):
-            dist.cdf_curve(resolution=1)
-
-    def test_merge_keeps_both_sets(self):
-        a = DelayDistribution([1.0, 2.0])
-        b = DelayDistribution([3.0])
-        merged = a.merge(b)
-        assert len(merged) == 3
-        assert len(a) == 2
-
     def test_summary_keys(self):
         summary = DelayDistribution([0.1, 0.2, 0.3]).summary()
         for key in ("count", "mean_s", "median_s", "variance_s2", "p90_s", "max_s"):
             assert key in summary
 
-    def test_summarize_delays_skips_empty(self):
-        result = summarize_delays({"a": DelayDistribution([1.0]), "b": DelayDistribution()})
-        assert "a" in result and "b" not in result
-
     @given(samples=st.lists(st.floats(0.0, 100.0), min_size=2, max_size=50))
     @settings(max_examples=100, deadline=None)
     def test_summary_invariants_property(self, samples):
         dist = DelayDistribution(samples)
-        assert dist.minimum() <= dist.median() <= dist.maximum()
-        assert dist.minimum() <= dist.mean() <= dist.maximum()
-        assert dist.variance() >= 0.0
+        summary = dist.summary()
+        assert summary["min_s"] <= dist.median() <= summary["max_s"]
+        assert summary["min_s"] <= dist.mean() <= summary["max_s"]
+        assert summary["variance_s2"] >= 0.0
         assert dist.percentile(25) <= dist.percentile(75)
-
-    @given(
-        first=st.lists(st.floats(0.0, 10.0), min_size=1, max_size=20),
-        second=st.lists(st.floats(0.0, 10.0), min_size=1, max_size=20),
-    )
-    @settings(max_examples=50, deadline=None)
-    def test_merge_count_property(self, first, second):
-        merged = DelayDistribution(first).merge(DelayDistribution(second))
-        assert len(merged) == len(first) + len(second)
 
 
 class TestReceptionRecord:
@@ -176,13 +139,6 @@ class TestPropagationRun:
         assert run.delay_of(2) is None
         assert run.last_delay() == pytest.approx(0.6)
         assert run.delays() == [pytest.approx(0.1), pytest.approx(0.6)]
-
-    def test_to_distribution(self):
-        run = self._run()
-        run.record_reception(1, 10.2)
-        dist = run.to_distribution()
-        assert len(dist) == 1
-        assert dist.mean() == pytest.approx(0.2)
 
     def test_empty_run_last_delay_none(self):
         assert self._run().last_delay() is None

@@ -12,7 +12,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.measurement.measuring_node import MeasurementCampaign, MeasuringNode
+from repro.experiments.runner import INTER_RUN_GAP_S
+from repro.measurement.measuring_node import MeasuringNode
 from repro.protocol.mining import MiningProcess, equal_hash_power
 from repro.workloads.generators import fund_nodes
 from repro.workloads.network_gen import NetworkParameters
@@ -165,13 +166,16 @@ class TestNoDoubleCountingUnderChurn:
             simulator.schedule(offset, lambda: maintainer._handle_leave(churner))
             simulator.schedule(offset + 3.0, lambda: maintainer._handle_join(churner))
 
-        result = MeasurementCampaign(measuring, "bcbpt-rejoin").run(2)
+        runs = []
+        for index in range(2):
+            runs.append(measuring.measure_once(run_index=index))
+            simulator.run(until=simulator.now + INTER_RUN_GAP_S)
 
-        total_receptions = sum(len(run.receptions) for run in result.runs)
-        assert len(result.delays) == total_receptions
-        for run in result.runs:
+        assert measuring.runs == runs
+        for run in runs:
             ids = [record.node_id for record in run.receptions]
             assert len(ids) == len(set(ids))
+            assert len(ids) <= len(run.connected_nodes)
 
 
 def relay_scenario(relay):

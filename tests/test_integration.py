@@ -9,8 +9,8 @@ in ``benchmarks/``.
 import pytest
 
 from repro.experiments.config import ExperimentConfig
-from repro.experiments.runner import run_protocol_comparison
-from repro.measurement.measuring_node import MeasurementCampaign, MeasuringNode
+from repro.experiments.runner import INTER_RUN_GAP_S, run_protocol_comparison
+from repro.measurement.measuring_node import MeasuringNode
 from repro.net.churn import SessionLengthModel, SessionParameters
 from repro.core.maintenance import ChurnMaintainer
 from repro.workloads.generators import fund_nodes
@@ -71,8 +71,12 @@ class TestPaperClaims:
 
     def test_full_coverage_reached(self, comparison_results):
         for result in comparison_results.values():
-            for campaign in result.campaigns:
-                assert campaign.coverage() > 0.95
+            for cell in result.cells:
+                # One coverage per run, measuring node after measuring node.
+                assert len(cell.coverages) == CONFIG.measuring_nodes * CONFIG.runs
+                for start in range(0, len(cell.coverages), CONFIG.runs):
+                    per_node = cell.coverages[start : start + CONFIG.runs]
+                    assert sum(per_node) / len(per_node) > 0.95
 
 
 class TestEndToEndUnderChurn:
@@ -108,8 +112,11 @@ class TestEndToEndUnderChurn:
             exclude_long_links=True,
             run_timeout_s=30.0,
         )
-        result = MeasurementCampaign(measuring, "bcbpt-churn").run(4)
-        assert result.run_count == 4
-        assert len(result.delays) > 0
+        simulator = simulated.simulator
+        runs = []
+        for index in range(4):
+            runs.append(measuring.measure_once(run_index=index))
+            simulator.run(until=simulator.now + INTER_RUN_GAP_S)
+        assert sum(len(run.receptions) for run in runs) > 0
         # Churn means some connections may drop mid-run; most must still arrive.
-        assert result.coverage() > 0.6
+        assert sum(run.coverage for run in runs) / len(runs) > 0.6
