@@ -5,9 +5,15 @@ network, measuring-only funding, in-run pruning — must stay under a
 *generous* traced-allocation ceiling and over a *generous* events/second
 floor.  The bounds are an order of magnitude away from current numbers (at
 400 nodes a cell peaks around 4 MB traced and runs well above 2000 events/s),
-so they only trip on the regressions the scale plane exists to prevent: the
-latency plane falling back to per-pair dicts, funding going quadratic again,
-or the event loop slowing by 10x.
+so they only trip on the regressions the scale plane exists to prevent:
+funding going quadratic again, or the event loop slowing by 10x.
+
+Per-pair latency state must follow the pairs a run touches.  Dense all-pairs
+arrays are too small at 400 nodes to trip a memory ceiling, but they make a
+fresh network's snapshot grow with nodes squared, so a fourth guard compares
+the snapshots of fresh 400- and 1200-node networks: 1.11 and 7.63 MB (ratio
+6.9) with the arrays, 0.39 and 1.16 MB (ratio 3.0) with a table of touched
+pairs.
 
 The scale cell funds only its measuring node, so it cannot see set-up memory
 that grows with nodes x funding outputs.  A fund-everyone fig3 job at 600
@@ -36,10 +42,11 @@ from repro.workloads.network_gen import (
     NetworkParameters,
     build_network,
     ensure_network_snapshot,
+    save_network,
 )
 
-#: Mid-size rung: big enough that quadratic funding or dict-backed pair
-#: storage would blow through the ceiling, small enough for the quick lane.
+#: Mid-size rung: big enough that quadratic funding would blow through the
+#: ceiling, small enough for the quick lane.
 NODE_COUNT = 400
 
 #: Generous ceiling on the cell's peak traced allocations.
@@ -67,6 +74,11 @@ MINING_NODES = 300
 #: Ceiling on that network's traced heap growth through one block and a
 #: two-block reorg on every node (under 1 MB when ledgers are views).
 MINING_GROWTH_BOUND_MB = 8.0
+
+
+#: Bound on the snapshot size ratio of fresh networks at 1200 and 400 nodes:
+#: 3.0 when the size is linear in nodes, 6.9 with dense all-pairs arrays.
+SNAPSHOT_GROWTH_BOUND = 3.5
 
 
 def _run_cell(tmp_path):
@@ -165,4 +177,19 @@ def test_fund_everyone_blocks_and_reorgs_stay_linear():
         f"fund-everyone ledger memory regressed: traced heap grew {growth_mb:.1f} MB "
         f"({(after_block - start) / 1e6:.1f} MB after one block) through a block and a "
         f"two-block reorg at {MINING_NODES} nodes (bound {MINING_GROWTH_BOUND_MB} MB)"
+    )
+
+
+def test_fresh_snapshot_grows_linearly_with_nodes(tmp_path):
+    sizes = {}
+    for node_count in (400, 1200):
+        path = save_network(
+            build_network(scale_parameters(node_count, 3, 6)), tmp_path / f"{node_count}.pkl"
+        )
+        sizes[node_count] = path.stat().st_size
+    ratio = sizes[1200] / sizes[400]
+    assert ratio < SNAPSHOT_GROWTH_BOUND, (
+        f"fresh-network snapshots grew {ratio:.1f}x from 400 to 1200 nodes "
+        f"({sizes[400] / 1e6:.2f} -> {sizes[1200] / 1e6:.2f} MB, bound "
+        f"{SNAPSHOT_GROWTH_BOUND}x): per-pair state is no longer sparse"
     )

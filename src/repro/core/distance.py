@@ -24,7 +24,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers
     from repro.protocol.network import P2PNetwork
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DistanceEstimate:
     """Result of measuring the distance between a pair of nodes.
 
@@ -74,13 +74,10 @@ class DistanceCalculator:
         self._network = network
         self.samples_per_pair = samples_per_pair
         self._use_cache = cache
-        self._cache: dict[tuple[int, int], DistanceEstimate] = {}
+        #: low id -> {high id: estimate}: no per-pair key tuple.
+        self._cache: dict[int, dict[int, DistanceEstimate]] = {}
         self.measurements_taken = 0
         self.ping_exchanges = 0
-
-    @staticmethod
-    def _pair_key(node_a: int, node_b: int) -> tuple[int, int]:
-        return (node_a, node_b) if node_a <= node_b else (node_b, node_a)
 
     def measure(self, node_a: int, node_b: int) -> DistanceEstimate:
         """Estimate the distance between two nodes by pinging.
@@ -90,9 +87,11 @@ class DistanceCalculator:
         """
         if node_a == node_b:
             raise ValueError("cannot measure the distance from a node to itself")
-        key = self._pair_key(node_a, node_b)
-        if self._use_cache and key in self._cache:
-            return self._cache[key]
+        low, high = (node_a, node_b) if node_a < node_b else (node_b, node_a)
+        if self._use_cache:
+            estimate = self._cache.get(low, {}).get(high)
+            if estimate is not None:
+                return estimate
         # One batched call instead of samples_per_pair scalar pings: the pair's
         # routed path resolves once and the jitter factors are drawn as one
         # array, bit-identical to the sequential loop (see LatencyModel.sample_rtts).
@@ -106,14 +105,14 @@ class DistanceCalculator:
         else:
             variance = 0.0
         estimate = DistanceEstimate(
-            node_a=key[0],
-            node_b=key[1],
+            node_a=low,
+            node_b=high,
             mean_rtt_s=mean,
             std_rtt_s=math.sqrt(variance),
             samples=len(samples),
         )
         if self._use_cache:
-            self._cache[key] = estimate
+            self._cache.setdefault(low, {})[high] = estimate
         return estimate
 
     def is_close(self, node_a: int, node_b: int, threshold_s: float) -> bool:

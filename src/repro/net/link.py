@@ -14,7 +14,7 @@ delay of an individual protocol message across a link, combining:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from repro.net.bandwidth import BandwidthModel
@@ -23,7 +23,7 @@ from repro.net.latency import LatencyModel
 from repro.net.message import message_size_bytes
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Link:
     """A live connection between two overlay nodes.
 

@@ -135,14 +135,7 @@ def build_network(parameters: Optional[NetworkParameters] = None) -> SimulatedNe
     simulator = Simulator(seed=params.seed, trace=params.trace)
 
     geo_model = GeoModel(simulator.random.stream("geo"), regions=params.regions)
-    # Array mode: per-pair routing state in flat numpy arrays instead of dicts
-    # (byte-identical streams; see LatencyModel).  This is what bounds memory
-    # at 10k-node scale.
-    latency_model = LatencyModel(
-        simulator.random.stream("latency"),
-        parameters=params.latency,
-        node_count=params.node_count,
-    )
+    latency_model = LatencyModel(simulator.random.stream("latency"), parameters=params.latency)
     bandwidth_model = (
         BandwidthModel(simulator.random.stream("bandwidth")) if params.use_bandwidth_model else None
     )
@@ -326,7 +319,7 @@ def _cached_snapshot(path: Union[str, Path]) -> Optional[SimulatedNetwork]:
 #: Version of the pickled object layout.  It is part of every snapshot's
 #: filename, so bumping it makes a snapshot directory written by older code
 #: rebuild instead of loading objects that lack newer fields.
-SNAPSHOT_FORMAT = 7
+SNAPSHOT_FORMAT = 8
 
 
 def snapshot_filename(parameters: NetworkParameters) -> str:

@@ -1,5 +1,7 @@
 """Tests for wire-message sizing, the bandwidth model and the link layer."""
 
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -162,6 +164,12 @@ class TestLink:
         with pytest.raises(ValueError):
             link.other(3)
 
+    def test_slotted_link_survives_a_pickle_round_trip(self):
+        # Pickling a network pickles the links of its topology.
+        link = Link.make(7, 4, established_at=2.5, is_long_link=True)
+        assert not hasattr(link, "__dict__")
+        assert pickle.loads(pickle.dumps(link)) == link
+
 
 class TestLinkDelayCalculator:
     def _calculator(self, with_bandwidth=False):
@@ -236,7 +244,6 @@ class TestKeptLinkConstants:
     @given(data=st.data())
     @settings(max_examples=80, deadline=None)
     def test_delays_and_streams_match_the_reference(self, data):
-        array_mode = data.draw(st.booleans(), label="array_mode")
         with_bandwidth = data.draw(st.booleans(), label="bandwidth")
         parameters = LatencyParameters(
             congestion_jitter_sigma=data.draw(st.sampled_from([0.0, 0.15, 0.8]), label="sigma"),
@@ -244,10 +251,9 @@ class TestKeptLinkConstants:
         )
         seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
         positions = GeoModel(np.random.default_rng(seed)).sample_positions(self.NODES)
-        node_count = self.NODES if array_mode else None
 
         def twin():
-            latency = LatencyModel(np.random.default_rng([seed, 1]), parameters, node_count)
+            latency = LatencyModel(np.random.default_rng([seed, 1]), parameters)
             bandwidth = BandwidthModel(np.random.default_rng([seed, 2])) if with_bandwidth else None
             return latency, bandwidth
 
@@ -260,14 +266,14 @@ class TestKeptLinkConstants:
             sender = data.draw(nodes, label="sender")
             receiver = data.draw(nodes.filter(lambda n: n != sender), label="receiver")
             ends = (sender, positions[sender], receiver, positions[receiver])
-            kind = data.draw(st.sampled_from(["fresh", "given", "fanout", "ping", "detour"]))
+            kind = data.draw(st.sampled_from(["fresh", "given", "fanout", "ping", "routed"]))
             if kind == "ping":
                 # Another consumer of the latency stream between messages.
                 assert calculator.ping_rtt_s(*ends) == ref_latency.sample_rtt(*ends).rtt_s
                 continue
-            if kind == "detour":
-                # Array mode parks the routing drawn here until the first resolve.
-                assert latency.pair_has_detour(sender, receiver) == ref_latency.pair_has_detour(
+            if kind == "routed":
+                # Both models have drawn the routing of the same pairs.
+                assert latency.routing_cached(sender, receiver) == ref_latency.routing_cached(
                     sender, receiver
                 )
                 continue
