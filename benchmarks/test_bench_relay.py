@@ -105,9 +105,9 @@ def test_relay_comparison_end_to_end_quickly(bench_config):
         assert compact.delays.mean() < flood.delays.mean(), protocol
 
     # The compact machinery actually ran: blocks were rebuilt from mempools.
-    assert results["compact/bcbpt"].total("compact_blocks_reconstructed") > 0
+    assert results["compact/bcbpt"].counter("compact_blocks_reconstructed") > 0
     # Push relay exercised its unsolicited path on the clustered overlays.
-    assert results["push/bcbpt"].total("blocks_pushed") > 0
+    assert results["push/bcbpt"].counter("blocks_pushed") > 0
 
     assert run.verdicts["compact_fewer_messages_per_block"]
     assert run.verdicts["compact_faster_block_propagation"]

@@ -63,11 +63,17 @@ import math
 from dataclasses import asdict, dataclass, field
 from typing import Optional, Sequence
 
-from repro.analysis.samples import BlockArrivalRecorder, SampleLog
+from repro.analysis.samples import SampleLog
 from repro.analysis.stats import mean
 from repro.experiments.api import ExperimentOption, experiment
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.grid import run_seed_grid
+from repro.experiments.runner import (
+    BlockCampaign,
+    BlockSchedule,
+    add_block_samples,
+    measure_blocks,
+)
 from repro.net.topology import connected_components
 from repro.protocol.adversary import SelfishMiner
 from repro.protocol.mining import MinerProfile, MiningProcess, equal_hash_power
@@ -179,9 +185,7 @@ class AttackJob:
         seed: master seed for the cell's network, adversary and mining
             streams.
         spec: the full adversary composition (picklable).
-        blocks: blocks mined (and measured) in the campaign.
-        txs_per_block: fresh transactions injected before each block.
-        block_horizon_s: simulated seconds allowed per block to spread.
+        schedule: the blocks the campaign mines and measures.
         config: shared experiment configuration (BCBPT's ``d_t`` is its
             ``latency_threshold_s``).
     """
@@ -190,9 +194,7 @@ class AttackJob:
     protocol: str
     seed: int
     spec: AttackSpec
-    blocks: int
-    txs_per_block: int
-    block_horizon_s: float
+    schedule: BlockSchedule
     config: ExperimentConfig
 
 
@@ -205,12 +207,9 @@ class AttackJobResult:
     so the pooled payload compares field-by-field across worker counts.
 
     Attributes:
-        block_delay_samples: block Δt samples of the publicly propagated
-            blocks, in event order.
-        blocks_measured: publicly propagated blocks tracked.
-        coverage: mean fraction of nodes reached per block.
-        victim_coverage: fraction of measured blocks that reached the
-            observation victim within the horizon.
+        blocks: the block campaign over the publicly propagated blocks; its
+            ``observer_coverage`` is the fraction that reached the observation
+            victim within the horizon.
         byzantine_nodes: the corrupted nodes.
         messages_suppressed: messages silently dropped by behaviours.
         attacker_id: the selfish miner (-1 for other attacks).
@@ -224,10 +223,7 @@ class AttackJobResult:
     attack: str
     protocol: str
     seed: int
-    block_delay_samples: tuple[float, ...]
-    blocks_measured: int
-    coverage: float
-    victim_coverage: float
+    blocks: BlockCampaign
     byzantine_nodes: tuple[int, ...]
     messages_suppressed: int
     attacker_id: int
@@ -266,10 +262,14 @@ class DynamicAttackResult:
         """One per-seed counter summed across the cells."""
         return sum(getattr(cell, name) for cell in self.cells)
 
+    def blocks_measured(self) -> int:
+        """Publicly propagated blocks measured across the cells."""
+        return sum(cell.blocks.blocks_measured for cell in self.cells)
+
     @property
     def delay_samples(self) -> list[float]:
         """Block Δt samples pooled across seeds, in seed order."""
-        return [sample for cell in self.cells for sample in cell.block_delay_samples]
+        return [sample for cell in self.cells for sample in cell.blocks.delays]
 
     @property
     def attacker_hashpower(self) -> float:
@@ -287,13 +287,13 @@ class DynamicAttackResult:
         """Mean per-block node coverage across seeds."""
         if not self.cells:
             return 0.0
-        return mean([cell.coverage for cell in self.cells])
+        return mean([cell.blocks.coverage for cell in self.cells])
 
     def mean_victim_coverage(self) -> float:
         """Mean fraction of blocks that reached the victim across seeds."""
         if not self.cells:
             return 0.0
-        return mean([cell.victim_coverage for cell in self.cells])
+        return mean([cell.blocks.observer_coverage for cell in self.cells])
 
     def mean_revenue_share(self) -> float:
         """Mean attacker revenue share across seeds (unmeasured seeds skipped)."""
@@ -312,7 +312,7 @@ class DynamicAttackResult:
         summary = {
             "count": float(len(self.delay_samples)),
             "mean_delay_s": self.mean_delay(),
-            "blocks_measured": float(self.total("blocks_measured")),
+            "blocks_measured": float(self.blocks_measured()),
             "mean_coverage": self.mean_coverage(),
             "mean_victim_coverage": self.mean_victim_coverage(),
             "byzantine_count": float(sum(len(cell.byzantine_nodes) for cell in self.cells)),
@@ -499,8 +499,9 @@ def run_attack_seed(job: AttackJob) -> AttackJobResult:
 
     Builds the scenario (with churn for attacks whose spec demands it),
     installs the spec's byzantine behaviours, wires the selfish miner when
-    asked, then mines ``job.blocks`` blocks and measures how each publicly
-    propagated block actually spreads through the corrupted network.
+    asked, then measures through :func:`~repro.experiments.runner.measure_blocks`
+    how each publicly propagated block actually spreads through the corrupted
+    network.
     """
     cfg = job.config
     spec = job.spec
@@ -555,13 +556,8 @@ def run_attack_seed(job: AttackJob) -> AttackJobResult:
         attacker_id = -1
         observer = focal
 
-    recorder = BlockArrivalRecorder()
-    recorder.attach(nodes)
     mining = MiningProcess(
-        simulator,
-        simulated.nodes,
-        miners,
-        simulator.random.stream("attack-mining"),
+        simulator, simulated.nodes, miners, simulator.random.stream("attack-mining")
     )
     selfish = (
         SelfishMiner(simulator, network, simulated.node(focal), mining)
@@ -570,49 +566,14 @@ def run_attack_seed(job: AttackJob) -> AttackJobResult:
     )
     if churn is not None:
         scenario.start_churn(spare=corrupted | {focal, observer})
-
-    delays: list[float] = []
-    coverages: list[float] = []
-    observer_hits = 0
-    blocks_measured = 0
-    creator_cursor = 0
-
-    for _ in range(job.blocks):
-        # Refill mempools (same creator rotation as the baseline cell, so the
-        # injected transactions pair up too), then let the flood drain.
-        for _ in range(job.txs_per_block):
-            creator = simulated.node(ids[creator_cursor % len(ids)])
-            creator_cursor += 1
-            creator.create_transaction([(creator.keypair.address, cfg.payment_satoshi)])
-        simulator.run(until=simulator.now + 10.0)
-
-        block = mining.mine_one_block()
-        if block is None:  # pragma: no cover - miners are spared from churn
-            continue
-        mined_at = simulator.now
-        if selfish is not None and block.block_hash in selfish.withheld_hashes:
-            # Withheld: nothing to measure yet — the release policy reacts to
-            # later honest blocks (or the end-of-campaign flush).
-            continue
-        deadline = mined_at + job.block_horizon_s
-        while simulator.now < deadline:
-            if all(node.blockchain.has_block(block.block_hash) for node in nodes):
-                break
-            simulator.run(until=min(simulator.now + 0.5, deadline))
-
-        blocks_measured += 1
-        delays.extend(
-            recorder.delays(block.block_hash, mined_at, exclude=(block.header.miner_id,))
-        )
-        receivers = recorder.receivers(block.block_hash)
-        coverages.append(len(receivers) / len(nodes))
-        if observer in receivers:
-            observer_hits += 1
+    blocks = measure_blocks(
+        scenario, mining, cfg, job.schedule, observer=observer, selfish=selfish
+    )
 
     if selfish is not None:
         # Cash out: publish the remaining private lead and let it compete.
         selfish.release_all()
-        simulator.run(until=simulator.now + job.block_horizon_s)
+        simulator.run(until=simulator.now + job.schedule.horizon_s)
         share = selfish.revenue_share(simulated.node(observer))
         # None, not NaN: NaN loses its identity across the worker-pool pickle
         # round trip and would break the payload's equality contract.
@@ -628,10 +589,7 @@ def run_attack_seed(job: AttackJob) -> AttackJobResult:
         attack=job.attack,
         protocol=job.protocol,
         seed=job.seed,
-        block_delay_samples=tuple(delays),
-        blocks_measured=blocks_measured,
-        coverage=mean(coverages) if coverages else 0.0,
-        victim_coverage=observer_hits / blocks_measured if blocks_measured else 0.0,
+        blocks=blocks,
         byzantine_nodes=tuple(byzantine),
         messages_suppressed=network.messages_suppressed,
         attacker_id=attacker_id,
@@ -666,12 +624,7 @@ def run_dynamic_attacks(
         sweep order (baseline first).
     """
     cfg = config if config is not None else ExperimentConfig()
-    if blocks <= 0:
-        raise ValueError("blocks must be positive")
-    if txs_per_block < 0:
-        raise ValueError("txs_per_block cannot be negative")
-    if block_horizon_s <= 0:
-        raise ValueError("block_horizon_s must be positive")
+    schedule = BlockSchedule(blocks, txs_per_block, block_horizon_s)
     for attack in attacks:
         validate_attack_kind(attack)
 
@@ -691,9 +644,7 @@ def run_dynamic_attacks(
                 extra_delay_s=extra_delay_s,
                 hashpower=selfish_hashpower,
             ),
-            blocks=blocks,
-            txs_per_block=txs_per_block,
-            block_horizon_s=block_horizon_s,
+            schedule=schedule,
             config=cfg,
         )
 
@@ -787,7 +738,7 @@ def clustering_widens_eclipse_surface(
     vanilla = dynamic.get("eclipse/bitcoin")
     if bcbpt is None or vanilla is None:
         return False
-    if not bcbpt.total("blocks_measured") or not vanilla.total("blocks_measured"):
+    if not bcbpt.blocks_measured() or not vanilla.blocks_measured():
         return False
     return bcbpt.mean_victim_coverage() <= vanilla.mean_victim_coverage()
 
@@ -865,15 +816,7 @@ def collect_samples(outcome: AttackOutcome) -> SampleLog:
     """
     log = SampleLog()
     for key, result in outcome.dynamic.items():
-        label = f"dynamic/{key}"
-        log.add_per_seed(
-            label,
-            "block_delay_s",
-            {cell.seed: cell.block_delay_samples for cell in result.cells},
-            unit="s",
-        )
-        for index, cell in enumerate(result.cells):
-            log.add_point(label, "coverage", float(index), cell.coverage, unit="fraction")
+        add_block_samples(log, f"dynamic/{key}", {cell.seed: cell.blocks for cell in result.cells})
     return log
 
 

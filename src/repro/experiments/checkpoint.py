@@ -54,7 +54,9 @@ from repro.experiments.results import RESULT_SCHEMA_VERSION, json_safe
 #: changes (old stores are then simply ignored rather than misread).
 #: v3: propagation runs record ``long_link_fallback``.
 #: v4: Δt cells hold plain :class:`~repro.experiments.runner.Campaign` records.
-CELL_SCHEMA_VERSION = 4
+#: v5: relay_comparison and attacks cells hold plain
+#: :class:`~repro.experiments.runner.BlockCampaign` records.
+CELL_SCHEMA_VERSION = 5
 
 #: Job-spec fields that configure *how* a cell runs, not *what* it computes.
 #: They are stripped from the key material; see the module docstring.

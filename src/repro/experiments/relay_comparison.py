@@ -39,15 +39,20 @@ Run from the command line::
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from repro.analysis.samples import BlockArrivalRecorder, SampleLog
+from repro.analysis.samples import SampleLog
 from repro.analysis.stats import mean
 from repro.experiments.api import ExperimentOption, experiment
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.grid import run_seed_grid
+from repro.experiments.runner import (
+    BlockCampaign,
+    BlockSchedule,
+    add_block_samples,
+    measure_blocks,
+)
 from repro.measurement.stats import DelayDistribution
 from repro.protocol.mining import MiningProcess, equal_hash_power
 from repro.protocol.relay import validate_relay_name
@@ -61,8 +66,16 @@ RELAY_SWEEP = ("flood", "compact", "push", "adaptive", "headers")
 #: Policies the relay strategies are crossed with.
 RELAY_PROTOCOLS = ("bitcoin", "lbc", "bcbpt")
 
-#: Commands that carry block payloads (the "block bytes" the bench guards).
-BLOCK_PAYLOAD_COMMANDS = ("block", "cmpctblock", "blocktxn")
+#: Per-node strategy work counters (``node.stats`` fields) a campaign sums.
+#: The compact and push summaries report the first five, the adaptive one
+#: the next two (as ``fanout_widened``/``fanout_narrowed``), the headers one
+#: the last three.
+RELAY_COUNTERS = (
+    "compact_blocks_reconstructed", "compact_txs_requested", "compact_fallbacks",
+    "compact_txn_timeouts", "blocks_pushed",
+    "adaptive_fanout_widened", "adaptive_fanout_narrowed",
+    "getheaders_sent", "headers_received", "header_bodies_requested",
+)
 
 
 @dataclass(frozen=True)
@@ -74,11 +87,7 @@ class RelayJob:
             :data:`repro.protocol.relay.RELAY_NAMES`).
         protocol: neighbour-selection policy under test.
         seed: master seed for the job's network and simulator.
-        blocks: blocks mined (and measured) in the campaign.
-        txs_per_block: fresh transactions injected and drained before each
-            block, so compact reconstruction has a mempool to draw from.
-        block_horizon_s: simulated time allowed for each block to reach the
-            whole network.
+        schedule: the blocks the campaign mines and measures.
         config: shared experiment configuration (BCBPT's ``d_t`` is its
             ``latency_threshold_s``).
     """
@@ -86,61 +95,29 @@ class RelayJob:
     relay: str
     protocol: str
     seed: int
-    blocks: int
-    txs_per_block: int
-    block_horizon_s: float
+    schedule: BlockSchedule
     config: ExperimentConfig
 
 
 @dataclass(frozen=True)
 class RelayJobResult:
-    """Per-(relay, protocol, seed) tallies of one campaign.
+    """Per-(relay, protocol, seed) record of one campaign.
 
     Attributes:
-        block_delay_samples: block Δt samples (miner excluded), in event order.
-        blocks_measured: blocks mined and tracked.
-        relay_messages / relay_bytes: protocol messages and bytes attributed
-            to block propagation.
-        block_payload_bytes: bytes of the block-carrying commands only
-            (:data:`BLOCK_PAYLOAD_COMMANDS`).
-        message_breakdown: per-command message counts.
-        coverage: mean fraction of nodes each block reached within the
-            horizon.
-        compact_blocks_reconstructed / compact_txs_requested /
-            compact_fallbacks / compact_txn_timeouts: compact-strategy work,
-            summed across nodes.
-        blocks_pushed: unsolicited full-block pushes (push strategy).
-        adaptive_fanout_widened / adaptive_fanout_narrowed: fan-out width
-            changes made by the adaptive strategy, summed across nodes.
+        blocks: the block campaign (Δt, coverage, messages and bytes).
+        counters: every :data:`RELAY_COUNTERS` entry, summed across nodes.
         mean_final_fanout: mean effective fan-out width at the end of the
             campaign (adaptive strategy only, NaN otherwise).
         fanout_samples: (time, width) fan-out change samples, time-ordered.
-        getheaders_sent / headers_received / header_bodies_requested:
-            headers-first sync work, summed across nodes.
     """
 
     relay: str
     protocol: str
     seed: int
-    block_delay_samples: tuple[float, ...]
-    blocks_measured: int
-    relay_messages: int
-    relay_bytes: int
-    block_payload_bytes: int
-    message_breakdown: dict[str, int]
-    coverage: float
-    compact_blocks_reconstructed: int
-    compact_txs_requested: int
-    compact_fallbacks: int
-    blocks_pushed: int
-    compact_txn_timeouts: int = 0
-    adaptive_fanout_widened: int = 0
-    adaptive_fanout_narrowed: int = 0
-    mean_final_fanout: float = float("nan")
-    fanout_samples: tuple[tuple[float, int], ...] = ()
-    getheaders_sent: int = 0
-    headers_received: int = 0
-    header_bodies_requested: int = 0
+    blocks: BlockCampaign
+    counters: dict[str, int]
+    mean_final_fanout: float
+    fanout_samples: tuple[tuple[float, int], ...]
 
 
 @dataclass(frozen=True)
@@ -164,15 +141,17 @@ class RelayComparisonResult:
         return f"{self.relay}/{self.protocol}"
 
     def total(self, name: str) -> int:
-        """One per-seed counter summed across the cells."""
-        return sum(getattr(cell, name) for cell in self.cells)
+        """One :class:`BlockCampaign` count summed across the cells."""
+        return sum(getattr(cell.blocks, name) for cell in self.cells)
+
+    def counter(self, name: str) -> int:
+        """One :data:`RELAY_COUNTERS` entry summed across the cells."""
+        return sum(cell.counters[name] for cell in self.cells)
 
     @property
     def delays(self) -> DelayDistribution:
         """Block Δt samples pooled across seeds, in seed order."""
-        return DelayDistribution(
-            [sample for cell in self.cells for sample in cell.block_delay_samples]
-        )
+        return DelayDistribution(sample for cell in self.cells for sample in cell.blocks.delays)
 
     def _per_block(self, name: str) -> float:
         blocks = self.total("blocks_measured")
@@ -182,21 +161,21 @@ class RelayComparisonResult:
 
     def messages_per_block(self) -> float:
         """Mean relay messages spent propagating one block."""
-        return self._per_block("relay_messages")
+        return self._per_block("messages")
 
     def bytes_per_block(self) -> float:
         """Mean relay bytes spent propagating one block."""
-        return self._per_block("relay_bytes")
+        return self._per_block("bytes")
 
     def block_payload_bytes_per_block(self) -> float:
         """Mean bytes of block-carrying commands per block."""
-        return self._per_block("block_payload_bytes")
+        return self._per_block("payload_bytes")
 
     def mean_coverage(self) -> float:
         """Mean fraction of nodes reached per block within the horizon."""
         if not self.cells:
             return 0.0
-        return mean([cell.coverage for cell in self.cells])
+        return mean([cell.blocks.coverage for cell in self.cells])
 
     def mean_final_fanout(self) -> float:
         """Mean end-of-campaign fan-out width (adaptive strategy only)."""
@@ -217,22 +196,15 @@ class RelayComparisonResult:
             "mean_coverage": self.mean_coverage(),
         }
         if self.relay in ("compact", "push"):
-            for name in (
-                "compact_blocks_reconstructed",
-                "compact_txs_requested",
-                "compact_fallbacks",
-                "compact_txn_timeouts",
-                "blocks_pushed",
-            ):
-                summary[name] = float(self.total(name))
+            for name in RELAY_COUNTERS[:5]:
+                summary[name] = float(self.counter(name))
         if self.relay == "adaptive":
             summary["mean_final_fanout"] = self.mean_final_fanout()
-            summary["fanout_widened"] = float(self.total("adaptive_fanout_widened"))
-            summary["fanout_narrowed"] = float(self.total("adaptive_fanout_narrowed"))
+            summary["fanout_widened"] = float(self.counter("adaptive_fanout_widened"))
+            summary["fanout_narrowed"] = float(self.counter("adaptive_fanout_narrowed"))
         if self.relay == "headers":
-            summary["getheaders_sent"] = float(self.total("getheaders_sent"))
-            summary["headers_received"] = float(self.total("headers_received"))
-            summary["header_bodies_requested"] = float(self.total("header_bodies_requested"))
+            for name in RELAY_COUNTERS[7:]:
+                summary[name] = float(self.counter(name))
         return summary
 
 
@@ -248,120 +220,35 @@ def run_relay_seed(job: RelayJob) -> RelayJobResult:
         relay=job.relay,
     )
     simulated = scenario.network
-    network = simulated.network
     simulator = simulated.simulator
-    fund_nodes(list(simulated.nodes.values()), outputs_per_node=config.funding_outputs)
-
-    ids = simulated.node_ids()
     nodes = list(simulated.nodes.values())
-
-    # The shared block-plane observer: per block hash, node id -> acceptance
-    # time in event order (via every node's block_listeners).
-    recorder = BlockArrivalRecorder()
-    recorder.attach(nodes)
-
+    fund_nodes(nodes, outputs_per_node=config.funding_outputs)
     mining = MiningProcess(
-        simulator,
-        simulated.nodes,
-        equal_hash_power(ids),
+        simulator, simulated.nodes, equal_hash_power(simulated.node_ids()),
         simulator.random.stream("relay-mining"),
     )
-
-    delays = DelayDistribution()
-    coverages: list[float] = []
-    relay_messages = 0
-    relay_bytes = 0
-    block_payload_bytes = 0
-    breakdown: Counter[str] = Counter()
-    blocks_measured = 0
-    creator_cursor = 0
-
-    for _ in range(job.blocks):
-        # Refill mempools so the next block confirms real transactions (and
-        # compact receivers have something to reconstruct from), then let the
-        # transaction flood drain completely before the measured window.
-        for _ in range(job.txs_per_block):
-            creator = simulated.node(ids[creator_cursor % len(ids)])
-            creator_cursor += 1
-            creator.create_transaction(
-                [(creator.keypair.address, config.payment_satoshi)]
-            )
-        simulator.run(until=simulator.now + 10.0)
-
-        before_messages = network.total_messages()
-        before_bytes = network.total_bytes()
-        before_commands = Counter(network.messages_sent)
-        before_command_bytes = Counter(network.bytes_sent)
-
-        block = mining.mine_one_block()
-        if block is None:  # pragma: no cover - static scenarios are always online
-            continue
-        mined_at = simulator.now
-        deadline = mined_at + job.block_horizon_s
-        while simulator.now < deadline:
-            if all(node.blockchain.has_block(block.block_hash) for node in nodes):
-                break
-            simulator.run(until=min(simulator.now + 0.5, deadline))
-
-        blocks_measured += 1
-        delays.extend(
-            recorder.delays(block.block_hash, mined_at, exclude=(block.header.miner_id,))
-        )
-        coverages.append(len(recorder.receivers(block.block_hash)) / len(nodes))
-        relay_messages += network.total_messages() - before_messages
-        relay_bytes += network.total_bytes() - before_bytes
-        breakdown.update(Counter(network.messages_sent) - before_commands)
-        command_bytes = Counter(network.bytes_sent) - before_command_bytes
-        block_payload_bytes += sum(
-            command_bytes.get(command, 0) for command in BLOCK_PAYLOAD_COMMANDS
-        )
-
-    # Adaptive-strategy fan-out telemetry: the final effective width per node
-    # and the (time, width) change samples, merged time-ordered across nodes.
-    mean_final_fanout = float("nan")
-    fanout_samples: tuple[tuple[float, int], ...] = ()
+    blocks = measure_blocks(scenario, mining, config, job.schedule)
+    mean_final_fanout, fanout_samples = float("nan"), ()
     if job.relay == "adaptive":
-        mean_final_fanout = mean(
-            [float(node.relay.effective_fanout()) for node in nodes]
-        )
+        # The final effective fan-out width per node, and the (time, width)
+        # change samples merged time-ordered across nodes.
+        mean_final_fanout = mean([float(node.relay.effective_fanout()) for node in nodes])
         fanout_samples = tuple(
             sorted(
                 (sample for node in nodes for sample in node.relay.fanout_history),
                 key=lambda sample: sample[0],
             )
         )
-
     return RelayJobResult(
         relay=job.relay,
         protocol=job.protocol,
         seed=job.seed,
-        block_delay_samples=tuple(delays.samples),
-        blocks_measured=blocks_measured,
-        relay_messages=relay_messages,
-        relay_bytes=relay_bytes,
-        block_payload_bytes=block_payload_bytes,
-        message_breakdown=dict(breakdown),
-        coverage=mean(coverages) if coverages else 0.0,
-        compact_blocks_reconstructed=sum(
-            node.stats.compact_blocks_reconstructed for node in nodes
-        ),
-        compact_txs_requested=sum(node.stats.compact_txs_requested for node in nodes),
-        compact_fallbacks=sum(node.stats.compact_fallbacks for node in nodes),
-        blocks_pushed=sum(node.stats.blocks_pushed for node in nodes),
-        compact_txn_timeouts=sum(node.stats.compact_txn_timeouts for node in nodes),
-        adaptive_fanout_widened=sum(
-            node.stats.adaptive_fanout_widened for node in nodes
-        ),
-        adaptive_fanout_narrowed=sum(
-            node.stats.adaptive_fanout_narrowed for node in nodes
-        ),
+        blocks=blocks,
+        counters={
+            name: sum(getattr(node.stats, name) for node in nodes) for name in RELAY_COUNTERS
+        },
         mean_final_fanout=mean_final_fanout,
         fanout_samples=fanout_samples,
-        getheaders_sent=sum(node.stats.getheaders_sent for node in nodes),
-        headers_received=sum(node.stats.headers_received for node in nodes),
-        header_bodies_requested=sum(
-            node.stats.header_bodies_requested for node in nodes
-        ),
     )
 
 
@@ -374,14 +261,7 @@ def collect_samples(results: dict[str, RelayComparisonResult]) -> SampleLog:
     """
     log = SampleLog()
     for key, result in results.items():
-        log.add_per_seed(
-            key,
-            "block_delay_s",
-            {cell.seed: cell.block_delay_samples for cell in result.cells},
-            unit="s",
-        )
-        for index, cell in enumerate(result.cells):
-            log.add_point(key, "coverage", float(index), cell.coverage, unit="fraction")
+        add_block_samples(log, key, {cell.seed: cell.blocks for cell in result.cells})
         for cell in result.cells:
             for time_s, width in cell.fanout_samples:
                 log.add_point(key, "fanout_width", time_s, float(width), unit="peers")
@@ -474,12 +354,7 @@ def run_relay_comparison(
         ``"relay/protocol"`` -> pooled :class:`RelayComparisonResult`.
     """
     cfg = config if config is not None else ExperimentConfig()
-    if blocks <= 0:
-        raise ValueError("blocks must be positive")
-    if txs_per_block < 0:
-        raise ValueError("txs_per_block cannot be negative")
-    if block_horizon_s <= 0:
-        raise ValueError("block_horizon_s must be positive")
+    schedule = BlockSchedule(blocks, txs_per_block, block_horizon_s)
     for relay in relays:
         validate_relay_name(relay)
 
@@ -487,15 +362,7 @@ def run_relay_comparison(
 
     def make_job(point: tuple[str, str], seed: int) -> RelayJob:
         relay, protocol = point
-        return RelayJob(
-            relay=relay,
-            protocol=protocol,
-            seed=seed,
-            blocks=blocks,
-            txs_per_block=txs_per_block,
-            block_horizon_s=block_horizon_s,
-            config=cfg,
-        )
+        return RelayJob(relay, protocol, seed, schedule, cfg)
 
     grid = run_seed_grid(points, make_job, run_relay_seed, cfg)
     return {

@@ -13,6 +13,11 @@ Every experiment that measures Δt (fig3, fig4, threshold_sweep, overhead,
 ablation, churn_resilience, scale, validation) calls it once per
 (scenario, seed) cell, so one function decides what a campaign records.
 
+:func:`measure_blocks` is its block-plane counterpart: it mines a
+:class:`BlockSchedule` of blocks on one scenario and returns a plain
+:class:`BlockCampaign` (block Δt, coverage, messages and bytes per measured
+window).  relay_comparison and attacks each call it once per cell.
+
 :func:`run_protocol_comparison` repeats that over several protocols and seeds
 on *identically parameterised* networks — the controlled comparison behind
 Fig. 3 — and pools each protocol's campaigns in a :class:`PropagationResult`.
@@ -25,12 +30,14 @@ count.
 
 from __future__ import annotations
 
+import itertools
+from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional, Sequence, Union
+from typing import TYPE_CHECKING, Optional, Sequence, Union
 
-from repro.analysis.samples import SampleLog
-from repro.analysis.stats import sample_variance
+from repro.analysis.samples import BlockArrivalRecorder, SampleLog
+from repro.analysis.stats import mean, sample_variance
 from repro.experiments.backends import current_plan
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.grid import run_seed_grid
@@ -40,9 +47,19 @@ from repro.workloads.generators import fund_nodes
 from repro.workloads.network_gen import NetworkParameters, ensure_network_snapshot
 from repro.workloads.scenarios import Scenario, build_scenario, validate_policy_name
 
+if TYPE_CHECKING:
+    from repro.protocol.adversary import SelfishMiner
+    from repro.protocol.mining import MiningProcess
+
 #: Simulated idle time after every run, failed runs included, letting
 #: residual relay traffic drain before the next transaction.
 INTER_RUN_GAP_S = 5.0
+
+#: Simulated time the transactions injected before a block get to drain.
+BLOCK_DRAIN_S = 10.0
+
+#: Commands that carry block payloads (a campaign's ``payload_bytes``).
+BLOCK_PAYLOAD_COMMANDS = ("block", "cmpctblock", "blocktxn")
 
 
 @dataclass(frozen=True)
@@ -168,6 +185,148 @@ def measure_propagation(
         long_link_fallbacks=long_link_fallbacks,
         clusters=dict(scenario.policy.clusters.summary()),
     )
+
+
+@dataclass(frozen=True)
+class BlockSchedule:
+    """What a block campaign mines; a bad schedule fails at construction.
+
+    Attributes:
+        blocks: blocks mined (and, unless withheld, measured).
+        txs_per_block: fresh transactions injected and drained before each
+            block, so compact receivers have a mempool to reconstruct from.
+        horizon_s: simulated time each block gets to reach every node.
+    """
+
+    blocks: int
+    txs_per_block: int
+    horizon_s: float
+
+    def __post_init__(self) -> None:
+        if self.blocks <= 0:
+            raise ValueError("blocks must be positive")
+        if self.txs_per_block < 0:
+            raise ValueError("txs_per_block cannot be negative")
+        if self.horizon_s <= 0:
+            raise ValueError("block_horizon_s must be positive")
+
+
+@dataclass(frozen=True)
+class BlockCampaign:
+    """What one block campaign measured, as plain values.
+
+    The message and byte counts cover the measured windows only: from just
+    before a block is mined until every node holds it or its horizon passes.
+
+    Attributes:
+        delays: block Δt (mined -> accepted, miner excluded) of every
+            measured block, in event order.
+        blocks_measured: blocks mined and measured; a withheld block is not.
+        coverage: mean fraction of nodes a measured block reached (0.0 when
+            none was measured).
+        observer_coverage: fraction of measured blocks that reached the
+            observer (0.0 without an observer or a measured block).
+        messages / bytes: protocol messages and bytes sent.
+        payload_bytes: bytes of :data:`BLOCK_PAYLOAD_COMMANDS` only.
+        message_breakdown: messages sent, per command.
+    """
+
+    delays: tuple[float, ...]
+    blocks_measured: int
+    coverage: float
+    observer_coverage: float
+    messages: int
+    bytes: int
+    payload_bytes: int
+    message_breakdown: dict[str, int]
+
+
+def measure_blocks(
+    scenario: Scenario,
+    mining: "MiningProcess",
+    config: ExperimentConfig,
+    schedule: BlockSchedule,
+    *,
+    observer: Optional[int] = None,
+    selfish: Optional["SelfishMiner"] = None,
+) -> BlockCampaign:
+    """Mine ``schedule.blocks`` blocks on a funded scenario and measure each.
+
+    Before each block, the next ``schedule.txs_per_block`` nodes of
+    ``node_ids()`` (wrapping around) each pay ``config.payment_satoshi`` to
+    themselves, and the flood drains for :data:`BLOCK_DRAIN_S`.  Then ``mining`` mines the
+    block, and the campaign waits until every node holds it or
+    ``schedule.horizon_s`` passes.  A block that ``selfish`` withholds is
+    not measured; ``observer`` is the node ``observer_coverage`` watches.
+    """
+    simulated = scenario.network
+    simulator = simulated.simulator
+    network = simulated.network
+    nodes = list(simulated.nodes.values())
+    creators = itertools.cycle(simulated.node_ids())
+    recorder = BlockArrivalRecorder()
+    recorder.attach(nodes)
+
+    delays: list[float] = []
+    coverages: list[float] = []
+    observer_hits = 0
+    messages: Counter[str] = Counter()
+    sent_bytes: Counter[str] = Counter()
+    for _ in range(schedule.blocks):
+        for _ in range(schedule.txs_per_block):
+            creator = simulated.node(next(creators))
+            creator.create_transaction([(creator.keypair.address, config.payment_satoshi)])
+        simulator.run(until=simulator.now + BLOCK_DRAIN_S)
+
+        messages_before = Counter(network.messages_sent)
+        bytes_before = Counter(network.bytes_sent)
+        block = mining.mine_one_block()
+        if block is None:  # the winner was offline (churn): no block this round
+            continue
+        mined_at = simulator.now
+        if selfish is not None and block.block_hash in selfish.withheld_hashes:
+            # Nothing propagates yet: the release policy reacts to later
+            # honest blocks or to the driver's end-of-campaign flush.
+            continue
+        deadline = mined_at + schedule.horizon_s
+        while simulator.now < deadline and not all(
+            node.blockchain.has_block(block.block_hash) for node in nodes
+        ):
+            simulator.run(until=min(simulator.now + 0.5, deadline))
+
+        receivers = recorder.receivers(block.block_hash)
+        delays.extend(
+            recorder.delays(block.block_hash, mined_at, exclude=(block.header.miner_id,))
+        )
+        coverages.append(len(receivers) / len(nodes))
+        observer_hits += observer in receivers
+        messages.update(Counter(network.messages_sent) - messages_before)
+        sent_bytes.update(Counter(network.bytes_sent) - bytes_before)
+
+    measured = len(coverages)
+    return BlockCampaign(
+        delays=tuple(delays),
+        blocks_measured=measured,
+        coverage=mean(coverages) if measured else 0.0,
+        observer_coverage=observer_hits / measured if measured else 0.0,
+        messages=sum(messages.values()),
+        bytes=sum(sent_bytes.values()),
+        payload_bytes=sum(sent_bytes[command] for command in BLOCK_PAYLOAD_COMMANDS),
+        message_breakdown=dict(messages),
+    )
+
+
+def add_block_samples(log: SampleLog, label: str, campaigns: dict[int, BlockCampaign]) -> None:
+    """Log seed -> campaign records under ``label``, in the mapping's order.
+
+    One ``block_delay_s`` series per seed, so the pooled concatenation is
+    worker-count invariant, then one ``coverage`` point per campaign.
+    """
+    log.add_per_seed(
+        label, "block_delay_s", {seed: c.delays for seed, c in campaigns.items()}, unit="s"
+    )
+    for index, campaign in enumerate(campaigns.values()):
+        log.add_point(label, "coverage", float(index), campaign.coverage, unit="fraction")
 
 
 @dataclass(frozen=True)

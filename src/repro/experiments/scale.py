@@ -9,8 +9,9 @@ cell and records
 * wall time, split into network acquire (build or snapshot load) and
   campaign phases,
 * simulation throughput (events executed per wall second),
-* the cell's peak traced Python allocation (``tracemalloc``) and the process
-  RSS high-water mark (``resource.getrusage``), and
+* the cell's peak traced Python allocation (``tracemalloc``) and, when the
+  cell raised the process RSS high-water mark (``resource.getrusage``), that
+  mark, and
 * how much stale inventory state the in-run pruner
   (:attr:`~repro.protocol.node.NodeConfig.prune_depth`) reclaimed.
 
@@ -127,7 +128,7 @@ class ScaleJobResult:
     events: int
     delay_samples: int
     peak_traced_mb: Optional[float]
-    rss_mb: float
+    rss_mb: Optional[float]
     state_prunes: int
     pruned_inventory_entries: int
     long_link_fallbacks: int
@@ -153,6 +154,11 @@ def run_scale_job(job: ScaleJob) -> ScaleJobResult:
         measuring_nodes=1,
         seeds=(job.seed,),
     )
+    # ru_maxrss is the process-lifetime RSS high-water mark (KB on Linux).  A
+    # cell that raised it peaked at the new mark; a cell that did not peaked
+    # somewhere below an earlier cell's peak, which a shared process (serial
+    # cells, a reused pool worker) cannot see, so it records None.
+    rss_before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
     if job.profile_memory:
         tracemalloc.start()
     try:
@@ -173,6 +179,7 @@ def run_scale_job(job: ScaleJob) -> ScaleJobResult:
     finally:
         if job.profile_memory:
             tracemalloc.stop()
+    rss_after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
     nodes = scenario.network.nodes.values()
     return ScaleJobResult(
         node_count=job.node_count,
@@ -183,10 +190,7 @@ def run_scale_job(job: ScaleJob) -> ScaleJobResult:
         events=scenario.simulator.events_executed,
         delay_samples=len(campaign.delays),
         peak_traced_mb=peak_traced_mb,
-        # ru_maxrss is the process-lifetime high-water mark in KB on Linux;
-        # under a reused pool worker it is an upper bound, not a per-cell peak
-        # (the tracemalloc figure is the per-cell one).
-        rss_mb=resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
+        rss_mb=rss_after / 1024.0 if rss_after > rss_before else None,
         state_prunes=sum(node.stats.state_prunes for node in nodes),
         pruned_inventory_entries=sum(
             node.stats.pruned_inventory_entries for node in nodes
@@ -217,6 +221,7 @@ class ScaleResult:
     def summary(self) -> dict[str, float]:
         """Scalar summary for the result envelope."""
         peaks = [c.peak_traced_mb for c in self.cells if c.peak_traced_mb is not None]
+        rss = [c.rss_mb for c in self.cells if c.rss_mb is not None]
         return {
             "cells": float(len(self.cells)),
             "mean_build_s": self.mean([c.build_s for c in self.cells]),
@@ -225,7 +230,7 @@ class ScaleResult:
             "total_events": float(sum(c.events for c in self.cells)),
             "mean_events_per_s": self.mean([c.events_per_s for c in self.cells]),
             "max_peak_traced_mb": max(peaks) if peaks else float("nan"),
-            "max_rss_mb": max((c.rss_mb for c in self.cells), default=float("nan")),
+            "max_rss_mb": max(rss) if rss else float("nan"),
             "state_prunes": float(sum(c.state_prunes for c in self.cells)),
             "pruned_inventory_entries": float(
                 sum(c.pruned_inventory_entries for c in self.cells)
@@ -253,7 +258,8 @@ def collect_samples(results: dict[str, ScaleResult]) -> SampleLog:
             log.add_point(
                 result.protocol, "events_per_s", x, cell.events_per_s, unit="1/s"
             )
-            log.add_point(result.protocol, "rss_mb", x, cell.rss_mb, unit="MB")
+            if cell.rss_mb is not None:
+                log.add_point(result.protocol, "rss_mb", x, cell.rss_mb, unit="MB")
             if cell.peak_traced_mb is not None:
                 log.add_point(
                     result.protocol,

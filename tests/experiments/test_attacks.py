@@ -74,7 +74,7 @@ class TestDynamicGrid:
         }
         for key, cell in dynamic.items():
             assert cell.label == key
-            assert cell.total("blocks_measured") >= 0
+            assert cell.blocks_measured() >= 0
             assert [seed_cell.seed for seed_cell in cell.cells] == list(CFG.seeds)
 
     def test_worker_invariance_of_composed_cells(self, attacks_result):
@@ -100,7 +100,9 @@ class TestDynamicGrid:
             cell = dynamic[f"eclipse/{protocol}"]
             assert all(seed_cell.byzantine_nodes for seed_cell in cell.cells)
             assert cell.cells, "the victim's view must be measured"
-            assert all(0.0 <= seed_cell.victim_coverage <= 1.0 for seed_cell in cell.cells)
+            assert all(
+                0.0 <= seed_cell.blocks.observer_coverage <= 1.0 for seed_cell in cell.cells
+            )
             assert not math.isnan(coverage_loss(dynamic, "eclipse", protocol))
 
     def test_selfish_cells_track_revenue_against_hashpower(self, attacks_result):

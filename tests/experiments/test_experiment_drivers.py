@@ -6,6 +6,7 @@ reproduction lives in ``benchmarks/``.
 """
 
 import pickle
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -19,9 +20,11 @@ from repro.experiments.fig3 import FIG3_PROTOCOLS, run_fig3
 from repro.experiments.fig4 import run_fig4, threshold_labels, variance_is_monotone
 from repro.experiments.overhead import run_overhead
 from repro.experiments.runner import (
+    BlockSchedule,
     Campaign,
     PropagationResult,
     collect_propagation_samples,
+    measure_blocks,
     measure_propagation,
     run_protocol_comparison,
     select_measuring_nodes,
@@ -29,6 +32,9 @@ from repro.experiments.runner import (
 )
 from repro.experiments.threshold_sweep import run_threshold_sweep
 from repro.experiments.validation import run_validation
+from repro.protocol.adversary import SelfishMiner
+from repro.protocol.mining import MinerProfile, MiningProcess, equal_hash_power
+from repro.workloads.generators import fund_nodes
 from repro.workloads.network_gen import NetworkParameters
 from repro.workloads.scenarios import build_scenario
 
@@ -114,6 +120,86 @@ class TestMeasurePropagation:
         assert campaign.failed_runs >= 1
         assert len(campaign.coverages) == self.CUT_OFF.runs - campaign.failed_runs
         assert len(campaign.delays) > 0
+
+
+class TestMeasureBlocks:
+    def _campaign_inputs(self, relay="flood"):
+        scenario = build_scenario(
+            "bitcoin", NetworkParameters(node_count=40, seed=5), relay=relay
+        )
+        simulated = scenario.network
+        fund_nodes(list(simulated.nodes.values()), outputs_per_node=SMALL.funding_outputs)
+        mining = MiningProcess(
+            simulated.simulator,
+            simulated.nodes,
+            equal_hash_power(simulated.node_ids()),
+            simulated.simulator.random.stream("test-mining"),
+        )
+        return scenario, mining
+
+    def test_a_short_horizon_measures_partial_coverage(self):
+        scenario, mining = self._campaign_inputs()
+        campaign = measure_blocks(scenario, mining, SMALL, BlockSchedule(1, 2, 0.1))
+        assert campaign.blocks_measured == 1
+        assert 0.0 < campaign.coverage < 1.0
+        # One Δt per receiver, the miner excluded.
+        receivers = round(campaign.coverage * 40)
+        assert len(campaign.delays) == receivers - 1
+        assert all(0.0 <= delay <= 0.1 for delay in campaign.delays)
+
+    def test_a_withheld_block_is_not_measured(self, monkeypatch):
+        scenario, mining = self._campaign_inputs()
+        simulated = scenario.network
+        attacker, honest, observer = simulated.node_ids()[:3]
+        selfish = SelfishMiner(
+            simulated.simulator, simulated.network, simulated.node(attacker), mining
+        )
+        winners = iter((attacker, honest))
+        monkeypatch.setattr(mining, "pick_winner", lambda: MinerProfile(next(winners), 0.5))
+        campaign = measure_blocks(
+            scenario, mining, SMALL, BlockSchedule(2, 1, 30.0),
+            observer=observer, selfish=selfish,
+        )
+        assert selfish.blocks_withheld == 1
+        # Only the honest block is measured, and it reached every node.
+        assert campaign.blocks_measured == 1
+        assert campaign.coverage == 1.0
+        assert campaign.observer_coverage == 1.0
+        assert len(campaign.delays) == 40 - 1
+
+    @pytest.mark.parametrize("relay", ["flood", "compact"])
+    def test_messages_and_bytes_are_the_fabrics_deltas(self, relay, monkeypatch):
+        scenario, mining = self._campaign_inputs(relay)
+        network = scenario.network.network
+        # The measured window opens just before the block is mined and, for
+        # the only block, closes when the campaign returns.
+        opened = {}
+        mine = mining.mine_one_block
+
+        def mine_and_note_counters():
+            opened["messages"] = Counter(network.messages_sent)
+            opened["bytes"] = Counter(network.bytes_sent)
+            return mine()
+
+        monkeypatch.setattr(mining, "mine_one_block", mine_and_note_counters)
+        campaign = measure_blocks(scenario, mining, SMALL, BlockSchedule(1, 2, 30.0))
+        messages = Counter(network.messages_sent) - opened["messages"]
+        sent_bytes = Counter(network.bytes_sent) - opened["bytes"]
+        assert campaign.message_breakdown == dict(messages)
+        assert campaign.messages == sum(messages.values()) > 0
+        assert campaign.bytes == sum(sent_bytes.values())
+        payload = ("block", "cmpctblock", "blocktxn")
+        assert campaign.payload_bytes == sum(sent_bytes[command] for command in payload)
+        assert 0 < campaign.payload_bytes
+        if relay == "flood":
+            assert campaign.payload_bytes == sent_bytes["block"] < campaign.bytes
+
+    def test_campaign_records_plain_values(self):
+        scenario, mining = self._campaign_inputs()
+        campaign = measure_blocks(scenario, mining, SMALL, BlockSchedule(1, 2, 30.0))
+        data = pickle.dumps(campaign)
+        assert b"repro.protocol" not in data and b"repro.sim" not in data
+        assert pickle.loads(data) == campaign
 
 
 def _campaign(seed, delays, ranks, *, fallbacks=0, clusters=None):

@@ -11,7 +11,9 @@ import hashlib
 
 import pytest
 
+from repro.experiments import attacks, relay_comparison
 from repro.experiments.api import get_experiment, run_experiment
+from repro.experiments.attacks import run_dynamic_attacks
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.relay_comparison import (
     RELAY_PROTOCOLS,
@@ -89,8 +91,8 @@ class TestRelayComparisonExperiment:
         parallel = run_relay_comparison(SMALL.with_overrides(workers=2), **kwargs)
         for key in serial:
             assert serial[key].delays.samples == parallel[key].delays.samples
-            assert serial[key].total("relay_messages") == parallel[key].total("relay_messages")
-            assert serial[key].total("relay_bytes") == parallel[key].total("relay_bytes")
+            assert serial[key].total("messages") == parallel[key].total("messages")
+            assert serial[key].total("bytes") == parallel[key].total("bytes")
 
     def test_envelope_and_verdicts(self):
         run = run_experiment(
@@ -103,15 +105,25 @@ class TestRelayComparisonExperiment:
         assert "compact/bitcoin" in run.summaries
         assert run.summaries["compact/bitcoin"]["messages_per_block"] > 0
 
-    def test_invalid_arguments_rejected(self):
+    def test_invalid_arguments_rejected(self, monkeypatch):
         with pytest.raises(ValueError, match="unknown relay strategy"):
             run_relay_comparison(SMALL, relays=("gossip",))
-        with pytest.raises(ValueError, match="blocks"):
-            run_relay_comparison(SMALL, blocks=0)
-        with pytest.raises(ValueError, match="block_horizon_s"):
-            run_relay_comparison(SMALL, block_horizon_s=0.0)
         with pytest.raises(ValueError, match="unknown policy"):
             run_relay_comparison(SMALL, protocols=("bitcion",))
+
+        # Both block drivers reject a bad schedule before any cell runs.
+        def no_cells(*args, **kwargs):
+            raise AssertionError("a cell ran")
+
+        monkeypatch.setattr(relay_comparison, "run_seed_grid", no_cells)
+        monkeypatch.setattr(attacks, "run_seed_grid", no_cells)
+        for driver in (run_relay_comparison, run_dynamic_attacks):
+            with pytest.raises(ValueError, match="blocks must be positive"):
+                driver(SMALL, blocks=0)
+            with pytest.raises(ValueError, match="txs_per_block cannot be negative"):
+                driver(SMALL, txs_per_block=-1)
+            with pytest.raises(ValueError, match="block_horizon_s must be positive"):
+                driver(SMALL, block_horizon_s=0.0)
 
     def test_default_sweep_constants(self):
         assert RELAY_SWEEP == ("flood", "compact", "push", "adaptive", "headers")
@@ -141,8 +153,8 @@ class TestRelayComparisonExperiment:
             assert len(result.delays) == SMALL.node_count - 1
         headers = results["headers/bitcoin"]
         (headers_cell,) = headers.cells
-        assert headers_cell.message_breakdown["headers"] > 0
-        assert headers.total("header_bodies_requested") > 0
+        assert headers_cell.blocks.message_breakdown["headers"] > 0
+        assert headers.counter("header_bodies_requested") > 0
         adaptive = results["adaptive/bitcoin"]
         assert adaptive.summary()["mean_final_fanout"] > 0
         assert headers.summary()["headers_received"] > 0
@@ -175,9 +187,9 @@ class TestRelayComparisonExperiment:
         parallel = run_relay_comparison(SMALL.with_overrides(workers=2), **kwargs)
         for key in serial:
             assert serial[key].delays.samples == parallel[key].delays.samples
-            assert serial[key].total("relay_messages") == parallel[key].total("relay_messages")
-            assert serial[key].total("relay_bytes") == parallel[key].total("relay_bytes")
+            assert serial[key].total("messages") == parallel[key].total("messages")
+            assert serial[key].total("bytes") == parallel[key].total("bytes")
             assert [c.fanout_samples for c in serial[key].cells] == [
                 c.fanout_samples for c in parallel[key].cells
             ]
-            assert serial[key].total("getheaders_sent") == parallel[key].total("getheaders_sent")
+            assert serial[key].counter("getheaders_sent") == parallel[key].counter("getheaders_sent")

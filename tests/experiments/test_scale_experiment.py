@@ -10,7 +10,10 @@ Two contracts gate the tentpole changes here:
 """
 
 import hashlib
+import math
 import pickle
+import resource
+from types import SimpleNamespace
 
 import pytest
 
@@ -21,6 +24,7 @@ from repro.experiments.scale import (
     DEFAULT_PRUNE_DEPTH,
     SCALE_PROTOCOLS,
     ScaleJob,
+    collect_samples,
     default_ladder,
     run_scale,
     scale_parameters,
@@ -201,7 +205,9 @@ class TestScaleExperiment:
                 assert cell.events > 0
                 assert cell.delay_samples > 0
                 assert cell.build_s >= 0.0
-                assert cell.rss_mb > 0.0
+                # Only a cell that raised the process's RSS high-water mark
+                # records one.
+                assert cell.rss_mb is None or cell.rss_mb > 0.0
                 assert cell.peak_traced_mb is not None
         text = render_payload("scale", results)
         assert "Ext-8" in text
@@ -229,7 +235,41 @@ class TestScaleExperiment:
             (curve["label"], curve["metric"]) for curve in run.samples["timeseries"]
         }
         assert ("bitcoin", "wall_s") in curves
-        assert ("bitcoin", "rss_mb") in curves
+        rss_points = [
+            point
+            for curve in run.samples["timeseries"]
+            if curve["metric"] == "rss_mb"
+            for point in curve["points"]
+        ]
+        recorded = [
+            cell.rss_mb for result in run.payload.values() for cell in result.cells
+            if cell.rss_mb is not None
+        ]
+        assert len(rss_points) == len(recorded)
+
+    def test_a_cell_records_rss_only_when_it_raised_the_high_water_mark(self, monkeypatch):
+        # ru_maxrss (KB) read before and after each cell: the bitcoin cell
+        # raises the process's mark from 100 to 150 MB, and the bcbpt cell
+        # after it leaves the mark at 150 MB, so its own peak is unknown.
+        marks = iter([100 * 1024, 150 * 1024, 150 * 1024, 150 * 1024])
+        monkeypatch.setattr(
+            resource, "getrusage", lambda who: SimpleNamespace(ru_maxrss=next(marks))
+        )
+        results = run_scale(
+            SMALL, node_counts=(20,), protocols=("bitcoin", "bcbpt"), cell_runs=1,
+            profile_memory=False,
+        )
+        assert next(marks, None) is None
+        assert [cell.rss_mb for cell in results["bitcoin@20"].cells] == [150.0]
+        assert [cell.rss_mb for cell in results["bcbpt@20"].cells] == [None]
+        assert results["bitcoin@20"].summary()["max_rss_mb"] == 150.0
+        assert math.isnan(results["bcbpt@20"].summary()["max_rss_mb"])
+        curves = [
+            (curve.label, curve.points)
+            for curve in collect_samples(results).timeseries()
+            if curve.metric == "rss_mb"
+        ]
+        assert curves == [("bitcoin", [(20.0, 150.0)])]
 
     def test_invalid_arguments_rejected(self):
         with pytest.raises(ValueError, match="at least"):
