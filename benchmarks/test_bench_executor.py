@@ -1,33 +1,17 @@
-"""Execution-plane regression guards: dispatch overhead and warm workers.
+"""Execution-plane regression guard: dispatch overhead.
 
-Quick-lane guards for the two performance properties the executor backends
-exist to provide:
-
-* **cheap dispatch** — adaptive chunking must keep the pool's per-cell
-  dispatch overhead (pickle + queue round-trips) far below the cost of even
-  a tiny simulation cell, so many-tiny-cell grids (threshold sweeps, churn
-  ladders) are not dominated by plumbing;
-* **warm snapshot reuse** — a pool worker must unpickle each network
-  snapshot once and serve subsequent cells from its in-memory cache (via
-  copy-on-write forks), beating the old cold path that re-read the snapshot
-  from disk for every cell.
-
-Both bounds are deliberately generous: they trip on order-of-magnitude
-regressions (per-task dispatch, cache never hitting), not on CI jitter.
+Adaptive chunking must keep the pool's per-cell dispatch overhead (pickle +
+queue round-trips) far below the cost of even a tiny simulation cell, so
+many-tiny-cell grids (threshold sweeps, churn ladders) are not dominated by
+plumbing.  The bound is deliberately generous: it trips on order-of-magnitude
+regressions (per-task dispatch), not on CI jitter.
 """
 
 from __future__ import annotations
 
-import os
 import time
-from dataclasses import dataclass
-from typing import Optional
-
-import pytest
 
 from repro.experiments.backends import PoolBackend
-from repro.workloads.network_gen import ensure_network_snapshot, load_network
-from repro.experiments.scale import scale_parameters
 
 #: Generous ceiling on pool dispatch overhead per trivial cell.  Adaptive
 #: chunking amortises round-trips ~64x, so real overhead is well under a
@@ -37,13 +21,6 @@ DISPATCH_OVERHEAD_BOUND_S = 0.025
 #: Trivial cells for the dispatch measurement.
 DISPATCH_JOBS = 256
 
-#: Network size for the warm-cache comparison: big enough that unpickling
-#: the snapshot dominates a fork, small enough to build once in seconds.
-WARM_NODE_COUNT = 600
-
-#: Cells per snapshot in the warm/cold comparison.
-WARM_CELLS = 12
-
 WORKERS = 2
 
 
@@ -51,19 +28,8 @@ def _noop(value: int) -> int:
     return value
 
 
-@dataclass(frozen=True)
-class SnapshotProbeJob:
-    """A cell that does nothing but acquire its network snapshot."""
-
-    snapshot_path: Optional[str]
-
-
-def run_snapshot_probe(job: SnapshotProbeJob) -> int:
-    return load_network(job.snapshot_path).node_count
-
-
 def test_pool_dispatch_overhead_per_cell_under_bound():
-    backend = PoolBackend(workers=WORKERS, warm_snapshots=False)
+    backend = PoolBackend(workers=WORKERS)
     start = time.perf_counter()
     results = backend.run(_noop, list(range(DISPATCH_JOBS)))
     elapsed = time.perf_counter() - start
@@ -77,32 +43,4 @@ def test_pool_dispatch_overhead_per_cell_under_bound():
         f"pool dispatch overhead regressed: {per_cell * 1e3:.1f} ms per "
         f"trivial cell (bound {DISPATCH_OVERHEAD_BOUND_S * 1e3:.0f} ms) — "
         "adaptive chunking is probably not amortising round-trips any more"
-    )
-
-
-@pytest.mark.skipif(not hasattr(os, "fork"), reason="warm workers require os.fork")
-def test_warm_snapshot_pool_beats_cold_per_cell_loads(tmp_path):
-    parameters = scale_parameters(WARM_NODE_COUNT, 3, 6)
-    snapshot = str(ensure_network_snapshot(parameters, tmp_path))
-    jobs = [SnapshotProbeJob(snapshot_path=snapshot) for _ in range(WARM_CELLS)]
-
-    def timed(backend: PoolBackend) -> float:
-        start = time.perf_counter()
-        results = backend.run(run_snapshot_probe, jobs)
-        elapsed = time.perf_counter() - start
-        assert results == [WARM_NODE_COUNT] * WARM_CELLS
-        return elapsed
-
-    # Cold first so the OS page cache is warm for *both* measurements — the
-    # comparison isolates unpickling cost, which the page cache cannot hide.
-    cold = timed(PoolBackend(workers=WORKERS, warm_snapshots=False))
-    warm = timed(PoolBackend(workers=WORKERS, warm_snapshots=True))
-    print(
-        f"\nsnapshot acquisition x{WARM_CELLS} at {WARM_NODE_COUNT} nodes: "
-        f"cold {cold:.3f}s, warm {warm:.3f}s ({cold / max(warm, 1e-9):.2f}x)"
-    )
-    assert warm < cold, (
-        f"warm workers regressed: {WARM_CELLS} snapshot-backed cells took "
-        f"{warm:.3f}s with the per-worker cache vs {cold:.3f}s cold — the "
-        "cache is probably never hit"
     )

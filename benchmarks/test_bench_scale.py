@@ -1,7 +1,7 @@
 """Scale-plane regression guards: peak memory and throughput floors.
 
-Quick-lane (``-m "not slow"``): one mid-size scale cell — snapshot-loaded
-network, measuring-only funding, in-run pruning — must stay under a
+Quick-lane (``-m "not slow"``): one mid-size scale cell — network and overlay
+build, measuring-only funding, in-run pruning — must stay under a
 *generous* traced-allocation ceiling and over a *generous* events/second
 floor.  The bounds are an order of magnitude away from current numbers (at
 400 nodes a cell peaks around 4 MB traced and runs well above 2000 events/s),
@@ -38,12 +38,7 @@ from repro.experiments.scale import ScaleJob, run_scale_job, scale_parameters
 from repro.protocol.block import Block
 from repro.protocol.transaction import Transaction
 from repro.workloads.generators import fund_nodes
-from repro.workloads.network_gen import (
-    NetworkParameters,
-    build_network,
-    ensure_network_snapshot,
-    save_network,
-)
+from repro.workloads.network_gen import NetworkParameters, build_network, save_network
 
 #: Mid-size rung: big enough that quadratic funding would blow through the
 #: ceiling, small enough for the quick lane.
@@ -81,9 +76,7 @@ MINING_GROWTH_BOUND_MB = 8.0
 SNAPSHOT_GROWTH_BOUND = 3.5
 
 
-def _run_cell(tmp_path):
-    parameters = scale_parameters(NODE_COUNT, 3, 6)
-    snapshot = ensure_network_snapshot(parameters, tmp_path)
+def _run_cell():
     job = ScaleJob(
         node_count=NODE_COUNT,
         protocol="bitcoin",
@@ -91,15 +84,14 @@ def _run_cell(tmp_path):
         prune_depth=6,
         cell_runs=1,
         profile_memory=True,
-        snapshot_path=str(snapshot),
         config=CONFIG,
     )
     return run_scale_job(job)
 
 
-def test_scale_cell_peak_memory_under_bound(tmp_path):
+def test_scale_cell_peak_memory_under_bound():
     assert not tracemalloc.is_tracing()  # the job owns the tracer
-    result = _run_cell(tmp_path)
+    result = _run_cell()
     assert result.events > 0
     assert result.delay_samples > 0
     assert result.peak_traced_mb is not None
@@ -109,9 +101,9 @@ def test_scale_cell_peak_memory_under_bound(tmp_path):
     )
 
 
-def test_scale_cell_throughput_over_floor(tmp_path):
+def test_scale_cell_throughput_over_floor():
     start = time.perf_counter()
-    result = _run_cell(tmp_path)
+    result = _run_cell()
     elapsed = time.perf_counter() - start
     assert result.events_per_s > EVENTS_PER_S_FLOOR, (
         f"scale cell throughput regressed: {result.events_per_s:.0f} events/s "

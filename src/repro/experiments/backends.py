@@ -10,7 +10,7 @@ fan cells straight into one hard-wired process pool.  This module splits the
     bit-exact serial path (``workers <= 1`` never touches multiprocessing).
 
 :class:`PoolBackend`
-    The process pool, upgraded in three ways over the old ``pool.map``:
+    The process pool, upgraded in two ways over the old ``pool.map``:
 
     * **streaming ordered regroup** — cells are submitted in adaptive chunks
       and collected with ``as_completed``; results are emitted to the
@@ -19,17 +19,9 @@ fan cells straight into one hard-wired process pool.  This module splits the
       straggler cells instead of waiting for the whole map;
     * **adaptive chunking** — many-tiny-cell grids amortise per-task dispatch
       over ``len(jobs) / (workers * CHUNKS_PER_WORKER)``-sized chunks instead
-      of paying one round-trip per cell;
-    * **warm workers** — each worker process keeps recently used network
-      snapshots unpickled in memory (see
-      :func:`repro.workloads.network_gen.warm_snapshot`) and runs each cell
-      that has a ``snapshot_path`` in a short-lived forked child.  The child
-      inherits the warm network via copy-on-write and mutates its private
-      copy, so a snapshot is loaded once per worker instead of once per
-      cell, bit-identically (the cached object is unpickled from the same
-      bytes a cold load would read).
+      of paying one round-trip per cell.
 
-Sharding is not a fourth executor: it is a *slice filter* applied by the
+Sharding is not a third executor: it is a *slice filter* applied by the
 :class:`ExecutionPlan` before whichever backend runs (``repro shard run
 --shard i/N`` executes the cells whose global submission index is congruent
 to ``i`` mod ``N``, and records every other cell as missing).  The same plan
@@ -37,13 +29,15 @@ object also carries the checkpoint store, the resume behaviour and the cell
 budget, which is what lets every registered experiment inherit all of it
 through ``run_seed_grid`` without touching a single driver.
 
-Cell memory: both job loops free the previous job's network before the next
-job starts (:func:`_release_finished_jobs`).
+Cell memory: every cell builds its own network inside its job body, and both
+job loops free the previous job's network before the next job starts
+(:func:`_release_finished_jobs`), so a process holds one cell's network at a
+time.
 
-Determinism: the backend choice, worker count, chunking, warm caches, shard
-slice and checkpoints never change what a cell computes — each cell derives
-all randomness from its own master seed — so any execution plan that
-eventually runs every cell yields byte-identical merged results.
+Determinism: the backend choice, worker count, chunking, shard slice and
+checkpoints never change what a cell computes — each cell derives all
+randomness from its own master seed — so any execution plan that eventually
+runs every cell yields byte-identical merged results.
 """
 
 from __future__ import annotations
@@ -53,8 +47,6 @@ import contextvars
 import gc
 import multiprocessing
 import os
-import pickle
-import traceback
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass, field
 from typing import Any, Callable, Optional, Sequence, TypeVar
@@ -72,11 +64,6 @@ BACKEND_NAMES = ("auto", "inline", "pool")
 #: keep workers load-balanced against stragglers, large enough to amortise
 #: dispatch on many-tiny-cell grids.
 CHUNKS_PER_WORKER = 4
-
-#: Per-worker warm snapshot cache size (distinct snapshots kept unpickled).
-#: Grids warm one snapshot per master seed, so the default covers the stock
-#: three-seed configuration; tune via ``REPRO_WARM_SNAPSHOTS`` (0 disables).
-DEFAULT_WARM_LIMIT = 4
 
 
 def resolve_workers(workers: int, job_count: int) -> int:
@@ -110,14 +97,6 @@ def adaptive_chunksize(job_count: int, workers: int) -> int:
     return max(1, job_count // max(1, workers * CHUNKS_PER_WORKER))
 
 
-def warm_cache_limit() -> int:
-    """Warm-snapshot cache entries per worker (``REPRO_WARM_SNAPSHOTS``)."""
-    value = os.environ.get("REPRO_WARM_SNAPSHOTS")
-    if value is None or not value.strip():
-        return DEFAULT_WARM_LIMIT
-    return max(0, int(value))
-
-
 def _release_finished_jobs() -> None:
     """Job boundary: free what earlier jobs left behind, freeze what they kept.
 
@@ -134,9 +113,7 @@ def _release_finished_jobs() -> None:
 
     A frozen object that later becomes cyclic garbage stays in memory until
     the freeze ends, and how it ends is up to each loop
-    (:class:`InlineBackend`, :func:`_run_chunk`); the warm snapshot cache
-    unfreezes when it evicts a network.  A warm-snapshot fork child runs one
-    job and exits, so it needs neither call.
+    (:class:`InlineBackend`, :func:`_run_chunk`).
     """
     gc.collect()
     gc.freeze()
@@ -194,33 +171,19 @@ class InlineBackend(ExecutorBackend):
 
 
 class PoolBackend(ExecutorBackend):
-    """Process-pool execution with warm workers and streaming regroup.
+    """Process-pool execution with adaptive chunks and streaming regroup.
 
     Args:
         workers: worker processes; 0 means one per CPU.  A resolved count of
             1 falls back to the inline path (no multiprocessing).
-        warm_snapshots: keep recently used network snapshots unpickled per
-            worker and run snapshot-backed cells in forked children (see the
-            module docstring).  Requires ``os.fork``; silently disabled
-            elsewhere.
-        chunksize: jobs per pool task; None picks
-            :func:`adaptive_chunksize`.
     """
 
     name = "pool"
 
-    def __init__(
-        self,
-        workers: int = 0,
-        *,
-        warm_snapshots: bool = True,
-        chunksize: Optional[int] = None,
-    ) -> None:
+    def __init__(self, workers: int = 0) -> None:
         if workers < 0:
             raise ValueError("workers cannot be negative (0 means one per CPU)")
         self.workers = workers
-        self.warm_snapshots = warm_snapshots
-        self.chunksize = chunksize
 
     def run(
         self,
@@ -234,24 +197,16 @@ class PoolBackend(ExecutorBackend):
         workers = resolve_workers(self.workers, len(jobs))
         if workers <= 1:
             return InlineBackend().run(job_fn, jobs, on_result)
-        context = _pool_context()
-        warm = (
-            self.warm_snapshots
-            and context.get_start_method() == "fork"
-            and hasattr(os, "fork")
-            and warm_cache_limit() > 0
-        )
-        chunksize = self.chunksize or adaptive_chunksize(len(jobs), workers)
+        chunksize = adaptive_chunksize(len(jobs), workers)
         chunks = [jobs[start : start + chunksize] for start in range(0, len(jobs), chunksize)]
         results: list[Any] = [None] * len(jobs)
         with ProcessPoolExecutor(
             max_workers=workers,
-            mp_context=context,
-            initializer=_init_worker,
-            initargs=(warm,),
+            mp_context=_pool_context(),
+            initializer=gc.freeze,
         ) as pool:
             futures = {
-                pool.submit(_run_chunk, job_fn, chunk, warm): chunk_index
+                pool.submit(_run_chunk, job_fn, chunk): chunk_index
                 for chunk_index, chunk in enumerate(chunks)
             }
             # Streaming ordered regroup: buffer out-of-order chunks, emit the
@@ -272,116 +227,34 @@ class PoolBackend(ExecutorBackend):
         return results
 
 
-def make_backend(
-    name: str,
-    workers: int,
-    *,
-    warm_snapshots: bool = True,
-    chunksize: Optional[int] = None,
-) -> ExecutorBackend:
+def make_backend(name: str, workers: int) -> ExecutorBackend:
     """Build a backend by registered name (``auto`` picks by worker count)."""
     if name == "auto":
         name = "inline" if resolve_workers(workers, 2) <= 1 else "pool"
     if name == "inline":
         return InlineBackend()
     if name == "pool":
-        return PoolBackend(workers, warm_snapshots=warm_snapshots, chunksize=chunksize)
+        return PoolBackend(workers)
     raise ValueError(f"unknown backend {name!r}; known: {', '.join(BACKEND_NAMES)}")
 
 
 # ------------------------------------------------------ worker-side machinery
-def _init_worker(warm: bool) -> None:
-    """Pool-worker initializer: freeze the inherited heap, configure the warm
-    snapshot cache.
-
-    The freeze keeps the worker's collections from scanning the inherited
-    heap and from writing to the pages it shares copy-on-write with the
-    caller, which would unshare them.
-    """
-    gc.freeze()
-    if warm:
-        from repro.workloads import network_gen
-
-        network_gen.configure_snapshot_cache(warm_cache_limit())
-
-
-def _run_chunk(job_fn: Callable[[Any], Any], chunk: list[Any], warm: bool) -> list[Any]:
+def _run_chunk(job_fn: Callable[[Any], Any], chunk: list[Any]) -> list[Any]:
     """Execute one chunk of cells inside a pool worker.
 
-    Each job starts at :func:`_release_finished_jobs`.  The worker unfreezes
-    only when its warm snapshot cache evicts a network; otherwise it stays
+    The worker froze its inherited heap when it started (the pool's
+    initializer), so its collections neither scan that heap nor write to the
+    pages it shares copy-on-write with the caller, which would unshare them.
+    Each job starts at :func:`_release_finished_jobs`.  The worker stays
     frozen until it ends with its pool, because unfreezing after each chunk
     would make the next chunk's first collection rescan the worker's whole
-    heap, the inherited part and the warm snapshot cache included.
+    heap, the inherited part included.
     """
     results = []
     for job in chunk:
         _release_finished_jobs()
-        snapshot_path = getattr(job, "snapshot_path", None)
-        if warm and snapshot_path is not None:
-            results.append(_run_cell_warm(job_fn, job, str(snapshot_path)))
-        else:
-            results.append(job_fn(job))
+        results.append(job_fn(job))
     return results
-
-
-def _run_cell_warm(job_fn: Callable[[Any], Any], job: Any, snapshot_path: str) -> Any:
-    """Run one snapshot-backed cell against this worker's warm cache.
-
-    The snapshot is unpickled at most once per worker
-    (:func:`~repro.workloads.network_gen.warm_snapshot`); the cell body then
-    runs in a forked child whose copy-on-write view of the cached network is
-    private, so mutation never leaks between cells and the parent's warm
-    copy stays pristine.  Falls back to a plain in-worker call when the
-    snapshot cannot be cached (e.g. the cache is disabled).
-    """
-    from repro.workloads import network_gen
-
-    if not network_gen.warm_snapshot(snapshot_path):
-        return job_fn(job)
-    return _call_in_fork(_serve_warm_cell, (job_fn, job))
-
-
-def _serve_warm_cell(payload: tuple[Callable[[Any], Any], Any]) -> Any:
-    """Fork-child body: enable cache reads, then run the cell."""
-    from repro.workloads import network_gen
-
-    job_fn, job = payload
-    network_gen.serve_cached_snapshots(True)
-    return job_fn(job)
-
-
-def _call_in_fork(fn: Callable[[Any], Any], arg: Any) -> Any:
-    """Run ``fn(arg)`` in a forked child, returning its pickled result.
-
-    The child writes ``(ok, value)`` down a pipe and ``_exit``\\ s without
-    running any inherited cleanup; the parent drains the pipe before reaping
-    so results larger than the pipe buffer stream through.
-    """
-    read_fd, write_fd = os.pipe()
-    pid = os.fork()
-    if pid == 0:  # pragma: no cover - child process, invisible to coverage
-        try:
-            os.close(read_fd)
-            try:
-                payload = pickle.dumps((True, fn(arg)), protocol=pickle.HIGHEST_PROTOCOL)
-            except BaseException as exc:
-                detail = f"{type(exc).__name__}: {exc}\n{traceback.format_exc()}"
-                payload = pickle.dumps((False, detail), protocol=pickle.HIGHEST_PROTOCOL)
-            with os.fdopen(write_fd, "wb") as sink:
-                sink.write(payload)
-        finally:
-            os._exit(0)
-    os.close(write_fd)
-    with os.fdopen(read_fd, "rb") as source:
-        data = source.read()
-    os.waitpid(pid, 0)
-    if not data:
-        raise RuntimeError("forked cell exited without returning a result")
-    ok, value = pickle.loads(data)
-    if not ok:
-        raise RuntimeError(f"forked cell failed:\n{value}")
-    return value
 
 
 # ------------------------------------------------------------ execution plan
@@ -454,10 +327,6 @@ class ExecutionPlan:
             time-boxed runs and the kill-and-resume tests.
         execute: when False, never run a cell body — every cell must come
             from the store (the strict ``repro shard merge`` mode).
-        warm_snapshots: enable the pool backend's warm-worker snapshot reuse.
-        chunksize: override the pool backend's adaptive chunk size.
-        snapshot_dir: persistent directory drivers should build network
-            snapshots under (defaults to each driver's own choice).
         experiment: registry name, set by ``run_experiment`` — the cell-key
             namespace.
     """
@@ -469,9 +338,6 @@ class ExecutionPlan:
     shard_count: Optional[int] = None
     max_cells: Optional[int] = None
     execute: bool = True
-    warm_snapshots: bool = True
-    chunksize: Optional[int] = None
-    snapshot_dir: Optional[str] = None
     experiment: Optional[str] = None
 
     # Progress accounting, filled in as grids execute.
@@ -526,12 +392,7 @@ class ExecutionPlan:
     def resolve_backend(self, config: ExperimentConfig) -> ExecutorBackend:
         """The executor this plan uses for one grid."""
         workers = self.workers if self.workers is not None else config.workers
-        return make_backend(
-            self.backend,
-            workers,
-            warm_snapshots=self.warm_snapshots,
-            chunksize=self.chunksize,
-        )
+        return make_backend(self.backend, workers)
 
     def run_cells(
         self,

@@ -21,12 +21,9 @@ Cell identity
 
 :func:`cell_key` hashes the *physics* of a cell: the experiment name, the job
 spec type, the job's canonical JSON form, and the cell/envelope schema
-versions.  Execution-plane knobs are deliberately excluded — the determinism
-contract (docs/ARCHITECTURE.md) guarantees they cannot change the result:
-
-* ``config.workers`` (results are worker-count invariant);
-* ``snapshot_path`` (snapshots are stream-exact, and the path is usually a
-  temporary directory that changes between invocations).
+versions.  The one execution-plane knob a job spec carries,
+``config.workers``, is deliberately excluded — the determinism contract
+(docs/ARCHITECTURE.md) guarantees results are worker-count invariant.
 
 Two invocations with the same experiment, config and options therefore
 produce the same key for the same cell — across processes, hosts and worker
@@ -56,24 +53,18 @@ from repro.experiments.results import RESULT_SCHEMA_VERSION, json_safe
 #: v4: Δt cells hold plain :class:`~repro.experiments.runner.Campaign` records.
 #: v5: relay_comparison and attacks cells hold plain
 #: :class:`~repro.experiments.runner.BlockCampaign` records.
-CELL_SCHEMA_VERSION = 5
-
-#: Job-spec fields that configure *how* a cell runs, not *what* it computes.
-#: They are stripped from the key material; see the module docstring.
-_EXECUTION_ONLY_JOB_FIELDS = ("snapshot_path",)
-_EXECUTION_ONLY_CONFIG_FIELDS = ("workers",)
+#: v6: relay_comparison records store ``mean_final_fanout`` None outside
+#: adaptive cells.
+CELL_SCHEMA_VERSION = 6
 
 
 def canonical_job(job: Any) -> Any:
     """The JSON-safe, execution-plane-free canonical form of a job spec."""
     data = json_safe(job)
     if isinstance(data, dict):
-        for field in _EXECUTION_ONLY_JOB_FIELDS:
-            data.pop(field, None)
         config = data.get("config")
         if isinstance(config, dict):
-            for field in _EXECUTION_ONLY_CONFIG_FIELDS:
-                config.pop(field, None)
+            config.pop("workers", None)
     return data
 
 

@@ -271,7 +271,7 @@ def build_run_parser(spec: ExperimentSpec) -> argparse.ArgumentParser:
         choices=BACKEND_NAMES,
         default="auto",
         help="cell executor: inline (serial, bit-exact reference), pool "
-        "(process pool with warm workers), or auto (by worker count; default)",
+        "(process pool with adaptive chunks), or auto (by worker count; default)",
     )
     plane.add_argument(
         "--cells",
@@ -294,13 +294,6 @@ def build_run_parser(spec: ExperimentSpec) -> argparse.ArgumentParser:
         metavar="N",
         help="execute at most N not-yet-checkpointed cells, then exit with "
         f"code {EXIT_INCOMPLETE}; combine with --resume to time-box long sweeps",
-    )
-    plane.add_argument(
-        "--snapshot-dir",
-        default=None,
-        metavar="DIR",
-        help="persistent directory for network snapshots (drivers default to "
-        "a temporary one); lets repeated/resumed runs reuse built networks",
     )
     return parser
 
@@ -359,7 +352,6 @@ def _build_plan(spec: ExperimentSpec, args: argparse.Namespace, **overrides: Any
         "backend": args.backend,
         "store": _cell_store(spec, args),
         "max_cells": args.max_cells,
-        "snapshot_dir": args.snapshot_dir,
     }
     plan_kwargs.update(overrides)
     return ExecutionPlan(**plan_kwargs)

@@ -31,10 +31,10 @@ every worker count.
 
 Since the execution-plane refactor the fan-out itself is delegated to an
 :class:`~repro.experiments.backends.ExecutionPlan`: the plan chooses the
-executor backend (inline / process pool with warm workers), consults the
-checkpoint store for already-completed cells, applies the shard slice and
-the cell budget, and persists each freshly computed cell the moment the
-streaming regroup emits it.  ``run_experiment`` installs the plan with
+executor backend (inline or process pool), consults the checkpoint store
+for already-completed cells, applies the shard slice and the cell budget,
+and persists each freshly computed cell the moment the streaming regroup
+emits it.  ``run_experiment`` installs the plan with
 :func:`~repro.experiments.backends.use_plan`, so every registered
 experiment inherits backends, checkpoint/resume and sharding for free; a
 driver called directly (tests, examples) gets an ephemeral default plan

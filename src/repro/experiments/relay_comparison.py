@@ -107,7 +107,7 @@ class RelayJobResult:
         blocks: the block campaign (Δt, coverage, messages and bytes).
         counters: every :data:`RELAY_COUNTERS` entry, summed across nodes.
         mean_final_fanout: mean effective fan-out width at the end of the
-            campaign (adaptive strategy only, NaN otherwise).
+            campaign (adaptive strategy only, None otherwise).
         fanout_samples: (time, width) fan-out change samples, time-ordered.
     """
 
@@ -116,7 +116,7 @@ class RelayJobResult:
     seed: int
     blocks: BlockCampaign
     counters: dict[str, int]
-    mean_final_fanout: float
+    mean_final_fanout: Optional[float]
     fanout_samples: tuple[tuple[float, int], ...]
 
 
@@ -228,7 +228,8 @@ def run_relay_seed(job: RelayJob) -> RelayJobResult:
         simulator.random.stream("relay-mining"),
     )
     blocks = measure_blocks(scenario, mining, config, job.schedule)
-    mean_final_fanout, fanout_samples = float("nan"), ()
+    mean_final_fanout: Optional[float] = None
+    fanout_samples: tuple[tuple[float, int], ...] = ()
     if job.relay == "adaptive":
         # The final effective fan-out width per node, and the (time, width)
         # change samples merged time-ordered across nodes.

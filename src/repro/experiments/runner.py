@@ -33,18 +33,16 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 from dataclasses import dataclass
-from pathlib import Path
-from typing import TYPE_CHECKING, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Optional, Sequence
 
 from repro.analysis.samples import BlockArrivalRecorder, SampleLog
 from repro.analysis.stats import mean, sample_variance
-from repro.experiments.backends import current_plan
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.grid import run_seed_grid
 from repro.measurement.measuring_node import MeasuringNode
 from repro.measurement.stats import DelayDistribution
 from repro.workloads.generators import fund_nodes
-from repro.workloads.network_gen import NetworkParameters, ensure_network_snapshot
+from repro.workloads.network_gen import NetworkParameters
 from repro.workloads.scenarios import Scenario, build_scenario, validate_policy_name
 
 if TYPE_CHECKING:
@@ -411,9 +409,6 @@ class PropagationJob:
         threshold_s: BCBPT latency threshold ``d_t`` in seconds.
         seed: master seed for the job's network and simulator.
         config: shared experiment configuration.
-        snapshot_path: optional path to a pre-built network snapshot for this
-            job's (node count, seed); when set the worker loads it instead of
-            rebuilding the network (stream-exact, so results are unchanged).
     """
 
     label: str
@@ -421,7 +416,6 @@ class PropagationJob:
     threshold_s: float
     seed: int
     config: ExperimentConfig
-    snapshot_path: Optional[str] = None
 
 
 def run_propagation_job(job: PropagationJob) -> Campaign:
@@ -432,7 +426,6 @@ def run_propagation_job(job: PropagationJob) -> Campaign:
         parameters,
         latency_threshold_s=job.threshold_s,
         max_outbound=job.config.max_outbound,
-        snapshot=job.snapshot_path,
     )
     return measure_propagation(scenario, job.config)
 
@@ -467,7 +460,6 @@ def run_protocol_comparison(
     config: ExperimentConfig,
     *,
     thresholds: Optional[dict[str, float]] = None,
-    snapshot_dir: Optional[Union[str, Path]] = None,
 ) -> dict[str, PropagationResult]:
     """Run the same measurement campaign under several protocols and seeds.
 
@@ -477,33 +469,11 @@ def run_protocol_comparison(
             form ``"bcbpt@50ms"`` selects BCBPT with that threshold.
         config: shared experiment configuration.
         thresholds: optional per-label latency-threshold overrides (seconds).
-        snapshot_dir: when given, each (node count, seed) network is built
-            once here (serially, before the fan-out) and every job loads the
-            snapshot instead of rebuilding it.  Snapshots are stream-exact, so
-            results are byte-identical with or without this; it trades disk
-            for the per-job network build time the grid would otherwise
-            repeat ``len(protocols)`` times per seed.  Defaults to the
-            active :class:`~repro.experiments.backends.ExecutionPlan`'s
-            ``snapshot_dir`` (the CLI's ``--snapshot-dir``), which also
-            feeds the pool backend's warm per-worker snapshot caches.
 
     Returns:
         Label -> pooled :class:`PropagationResult` across all seeds.
     """
     resolved = {label: _parse_label(label, config, thresholds) for label in protocols}
-
-    active = current_plan()
-    if snapshot_dir is None and active is not None:
-        snapshot_dir = active.snapshot_dir
-
-    snapshot_paths: dict[int, str] = {}
-    if snapshot_dir is not None and (active is None or active.execute):
-        # Pre-build serially in the driver process: workers only ever read.
-        # Skipped under `repro shard merge` (execute=False): no cell body
-        # runs there, and cell keys never include snapshot paths.
-        for seed in config.seeds:
-            parameters = NetworkParameters(node_count=config.node_count, seed=seed)
-            snapshot_paths[seed] = str(ensure_network_snapshot(parameters, snapshot_dir))
 
     def make_job(label: str, seed: int) -> PropagationJob:
         policy_name, threshold = resolved[label]
@@ -513,7 +483,6 @@ def run_protocol_comparison(
             threshold_s=threshold,
             seed=seed,
             config=config,
-            snapshot_path=snapshot_paths.get(seed),
         )
 
     grid = run_seed_grid(protocols, make_job, run_propagation_job, config)

@@ -6,8 +6,8 @@ This experiment measures what happens on the way up: for a ladder of network
 sizes it runs a deliberately small propagation campaign per (protocol, seed)
 cell and records
 
-* wall time, split into network acquire (build or snapshot load) and
-  campaign phases,
+* wall time, split into network build (network and overlay) and campaign
+  phases,
 * simulation throughput (events executed per wall second),
 * the cell's peak traced Python allocation (``tracemalloc``) and, when the
   cell raised the process RSS high-water mark (``resource.getrusage``), that
@@ -15,12 +15,12 @@ cell and records
 * how much stale inventory state the in-run pruner
   (:attr:`~repro.protocol.node.NodeConfig.prune_depth`) reclaimed.
 
-Cells ride the three scale-plane mechanisms this repo grew for 10k-node runs:
+Cells ride the two scale-plane mechanisms this repo grew for 10k-node runs:
 latency state kept only for the node pairs a run touches (automatic via
-``build_network``), per-(node count, seed) network snapshots built once in
-the driver and loaded by every cell, and block-acceptance-driven state
-pruning (enabled here by default with ``--prune-depth 6``; the figure
-experiments keep it off).
+``build_network``), and block-acceptance-driven state pruning (enabled here
+by default with ``--prune-depth 6``; the figure experiments keep it off).
+Every cell builds its own network, so nothing runs in the driver before the
+first cell and the first cell's RSS mark is its own.
 
 Run from the command line::
 
@@ -30,9 +30,7 @@ Run from the command line::
 
 from __future__ import annotations
 
-import contextlib
 import resource
-import tempfile
 import time
 import tracemalloc
 from dataclasses import dataclass
@@ -40,12 +38,11 @@ from typing import Optional, Sequence
 
 from repro.analysis.samples import SampleLog
 from repro.experiments.api import ExperimentOption, experiment
-from repro.experiments.backends import current_plan
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.grid import run_seed_grid
 from repro.experiments.runner import measure_propagation
 from repro.protocol.node import NodeConfig
-from repro.workloads.network_gen import NetworkParameters, ensure_network_snapshot
+from repro.workloads.network_gen import NetworkParameters
 from repro.workloads.scenarios import build_scenario, validate_policy_name
 
 #: Policies measured by default: the vanilla baseline and the paper's overlay.
@@ -63,12 +60,7 @@ MIN_LADDER_NODES = 20
 def scale_parameters(
     node_count: int, seed: int, prune_depth: Optional[int]
 ) -> NetworkParameters:
-    """The network parameters of one scale cell.
-
-    Shared between the driver (which pre-builds snapshots) and
-    :func:`run_scale_job` (which loads them), so both sides agree bit-for-bit
-    on the snapshot cache key.
-    """
+    """The network parameters of one scale cell."""
     return NetworkParameters(
         node_count=node_count,
         seed=seed,
@@ -100,8 +92,6 @@ class ScaleJob:
             resource scaling, not delay statistics).
         profile_memory: trace the cell's Python allocations with
             ``tracemalloc`` (accurate per-cell peaks, roughly 2x slower).
-        snapshot_path: optional pre-built network snapshot for this
-            (node count, seed); the worker loads it instead of rebuilding.
         config: shared experiment configuration (BCBPT's ``d_t`` is its
             ``latency_threshold_s``).
     """
@@ -112,7 +102,6 @@ class ScaleJob:
     prune_depth: Optional[int]
     cell_runs: int
     profile_memory: bool
-    snapshot_path: Optional[str]
     config: ExperimentConfig
 
 
@@ -135,7 +124,7 @@ class ScaleJobResult:
 
     @property
     def wall_s(self) -> float:
-        """Total cell wall time (network acquire + campaign)."""
+        """Total cell wall time (network build + campaign)."""
         return self.build_s + self.run_s
 
     @property
@@ -168,7 +157,6 @@ def run_scale_job(job: ScaleJob) -> ScaleJobResult:
             scale_parameters(job.node_count, job.seed, job.prune_depth),
             latency_threshold_s=cfg.latency_threshold_s,
             max_outbound=cfg.max_outbound,
-            snapshot=job.snapshot_path,
         )
         built = time.perf_counter()
         campaign = measure_propagation(scenario, cfg, fund_measuring_only=True)
@@ -364,47 +352,19 @@ def run_scale(
 
     points = [(rung, protocol) for rung in ladder for protocol in protocols]
 
-    active = current_plan()
-    plan_snapshot_dir = active.snapshot_dir if active is not None else None
+    def make_job(point: tuple[int, str], seed: int) -> ScaleJob:
+        rung, protocol = point
+        return ScaleJob(
+            node_count=rung,
+            protocol=protocol,
+            seed=seed,
+            prune_depth=depth,
+            cell_runs=cell_runs,
+            profile_memory=profile_memory,
+            config=cfg,
+        )
 
-    with contextlib.ExitStack() as stack:
-        if plan_snapshot_dir is not None:
-            # A persistent directory (the CLI's --snapshot-dir) lets repeated
-            # runs — and resumed/sharded runs — reuse the same snapshot files.
-            snapshot_dir = str(plan_snapshot_dir)
-        else:
-            snapshot_dir = stack.enter_context(
-                tempfile.TemporaryDirectory(prefix="repro-scale-snapshots-")
-            )
-        # Build each (node count, seed) network exactly once, serially in the
-        # driver: every (protocol) cell at that rung loads the same snapshot,
-        # and workers never race on the files.  Skipped under `repro shard
-        # merge` (execute=False): no cell body runs there, and cell keys
-        # never include snapshot paths.
-        snapshot_paths: dict[tuple[int, int], str] = {}
-        if active is None or active.execute:
-            for rung in ladder:
-                for seed in cfg.seeds:
-                    parameters = scale_parameters(rung, seed, depth)
-                    snapshot_paths[(rung, seed)] = str(
-                        ensure_network_snapshot(parameters, snapshot_dir)
-                    )
-
-        def make_job(point: tuple[int, str], seed: int) -> ScaleJob:
-            rung, protocol = point
-            return ScaleJob(
-                node_count=rung,
-                protocol=protocol,
-                seed=seed,
-                prune_depth=depth,
-                cell_runs=cell_runs,
-                profile_memory=profile_memory,
-                snapshot_path=snapshot_paths.get((rung, seed)),
-                config=cfg,
-            )
-
-        grid = run_seed_grid(points, make_job, run_scale_job, cfg)
-
+    grid = run_seed_grid(points, make_job, run_scale_job, cfg)
     return {
         f"{protocol}@{rung}": ScaleResult(protocol, rung, tuple(cells))
         for (rung, protocol), cells in grid

@@ -26,6 +26,7 @@ from repro.experiments.api import ExperimentOption, experiment
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.runner import measure_propagation
 from repro.measurement.crawler import CrawlerReport, NetworkCrawler
+from repro.measurement.stats import DelayDistribution
 from repro.workloads.network_gen import NetworkParameters, build_network
 from repro.workloads.scenarios import build_scenario
 
@@ -128,11 +129,12 @@ def run_validation(
         max_outbound=cfg.max_outbound,
     )
     delays = summarize_values(measure_propagation(scenario, cfg).delays)
+    rtts = DelayDistribution(crawl.rtt_samples)
 
     return ValidationResultSummary(
         crawler=crawl,
-        rtt_median_s=crawl.rtt_distribution.median(),
-        rtt_p90_s=crawl.rtt_distribution.percentile(90),
+        rtt_median_s=rtts.median(),
+        rtt_p90_s=rtts.percentile(90),
         intra_region_median_s=crawl.intra_region_median_s,
         inter_region_median_s=crawl.inter_region_median_s,
         bitcoin_delay_mean_s=delays["mean_s"],

@@ -13,12 +13,10 @@ inter-continental RTTs are large.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass
 
 import numpy as np
 
-from repro.measurement.stats import DelayDistribution
 from repro.protocol.network import P2PNetwork
 
 
@@ -29,7 +27,7 @@ class CrawlerReport:
     Attributes:
         reachable_nodes: how many nodes the crawler could see.
         ping_samples: number of ping/pong RTT observations.
-        rtt_distribution: the observed RTT samples.
+        rtt_samples: the observed RTTs (seconds), in observation order.
         per_region_median_s: median RTT towards nodes of each region.
         intra_region_median_s: median RTT between nodes in the same region.
         inter_region_median_s: median RTT between nodes in different regions.
@@ -37,7 +35,7 @@ class CrawlerReport:
 
     reachable_nodes: int
     ping_samples: int
-    rtt_distribution: DelayDistribution
+    rtt_samples: tuple[float, ...]
     per_region_median_s: dict[str, float]
     intra_region_median_s: float
     inter_region_median_s: float
@@ -66,7 +64,7 @@ class NetworkCrawler:
         online = self._network.online_node_ids()
         if len(online) < 2:
             raise ValueError("crawling requires at least two online nodes")
-        rtts = DelayDistribution()
+        rtts: list[float] = []
         per_region: dict[str, list[float]] = {}
         intra: list[float] = []
         inter: list[float] = []
@@ -75,7 +73,7 @@ class NetworkCrawler:
             node_a, node_b = int(online[int(a)]), int(online[int(b)])
             rtt = self._network.measure_rtt(node_a, node_b)
             self._network.record_ping_exchange(1)
-            rtts.add(rtt)
+            rtts.append(float(rtt))
             region_a = self._network.position(node_a).region
             region_b = self._network.position(node_b).region
             per_region.setdefault(region_b, []).append(rtt)
@@ -89,7 +87,7 @@ class NetworkCrawler:
         return CrawlerReport(
             reachable_nodes=len(online),
             ping_samples=ping_samples,
-            rtt_distribution=rtts,
+            rtt_samples=tuple(rtts),
             per_region_median_s=per_region_median,
             intra_region_median_s=float(np.median(intra)) if intra else float("nan"),
             inter_region_median_s=float(np.median(inter)) if inter else float("nan"),

@@ -9,23 +9,19 @@ examples and most tests start from here.
 Network snapshots
 -----------------
 
-Building a large network is expensive (position sampling, node construction,
-registration), and a (point × seed) experiment grid rebuilds the *same*
-network for every point sharing a seed.  :func:`save_network` /
-:func:`load_network` snapshot a freshly-built network to disk so the grid
-builds each (node count, seed) network once and every cell resumes from its
-own private copy.  Snapshots are stream-exact: every random stream is derived
-by name from the master seed (creation-order independent) and numpy
-``Generator`` objects pickle with their exact bit-stream position, so
-build → save → load → run is byte-identical to build → run.  Only *quiescent*
-networks snapshot — no pending events, no live processes — which is exactly
-the state :func:`build_network` returns.
+:func:`save_network` / :func:`load_network` pickle a network to disk and back.
+Snapshots are stream-exact: every random stream is derived by name from the
+master seed (creation-order independent) and numpy ``Generator`` objects
+pickle with their exact bit-stream position, so build → save → load → run is
+byte-identical to build → run.  Only *quiescent* networks snapshot — no
+pending events, no live processes — which is exactly the state
+:func:`build_network` returns.  Experiment cells do not use them: a fresh
+build costs no more than one save plus one load, so every cell builds its
+own network.
 """
 
 from __future__ import annotations
 
-import gc
-import hashlib
 import os
 import pickle
 import tempfile
@@ -213,8 +209,8 @@ def save_network(simulated: SimulatedNetwork, path: Union[str, Path]) -> Path:
         )
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    # A private temp name per writer: runs sharing a snapshot directory may
-    # save the same snapshot at once.
+    # A private temp name per writer: two writers may save the same snapshot
+    # at once.
     fd, tmp_name = tempfile.mkstemp(prefix=f".{path.name}-", suffix=".tmp", dir=path.parent)
     try:
         with os.fdopen(fd, "wb") as handle:
@@ -237,114 +233,9 @@ def load_network(path: Union[str, Path]) -> SimulatedNetwork:
     at their exact saved bit positions, so running a policy/campaign on the
     loaded network is byte-identical to running it on the network the snapshot
     was taken from.
-
-    Inside a warm-worker fork child (see
-    :func:`serve_cached_snapshots`) the per-process cache is consulted
-    first: the cached object was unpickled from the same bytes a cold load
-    would read, and the child's copy-on-write memory makes it private, so
-    the result is bit-identical either way.
     """
-    cached = _cached_snapshot(path)
-    if cached is not None:
-        return cached
     with open(path, "rb") as handle:
         simulated = pickle.load(handle)
     if not isinstance(simulated, SimulatedNetwork):
         raise TypeError(f"{path} is not a SimulatedNetwork snapshot: {type(simulated)!r}")
     return simulated
-
-
-# ------------------------------------------------------- warm snapshot cache
-# Per-process warm cache for the pool backend's warm workers: a worker
-# unpickles each snapshot it encounters once (LRU-bounded) and runs every
-# snapshot-backed cell in a forked child, whose copy-on-write view of the
-# cached network is private.  Serving is gated behind an explicit flag that
-# only those single-cell children enable — handing the *same* object to two
-# cells in one process would let mutations leak between them.
-_SNAPSHOT_CACHE: "dict[str, SimulatedNetwork]" = {}
-_SNAPSHOT_CACHE_LIMIT = 0
-_SERVE_CACHED_SNAPSHOTS = False
-
-
-def configure_snapshot_cache(limit: int) -> None:
-    """Enable this process's warm snapshot cache with an LRU entry bound."""
-    global _SNAPSHOT_CACHE_LIMIT
-    _SNAPSHOT_CACHE_LIMIT = max(0, limit)
-    if _SNAPSHOT_CACHE_LIMIT == 0:
-        _SNAPSHOT_CACHE.clear()
-
-
-def warm_snapshot(path: Union[str, Path]) -> bool:
-    """Unpickle ``path`` into this process's warm cache (at most once).
-
-    Returns True when the snapshot is cached afterwards; False when the
-    cache is disabled (limit 0) or the file cannot be cached.
-    """
-    if _SNAPSHOT_CACHE_LIMIT <= 0:
-        return False
-    key = str(Path(path))
-    if key in _SNAPSHOT_CACHE:
-        # Refresh LRU recency (dicts preserve insertion order).
-        _SNAPSHOT_CACHE[key] = _SNAPSHOT_CACHE.pop(key)
-        return True
-    with open(key, "rb") as handle:
-        simulated = pickle.load(handle)
-    if not isinstance(simulated, SimulatedNetwork):
-        raise TypeError(f"{key} is not a SimulatedNetwork snapshot: {type(simulated)!r}")
-    _SNAPSHOT_CACHE[key] = simulated
-    while len(_SNAPSHOT_CACHE) > _SNAPSHOT_CACHE_LIMIT:
-        _SNAPSHOT_CACHE.pop(next(iter(_SNAPSHOT_CACHE)))
-        # The worker's job boundaries froze the evicted network, a cycle only
-        # the collector frees; unfreezing lets the next boundary free it.
-        gc.unfreeze()
-    return True
-
-
-def serve_cached_snapshots(enabled: bool) -> None:
-    """Let :func:`load_network` return cached objects directly.
-
-    Only safe in a process that loads **at most one** network and never
-    shares it — in practice the pool backend's forked single-cell children.
-    """
-    global _SERVE_CACHED_SNAPSHOTS
-    _SERVE_CACHED_SNAPSHOTS = enabled
-
-
-def _cached_snapshot(path: Union[str, Path]) -> Optional[SimulatedNetwork]:
-    if not _SERVE_CACHED_SNAPSHOTS:
-        return None
-    return _SNAPSHOT_CACHE.get(str(Path(path)))
-
-
-#: Version of the pickled object layout.  It is part of every snapshot's
-#: filename, so bumping it makes a snapshot directory written by older code
-#: rebuild instead of loading objects that lack newer fields.
-SNAPSHOT_FORMAT = 8
-
-
-def snapshot_filename(parameters: NetworkParameters) -> str:
-    """Deterministic snapshot filename for one parameter set.
-
-    Node count and seed are spelled out for human eyes; the digest over the
-    snapshot format and the full parameter repr distinguishes builds that
-    differ in any other knob, or that older code wrote.
-    """
-    key = f"format-{SNAPSHOT_FORMAT}:{parameters!r}"
-    digest = hashlib.sha256(key.encode()).hexdigest()[:12]
-    return f"network-n{parameters.node_count}-s{parameters.seed}-{digest}.pkl"
-
-
-def ensure_network_snapshot(
-    parameters: NetworkParameters, directory: Union[str, Path]
-) -> Path:
-    """Build-and-save a network snapshot unless an identical one exists.
-
-    The cache key is :func:`snapshot_filename`, so every distinct parameter
-    set gets its own file and repeated calls (across points of an experiment
-    grid) reuse the first build.
-    """
-    directory = Path(directory)
-    path = directory / snapshot_filename(parameters)
-    if not path.exists():
-        save_network(build_network(parameters), path)
-    return path

@@ -40,8 +40,7 @@ stay byte-identical to builds that predate the adversary plane.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from pathlib import Path
-from typing import Iterable, Optional, Union
+from typing import Iterable, Optional
 
 from repro.core.bcbpt import BcbptConfig, BcbptPolicy
 from repro.core.lbc import LbcConfig, LbcPolicy
@@ -50,12 +49,7 @@ from repro.core.policy import NeighbourPolicy, TopologyBuildReport
 from repro.core.random_topology import RandomNeighbourPolicy, RandomPolicyConfig
 from repro.net.churn import SessionParameters
 from repro.protocol.relay import RELAY_NAMES, validate_relay_name
-from repro.workloads.network_gen import (
-    NetworkParameters,
-    SimulatedNetwork,
-    build_network,
-    load_network,
-)
+from repro.workloads.network_gen import NetworkParameters, SimulatedNetwork, build_network
 
 #: Protocol names accepted by :func:`build_policy` / :func:`build_scenario`.
 POLICY_NAMES = ("bitcoin", "lbc", "bcbpt")
@@ -436,7 +430,6 @@ def build_scenario(
     max_outbound: int = 8,
     churn: Optional[ChurnSchedule] = None,
     relay: Optional[str] = None,
-    snapshot: Optional[Union[str, Path]] = None,
 ) -> Scenario:
     """Build a network, run the policy's topology construction, return both.
 
@@ -459,44 +452,11 @@ def build_scenario(
             :data:`~repro.protocol.relay.RELAY_NAMES`); None keeps whatever
             ``parameters.node_config.relay_strategy`` says (the ``"flood"``
             baseline by default).
-        snapshot: path to a network snapshot written by
-            :func:`~repro.workloads.network_gen.save_network`.  When given the
-            network is loaded instead of built — stream-exact, so the run is
-            byte-identical to one on a freshly-built network — and
-            ``parameters`` (if also given) must equal the snapshot's own.
-            Incompatible with ``churn``/``relay``, which rewrite the network
-            parameters before the build.
 
     Raises:
-        ValueError: for an unknown policy name, or a ``snapshot`` combined
-            with ``churn``/``relay`` or mismatched ``parameters``.
+        ValueError: for an unknown policy name.
     """
     validate_policy_name(policy_name)
-    if snapshot is not None:
-        if churn is not None or relay is not None:
-            raise ValueError(
-                "snapshot reuse supports static flood scenarios only; "
-                "churn/relay overrides change NetworkParameters before the build"
-            )
-        simulated = load_network(snapshot)
-        if parameters is not None and parameters != simulated.parameters:
-            raise ValueError(
-                "snapshot was built with different NetworkParameters; "
-                "rebuild the snapshot or drop the parameters argument"
-            )
-        policy = build_policy(
-            policy_name,
-            simulated,
-            latency_threshold_s=latency_threshold_s,
-            max_outbound=max_outbound,
-        )
-        report = policy.build_topology()
-        return Scenario(
-            name=policy_name,
-            network=simulated,
-            policy=policy,
-            build_report=report,
-        )
     params = parameters if parameters is not None else NetworkParameters()
     if relay is not None:
         validate_relay_name(relay)

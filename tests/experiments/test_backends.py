@@ -13,8 +13,6 @@ from __future__ import annotations
 import gc
 import pickle
 import weakref
-from dataclasses import dataclass
-from typing import Optional
 
 import pytest
 
@@ -37,8 +35,6 @@ from repro.experiments.checkpoint import (
 from repro.experiments import checkpoint
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.runner import PropagationJob
-from repro.workloads import network_gen
-from repro.workloads.network_gen import NetworkParameters, ensure_network_snapshot
 
 
 def _double(value: int) -> int:
@@ -63,13 +59,16 @@ class TestPoolBackend:
 
     def test_streams_results_in_submission_order(self):
         emitted = []
-        results = PoolBackend(workers=4, chunksize=2).run(
-            _double, list(range(21)), lambda i, r: emitted.append((i, r))
+        # 35 jobs on 4 workers: adaptive chunks of two jobs, and a short last
+        # chunk.
+        assert adaptive_chunksize(35, 4) == 2
+        results = PoolBackend(workers=4).run(
+            _double, list(range(35)), lambda i, r: emitted.append((i, r))
         )
         # on_result must fire for every cell, strictly in submission order,
         # regardless of which worker finished first.
-        assert emitted == [(i, 2 * i) for i in range(21)]
-        assert results == [2 * i for i in range(21)]
+        assert emitted == [(i, 2 * i) for i in range(35)]
+        assert results == [2 * i for i in range(35)]
 
     def test_streams_with_the_adaptive_chunksize(self):
         emitted = []
@@ -129,7 +128,6 @@ def _propagation_job(**overrides) -> PropagationJob:
         threshold_s=0.05,
         seed=3,
         config=ExperimentConfig(node_count=80, workers=1),
-        snapshot_path=None,
     )
     fields.update(overrides)
     return PropagationJob(**fields)
@@ -144,9 +142,7 @@ class TestCellKey:
     def test_execution_knobs_do_not_change_the_key(self):
         base = _propagation_job()
         more_workers = _propagation_job(config=ExperimentConfig(node_count=80, workers=8))
-        snapshotted = _propagation_job(snapshot_path="/tmp/some/where.pkl")
         assert cell_key("fig3", base) == cell_key("fig3", more_workers)
-        assert cell_key("fig3", base) == cell_key("fig3", snapshotted)
 
     def test_schema_version_is_part_of_the_key(self, monkeypatch):
         # Bumping the version must orphan every stored cell: a store written
@@ -167,8 +163,7 @@ class TestCellKey:
         assert cell_key("fig3", base) != cell_key("fig4", base)
 
     def test_canonical_job_strips_execution_fields(self):
-        data = canonical_job(_propagation_job(snapshot_path="/tmp/x.pkl"))
-        assert "snapshot_path" not in data
+        data = canonical_job(_propagation_job())
         assert "workers" not in data["config"]
         assert data["config"]["node_count"] == 80
 
@@ -384,29 +379,6 @@ def _fail_on_zero(value: int) -> int:
     return 10 // value
 
 
-@dataclass(frozen=True)
-class _WarmJob:
-    """A snapshot-backed cell, or (no path) a probe run in the worker itself."""
-
-    snapshot_path: Optional[str] = None
-
-
-#: Weak references to the networks a worker's warm cache held at a probe.
-_WATCHED: list = []
-
-
-def _watch_warm_cache(job: _WarmJob) -> int:
-    """Probe: watch the networks the warm cache holds now, then count every
-    network watched so far that is still alive."""
-    if job.snapshot_path is not None:
-        return -1
-    # The cached wrapper is acyclic; its P2PNetwork sits in the node cycle.
-    _WATCHED.extend(
-        weakref.ref(cached.network) for cached in network_gen._SNAPSHOT_CACHE.values()
-    )
-    return sum(ref() is not None for ref in _WATCHED)
-
-
 @pytest.fixture
 def automatic_gc_restored():
     """Undo the ``gc.disable()`` a job ran in this process."""
@@ -433,8 +405,10 @@ class TestJobBoundaryRelease:
         assert gc.get_freeze_count() == 0
 
     def test_pool_worker_jobs_start_released(self, automatic_gc_restored):
-        # Two chunks of three: every worker runs several jobs back to back.
-        seen = PoolBackend(workers=2, chunksize=3).run(_leave_cyclic_garbage, range(6))
+        # 16 jobs on 2 workers: adaptive chunks of two, so every worker runs
+        # several jobs back to back.
+        assert adaptive_chunksize(16, 2) == 2
+        seen = PoolBackend(workers=2).run(_leave_cyclic_garbage, range(16))
         self._assert_released(seen)
 
     def test_run_cells_leaves_nothing_frozen(self, automatic_gc_restored):
@@ -444,16 +418,3 @@ class TestJobBoundaryRelease:
         with pytest.raises(ZeroDivisionError):
             ExecutionPlan().run_cells(_fail_on_zero, [1, 0, 2], CONFIG)
         assert gc.get_freeze_count() == 0
-
-    def test_evicted_warm_snapshot_is_freed(self, tmp_path, monkeypatch):
-        # One warm entry: loading the second snapshot evicts the first, which
-        # the boundaries in between froze; the next boundary must free it.
-        monkeypatch.setenv("REPRO_WARM_SNAPSHOTS", "1")
-        first, second = (
-            str(ensure_network_snapshot(NetworkParameters(node_count=20, seed=seed), tmp_path))
-            for seed in (4, 5)
-        )
-        jobs = [_WarmJob(first), _WarmJob(), _WarmJob(second), _WarmJob()]
-        # One chunk: a single worker runs all four jobs in order.
-        seen = PoolBackend(workers=2, chunksize=len(jobs)).run(_watch_warm_cache, jobs)
-        assert seen == [-1, 1, -1, 1]

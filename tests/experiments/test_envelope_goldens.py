@@ -29,6 +29,7 @@ comparison.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 
@@ -158,8 +159,9 @@ RESULT_DIGESTS = {
 }
 
 
+@functools.lru_cache(maxsize=None)
 def golden_run(name: str, workers: int):
-    """One experiment's golden run at ``workers`` workers."""
+    """One experiment's golden run at ``workers`` workers (run once per file)."""
     config, options = CASES[name]
     return run_experiment(name, config.with_overrides(workers=workers), dict(options))
 
@@ -240,3 +242,17 @@ def test_envelope_matches_golden(name, workers):
     result = golden_run(name, workers)
     assert result_digest(result) == RESULT_DIGESTS[name]
     assert golden_digest(result) == GOLDEN_DIGESTS[name]
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_payload_is_worker_invariant(name):
+    """The native payloads of the one- and two-worker runs compare equal.
+
+    Scale records wall times and RSS, so its cells compare by the counters
+    its golden digests.
+    """
+    serial, parallel = golden_run(name, 1), golden_run(name, 2)
+    if name == "scale":
+        assert _scale_cell_digest(serial) == _scale_cell_digest(parallel)
+    else:
+        assert serial.payload == parallel.payload

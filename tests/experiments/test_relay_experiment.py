@@ -89,10 +89,7 @@ class TestRelayComparisonExperiment:
                       txs_per_block=2)
         serial = run_relay_comparison(SMALL.with_overrides(workers=1), **kwargs)
         parallel = run_relay_comparison(SMALL.with_overrides(workers=2), **kwargs)
-        for key in serial:
-            assert serial[key].delays.samples == parallel[key].delays.samples
-            assert serial[key].total("messages") == parallel[key].total("messages")
-            assert serial[key].total("bytes") == parallel[key].total("bytes")
+        assert serial == parallel
 
     def test_envelope_and_verdicts(self):
         run = run_experiment(

@@ -1,15 +1,13 @@
-"""Tests for the scale plane: snapshots, snapshot-backed golden runs, Ext-8.
+"""Tests for the scale plane: network snapshots and Ext-8.
 
-Two contracts gate the tentpole changes here:
+Two contracts are checked here:
 
 * **snapshot stream-exactness** — build→save→load→run must be byte-identical
-  to build→run, so the snapshot-backed Fig. 3 comparison reproduces the same
-  golden fingerprints as the rebuild-per-job path, for any worker count;
+  to build→run, and a save is atomic and refuses a busy network;
 * **the scale experiment itself** — jobs are picklable, cells complete, and
   the envelope carries the nodes-vs-resource curves.
 """
 
-import hashlib
 import math
 import pickle
 import resource
@@ -19,7 +17,6 @@ import pytest
 
 from repro.experiments.api import get_experiment, run_experiment
 from repro.experiments.config import ExperimentConfig
-from repro.experiments.runner import run_protocol_comparison
 from repro.experiments.scale import (
     DEFAULT_PRUNE_DEPTH,
     SCALE_PROTOCOLS,
@@ -27,24 +24,15 @@ from repro.experiments.scale import (
     collect_samples,
     default_ladder,
     run_scale,
-    scale_parameters,
 )
 from repro.workloads import network_gen
 from repro.workloads.network_gen import (
     NetworkParameters,
     build_network,
-    ensure_network_snapshot,
     load_network,
     save_network,
-    snapshot_filename,
 )
-from repro.workloads.scenarios import build_scenario
-
-from tests.experiments.test_relay_experiment import (
-    GOLDEN_CONFIG,
-    GOLDEN_FIG3_DIGESTS,
-    _digest,
-)
+from repro.workloads.scenarios import build_policy, build_scenario
 
 SMALL = ExperimentConfig(
     node_count=30, runs=1, seeds=(3,), measuring_nodes=1, run_timeout_s=30.0
@@ -53,21 +41,20 @@ SMALL = ExperimentConfig(
 
 class TestSnapshotRoundTrip:
     def test_load_reproduces_build_exactly(self, tmp_path):
-        """build→save→load→policy→campaign ≡ build→policy→campaign."""
+        """build→save→load→policy ≡ build→policy."""
         parameters = NetworkParameters(node_count=30, seed=9)
         path = save_network(build_network(parameters), tmp_path / "net.pkl")
 
         fresh = build_scenario("bcbpt", parameters, latency_threshold_s=0.025)
-        loaded = build_scenario(
-            "bcbpt", latency_threshold_s=0.025, snapshot=path
-        )
-        assert loaded.network.parameters == fresh.network.parameters
-        assert loaded.build_report == fresh.build_report
-        edges = lambda scenario: sorted(
+        loaded = load_network(path)
+        report = build_policy("bcbpt", loaded, latency_threshold_s=0.025).build_topology()
+        assert loaded.parameters == fresh.network.parameters
+        assert report == fresh.build_report
+        edges = lambda simulated: sorted(
             (link.node_a, link.node_b, link.is_cluster_link, link.is_long_link)
-            for link in scenario.network.network.topology.links()
+            for link in simulated.network.topology.links()
         )
-        assert edges(loaded) == edges(fresh)
+        assert edges(loaded) == edges(fresh.network)
 
     def test_concurrent_writers_of_one_snapshot_do_not_collide(self, tmp_path, monkeypatch):
         """A second save of the same snapshot, made while the first is still
@@ -118,58 +105,6 @@ class TestSnapshotRoundTrip:
         with pytest.raises(TypeError):
             load_network(path)
 
-    def test_snapshot_filename_changes_with_format_version(self, monkeypatch):
-        """A snapshot written under another object layout is never loaded."""
-        parameters = NetworkParameters(node_count=20, seed=4)
-        current = snapshot_filename(parameters)
-        unversioned = hashlib.sha256(repr(parameters).encode()).hexdigest()[:12]
-        assert unversioned not in current
-        monkeypatch.setattr(network_gen, "SNAPSHOT_FORMAT", network_gen.SNAPSHOT_FORMAT + 1)
-        assert snapshot_filename(parameters) != current
-
-    def test_ensure_snapshot_caches_by_parameters(self, tmp_path):
-        parameters = NetworkParameters(node_count=20, seed=4)
-        first = ensure_network_snapshot(parameters, tmp_path)
-        stamp = first.stat().st_mtime_ns
-        second = ensure_network_snapshot(parameters, tmp_path)
-        assert second == first
-        assert second.stat().st_mtime_ns == stamp  # reused, not rebuilt
-        other = ensure_network_snapshot(
-            NetworkParameters(node_count=20, seed=5), tmp_path
-        )
-        assert other != first
-
-    def test_scenario_rejects_mismatched_parameters(self, tmp_path):
-        path = ensure_network_snapshot(NetworkParameters(node_count=20, seed=4), tmp_path)
-        with pytest.raises(ValueError, match="different NetworkParameters"):
-            build_scenario(
-                "bitcoin", NetworkParameters(node_count=20, seed=5), snapshot=path
-            )
-
-    def test_scenario_rejects_dynamic_overrides(self, tmp_path):
-        from repro.workloads.scenarios import ChurnSchedule
-
-        path = ensure_network_snapshot(NetworkParameters(node_count=20, seed=4), tmp_path)
-        with pytest.raises(ValueError, match="static flood"):
-            build_scenario("bitcoin", snapshot=path, churn=ChurnSchedule())
-
-
-class TestSnapshotGoldenFingerprints:
-    @pytest.mark.parametrize("workers", [1, 2])
-    def test_snapshot_backed_fig3_matches_golden_digests(self, workers, tmp_path):
-        """THE gate: the snapshot-reuse path must reproduce the pre-snapshot
-        Δt streams byte-for-byte, serial and fan-out alike."""
-        results = run_protocol_comparison(
-            ("bitcoin", "lbc", "bcbpt"),
-            GOLDEN_CONFIG.with_overrides(workers=workers),
-            snapshot_dir=tmp_path,
-        )
-        for name, expected in GOLDEN_FIG3_DIGESTS.items():
-            assert _digest(results[name].delays.samples) == expected, (
-                f"{name} (workers={workers}, snapshot-backed) diverged from the "
-                "golden baseline"
-            )
-
 
 class TestScaleExperiment:
     def test_registered_with_spec(self):
@@ -189,8 +124,7 @@ class TestScaleExperiment:
     def test_scale_job_is_picklable(self):
         job = ScaleJob(
             node_count=100, protocol="bcbpt", seed=3,
-            prune_depth=6, cell_runs=1, profile_memory=True,
-            snapshot_path="/tmp/x.pkl", config=SMALL,
+            prune_depth=6, cell_runs=1, profile_memory=True, config=SMALL,
         )
         assert pickle.loads(pickle.dumps(job)) == job
 
@@ -280,13 +214,3 @@ class TestScaleExperiment:
             run_scale(SMALL, node_counts=(20,), prune_depth=-1)
         with pytest.raises(ValueError, match="unknown policy"):
             run_scale(SMALL, node_counts=(20,), protocols=("bitcion",))
-
-    def test_scale_parameters_shared_cache_key(self):
-        # Driver and worker must agree bit-for-bit on the snapshot filename.
-        a = scale_parameters(100, 3, 6)
-        b = scale_parameters(100, 3, 6)
-        assert repr(a) == repr(b)
-        assert (
-            hashlib.sha256(repr(a).encode()).hexdigest()
-            == hashlib.sha256(repr(b).encode()).hexdigest()
-        )

@@ -103,8 +103,8 @@ class TestCrawler:
         report = crawler.crawl(ping_samples=500)
         assert report.reachable_nodes == 30
         assert report.ping_samples == 500
-        assert len(report.rtt_distribution) == 500
-        assert min(report.rtt_distribution.samples) > 0
+        assert len(report.rtt_samples) == 500
+        assert min(report.rtt_samples) > 0
 
     def test_intra_region_faster_than_inter_region(self, small_network):
         crawler = NetworkCrawler(small_network.network, small_network.simulator.random.stream("c"))
