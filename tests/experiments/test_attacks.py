@@ -10,6 +10,9 @@ The satellites of the adversary-plane PR, in one place:
   ``ExperimentResult.from_json(result.to_json())`` untouched, which requires
   that no NaN ever reaches the summaries (unmeasured quantities are simply
   omitted).
+* **The surface pin** — the ``eclipse/<protocol>`` and
+  ``partition/<protocol>`` summaries of all three protocols hold one digest
+  at one and two workers.
 * **Deterministic victim selection** — ``_pick_victim`` is a pure function
   of the built topology, so eclipse cells aim at the same node on every
   rebuild of the same seed.
@@ -23,6 +26,7 @@ The satellites of the adversary-plane PR, in one place:
 from __future__ import annotations
 
 import hashlib
+import json
 import math
 
 import pytest
@@ -169,6 +173,37 @@ class TestEnvelope:
         # Every sample series belongs to the cell whose summary has its label
         # (the static eclipse surface's summary is ``eclipse/<protocol>``).
         assert labels <= set(attacks_result.summaries)
+
+
+#: The eclipse-exposure and partition-cost summaries of every protocol at 40
+#: nodes, seeds 3 and 11, with the eclipse campaign next to the baseline.
+SURFACE_CONFIG = ExperimentConfig(
+    node_count=40, runs=1, seeds=(3, 11), measuring_nodes=1, run_timeout_s=30.0
+)
+SURFACE_OPTIONS = {"attacks": ("eclipse",), "attack_blocks": 1}
+
+#: sha256 of those summaries' canonical JSON, captured on commit dcef39b,
+#: where separate topology-only jobs produced them.
+SURFACE_DIGEST = "edc497b851eef3a4fb367a6f10a5122042f8ba3441595203b840583bfb8fa42e"
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_eclipse_and_partition_surfaces_match_their_pin(workers):
+    result = run_experiment(
+        "attacks", SURFACE_CONFIG.with_overrides(workers=workers), dict(SURFACE_OPTIONS)
+    )
+    surfaces = {
+        label: summary
+        for label, summary in result.summaries.items()
+        if label.split("/")[0] in ("eclipse", "partition")
+    }
+    assert sorted(surfaces) == sorted(
+        f"{surface}/{protocol}"
+        for surface in ("eclipse", "partition")
+        for protocol in ("bitcoin", "lbc", "bcbpt")
+    )
+    encoded = json.dumps(surfaces, sort_keys=True).encode()
+    assert hashlib.sha256(encoded).hexdigest() == SURFACE_DIGEST
 
 
 class TestVictimSelection:
