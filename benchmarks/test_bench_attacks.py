@@ -1,4 +1,4 @@
-"""Ext-3 benchmark — attack susceptibility, static surfaces and dynamic outcomes.
+"""Ext-3 benchmark — attack susceptibility, dynamic outcomes and exposed surfaces.
 
 The figure-scale benchmarks are marked ``slow``; the quick-lane guard at the
 bottom runs in the ``-m "not slow"`` lane and pins the adversary plane's
@@ -35,11 +35,13 @@ def attacks_run(quick_config):
 
 @pytest.fixture(scope="module")
 def eclipse_results(attacks_run):
+    # Read by the eclipse cells, which the default sweep runs.
     return attacks_run.payload.eclipse
 
 
 @pytest.fixture(scope="module")
 def partition_results(attacks_run):
+    # Read by the honest baseline cells.
     return attacks_run.payload.partition
 
 

@@ -49,6 +49,7 @@ def main() -> int:
     print()
     print(render_report(doublespend))
 
+    # The default sweep runs the eclipse campaign; its cells read the exposure.
     by_name = {r.protocol: r for r in attacks.payload.eclipse}
     print()
     print("Trade-off summary:")

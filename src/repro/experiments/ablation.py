@@ -12,6 +12,10 @@ methodology as the main figures:
   outside cluster".  Varying that count (0, 2, 5 per node) shows the
   trade-off between intra-cluster delay (unaffected) and the overlay's
   inter-cluster connectivity (hop count / partition resilience).
+
+The registered experiment runs both as one grid: verify-then-relay is BCBPT
+with two long links per node, so four (verification, long-link count) cells
+per seed carry the five labels.
 """
 
 from __future__ import annotations
@@ -73,9 +77,8 @@ def build_ablation_scenario(
 
 @dataclass(frozen=True)
 class AblationJob:
-    """One (variant, seed) BCBPT ablation measurement."""
+    """One (verification, long-link count, seed) BCBPT ablation measurement."""
 
-    variant: str
     seed: int
     verification_enabled: bool
     long_links_per_node: int
@@ -84,9 +87,8 @@ class AblationJob:
 
 @dataclass(frozen=True)
 class AblationJobResult:
-    """Per-(variant, seed) measurements merged by the ablation driver."""
+    """Per-(knobs, seed) measurements merged by the ablation driver."""
 
-    variant: str
     seed: int
     campaign: Campaign
     average_degree: float
@@ -106,7 +108,6 @@ def run_ablation_job(job: AblationJob) -> AblationJobResult:
     average_path_length = topology.average_shortest_path_length()
     campaign = measure_propagation(scenario, job.config)
     return AblationJobResult(
-        variant=job.variant,
         seed=job.seed,
         campaign=campaign,
         average_degree=average_degree,
@@ -114,29 +115,45 @@ def run_ablation_job(job: AblationJob) -> AblationJobResult:
     )
 
 
-def _measure_variants(
-    cfg: ExperimentConfig, variants: Sequence[tuple[str, dict[str, object]]]
-) -> list[AblationPoint]:
-    """Measure several ablation variants, fanning (variant, seed) jobs out.
+#: A labelled variant: (label, verification_enabled, long_links_per_node).
+Variant = tuple[str, bool, int]
 
-    The shared seed-grid executor regroups in submission order, so results
-    are identical for every worker count.
+#: BCBPT with per-hop verification delay charged vs pipelined (skipped).
+VERIFICATION_VARIANTS: tuple[Variant, ...] = (
+    ("verify-then-relay", True, 2),
+    ("pipelined-relay", False, 2),
+)
+
+
+def _long_link_variants(counts: Sequence[int]) -> list[Variant]:
+    """BCBPT with each of ``counts`` long-distance links per node."""
+    return [(f"long-links={count}", True, count) for count in counts]
+
+
+def _measure_variants(cfg: ExperimentConfig, variants: Sequence[Variant]) -> list[AblationPoint]:
+    """Measure labelled variants, fanning (knobs, seed) jobs out.
+
+    Variants with the same knobs share one grid point, so each distinct
+    (verification, long-link count) pair runs once per seed.  The shared
+    seed-grid executor regroups in submission order, so results are
+    identical for every worker count.
     """
+    knobs = list(dict.fromkeys((verify, links) for _, verify, links in variants))
 
-    def make_job(variant_knobs: tuple[str, dict[str, object]], seed: int) -> AblationJob:
-        variant, knobs = variant_knobs
+    def make_job(point: tuple[bool, int], seed: int) -> AblationJob:
+        verification_enabled, long_links_per_node = point
         return AblationJob(
-            variant=variant,
             seed=seed,
-            verification_enabled=bool(knobs.get("verification_enabled", True)),
-            long_links_per_node=int(knobs.get("long_links_per_node", 2)),
+            verification_enabled=verification_enabled,
+            long_links_per_node=long_links_per_node,
             config=cfg,
         )
 
-    grid = run_seed_grid(variants, make_job, run_ablation_job, cfg)
+    measured = dict(run_seed_grid(knobs, make_job, run_ablation_job, cfg))
 
     points: list[AblationPoint] = []
-    for (variant, _), seed_results in grid:
+    for variant, verify, links in variants:
+        seed_results = measured[(verify, links)]
         stats = summarize_values(
             [delay for r in seed_results for delay in r.campaign.delays]
         )
@@ -169,13 +186,7 @@ class AblationOutcome:
 def run_verification_ablation(config: Optional[ExperimentConfig] = None) -> list[AblationPoint]:
     """BCBPT with per-hop verification delay charged vs pipelined (skipped)."""
     cfg = config if config is not None else ExperimentConfig()
-    return _measure_variants(
-        cfg,
-        [
-            ("verify-then-relay", {"verification_enabled": True}),
-            ("pipelined-relay", {"verification_enabled": False}),
-        ],
-    )
+    return _measure_variants(cfg, VERIFICATION_VARIANTS)
 
 
 def run_long_link_ablation(
@@ -184,10 +195,7 @@ def run_long_link_ablation(
 ) -> list[AblationPoint]:
     """BCBPT with different numbers of long-distance links per node."""
     cfg = config if config is not None else ExperimentConfig()
-    return _measure_variants(
-        cfg,
-        [(f"long-links={count}", {"long_links_per_node": count}) for count in counts],
-    )
+    return _measure_variants(cfg, _long_link_variants(counts))
 
 
 def summarize(outcome: AblationOutcome) -> dict[str, dict[str, float]]:
@@ -211,8 +219,12 @@ def summarize(outcome: AblationOutcome) -> dict[str, dict[str, float]]:
     summarize=summarize,
 )
 def run_ablations(config: Optional[ExperimentConfig] = None) -> AblationOutcome:
-    """Run both ablations and return the combined outcome."""
-    return AblationOutcome(
-        verification=run_verification_ablation(config),
-        long_links=run_long_link_ablation(config),
-    )
+    """Run both ablations as one grid and return the combined outcome.
+
+    ``verification/verify-then-relay`` and ``long-links/long-links=2`` name
+    the same knobs, so the grid holds four cells per seed for five labels.
+    """
+    cfg = config if config is not None else ExperimentConfig()
+    verification = len(VERIFICATION_VARIANTS)
+    points = _measure_variants(cfg, [*VERIFICATION_VARIANTS, *_long_link_variants((0, 2, 5))])
+    return AblationOutcome(verification=points[:verification], long_links=points[verification:])

@@ -1,28 +1,13 @@
-"""Ext-3 — attack susceptibility: static surfaces and dynamic adversary outcomes.
+"""Ext-3 — attack susceptibility: dynamic adversary outcomes and exposed surfaces.
 
 Section V.C: "it would seem possible for an attacker to more easily launch
 eclipse attacks by concentrating its bad peers within a small cluster ...
 Similarly, partition attacks seem to have a great potential.  So our future
 work will include evaluation of partition attacks as well as eclipse attacks."
 
-Two *static* surface measurements (the original Ext-3 analyses):
-
-* **Eclipse**: an adversary controls a fraction of the node population and
-  places its nodes in the victim's region (so they are both geographically and
-  latency close to the victim).  After the topology is built we measure what
-  fraction of the victim's connections are adversarial — the quantity that
-  determines whether the victim's view of the network can be controlled.
-* **Partition**: the adversary aims to split a target cluster from the rest of
-  the network by severing inter-cluster links.  We count the links crossing
-  the target cluster's boundary (the attack cost) and check whether removing
-  them actually disconnects the cluster (the attack effect).  For the
-  non-clustered Bitcoin baseline, the "cluster" is the victim's geographic
-  region.
-
-Plus the *dynamic* adversary plane: every attack in
-:data:`DYNAMIC_ATTACKS` is actually run as a full mining/propagation campaign
-against every protocol, next to an honest ``"none"`` baseline cell, and the
-outcome is measured rather than inferred from topology:
+Every attack in :data:`DYNAMIC_ATTACKS` is run as a full mining/propagation
+campaign against every protocol, next to an honest ``"none"`` baseline cell,
+and the outcome is measured rather than inferred from topology:
 
 * ``byzantine`` — a random fraction of nodes accept-and-never-relay
   (:class:`~repro.protocol.adversary.SilentByzantine`); measured as block-Δt
@@ -43,8 +28,22 @@ outcome is measured rather than inferred from topology:
   share α; measured as the attacker's revenue share of the honest best chain
   versus α.
 
+Two kinds of cell also read the surface the paper names off the network they
+built, before anything in it moves:
+
+* **Eclipse exposure** (``eclipse/<protocol>``): each eclipse cell, right
+  after its adversaries are installed and before churn starts, counts the
+  victim's connections and how many of them the adversary holds — the
+  quantity that decides whether the victim's view of the network can be
+  controlled.  Stored whenever the eclipse campaign runs.
+* **Partition cost** (``partition/<protocol>``): each honest baseline cell,
+  right after its build, counts the links crossing the target group's
+  boundary (the attack cost) and checks whether removing them disconnects
+  the group (the attack effect).  The group is the largest cluster, or for
+  the non-clustered Bitcoin baseline the most common geographic region.
+
 Each (attack, protocol, seed) cell is one independent simulation fanned out
-over :func:`~repro.experiments.grid.run_seed_grid`, so the dynamic plane
+over one :func:`~repro.experiments.grid.run_seed_grid`, so the experiment
 inherits ``--workers`` fan-out, checkpoint/resume and sharding, and all
 aggregates are worker-count invariant.  Adversary randomness lives on the
 named streams ``"adversary-selection"`` / ``"adversary-behavior"`` /
@@ -60,7 +59,7 @@ Run via ``python -m repro.experiments run attacks [--attacks ...]``.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from typing import Optional, Sequence
 
 from repro.analysis.samples import SampleLog
@@ -97,7 +96,11 @@ DYNAMIC_ATTACKS = ("byzantine", "representatives", "delay", "eclipse", "selfish"
 
 @dataclass(frozen=True)
 class EclipseResult:
-    """Outcome of one eclipse scenario."""
+    """The victim's connections and how many of them the adversary holds.
+
+    An eclipse cell records one for its seed; a protocol's result sums the
+    counts of its cells.
+    """
 
     protocol: str
     adversary_fraction: float
@@ -114,7 +117,13 @@ class EclipseResult:
 
 @dataclass(frozen=True)
 class PartitionResult:
-    """Outcome of one partition scenario."""
+    """What cutting the target group off the overlay costs, and whether it works.
+
+    An honest baseline cell records one for its seed; a protocol's result
+    floor-divides the summed counts by the seed count, averages the largest
+    component's share, and counts the partition achieved if any seed
+    achieved it.
+    """
 
     protocol: str
     target_group_size: int
@@ -129,48 +138,6 @@ class PartitionResult:
         if self.total_links == 0:
             return 0.0
         return self.boundary_links / self.total_links
-
-
-@dataclass(frozen=True)
-class EclipseJob:
-    """One (protocol, seed) eclipse-exposure measurement."""
-
-    protocol: str
-    seed: int
-    adversary_fraction: float
-    config: ExperimentConfig
-
-
-@dataclass(frozen=True)
-class EclipseJobResult:
-    """Per-(protocol, seed) eclipse counters merged by the attacks driver."""
-
-    protocol: str
-    seed: int
-    victim_connection_count: int
-    adversarial_connection_count: int
-
-
-@dataclass(frozen=True)
-class PartitionJob:
-    """One (protocol, seed) partition-cost measurement."""
-
-    protocol: str
-    seed: int
-    config: ExperimentConfig
-
-
-@dataclass(frozen=True)
-class PartitionJobResult:
-    """Per-(protocol, seed) partition counters merged by the attacks driver."""
-
-    protocol: str
-    seed: int
-    target_group_size: int
-    boundary_links: int
-    total_links: int
-    partition_achieved: bool
-    largest_component_fraction: float
 
 
 @dataclass(frozen=True)
@@ -218,6 +185,11 @@ class AttackJobResult:
             state-machine counters.
         revenue_share: attacker revenue share (None when the cell has no
             selfish miner or no mined blocks landed).
+        eclipse_exposure: an eclipse cell's victim connections, read after
+            the adversary is installed and before churn starts (None in
+            other cells).
+        partition_cost: an honest baseline cell's partition cost, read right
+            after its build (None in other cells).
     """
 
     attack: str
@@ -232,6 +204,8 @@ class AttackJobResult:
     blocks_released: int
     races_started: int
     revenue_share: Optional[float]
+    eclipse_exposure: Optional[EclipseResult]
+    partition_cost: Optional[PartitionResult]
 
 
 @dataclass(frozen=True)
@@ -325,14 +299,50 @@ class DynamicAttackResult:
         }
         return {key: value for key, value in summary.items() if not math.isnan(value)}
 
+    def eclipse_exposure(self) -> EclipseResult:
+        """An eclipse cell's exposure, its counts summed across seeds."""
+        records = [cell.eclipse_exposure for cell in self.cells]
+        return EclipseResult(
+            protocol=self.protocol,
+            adversary_fraction=records[0].adversary_fraction,
+            victim_connection_count=sum(r.victim_connection_count for r in records),
+            adversarial_connection_count=sum(r.adversarial_connection_count for r in records),
+        )
+
+    def partition_cost(self) -> PartitionResult:
+        """A baseline cell's partition cost, averaged across seeds."""
+        records = [cell.partition_cost for cell in self.cells]
+        count = len(records)
+        return PartitionResult(
+            protocol=self.protocol,
+            target_group_size=sum(r.target_group_size for r in records) // count,
+            boundary_links=sum(r.boundary_links for r in records) // count,
+            total_links=sum(r.total_links for r in records) // count,
+            partition_achieved=any(r.partition_achieved for r in records),
+            largest_component_fraction=sum(r.largest_component_fraction for r in records)
+            / count,
+        )
+
 
 @dataclass(frozen=True)
 class AttackOutcome:
-    """The combined payload of the registered ``attacks`` experiment."""
+    """The payload of the registered ``attacks`` experiment: its one grid.
 
-    eclipse: list[EclipseResult]
-    partition: list[PartitionResult]
-    dynamic: dict[str, DynamicAttackResult] = field(default_factory=dict)
+    The eclipse and partition surfaces are read off the cells that built
+    the networks they describe, in protocol order.
+    """
+
+    dynamic: dict[str, DynamicAttackResult]
+
+    @property
+    def eclipse(self) -> list[EclipseResult]:
+        """Eclipse exposure per protocol (empty unless the eclipse campaign ran)."""
+        return [r.eclipse_exposure() for r in self.dynamic.values() if r.attack == "eclipse"]
+
+    @property
+    def partition(self) -> list[PartitionResult]:
+        """Partition cost per protocol, from the honest baseline cells."""
+        return [r.partition_cost() for r in self.dynamic.values() if r.attack == "none"]
 
 
 def _pick_victim(scenario: Scenario) -> int:
@@ -343,137 +353,6 @@ def _pick_victim(scenario: Scenario) -> int:
         by_region.setdefault(simulated.node(node_id).position.region, []).append(node_id)
     region = max(by_region, key=lambda r: len(by_region[r]))
     return min(by_region[region])
-
-
-def run_eclipse_seed(job: EclipseJob) -> EclipseJobResult:
-    """Measure one (protocol, seed) eclipse exposure — the process-pool entry point."""
-    cfg = job.config
-    scenario = build_scenario(
-        job.protocol,
-        NetworkParameters(node_count=cfg.node_count, seed=job.seed),
-        latency_threshold_s=cfg.latency_threshold_s,
-        max_outbound=cfg.max_outbound,
-    )
-    network = scenario.network.network
-    victim = _pick_victim(scenario)
-    others = [n for n in scenario.network.node_ids() if n != victim]
-    others.sort(key=lambda peer: network.base_rtt(victim, peer))
-    adversary_count = max(1, int(job.adversary_fraction * cfg.node_count))
-    adversary_nodes = set(others[:adversary_count])
-    neighbors = network.neighbors(victim)
-    return EclipseJobResult(
-        protocol=job.protocol,
-        seed=job.seed,
-        victim_connection_count=len(neighbors),
-        adversarial_connection_count=sum(1 for peer in neighbors if peer in adversary_nodes),
-    )
-
-
-def run_eclipse(
-    config: Optional[ExperimentConfig] = None,
-    *,
-    adversary_fraction: float = 0.15,
-    protocols: Sequence[str] = ATTACK_PROTOCOLS,
-) -> list[EclipseResult]:
-    """Measure the adversarial share of the victim's connections per protocol.
-
-    The adversary's nodes are the ``adversary_fraction`` of nodes nearest (in
-    latency) to the victim, modelling an attacker that deliberately provisions
-    peers close to its target — the strategy the paper warns about.  Each
-    (protocol, seed) build fans out over the shared seed-grid executor.
-    """
-    if not 0 < adversary_fraction < 1:
-        raise ValueError("adversary_fraction must be in (0, 1)")
-    cfg = config if config is not None else ExperimentConfig()
-
-    def make_job(protocol: str, seed: int) -> EclipseJob:
-        return EclipseJob(
-            protocol=protocol,
-            seed=seed,
-            adversary_fraction=adversary_fraction,
-            config=cfg,
-        )
-
-    grid = run_seed_grid(protocols, make_job, run_eclipse_seed, cfg)
-    return [
-        EclipseResult(
-            protocol=protocol,
-            adversary_fraction=adversary_fraction,
-            victim_connection_count=sum(r.victim_connection_count for r in seed_results),
-            adversarial_connection_count=sum(
-                r.adversarial_connection_count for r in seed_results
-            ),
-        )
-        for protocol, seed_results in grid
-    ]
-
-
-def run_partition_seed(job: PartitionJob) -> PartitionJobResult:
-    """Measure one (protocol, seed) partition cost — the process-pool entry point."""
-    cfg = job.config
-    scenario = build_scenario(
-        job.protocol,
-        NetworkParameters(node_count=cfg.node_count, seed=job.seed),
-        latency_threshold_s=cfg.latency_threshold_s,
-        max_outbound=cfg.max_outbound,
-    )
-    topology = scenario.network.network.topology
-    target_group = _target_group(scenario)
-    boundary = [
-        link
-        for link in topology.links()
-        if (link.node_a in target_group) != (link.node_b in target_group)
-    ]
-    attacked = topology.snapshot()
-    for link in boundary:
-        attacked[link.node_a].discard(link.node_b)
-        attacked[link.node_b].discard(link.node_a)
-    components = connected_components(attacked)
-    achieved = any(c == target_group for c in components) or len(components) > 1
-    largest = max((len(c) for c in components), default=0)
-    return PartitionJobResult(
-        protocol=job.protocol,
-        seed=job.seed,
-        target_group_size=len(target_group),
-        boundary_links=len(boundary),
-        total_links=topology.link_count,
-        partition_achieved=achieved,
-        largest_component_fraction=largest / max(1, len(attacked)),
-    )
-
-
-def run_partition(
-    config: Optional[ExperimentConfig] = None,
-    *,
-    protocols: Sequence[str] = ATTACK_PROTOCOLS,
-) -> list[PartitionResult]:
-    """Measure how cheaply an adversary can cut a target group off the network.
-
-    Each (protocol, seed) build fans out over the shared seed-grid executor.
-    """
-    cfg = config if config is not None else ExperimentConfig()
-
-    def make_job(protocol: str, seed: int) -> PartitionJob:
-        return PartitionJob(protocol=protocol, seed=seed, config=cfg)
-
-    grid = run_seed_grid(protocols, make_job, run_partition_seed, cfg)
-    results: list[PartitionResult] = []
-    for protocol, seed_results in grid:
-        count = len(seed_results)
-        results.append(
-            PartitionResult(
-                protocol=protocol,
-                target_group_size=sum(r.target_group_size for r in seed_results) // count,
-                boundary_links=sum(r.boundary_links for r in seed_results) // count,
-                total_links=sum(r.total_links for r in seed_results) // count,
-                partition_achieved=any(r.partition_achieved for r in seed_results),
-                largest_component_fraction=sum(
-                    r.largest_component_fraction for r in seed_results
-                )
-                / count,
-            )
-        )
-    return results
 
 
 def _target_group(scenario: Scenario) -> set[int]:
@@ -493,7 +372,32 @@ def _target_group(scenario: Scenario) -> set[int]:
     return max(by_region.values(), key=len)
 
 
-# -------------------------------------------------- dynamic adversary plane
+def _partition_cost(scenario: Scenario, protocol: str) -> PartitionResult:
+    """Sever every link crossing the target group's boundary and look."""
+    topology = scenario.network.network.topology
+    target_group = _target_group(scenario)
+    boundary = [
+        link
+        for link in topology.links()
+        if (link.node_a in target_group) != (link.node_b in target_group)
+    ]
+    attacked = topology.snapshot()
+    for link in boundary:
+        attacked[link.node_a].discard(link.node_b)
+        attacked[link.node_b].discard(link.node_a)
+    components = connected_components(attacked)
+    achieved = any(c == target_group for c in components) or len(components) > 1
+    largest = max((len(c) for c in components), default=0)
+    return PartitionResult(
+        protocol=protocol,
+        target_group_size=len(target_group),
+        boundary_links=len(boundary),
+        total_links=topology.link_count,
+        partition_achieved=achieved,
+        largest_component_fraction=largest / max(1, len(attacked)),
+    )
+
+
 def run_attack_seed(job: AttackJob) -> AttackJobResult:
     """Execute one (attack, protocol, seed) campaign — process-pool entry point.
 
@@ -501,7 +405,9 @@ def run_attack_seed(job: AttackJob) -> AttackJobResult:
     installs the spec's byzantine behaviours, wires the selfish miner when
     asked, then measures through :func:`~repro.experiments.runner.measure_blocks`
     how each publicly propagated block actually spreads through the corrupted
-    network.
+    network.  A baseline cell first records the partition cost of the
+    network it built, and an eclipse cell the victim's exposure once its
+    adversaries are in place; both only read the topology.
     """
     cfg = job.config
     spec = job.spec
@@ -520,6 +426,7 @@ def run_attack_seed(job: AttackJob) -> AttackJobResult:
         max_outbound=cfg.max_outbound,
         churn=churn,
     )
+    partition = _partition_cost(scenario, job.protocol) if spec.kind == "none" else None
     simulated = scenario.network
     network = simulated.network
     simulator = simulated.simulator
@@ -536,6 +443,16 @@ def run_attack_seed(job: AttackJob) -> AttackJobResult:
         protected=(focal,),
     )
     corrupted = set(byzantine)
+    eclipse = None
+    if spec.kind == "eclipse":
+        # Read before churn moves any of the victim's connections.
+        neighbors = network.neighbors(focal)
+        eclipse = EclipseResult(
+            protocol=job.protocol,
+            adversary_fraction=spec.fraction,
+            victim_connection_count=len(neighbors),
+            adversarial_connection_count=sum(1 for peer in neighbors if peer in corrupted),
+        )
     ids = simulated.node_ids()
 
     # Every node mines.  The baseline and all byzantine cells then consume
@@ -598,6 +515,8 @@ def run_attack_seed(job: AttackJob) -> AttackJobResult:
         blocks_released=blocks_released,
         races_started=races_started,
         revenue_share=revenue,
+        eclipse_exposure=eclipse,
+        partition_cost=partition,
     )
 
 
@@ -811,8 +730,8 @@ def collect_samples(outcome: AttackOutcome) -> SampleLog:
     One ``block_delay_s`` series per (attack/protocol, seed) in seed order,
     plus the per-seed coverage curve — worker-count invariant like every
     other sample capture built on the seed grid.  Each is labelled like the
-    cell's summary, ``dynamic/<attack>/<protocol>``: the static eclipse
-    surface's summary already holds ``eclipse/<protocol>``.
+    cell's summary, ``dynamic/<attack>/<protocol>``: the eclipse exposure's
+    summary already holds ``eclipse/<protocol>``.
     """
     log = SampleLog()
     for key, result in outcome.dynamic.items():
@@ -848,7 +767,8 @@ def collect_samples(outcome: AttackOutcome) -> SampleLog:
             dest="attacks",
             type=str,
             nargs="+",
-            help="dynamic attack campaigns to run next to the honest baseline "
+            help="dynamic attack campaigns to run next to the honest baseline; "
+            "eclipse cells also store the victim's exposure as eclipse/<protocol> "
             "(default: byzantine representatives delay eclipse selfish)",
             convert=tuple,
         ),
@@ -918,12 +838,8 @@ def run_attacks(
     attack_delay_s: float = 0.25,
     selfish_hashpower: float = 0.35,
 ) -> AttackOutcome:
-    """Run the static analyses and the dynamic campaigns; combine the outcome."""
+    """Run the campaigns as one grid; the surfaces come from its cells."""
     return AttackOutcome(
-        eclipse=run_eclipse(
-            config, adversary_fraction=adversary_fraction, protocols=protocols
-        ),
-        partition=run_partition(config, protocols=protocols),
         dynamic=run_dynamic_attacks(
             config,
             attacks=attacks,

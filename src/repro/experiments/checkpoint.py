@@ -55,7 +55,9 @@ from repro.experiments.results import RESULT_SCHEMA_VERSION, json_safe
 #: :class:`~repro.experiments.runner.BlockCampaign` records.
 #: v6: relay_comparison records store ``mean_final_fanout`` None outside
 #: adaptive cells.
-CELL_SCHEMA_VERSION = 6
+#: v7: attacks records carry the eclipse exposure and partition cost their
+#: cells read; ablation job specs and records drop ``variant``.
+CELL_SCHEMA_VERSION = 7
 
 
 def canonical_job(job: Any) -> Any:

@@ -3,8 +3,7 @@
 * :mod:`repro.workloads.network_gen` — builds a complete simulated network
   (engine, geography, latency model, nodes, DNS seed) from a
   :class:`~repro.workloads.network_gen.NetworkParameters` description;
-* :mod:`repro.workloads.generators` — funding helpers and background
-  transaction workload generators;
+* :mod:`repro.workloads.generators` — funding helpers;
 * :mod:`repro.workloads.traffic` — the open-loop traffic plane: load
   schedules (:class:`~repro.workloads.traffic.TrafficProfile`), per-seed fee
   draws, Poisson generation as simulator events and streamed confirmation
@@ -20,7 +19,7 @@ one call that assembles network + policy + relay + churn from names),
 :class:`~repro.workloads.scenarios.ChurnSchedule`.
 """
 
-from repro.workloads.generators import TransactionWorkload, WorkloadConfig, fund_nodes
+from repro.workloads.generators import fund_nodes
 from repro.workloads.network_gen import NetworkParameters, SimulatedNetwork, build_network
 from repro.workloads.traffic import (
     ConfirmationTracker,
@@ -50,8 +49,6 @@ __all__ = [
     "SimulatedNetwork",
     "TrafficModel",
     "TrafficProfile",
-    "TransactionWorkload",
-    "WorkloadConfig",
     "build_network",
     "build_policy",
     "build_scenario",

@@ -1,30 +1,21 @@
-"""Funding helpers and background transaction workloads.
+"""Funding helpers.
 
 The measuring node (and any node that should emit payments) needs confirmed,
 spendable outputs.  :func:`fund_nodes` installs a *funding block* — one block
 at height 1 containing a coinbase output per (node, output) pair — directly on
 every node's chain, standing in for history that would precede the experiment
-in the real network.
-
-:class:`TransactionWorkload` generates background payment traffic: funded
-nodes create and broadcast transactions following a Poisson process, the way
-ordinary wallet activity arrives in the real network.  The fork-rate,
-double-spend and attack experiments all run on top of it.
+in the real network.  Background payment traffic comes from
+:class:`~repro.workloads.traffic.TrafficModel`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Optional, Sequence
-
-import numpy as np
 
 from repro.protocol.block import Block
 from repro.protocol.node import BitcoinNode
 from repro.protocol.transaction import Transaction
 from repro.protocol.utxo import UtxoSet
-from repro.sim.engine import Simulator
-from repro.sim.process import Timeout
 
 
 def fund_nodes(
@@ -113,98 +104,3 @@ def fund_nodes(
         node.blockchain.index.register_checkpoint(funding_block.block_hash, checkpoint)
         node.utxo = view.copy()
     return funding_block
-
-
-@dataclass(frozen=True)
-class WorkloadConfig:
-    """Parameters of the background transaction workload.
-
-    Attributes:
-        transactions_per_second: network-wide mean arrival rate of new payments.
-        payment_satoshi: value of each generated payment.
-        sender_count: how many distinct funded nodes emit payments (a subset
-            keeps wallet management simple); senders are drawn once at start.
-    """
-
-    transactions_per_second: float = 0.5
-    payment_satoshi: int = 5_000
-    sender_count: int = 20
-
-    def __post_init__(self) -> None:
-        if self.transactions_per_second <= 0:
-            raise ValueError("transactions_per_second must be positive")
-        if self.payment_satoshi <= 0:
-            raise ValueError("payment_satoshi must be positive")
-        if self.sender_count <= 0:
-            raise ValueError("sender_count must be positive")
-
-
-class TransactionWorkload:
-    """Poisson background payment traffic between simulated wallets."""
-
-    def __init__(
-        self,
-        simulator: Simulator,
-        nodes: dict[int, BitcoinNode],
-        rng: np.random.Generator,
-        config: Optional[WorkloadConfig] = None,
-    ) -> None:
-        if not nodes:
-            raise ValueError("the workload needs at least one node")
-        self._simulator = simulator
-        self._nodes = nodes
-        self._rng = rng
-        self.config = config if config is not None else WorkloadConfig()
-        self.transactions_created = 0
-        self.failures = 0
-        self._running = False
-        self._senders: list[int] = []
-
-    @property
-    def senders(self) -> list[int]:
-        """Node ids selected as payment senders (empty until started)."""
-        return list(self._senders)
-
-    def start(self) -> None:
-        """Begin generating transactions."""
-        if self._running:
-            raise RuntimeError("the workload is already running")
-        self._running = True
-        candidate_ids = sorted(self._nodes)
-        count = min(self.config.sender_count, len(candidate_ids))
-        picked = self._rng.choice(len(candidate_ids), size=count, replace=False)
-        self._senders = [candidate_ids[int(i)] for i in picked]
-        self._simulator.spawn(self._generate_forever(), name="tx-workload")
-
-    def stop(self) -> None:
-        """Stop after the next scheduled arrival."""
-        self._running = False
-
-    def _generate_forever(self):
-        while self._running:
-            gap = float(self._rng.exponential(1.0 / self.config.transactions_per_second))
-            yield Timeout(max(gap, 1e-6))
-            if not self._running:
-                return
-            self._emit_one()
-
-    def _emit_one(self) -> None:
-        sender_id = self._senders[int(self._rng.integers(len(self._senders)))]
-        sender = self._nodes[sender_id]
-        if sender.network is not None and not sender.network.is_online(sender_id):
-            self.failures += 1
-            return
-        receiver_id = sender_id
-        while receiver_id == sender_id:
-            receiver_id = int(self._rng.integers(len(self._nodes)))
-            receiver_id = sorted(self._nodes)[receiver_id]
-        receiver = self._nodes[receiver_id]
-        try:
-            sender.create_transaction(
-                [(receiver.keypair.address, self.config.payment_satoshi)]
-            )
-        except ValueError:
-            # Wallet exhausted (all outputs unconfirmed); count and move on.
-            self.failures += 1
-            return
-        self.transactions_created += 1

@@ -1,9 +1,12 @@
 """Tests for the ablation experiment drivers (small scale)."""
 
-import pytest
+import dataclasses
 
+from repro.experiments import ablation
 from repro.experiments.ablation import (
     AblationOutcome,
+    run_ablation_job,
+    run_ablations,
     run_long_link_ablation,
     run_verification_ablation,
 )
@@ -49,3 +52,24 @@ class TestAblationReport:
         assert "Ext-5" in text
         assert "| verification/pipelined-relay |" in text
         assert "| long-links/long-links=2 |" in text
+
+
+class TestAblationGrid:
+    def test_shared_baseline_runs_once(self, monkeypatch):
+        """verify-then-relay and long-links=2 are one cell under two labels."""
+        knobs = []
+
+        def counted(job):
+            knobs.append((job.verification_enabled, job.long_links_per_node))
+            return run_ablation_job(job)
+
+        monkeypatch.setattr(ablation, "run_ablation_job", counted)
+        outcome = run_ablations(SMALL)
+        assert knobs == [(True, 2), (False, 2), (True, 0), (True, 5)]
+        assert [p.variant for p in outcome.long_links] == [
+            "long-links=0",
+            "long-links=2",
+            "long-links=5",
+        ]
+        shared = outcome.verification[0]
+        assert dataclasses.replace(outcome.long_links[1], variant=shared.variant) == shared

@@ -18,9 +18,10 @@ from repro.experiments.churn_resilience import (
     run_churn_resilience,
 )
 from repro.experiments.config import ExperimentConfig
-from repro.workloads.generators import TransactionWorkload, WorkloadConfig, fund_nodes
+from repro.workloads.generators import fund_nodes
 from repro.workloads.network_gen import NetworkParameters
 from repro.workloads.scenarios import ChurnSchedule, build_scenario
+from repro.workloads.traffic import TrafficModel, TrafficProfile
 
 #: A short, hard-churning schedule for determinism runs.
 FAST_CHURN = ChurnSchedule(
@@ -36,7 +37,7 @@ FAST_CHURN = ChurnSchedule(
 def _trace_of(seed: int, *, churn: ChurnSchedule | None, horizon_s: float = 40.0):
     """Build, run and fingerprint one simulation's full event trace.
 
-    A background payment workload generates real protocol traffic (INV,
+    Constant-rate background payments generate real protocol traffic (INV,
     GETDATA, TX relay), so the fingerprint covers message scheduling and
     delivery, not just the churn bookkeeping.
     """
@@ -48,13 +49,9 @@ def _trace_of(seed: int, *, churn: ChurnSchedule | None, horizon_s: float = 40.0
     )
     simulated = scenario.network
     fund_nodes(list(simulated.nodes.values()), outputs_per_node=30)
-    workload = TransactionWorkload(
-        simulated.simulator,
-        simulated.nodes,
-        simulated.simulator.random.stream("trace-workload"),
-        WorkloadConfig(transactions_per_second=1.0, sender_count=5),
-    )
-    workload.start()
+    TrafficModel(
+        simulated.simulator, simulated.nodes, profile=TrafficProfile(rate_tps=1.0)
+    ).start()
     if churn is not None:
         scenario.start_churn()
     scenario.simulator.run(until=horizon_s)

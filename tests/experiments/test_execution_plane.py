@@ -7,7 +7,8 @@ The headline guarantees, exercised end-to-end on a small fig3 sweep:
   AND raw samples) is byte-identical to an uninterrupted run, for both the
   serial and the pooled backend;
 * **shard + merge** — two `repro shard run` slices merged with
-  `repro shard merge` reassemble the exact single-machine envelope;
+  `repro shard merge` reassemble the exact single-machine envelope, also
+  for attacks and ablation, whose payloads have several parts;
 * **result-store robustness** — two processes saving simultaneously never
   collide on a run directory, and the sqlite provenance index answers
   `--where`-style parameter queries over everything stored.
@@ -40,6 +41,11 @@ SMALL = ExperimentConfig(
 
 #: fig3 grid size under SMALL: 3 protocols x 2 seeds.
 TOTAL_CELLS = 6
+
+#: A tiny two-seed configuration for the attacks and ablation sweeps.
+TINY = ExperimentConfig(
+    node_count=40, runs=1, seeds=(3, 11), measuring_nodes=1, run_timeout_s=30.0, workers=1
+)
 
 
 @pytest.fixture(scope="module")
@@ -108,6 +114,32 @@ class TestShardRunAndMerge:
         assert merge_plan.cells_cached == TOTAL_CELLS
         assert _canonical(merged) == _canonical(baseline)
         assert merged.samples == baseline.samples
+
+    @pytest.mark.parametrize(
+        "name, options",
+        [
+            (
+                "attacks",
+                {"attacks": ("eclipse",), "protocols": ("bitcoin", "bcbpt"), "attack_blocks": 1},
+            ),
+            ("ablation", {}),
+        ],
+    )
+    def test_two_shards_of_a_many_part_payload_merge(self, name, options, tmp_path):
+        """attacks (eclipse, partition and dynamic outcomes) and ablation
+        (verification and long-link variants) each run one grid of 8 cells
+        here, so the two shard slices hold every cell between them."""
+        stores = [CellStore(tmp_path / f"shard-{index}") for index in range(2)]
+        for index, store in enumerate(stores):
+            plan = ExecutionPlan(store=store, shard_index=index, shard_count=2)
+            with pytest.raises(GridIncomplete):
+                run_experiment(name, TINY, dict(options), plan=plan)
+            assert plan.cells_executed == 4
+        merged_store = CellStore(stores[0].root, extra_roots=[stores[1].root])
+        merge_plan = ExecutionPlan(store=merged_store, execute=False)
+        merged = run_experiment(name, TINY, dict(options), plan=merge_plan)
+        assert merge_plan.cells_cached == 8
+        assert merged.fingerprint() == run_experiment(name, TINY, dict(options)).fingerprint()
 
     def test_merge_is_strict_about_missing_shards(self, tmp_path):
         half = CellStore(tmp_path / "only-shard-0")

@@ -12,7 +12,8 @@ import numpy as np
 import pytest
 
 from repro.experiments.api import run_experiment
-from repro.experiments.attacks import AttackOutcome, run_eclipse, run_partition
+from repro.experiments import attacks
+from repro.experiments.attacks import ATTACK_PROTOCOLS, run_attacks
 from repro.experiments.churn_resilience import CHURN_LEVELS
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.doublespend import run_doublespend
@@ -359,9 +360,17 @@ class TestOverhead:
         assert "Ext-2" in text and "`ping_messages_per_node`" in text
 
 
+#: One block per campaign: the surfaces are read before any block is mined.
+TINY_ATTACKS = {"attack_blocks": 1, "attack_txs": 2}
+
+
 class TestAttacks:
-    def test_eclipse_results(self):
-        results = run_eclipse(SMALL, adversary_fraction=0.2)
+    @pytest.fixture(scope="class")
+    def eclipse_outcome(self):
+        return run_attacks(SMALL, adversary_fraction=0.2, attacks=("eclipse",), **TINY_ATTACKS)
+
+    def test_eclipse_results(self, eclipse_outcome):
+        results = eclipse_outcome.eclipse
         assert len(results) == 3
         for result in results:
             assert 0.0 <= result.eclipsed_fraction <= 1.0
@@ -370,8 +379,8 @@ class TestAttacks:
         # nearby (adversarial) peers at least as much as random selection.
         assert clustered["bcbpt"] >= clustered["bitcoin"] * 0.5
 
-    def test_partition_results(self, render_payload):
-        results = run_partition(SMALL)
+    def test_partition_results(self, eclipse_outcome, render_payload):
+        results = eclipse_outcome.partition
         by_name = {r.protocol: r for r in results}
         for result in results:
             assert result.boundary_links >= 0
@@ -379,13 +388,21 @@ class TestAttacks:
         # Severing a cluster boundary is cheaper (fewer links) than severing a
         # comparable region boundary in the random topology.
         assert by_name["bcbpt"].boundary_fraction <= by_name["bitcoin"].boundary_fraction * 1.5
-        outcome = AttackOutcome(eclipse=run_eclipse(SMALL), partition=results, dynamic={})
-        text = render_payload("attacks", outcome)
+        text = render_payload("attacks", eclipse_outcome)
         assert "Ext-3" in text and "| partition/bcbpt |" in text
 
-    def test_invalid_adversary_fraction(self):
-        with pytest.raises(ValueError):
-            run_eclipse(SMALL, adversary_fraction=1.5)
+    def test_partition_is_stored_without_the_eclipse_campaign(self):
+        result = run_experiment("attacks", SMALL, {"attacks": ("byzantine",), **TINY_ATTACKS})
+        surfaces = sorted(label for label in result.summaries if not label.startswith("dynamic/"))
+        assert surfaces == sorted(f"partition/{protocol}" for protocol in ATTACK_PROTOCOLS)
+
+    def test_invalid_adversary_fraction(self, monkeypatch):
+        """The fraction is refused before any cell runs."""
+        ran = []
+        monkeypatch.setattr(attacks, "run_attack_seed", ran.append)
+        with pytest.raises(ValueError, match="fraction"):
+            run_attacks(SMALL, adversary_fraction=1.5)
+        assert ran == []
 
 
 class TestDoubleSpend:

@@ -3,8 +3,8 @@
 networkx is only the reference the topology's property test compares
 against (``tests/net/test_topology.py``).  A fresh interpreter imports the
 experiments package and runs tiny cells of the surfaces that used to call
-into it — the attacks experiment's static eclipse and partition surfaces and
-the ablation's average path length — and must never load it.
+into it — the eclipse and partition surfaces the attacks experiment's cells
+read, and the ablation's average path length — and must never load it.
 """
 
 from __future__ import annotations
@@ -21,16 +21,17 @@ import sys
 
 import repro.experiments
 from repro.experiments.ablation import run_long_link_ablation
-from repro.experiments.attacks import run_eclipse, run_partition
+from repro.experiments.attacks import run_attacks
 from repro.experiments.config import ExperimentConfig
 
 config = ExperimentConfig(
     node_count=40, runs=1, seeds=(5,), measuring_nodes=1, run_timeout_s=30.0, workers=1
 )
-eclipse = run_eclipse(config, protocols=("bitcoin", "bcbpt"))
-partition = run_partition(config, protocols=("bitcoin", "bcbpt"))
+attacks = run_attacks(
+    config, protocols=("bitcoin", "bcbpt"), attacks=("eclipse",), attack_blocks=1
+)
 ablation = run_long_link_ablation(config, counts=(0,))
-assert len(eclipse) == len(partition) == 2 and len(ablation) == 1
+assert len(attacks.eclipse) == len(attacks.partition) == 2 and len(ablation) == 1
 assert all(point.average_path_length > 1.0 for point in ablation)
 print("networkx" in sys.modules)
 """

@@ -46,13 +46,10 @@ from repro.protocol.messages import (
 )
 from repro.protocol.mining import MiningProcess, equal_hash_power
 from repro.protocol.relay import RELAY_COMMANDS, RELAY_NAMES
-from repro.workloads.generators import (
-    TransactionWorkload,
-    WorkloadConfig,
-    fund_nodes,
-)
+from repro.workloads.generators import fund_nodes
 from repro.workloads.network_gen import NetworkParameters, build_network
 from repro.workloads.scenarios import AttackSpec, build_scenario, install_attack
+from repro.workloads.traffic import TrafficModel, TrafficProfile
 
 
 def _header(tag: str) -> BlockHeader:
@@ -414,13 +411,9 @@ def _attacked_trace(seed: int, relay: str, kind: str):
     corrupted = install_attack(scenario, AttackSpec(kind=kind, fraction=0.2))
     simulated = scenario.network
     fund_nodes(list(simulated.nodes.values()), outputs_per_node=30)
-    workload = TransactionWorkload(
-        simulated.simulator,
-        simulated.nodes,
-        simulated.simulator.random.stream("trace-workload"),
-        WorkloadConfig(transactions_per_second=1.0, sender_count=5),
-    )
-    workload.start()
+    TrafficModel(
+        simulated.simulator, simulated.nodes, profile=TrafficProfile(rate_tps=1.0)
+    ).start()
     mining = MiningProcess(
         simulated.simulator,
         simulated.nodes,

@@ -1,10 +1,10 @@
-"""Tests for network construction, funding and transaction workloads."""
+"""Tests for network construction, funding and scenarios."""
 
 import pytest
 
 from repro.protocol.block import Block
 from repro.protocol.transaction import Transaction
-from repro.workloads.generators import TransactionWorkload, WorkloadConfig, fund_nodes
+from repro.workloads.generators import fund_nodes
 from repro.workloads.network_gen import NetworkParameters, build_network
 from repro.workloads.scenarios import (
     POLICY_NAMES,
@@ -120,43 +120,6 @@ class TestFunding:
             fund_nodes(nodes, outputs_per_node=0)
         with pytest.raises(ValueError):
             fund_nodes([])
-
-
-class TestTransactionWorkload:
-    def test_workload_generates_transactions(self):
-        scenario = build_scenario("bitcoin", NetworkParameters(node_count=20, seed=6))
-        simulated = scenario.network
-        fund_nodes(list(simulated.nodes.values()), outputs_per_node=10)
-        workload = TransactionWorkload(
-            simulated.simulator,
-            simulated.nodes,
-            simulated.simulator.random.stream("workload"),
-            WorkloadConfig(transactions_per_second=2.0, sender_count=5),
-        )
-        workload.start()
-        simulated.simulator.run(until=20.0)
-        workload.stop()
-        assert workload.transactions_created > 10
-        assert len(workload.senders) == 5
-        # Generated transactions actually propagate.
-        mempool_sizes = [len(node.mempool) for node in simulated.nodes.values()]
-        assert max(mempool_sizes) > 0
-
-    def test_double_start_rejected(self, small_network):
-        workload = TransactionWorkload(
-            small_network.simulator,
-            small_network.nodes,
-            small_network.simulator.random.stream("w"),
-        )
-        workload.start()
-        with pytest.raises(RuntimeError):
-            workload.start()
-
-    def test_invalid_config_rejected(self):
-        with pytest.raises(ValueError):
-            WorkloadConfig(transactions_per_second=0.0)
-        with pytest.raises(ValueError):
-            WorkloadConfig(sender_count=0)
 
 
 class TestScenarios:
