@@ -27,15 +27,15 @@ def long_link_points(ablation_run):
 
 
 def test_bench_ablation(benchmark, quick_config, ablation_run):
-    """Time the pipelined-relay variant and report both ablation tables."""
+    """Time a one-seed ablation grid and report both ablation tables."""
 
-    def pipelined_only():
-        from repro.experiments.ablation import run_verification_ablation
+    def one_seed():
+        from repro.experiments.ablation import run_ablations
 
         small = quick_config.with_overrides(seeds=quick_config.seeds[:1], runs=2)
-        return run_verification_ablation(small)
+        return run_ablations(small)
 
-    benchmark.pedantic(pipelined_only, rounds=1, iterations=1)
+    benchmark.pedantic(one_seed, rounds=1, iterations=1)
     print()
     print(render_report(ablation_run))
 

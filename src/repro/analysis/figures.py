@@ -47,6 +47,12 @@ PALETTE = (
 #: fixed order and never cycled; the markdown fallback table has no limit).
 MAX_CURVES = len(PALETTE)
 
+#: Points on the shared delay grid of a delay-vs-coverage figure.
+CURVE_POINTS = 40
+
+#: Most rows a figure's fallback table shows.
+TABLE_ROWS = 21
+
 _SURFACE = "#fcfcfb"
 _GRID = "#e5e4e0"
 _TEXT = "#0b0b0b"
@@ -92,23 +98,18 @@ def delay_coverage_figure(
     slug: str,
     title: str,
     caption: str = "",
-    resolution: int = 40,
-    x_unit: str = "ms",
-    x_scale: float = 1e3,
 ) -> Optional[FigureSpec]:
     """Delay-vs-coverage CDF curves (the shape of the paper's Fig. 3/4).
 
-    Every label's empirical CDF is evaluated on one shared delay grid
-    spanning the pooled sample range, so the curves (and the fallback table)
-    are directly comparable.  Labels without samples are skipped; returns
+    Every label's empirical CDF is evaluated on one shared delay grid of
+    :data:`CURVE_POINTS` points spanning the pooled sample range, so the
+    curves (and the fallback table) are directly comparable.  Delays are
+    displayed in milliseconds.  Labels without samples are skipped; returns
     None when no label has any.
 
     Args:
         delays_by_label: raw delay samples (seconds) per curve label.
         slug / title / caption: spec metadata.
-        resolution: points on the shared grid.
-        x_unit: displayed x-axis unit.
-        x_scale: multiplier from sample units to displayed units.
     """
     populated = {
         label: list(values) for label, values in delays_by_label.items() if len(values)
@@ -118,21 +119,19 @@ def delay_coverage_figure(
     ecdfs = {label: Ecdf(values) for label, values in populated.items()}
     low = min(ecdf.min for ecdf in ecdfs.values())
     high = max(ecdf.max for ecdf in ecdfs.values())
-    if resolution <= 1:
-        raise ValueError(f"resolution must be at least 2, got {resolution}")
-    step = (high - low) / (resolution - 1)
-    grid = [low + index * step for index in range(resolution)]
+    step = (high - low) / (CURVE_POINTS - 1)
+    grid = [low + index * step for index in range(CURVE_POINTS)]
     curves = tuple(
         Curve(
             label=label,
-            points=tuple((x * x_scale, fraction) for x, fraction in ecdf.curve_on(grid)),
+            points=tuple((x * 1e3, fraction) for x, fraction in ecdf.curve_on(grid)),
         )
         for label, ecdf in ecdfs.items()
     )
     return FigureSpec(
         slug=slug,
         title=title,
-        xlabel=f"propagation delay ({x_unit})",
+        xlabel="propagation delay (ms)",
         ylabel="fraction of receivers covered",
         curves=curves,
         caption=caption,
@@ -222,13 +221,13 @@ def render_figure(
     return written
 
 
-def figure_table(spec: FigureSpec, *, max_rows: int = 21) -> str:
+def figure_table(spec: FigureSpec) -> str:
     """The figure's curves as one markdown table (the no-matplotlib view).
 
     The table is ``x | curve1 | curve2 | ...`` over the sorted union of the
     curves' x values (a blank cell where a curve has no point); long grids
-    are downsampled to at most ``max_rows`` evenly spaced rows (first and
-    last always included).
+    are downsampled to at most :data:`TABLE_ROWS` evenly spaced rows (first
+    and last always included).
     """
     # Imported here: the markdown-table renderer lives in the experiments
     # layer, which the heavyweight analysis modules sit above (samples/stats
@@ -240,9 +239,9 @@ def figure_table(spec: FigureSpec, *, max_rows: int = 21) -> str:
     xs = sorted({x for curve in spec.curves for x, _ in curve.points})
     columns = {curve.label: dict(curve.points) for curve in spec.curves}
     indices = list(range(len(xs)))
-    if len(indices) > max_rows:
-        stride = (len(indices) - 1) / (max_rows - 1)
-        indices = sorted({round(i * stride) for i in range(max_rows)})
+    if len(indices) > TABLE_ROWS:
+        stride = (len(indices) - 1) / (TABLE_ROWS - 1)
+        indices = sorted({round(i * stride) for i in range(TABLE_ROWS)})
     rows = []
     for index in indices:
         x = xs[index]

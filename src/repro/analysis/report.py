@@ -70,6 +70,9 @@ _TIMESERIES_AXES = {
     ),
 }
 
+#: Directory, beside ``report.md``, that a report's images are written to.
+FIGURES_DIR = "figures"
+
 #: Percentiles tabulated for every delay metric (columns of the main table).
 _TABLE_PERCENTILES = (10, 25, 50, 75, 90, 95, 99)
 
@@ -165,7 +168,6 @@ def render_report(
     *,
     run_id: str = "",
     rendered_figures: Optional[Mapping[str, Sequence[Path]]] = None,
-    figures_dir_name: str = "figures",
     log: Optional[SampleLog] = None,
     specs: Optional[Sequence[figures_mod.FigureSpec]] = None,
 ) -> str:
@@ -176,9 +178,8 @@ def render_report(
         run_id: run identity printed in the header (stable, not a timestamp
             of this rendering).
         rendered_figures: slug -> image paths actually written for this
-            report; specs without an entry fall back to the table view.
-        figures_dir_name: directory name images are referenced under,
-            relative to the markdown file.
+            report, under :data:`FIGURES_DIR`; specs without an entry fall
+            back to the table view.
         log: the envelope's parsed sample log, when the caller already built
             it (avoids re-parsing large sample sets); derived otherwise.
         specs: pre-built figure specs (same reason); derived otherwise.
@@ -305,11 +306,11 @@ def render_report(
             if embedded is None and images:
                 embedded = images[0]
             if embedded is not None:
-                lines.append(f"![{spec.title}]({figures_dir_name}/{embedded.name})")
+                lines.append(f"![{spec.title}]({FIGURES_DIR}/{embedded.name})")
                 others = [p.name for p in images if p is not embedded]
                 if others:
                     refs = ", ".join(
-                        f"[{name}]({figures_dir_name}/{name})" for name in others
+                        f"[{name}]({FIGURES_DIR}/{name})" for name in others
                     )
                     lines.append("")
                     lines.append(f"_Also rendered: {refs}._")
@@ -474,7 +475,7 @@ def write_report(
     if render_figures and figures_mod.matplotlib_available():
         for spec in specs:
             paths = figures_mod.render_figure(
-                spec, destination / "figures", formats=formats
+                spec, destination / FIGURES_DIR, formats=formats
             )
             if paths:
                 rendered[spec.slug] = paths

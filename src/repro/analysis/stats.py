@@ -24,7 +24,7 @@ Numerical contracts (relied on by golden-value tests):
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -126,23 +126,6 @@ class Ecdf:
     def evaluate(self, x: float) -> float:
         """The cumulative fraction of samples at or below ``x``."""
         return float(np.searchsorted(self._sorted, x, side="right")) / self._sorted.size
-
-    def evaluate_many(self, points: Sequence[float]) -> list[float]:
-        """:meth:`evaluate` over many points."""
-        return [self.evaluate(point) for point in points]
-
-    def quantile(self, q: float) -> float:
-        """The ``q``-quantile (``0 <= q <= 1``, linear interpolation)."""
-        if not 0 <= q <= 1:
-            raise ValueError(f"quantile must be in [0, 1], got {q}")
-        return float(np.quantile(self._sorted, q))
-
-    def curve(self, resolution: int = 50) -> list[tuple[float, float]]:
-        """(x, cumulative fraction) pairs on an even grid over the range."""
-        if resolution <= 1:
-            raise ValueError(f"resolution must be at least 2, got {resolution}")
-        points = np.linspace(self.min, self.max, resolution)
-        return [(float(point), self.evaluate(float(point))) for point in points]
 
     def curve_on(self, grid: Sequence[float]) -> list[tuple[float, float]]:
         """(x, cumulative fraction) pairs on a caller-supplied grid.
@@ -256,7 +239,6 @@ class ConfidenceInterval:
 
 def bootstrap_ci(
     groups: Sequence[Sequence[float]],
-    statistic: Optional[Callable[[Sequence[float]], float]] = None,
     *,
     n_resamples: int = 1000,
     confidence: float = 0.95,
@@ -266,13 +248,13 @@ def bootstrap_ci(
 
     The experiments aggregate over master seeds, and seeds — not individual
     Δt samples — are the independent replicates, so the bootstrap resamples
-    *groups* (one per seed) with replacement and evaluates ``statistic`` on
-    the pooled resample.  With a single group it degrades to the ordinary
-    per-sample bootstrap.  Deterministic for a fixed ``seed``.
+    *groups* (one per seed) with replacement and evaluates
+    :func:`clamped_mean` on the pooled resample.  With a single group it
+    degrades to the ordinary per-sample bootstrap.  Deterministic for a
+    fixed ``seed``.
 
     Args:
         groups: one sample sequence per independent replicate (per seed).
-        statistic: pooled-sample statistic (default: :func:`clamped_mean`).
         n_resamples: bootstrap iterations.
         confidence: central interval mass, in ``(0, 1)``.
         seed: generator seed (reports pin this for byte-stable output).
@@ -284,20 +266,19 @@ def bootstrap_ci(
     pools = [np.asarray(list(group), dtype=float) for group in groups if len(group) > 0]
     if not pools:
         raise ValueError("no samples")
-    stat = statistic if statistic is not None else clamped_mean
-    point = float(stat(np.concatenate(pools)))
+    point = clamped_mean(np.concatenate(pools))
     rng = np.random.default_rng(seed)
     estimates = np.empty(n_resamples)
     if len(pools) == 1:
         samples = pools[0]
         for i in range(n_resamples):
             draw = samples[rng.integers(samples.size, size=samples.size)]
-            estimates[i] = stat(draw)
+            estimates[i] = clamped_mean(draw)
     else:
         for i in range(n_resamples):
             picks = rng.integers(len(pools), size=len(pools))
             resample = np.concatenate([pools[pick] for pick in picks])
-            estimates[i] = stat(resample)
+            estimates[i] = clamped_mean(resample)
     tail = (1.0 - confidence) / 2.0
     low, high = np.quantile(estimates, [tail, 1.0 - tail])
     return ConfidenceInterval(

@@ -101,14 +101,6 @@ class BcbptPolicy(NeighbourPolicy):
         """The active distance threshold ``d_t`` in seconds."""
         return self.config.latency_threshold_s
 
-    def measured_distance_s(self, node_a: int, node_b: int) -> float:
-        """Mean measured ping RTT between two nodes (charges ping traffic)."""
-        return self.distances.measure(node_a, node_b).mean_rtt_s
-
-    def are_close(self, node_a: int, node_b: int) -> bool:
-        """Eq. (1): whether the measured distance is under the threshold."""
-        return self.distances.is_close(node_a, node_b, self.config.latency_threshold_s)
-
     # ----------------------------------------------------------- peer choice
     def select_peers(self, node_id: int) -> list[int]:
         """Peers that pass the Eq. (1) threshold, in random order, cluster members first.

@@ -115,10 +115,6 @@ class DistanceCalculator:
             self._cache.setdefault(low, {})[high] = estimate
         return estimate
 
-    def is_close(self, node_a: int, node_b: int, threshold_s: float) -> bool:
-        """Eq. (1) applied to a fresh (or cached) measurement of the pair."""
-        return self.measure(node_a, node_b).is_close(threshold_s)
-
     def rank_by_distance(self, origin: int, candidates: list[int]) -> list[DistanceEstimate]:
         """Measure ``origin`` against every candidate, closest first."""
         estimates = [self.measure(origin, candidate) for candidate in candidates if candidate != origin]

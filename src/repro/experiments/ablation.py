@@ -13,7 +13,7 @@ methodology as the main figures:
   trade-off between intra-cluster delay (unaffected) and the overlay's
   inter-cluster connectivity (hop count / partition resilience).
 
-The registered experiment runs both as one grid: verify-then-relay is BCBPT
+:func:`run_ablations` runs both as one grid: verify-then-relay is BCBPT
 with two long links per node, so four (verification, long-link count) cells
 per seed carry the five labels.
 """
@@ -124,10 +124,10 @@ VERIFICATION_VARIANTS: tuple[Variant, ...] = (
     ("pipelined-relay", False, 2),
 )
 
-
-def _long_link_variants(counts: Sequence[int]) -> list[Variant]:
-    """BCBPT with each of ``counts`` long-distance links per node."""
-    return [(f"long-links={count}", True, count) for count in counts]
+#: BCBPT with 0, 2 and 5 long-distance links per node.
+LONG_LINK_VARIANTS: tuple[Variant, ...] = tuple(
+    (f"long-links={count}", True, count) for count in (0, 2, 5)
+)
 
 
 def _measure_variants(cfg: ExperimentConfig, variants: Sequence[Variant]) -> list[AblationPoint]:
@@ -183,21 +183,6 @@ class AblationOutcome:
     long_links: list[AblationPoint]
 
 
-def run_verification_ablation(config: Optional[ExperimentConfig] = None) -> list[AblationPoint]:
-    """BCBPT with per-hop verification delay charged vs pipelined (skipped)."""
-    cfg = config if config is not None else ExperimentConfig()
-    return _measure_variants(cfg, VERIFICATION_VARIANTS)
-
-
-def run_long_link_ablation(
-    config: Optional[ExperimentConfig] = None,
-    counts: Sequence[int] = (0, 2, 5),
-) -> list[AblationPoint]:
-    """BCBPT with different numbers of long-distance links per node."""
-    cfg = config if config is not None else ExperimentConfig()
-    return _measure_variants(cfg, _long_link_variants(counts))
-
-
 def summarize(outcome: AblationOutcome) -> dict[str, dict[str, float]]:
     """Per-variant scalar summaries for the result envelope."""
     summaries: dict[str, dict[str, float]] = {}
@@ -226,5 +211,5 @@ def run_ablations(config: Optional[ExperimentConfig] = None) -> AblationOutcome:
     """
     cfg = config if config is not None else ExperimentConfig()
     verification = len(VERIFICATION_VARIANTS)
-    points = _measure_variants(cfg, [*VERIFICATION_VARIANTS, *_long_link_variants((0, 2, 5))])
+    points = _measure_variants(cfg, VERIFICATION_VARIANTS + LONG_LINK_VARIANTS)
     return AblationOutcome(verification=points[:verification], long_links=points[verification:])

@@ -86,14 +86,15 @@ def validate_protocol_labels(labels: Iterable[str]) -> None:
 class ExperimentOption:
     """One declarative experiment-specific CLI option / run kwarg.
 
+    An omitted option passes no kwarg, so the run function's own default
+    applies; the help text names that default.
+
     Attributes:
         flag: the CLI flag (e.g. ``"--thresholds-ms"``).
         dest: the keyword argument of the run function this option feeds (or
             a descriptive name when ``config_field`` is set).
         type: argparse value type.
         nargs: argparse nargs (None for a scalar).
-        default: value used when the option is not supplied; None means "let
-            the run function's own default apply".
         help: CLI help text.
         config_field: when set, the (converted) value overrides this
             :class:`ExperimentConfig` field instead of being passed as a
@@ -110,7 +111,6 @@ class ExperimentOption:
     dest: str
     type: Callable[[str], Any] = str
     nargs: Optional[str] = None
-    default: Any = None
     help: str = ""
     config_field: Optional[str] = None
     convert: Optional[Callable[[Any], Any]] = None
@@ -166,8 +166,7 @@ class ExperimentSpec:
         if self.options:
             lines += ["", "options:"]
             for option in self.options:
-                default = "" if option.default is None else f" (default: {option.default})"
-                lines.append(f"  {option.flag}: {option.help}{default}")
+                lines.append(f"  {option.flag}: {option.help}")
         if self.verdicts:
             lines += ["", f"verdicts: {', '.join(self.verdicts)}"]
         return "\n".join(lines)
@@ -269,9 +268,8 @@ def resolve_options(
 ) -> tuple[ExperimentConfig, dict[str, Any]]:
     """Fold supplied option values into (config overrides, run kwargs).
 
-    Unknown option names are rejected; omitted options fall back to their
-    declared default, and a None default means "let the run function's own
-    signature default apply" (no kwarg is passed).
+    Unknown option names are rejected; an omitted option passes no kwarg,
+    so the run function's own signature default applies.
     """
     supplied = dict(options or {})
     known = {option.dest: option for option in spec.options}
@@ -283,7 +281,7 @@ def resolve_options(
         )
     kwargs: dict[str, Any] = {}
     for dest, option in known.items():
-        value = supplied.get(dest, option.default)
+        value = supplied.get(dest)
         if value is None:
             continue
         if option.convert is not None:

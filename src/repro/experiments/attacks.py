@@ -520,60 +520,6 @@ def run_attack_seed(job: AttackJob) -> AttackJobResult:
     )
 
 
-def run_dynamic_attacks(
-    config: Optional[ExperimentConfig] = None,
-    *,
-    attacks: Sequence[str] = DYNAMIC_ATTACKS,
-    protocols: Sequence[str] = ATTACK_PROTOCOLS,
-    adversary_fraction: float = 0.15,
-    blocks: int = 2,
-    txs_per_block: int = 4,
-    block_horizon_s: float = 30.0,
-    extra_delay_s: float = 0.25,
-    selfish_hashpower: float = 0.35,
-) -> dict[str, DynamicAttackResult]:
-    """Run every (attack, protocol, seed) campaign and pool per cell.
-
-    The honest ``"none"`` baseline is always run first for every protocol —
-    the degradation metrics (:func:`degradation_ratio`,
-    :func:`coverage_loss`) divide attacked cells by it.
-
-    Returns:
-        ``"attack/protocol"`` -> pooled :class:`DynamicAttackResult`, in
-        sweep order (baseline first).
-    """
-    cfg = config if config is not None else ExperimentConfig()
-    schedule = BlockSchedule(blocks, txs_per_block, block_horizon_s)
-    for attack in attacks:
-        validate_attack_kind(attack)
-
-    kinds = ["none"]
-    kinds.extend(a for a in dict.fromkeys(attacks) if a != "none")
-    points = [(attack, protocol) for attack in kinds for protocol in protocols]
-
-    def make_job(point: tuple[str, str], seed: int) -> AttackJob:
-        attack, protocol = point
-        return AttackJob(
-            attack=attack,
-            protocol=protocol,
-            seed=seed,
-            spec=AttackSpec(
-                kind=attack,
-                fraction=adversary_fraction,
-                extra_delay_s=extra_delay_s,
-                hashpower=selfish_hashpower,
-            ),
-            schedule=schedule,
-            config=cfg,
-        )
-
-    grid = run_seed_grid(points, make_job, run_attack_seed, cfg)
-    return {
-        f"{attack}/{protocol}": DynamicAttackResult(attack, protocol, tuple(cells))
-        for (attack, protocol), cells in grid
-    }
-
-
 def _cell_mean_delay(dynamic: dict[str, DynamicAttackResult], key: str) -> float:
     """Mean block Δt of one ``attack/protocol`` cell, NaN when unmeasured."""
     result = dynamic.get(key)
@@ -838,17 +784,46 @@ def run_attacks(
     attack_delay_s: float = 0.25,
     selfish_hashpower: float = 0.35,
 ) -> AttackOutcome:
-    """Run the campaigns as one grid; the surfaces come from its cells."""
+    """Run every (attack, protocol, seed) campaign as one grid and pool per cell.
+
+    The honest ``"none"`` baseline is always run first for every protocol —
+    the degradation metrics (:func:`degradation_ratio`,
+    :func:`coverage_loss`) divide attacked cells by it.  The eclipse and
+    partition surfaces come from the same cells.
+
+    Returns:
+        The outcome whose ``dynamic`` maps ``"attack/protocol"`` to a pooled
+        :class:`DynamicAttackResult`, in sweep order (baseline first).
+    """
+    cfg = config if config is not None else ExperimentConfig()
+    schedule = BlockSchedule(attack_blocks, attack_txs, attack_horizon_s)
+    for attack in attacks:
+        validate_attack_kind(attack)
+
+    kinds = ["none"]
+    kinds.extend(a for a in dict.fromkeys(attacks) if a != "none")
+    points = [(attack, protocol) for attack in kinds for protocol in protocols]
+
+    def make_job(point: tuple[str, str], seed: int) -> AttackJob:
+        attack, protocol = point
+        return AttackJob(
+            attack=attack,
+            protocol=protocol,
+            seed=seed,
+            spec=AttackSpec(
+                kind=attack,
+                fraction=adversary_fraction,
+                extra_delay_s=attack_delay_s,
+                hashpower=selfish_hashpower,
+            ),
+            schedule=schedule,
+            config=cfg,
+        )
+
+    grid = run_seed_grid(points, make_job, run_attack_seed, cfg)
     return AttackOutcome(
-        dynamic=run_dynamic_attacks(
-            config,
-            attacks=attacks,
-            protocols=protocols,
-            adversary_fraction=adversary_fraction,
-            blocks=attack_blocks,
-            txs_per_block=attack_txs,
-            block_horizon_s=attack_horizon_s,
-            extra_delay_s=attack_delay_s,
-            selfish_hashpower=selfish_hashpower,
-        ),
+        dynamic={
+            f"{attack}/{protocol}": DynamicAttackResult(attack, protocol, tuple(cells))
+            for (attack, protocol), cells in grid
+        },
     )

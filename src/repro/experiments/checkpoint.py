@@ -43,7 +43,7 @@ import os
 import pickle
 import tempfile
 from pathlib import Path
-from typing import Any, Iterable, Sequence, Union
+from typing import Any, Sequence, Union
 
 from repro.experiments.results import RESULT_SCHEMA_VERSION, json_safe
 
@@ -57,7 +57,8 @@ from repro.experiments.results import RESULT_SCHEMA_VERSION, json_safe
 #: adaptive cells.
 #: v7: attacks records carry the eclipse exposure and partition cost their
 #: cells read; ablation job specs and records drop ``variant``.
-CELL_SCHEMA_VERSION = 7
+#: v8: doublespend records drop ``races`` and ``detections``.
+CELL_SCHEMA_VERSION = 8
 
 
 def canonical_job(job: Any) -> Any:
@@ -201,8 +202,3 @@ class CellStore:
             if path.is_file():
                 manifests.append(json.loads(path.read_text()))
         return manifests
-
-
-def missing_keys(store: CellStore, keys: Iterable[str]) -> list[str]:
-    """The subset of ``keys`` with no completed result in ``store``."""
-    return [key for key in keys if not store.has(key)]

@@ -30,7 +30,7 @@ Run from the command line::
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Optional, Sequence
+from typing import Optional, Sequence
 
 from repro.analysis.samples import SampleLog
 from repro.analysis.stats import mean
@@ -187,21 +187,15 @@ class ChurnResilienceResult:
         }
 
 
-def resolve_levels(
-    names: Sequence[str],
-    schedules: Optional[Mapping[str, Optional[ChurnSchedule]]] = None,
-) -> dict[str, Optional[ChurnSchedule]]:
+def resolve_levels(names: Sequence[str]) -> dict[str, Optional[ChurnSchedule]]:
     """Map churn-level names to schedules, failing loudly on unknown names."""
-    table = dict(CHURN_LEVELS)
-    if schedules:
-        table.update(schedules)
     resolved: dict[str, Optional[ChurnSchedule]] = {}
     for name in names:
-        if name not in table:
+        if name not in CHURN_LEVELS:
             raise ValueError(
-                f"unknown churn level {name!r}; expected one of {tuple(table)}"
+                f"unknown churn level {name!r}; expected one of {tuple(CHURN_LEVELS)}"
             )
-        resolved[name] = table[name]
+        resolved[name] = CHURN_LEVELS[name]
     return resolved
 
 
@@ -313,22 +307,19 @@ def run_churn_resilience(
     *,
     protocols: Sequence[str] = CHURN_PROTOCOLS,
     levels: Sequence[str] = ("static", "mild", "heavy"),
-    schedules: Optional[Mapping[str, Optional[ChurnSchedule]]] = None,
 ) -> dict[str, ChurnResilienceResult]:
     """Sweep churn intensity across protocols and pool results per pair.
 
     Args:
         config: shared experiment configuration.
         protocols: policy names to compare.
-        levels: churn-level names, resolved against :data:`CHURN_LEVELS`
-            (plus ``schedules`` overrides).
-        schedules: extra/overriding ``name -> ChurnSchedule`` entries.
+        levels: churn-level names, resolved against :data:`CHURN_LEVELS`.
 
     Returns:
         ``"protocol/level"`` -> pooled :class:`ChurnResilienceResult`.
     """
     cfg = config if config is not None else ExperimentConfig()
-    resolved = resolve_levels(levels, schedules)
+    resolved = resolve_levels(levels)
     points = [
         (protocol, level, schedule)
         for protocol in protocols

@@ -73,12 +73,16 @@ class ExperimentConfig:
             raise ValueError("measuring_nodes must be positive")
         if self.latency_threshold_s <= 0:
             raise ValueError("latency_threshold_s must be positive")
+        if not self.fig4_thresholds_s:
+            raise ValueError("at least one fig4 threshold is required")
         if any(t <= 0 for t in self.fig4_thresholds_s):
             raise ValueError("fig4 thresholds must be positive")
         if self.max_outbound <= 0:
             raise ValueError("max_outbound must be positive")
         if self.payment_satoshi <= 0:
             raise ValueError("payment_satoshi must be positive")
+        if self.funding_outputs_per_node < 0:
+            raise ValueError("funding_outputs_per_node cannot be negative (0 means runs + 2)")
         if self.run_timeout_s <= 0:
             raise ValueError("run_timeout_s must be positive")
         if self.workers < 0:

@@ -67,9 +67,9 @@ class DoubleSpendJobResult:
 
     protocol: str
     seed: int
-    races: int
+    #: One first-seen share per race run.
     attacker_shares: tuple[float, ...]
-    detections: int
+    #: One detection time per race the merchant detected.
     detection_times_s: tuple[float, ...]
 
 
@@ -154,15 +154,14 @@ def run_doublespend(
     for protocol, seed_results in grid:
         shares = [share for r in seed_results for share in r.attacker_shares]
         detection_times = [t for r in seed_results for t in r.detection_times_s]
-        detections = sum(r.detections for r in seed_results)
-        races = sum(r.races for r in seed_results)
+        races = len(shares)
         points.append(
             DoubleSpendPoint(
                 protocol=protocol,
                 races=races,
                 mean_attacker_share=sum(shares) / len(shares) if shares else 0.0,
                 mean_detection_time_s=mean_detection_time_s(detection_times),
-                detection_rate=detections / races if races else 0.0,
+                detection_rate=len(detection_times) / races if races else 0.0,
             )
         )
     return points
@@ -198,8 +197,6 @@ def run_doublespend_seed(job: DoubleSpendJob) -> DoubleSpendJobResult:
     attacker = DoubleSpendAttacker(attacker_node, merchant_node.keypair.address)
     shares: list[float] = []
     detection_times: list[float] = []
-    detections = 0
-    races = 0
     for _ in range(job.races_per_seed):
         pair = attacker.build_pair(cfg.payment_satoshi, created_at=simulator.now)
         start = simulator.now
@@ -213,21 +210,17 @@ def run_doublespend_seed(job: DoubleSpendJob) -> DoubleSpendJobResult:
             TxMessage(sender=attacker_id, transaction=pair.attacker_tx),
         )
         simulator.run(until=start + job.race_horizon_s)
-        races += 1
         outcome = tally_first_seen(nodes, pair)
         shares.append(outcome.attacker_share)
         detected, detection_time = merchant_detection(
             merchant_node, pair, start_time=start, horizon_s=job.race_horizon_s
         )
         if detected:
-            detections += 1
             detection_times.append(detection_time)
     return DoubleSpendJobResult(
         protocol=job.protocol,
         seed=job.seed,
-        races=races,
         attacker_shares=tuple(shares),
-        detections=detections,
         detection_times_s=tuple(detection_times),
     )
 

@@ -129,6 +129,8 @@ def run_threshold_sweep(
     regroups in submission order, so the sweep result is identical for every
     worker count.
     """
+    if not thresholds_s:
+        raise ValueError("at least one threshold is required")
     cfg = config if config is not None else ExperimentConfig()
 
     def make_job(threshold: float, seed: int) -> ThresholdJob:

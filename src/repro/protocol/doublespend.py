@@ -90,15 +90,12 @@ class DoubleSpendOutcome:
         victim_txid / attacker_txid: the competing transaction ids.
         nodes_first_saw_victim: nodes whose mempool admitted the victim tx.
         nodes_first_saw_attacker: nodes whose mempool admitted the attacker tx.
-        confirmed_txid: which transaction ended up on the best chain (None if
-            neither was confirmed within the experiment horizon).
     """
 
     victim_txid: str
     attacker_txid: str
     nodes_first_saw_victim: int = 0
     nodes_first_saw_attacker: int = 0
-    confirmed_txid: Optional[str] = None
 
     @property
     def total_deciding_nodes(self) -> int:
@@ -112,13 +109,6 @@ class DoubleSpendOutcome:
         if total == 0:
             return 0.0
         return self.nodes_first_saw_attacker / total
-
-    @property
-    def attack_succeeded(self) -> Optional[bool]:
-        """True if the attacker's transaction was the one confirmed."""
-        if self.confirmed_txid is None:
-            return None
-        return self.confirmed_txid == self.attacker_txid
 
 
 def merchant_detection(

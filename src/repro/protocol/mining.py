@@ -33,6 +33,9 @@ from repro.sim.process import Timeout
 #: Bitcoin's target average block interval in seconds.
 DEFAULT_BLOCK_INTERVAL_S = 600.0
 
+#: Cap on transactions per block, coinbase included.
+MAX_BLOCK_TRANSACTIONS = 2000
+
 #: Serialized bytes of a block header (matches ``Block.size_bytes``).
 BLOCK_HEADER_BYTES = 80
 
@@ -107,19 +110,19 @@ class MiningProcess:
         miners: hash-power profiles; shares are normalised internally.
         rng: random stream for block intervals and winner selection.
         block_interval_s: network-wide mean time between blocks.
-        max_block_transactions: cap on transactions per block.
         max_block_bytes: cap on a block's serialized size (header + coinbase
             + selected transactions), like Bitcoin's 1 MB limit.  None (the
-            default) leaves blocks count-capped only, the historical
-            behaviour.
-        on_block_mined: optional callback ``(block, miner_id)`` fired after
-            the winning miner accepts its own block (before propagation).
-        on_block_found: optional callback ``(block, miner_id)`` fired the
-            instant the block is assembled, *before* the winner's
+            default) leaves blocks capped at :data:`MAX_BLOCK_TRANSACTIONS`
+            only, the historical behaviour.
+
+    Attributes:
+        on_block_found: None, or a callback ``(block, miner_id)`` fired the
+            instant a block is assembled, *before* the winner's
             ``accept_block`` runs — i.e. before any announcement can leave
             the miner.  This is the selfish-mining hook: a withholding
-            policy registers the hash here so the acceptance-time broadcast
-            is already suppressed.  Honest experiments leave it None.
+            policy (:class:`~repro.protocol.adversary.SelfishMiner`) assigns
+            it after construction so the acceptance-time broadcast is
+            already suppressed.  Honest experiments leave it None.
     """
 
     def __init__(
@@ -130,10 +133,7 @@ class MiningProcess:
         rng: np.random.Generator,
         *,
         block_interval_s: float = DEFAULT_BLOCK_INTERVAL_S,
-        max_block_transactions: int = 2000,
         max_block_bytes: Optional[int] = None,
-        on_block_mined: Optional[Callable[[Block, int], None]] = None,
-        on_block_found: Optional[Callable[[Block, int], None]] = None,
     ) -> None:
         if not miners:
             raise ValueError("at least one miner is required")
@@ -153,12 +153,8 @@ class MiningProcess:
         self._shares = np.array([m.hash_power / total_power for m in self._miners])
         self._rng = rng
         self.block_interval_s = float(block_interval_s)
-        self.max_block_transactions = int(max_block_transactions)
         self.max_block_bytes = max_block_bytes
-        self._on_block_mined = on_block_mined
-        #: Pre-acceptance hook (see class docstring); public so the adversary
-        #: plane can install a withholding policy after construction.
-        self.on_block_found = on_block_found
+        self.on_block_found: Optional[Callable[[Block, int], None]] = None
         self.blocks_mined = 0
         #: Blocks whose template hit the byte cap (``max_block_bytes`` only).
         self.full_blocks_mined = 0
@@ -217,7 +213,7 @@ class MiningProcess:
                 self.max_block_bytes - BLOCK_HEADER_BYTES - coinbase.size_bytes, 0
             )
         template = BlockTemplate.build(
-            miner.mempool, self.max_block_transactions - 1, max_bytes=tx_budget
+            miner.mempool, MAX_BLOCK_TRANSACTIONS - 1, max_bytes=tx_budget
         )
         block = Block.create(
             miner.blockchain.tip,
@@ -235,8 +231,6 @@ class MiningProcess:
         if template.is_full:
             self.full_blocks_mined += 1
         self.total_fees_collected += template.total_fees
-        if self._on_block_mined is not None:
-            self._on_block_mined(block, winner_id)
         return block
 
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Optional, Sequence
+from typing import Sequence
 
 from repro.protocol.crypto import (
     KeyPair,
@@ -158,7 +158,6 @@ class Transaction:
         destinations: Sequence[tuple[str, int]],
         *,
         created_at: float = 0.0,
-        change_address: Optional[str] = None,
         fee: int = 0,
     ) -> "Transaction":
         """Build and sign a transaction.
@@ -168,12 +167,11 @@ class Transaction:
             spendable: ``(prev_txid, prev_index, value)`` triples to spend.
             destinations: ``(address, value)`` pairs to pay.
             created_at: simulated creation time.
-            change_address: where to send any excess input value; defaults to
-                the sender's own address.
             fee: satoshi left unclaimed by the outputs (a miner fee, as in
                 real Bitcoin: fee = inputs - outputs).  The fee comes out of
-                the change output, so ``fee=0`` produces a byte-identical
-                transaction to the pre-fee code path.
+                the change output, which pays any excess input value back to
+                the sender's own address, so ``fee=0`` produces a
+                byte-identical transaction to the pre-fee code path.
 
         Raises:
             ValueError: if the destinations plus fee exceed the spendable value.
@@ -191,7 +189,7 @@ class Transaction:
         outputs = [TxOutput(value=value, address=address) for address, value in destinations]
         change = total_in - total_out - fee
         if change > 0:
-            outputs.append(TxOutput(value=change, address=change_address or keypair.address))
+            outputs.append(TxOutput(value=change, address=keypair.address))
         unsigned_inputs = tuple(
             TxInput(prev_txid=txid, prev_index=index) for txid, index, _ in spendable
         )

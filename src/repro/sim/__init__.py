@@ -18,9 +18,9 @@ and :class:`~repro.sim.trace.Tracer`.
 """
 
 from repro.sim.clock import SimClock
-from repro.sim.engine import Simulator, StopSimulation
+from repro.sim.engine import Simulator
 from repro.sim.events import Event
-from repro.sim.process import Process, Timeout, WaitEvent
+from repro.sim.process import Process, Timeout
 from repro.sim.rng import RandomService
 from repro.sim.timers import PeriodicTimer
 from repro.sim.trace import TraceRecord, Tracer
@@ -32,9 +32,7 @@ __all__ = [
     "RandomService",
     "SimClock",
     "Simulator",
-    "StopSimulation",
     "Timeout",
     "TraceRecord",
     "Tracer",
-    "WaitEvent",
 ]

@@ -42,11 +42,5 @@ class SimClock:
             )
         self._now = float(t)
 
-    def reset(self, start: float = 0.0) -> None:
-        """Reset the clock, used when an engine is reused between runs."""
-        if start < 0:
-            raise ValueError(f"simulation time cannot start negative, got {start}")
-        self._now = float(start)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"SimClock(now={self._now:.6f})"

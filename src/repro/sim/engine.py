@@ -21,13 +21,9 @@ from typing import Any, Callable, Iterator, Optional
 
 from repro.sim.clock import SimClock
 from repro.sim.events import Event, EventPriority
-from repro.sim.process import Process, ProcessExit, Timeout, WaitEvent
+from repro.sim.process import Process, ProcessExit, Timeout
 from repro.sim.rng import RandomService
 from repro.sim.trace import Tracer
-
-
-class StopSimulation(Exception):
-    """Raised by a callback or process to stop the run immediately."""
 
 
 class Simulator:
@@ -51,7 +47,6 @@ class Simulator:
         self._heap: list[tuple[float, int, int, Event]] = []
         self._sequence = 0
         self._running = False
-        self._stopped = False
         self._events_executed = 0
         self._processes: list[Process] = []
 
@@ -123,74 +118,49 @@ class Simulator:
         The generator may ``yield``:
 
         * :class:`Timeout(delay)` — resume after ``delay`` simulated seconds;
-        * :class:`WaitEvent(event)` — resume when the given wait-event fires;
         * a plain float — shorthand for ``Timeout(float)``.
 
         Returns:
-            The :class:`Process` wrapper, which exposes ``alive`` and
-            ``result``.
+            The :class:`Process` wrapper, which exposes ``alive``.
         """
         process = Process(generator, name=name)
         self._processes.append(process)
-        self.call_soon(lambda: self._step_process(process, None), label=f"spawn:{name}")
+        self.call_soon(lambda: self._step_process(process), label=f"spawn:{name}")
         return process
 
-    def _step_process(self, process: Process, value: Any) -> None:
-        if not process.alive:
-            return
+    def _step_process(self, process: Process) -> None:
         try:
-            yielded = process.step(value)
+            yielded = process.step()
         except ProcessExit:
             return
-        self._handle_yield(process, yielded)
-
-    def _handle_yield(self, process: Process, yielded: Any) -> None:
         if isinstance(yielded, Timeout):
-            self.schedule(
-                yielded.delay,
-                lambda: self._step_process(process, None),
-                label=f"timeout:{process.name}",
-            )
-        elif isinstance(yielded, WaitEvent):
-            yielded.add_waiter(lambda value: self._step_process(process, value))
+            delay = yielded.delay
         elif isinstance(yielded, (int, float)):
-            self.schedule(
-                float(yielded),
-                lambda: self._step_process(process, None),
-                label=f"timeout:{process.name}",
-            )
+            delay = float(yielded)
         else:
             raise TypeError(
                 f"process {process.name!r} yielded unsupported value {yielded!r}; "
-                "yield a Timeout, WaitEvent, or a number of seconds"
+                "yield a Timeout or a number of seconds"
             )
+        self.schedule(delay, lambda: self._step_process(process), label=f"timeout:{process.name}")
 
     # ------------------------------------------------------------------- run
-    def run(self, until: Optional[float] = None, max_events: Optional[int] = None) -> float:
+    def run(self, until: Optional[float] = None) -> float:
         """Run the simulation.
 
         Args:
             until: stop once the clock would pass this time (the clock is left
                 at ``until``).  ``None`` runs until the event heap drains.
-            max_events: safety valve — fire at most this many events in this
-                call (0 fires none; earlier runs do not count).
 
         Returns:
             The simulated time at which the run stopped.
-
-        Raises:
-            ValueError: if ``max_events`` is negative.
         """
-        if max_events is not None and max_events < 0:
-            raise ValueError(f"max_events cannot be negative, got {max_events}")
         if self._running:
             raise RuntimeError("simulator is already running (re-entrant run() call)")
         self._running = True
-        self._stopped = False
         heap = self._heap
         heappop = heapq.heappop
         clock = self.clock
-        budget = max_events  # events this call may still fire
         try:
             while heap:
                 entry = heap[0]
@@ -198,10 +168,6 @@ class Simulator:
                 if event.cancelled:
                     heappop(heap)
                     continue
-                if budget is not None:
-                    if budget == 0:
-                        break
-                    budget -= 1
                 event_time = entry[0]
                 if until is not None and event_time > until:
                     clock.advance_to(until)
@@ -212,11 +178,7 @@ class Simulator:
                     clock.advance_to(event_time)
                 clock._now = event_time
                 self._events_executed += 1
-                try:
-                    event.callback()
-                except StopSimulation:
-                    self._stopped = True
-                    break
+                event.callback()
             else:
                 # Heap drained without hitting the until-limit: if an explicit
                 # horizon was requested, report time as that horizon.
@@ -225,10 +187,6 @@ class Simulator:
         finally:
             self._running = False
         return self.now
-
-    def stop(self) -> None:
-        """Request the run loop to stop after the current event."""
-        raise StopSimulation()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -1,11 +1,9 @@
 """Cooperative processes for the simulation kernel.
 
 A *process* is a Python generator driven by the engine.  Each ``yield``
-suspends the process until the yielded condition is satisfied:
+suspends the process for a stretch of simulated time:
 
 * ``yield Timeout(1.5)`` — resume 1.5 simulated seconds later;
-* ``yield some_wait_event`` — resume when another component triggers the
-  :class:`WaitEvent` (optionally passing a value back into the generator);
 * ``yield 0.25`` — shorthand for ``Timeout(0.25)``.
 
 Processes are used for long-running behaviours such as node churn, periodic
@@ -14,7 +12,7 @@ peer discovery, and the transaction workload generator.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Iterator, Optional
+from typing import Any, Iterator
 
 
 class ProcessExit(Exception):
@@ -35,97 +33,32 @@ class Timeout:
         return f"Timeout({self.delay})"
 
 
-class WaitEvent:
-    """A one-shot condition that processes can wait on.
-
-    A component creates a :class:`WaitEvent`, hands it to interested processes
-    (which ``yield`` it), and later calls :meth:`trigger` with an optional
-    value.  Every waiter resumes with that value.  Triggering twice is an
-    error; waiting on an already-triggered event resumes immediately on the
-    next engine step.
-    """
-
-    __slots__ = ("_waiters", "_triggered", "_value", "name")
-
-    def __init__(self, name: str = "") -> None:
-        self.name = name
-        self._waiters: list[Callable[[Any], None]] = []
-        self._triggered = False
-        self._value: Any = None
-
-    @property
-    def triggered(self) -> bool:
-        """True once :meth:`trigger` has been called."""
-        return self._triggered
-
-    @property
-    def value(self) -> Any:
-        """The value passed to :meth:`trigger` (None before triggering)."""
-        return self._value
-
-    def add_waiter(self, resume: Callable[[Any], None]) -> None:
-        """Register a resume callback; used by the engine, not user code."""
-        if self._triggered:
-            resume(self._value)
-        else:
-            self._waiters.append(resume)
-
-    def trigger(self, value: Any = None) -> None:
-        """Fire the event, resuming every waiting process with ``value``."""
-        if self._triggered:
-            raise RuntimeError(f"WaitEvent {self.name!r} triggered twice")
-        self._triggered = True
-        self._value = value
-        waiters, self._waiters = self._waiters, []
-        for resume in waiters:
-            resume(value)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        state = "triggered" if self._triggered else f"{len(self._waiters)} waiting"
-        return f"WaitEvent({self.name!r}, {state})"
-
-
 class Process:
     """Wrapper around a generator being driven by the engine."""
 
-    __slots__ = ("_generator", "name", "_alive", "_result")
+    __slots__ = ("_generator", "name", "_alive")
 
     def __init__(self, generator: Iterator[Any], name: str = "") -> None:
         self._generator = generator
         self.name = name or getattr(generator, "__name__", "process")
         self._alive = True
-        self._result: Optional[Any] = None
 
     @property
     def alive(self) -> bool:
-        """True while the generator has not returned or been killed."""
+        """True while the generator has not returned."""
         return self._alive
 
-    @property
-    def result(self) -> Any:
-        """The generator's return value once it has finished."""
-        return self._result
-
-    def step(self, value: Any) -> Any:
+    def step(self) -> Any:
         """Advance the generator, returning what it yields.
 
         Raises:
             ProcessExit: when the generator completes.
         """
-        if not self._alive:
-            raise ProcessExit()
         try:
-            return self._generator.send(value)
-        except StopIteration as stop:
+            return next(self._generator)
+        except StopIteration:
             self._alive = False
-            self._result = stop.value
             raise ProcessExit() from None
-
-    def kill(self) -> None:
-        """Terminate the process; it will not be resumed again."""
-        if self._alive:
-            self._alive = False
-            self._generator.close()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "alive" if self._alive else "finished"

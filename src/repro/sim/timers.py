@@ -28,7 +28,6 @@ class PeriodicTimer:
         jitter: if non-zero, each interval is multiplied by a uniform factor in
             ``[1 - jitter, 1 + jitter]`` drawn from ``rng``.
         rng: random stream used for jitter; required when ``jitter > 0``.
-        start_delay: delay before the first firing; defaults to one interval.
         label: label used for scheduled events (shows up in traces).
     """
 
@@ -40,7 +39,6 @@ class PeriodicTimer:
         *,
         jitter: float = 0.0,
         rng: Optional[np.random.Generator] = None,
-        start_delay: Optional[float] = None,
         label: str = "periodic",
     ) -> None:
         if interval <= 0:
@@ -58,7 +56,9 @@ class PeriodicTimer:
         self._running = False
         self._handle = None
         self._fired = 0
-        self._start_delay = self._next_interval() if start_delay is None else float(start_delay)
+        # The first firing comes one (jittered) interval after start; drawing
+        # it here fixes its place in the jitter stream's draw order.
+        self._start_delay = self._next_interval()
 
     @property
     def running(self) -> bool:

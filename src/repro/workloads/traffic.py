@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -210,7 +210,6 @@ class TrafficModel:
         profile: TrafficProfile,
         fee_model: Optional[FeeModel] = None,
         payment_satoshi: int = 5_000,
-        sender_ids: Optional[Sequence[int]] = None,
         tracker: Optional[ConfirmationTracker] = None,
     ) -> None:
         if not nodes:
@@ -222,9 +221,6 @@ class TrafficModel:
         self.profile = profile
         self.fee_model = fee_model if fee_model is not None else FeeModel()
         self.payment_satoshi = int(payment_satoshi)
-        self._senders = sorted(sender_ids) if sender_ids is not None else sorted(nodes)
-        if not self._senders:
-            raise ValueError("the traffic model needs at least one sender")
         self._node_ids = sorted(nodes)
         # Dedicated split streams: creating them cannot perturb draws seen by
         # any other consumer (see the RandomService stream-derivation contract).
@@ -262,7 +258,7 @@ class TrafficModel:
             self._emit_one()
 
     def _emit_one(self) -> None:
-        sender_id = self._senders[int(self._arrival_rng.integers(len(self._senders)))]
+        sender_id = self._node_ids[int(self._arrival_rng.integers(len(self._node_ids)))]
         sender = self._nodes[sender_id]
         fee = self.fee_model.draw(self._fee_rng)
         if sender.network is not None and not sender.network.is_online(sender_id):

@@ -100,12 +100,6 @@ class TestDistanceCalculator:
         with pytest.raises(ValueError):
             DistanceCalculator(network, samples_per_pair=0)
 
-    def test_is_close_consistent_with_measure(self, network):
-        calc = DistanceCalculator(network)
-        estimate = calc.measure(0, 1)
-        assert calc.is_close(0, 1, estimate.mean_rtt_s * 2) is True
-        assert calc.is_close(0, 1, estimate.mean_rtt_s / 2) is False
-
 
 class TestClusterRegistry:
     def test_create_cluster_assigns_founder(self):

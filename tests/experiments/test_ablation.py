@@ -1,15 +1,11 @@
-"""Tests for the ablation experiment drivers (small scale)."""
+"""Tests for the ablation experiment driver (small scale)."""
 
 import dataclasses
 
+import pytest
+
 from repro.experiments import ablation
-from repro.experiments.ablation import (
-    AblationOutcome,
-    run_ablation_job,
-    run_ablations,
-    run_long_link_ablation,
-    run_verification_ablation,
-)
+from repro.experiments.ablation import run_ablation_job, run_ablations
 from repro.experiments.config import ExperimentConfig
 
 SMALL = ExperimentConfig(
@@ -17,16 +13,21 @@ SMALL = ExperimentConfig(
 )
 
 
+@pytest.fixture(scope="module")
+def outcome():
+    return run_ablations(SMALL)
+
+
 class TestVerificationAblation:
-    def test_two_variants_returned(self):
-        points = run_verification_ablation(SMALL)
+    def test_two_variants_returned(self, outcome):
+        points = outcome.verification
         assert [p.variant for p in points] == ["verify-then-relay", "pipelined-relay"]
         for point in points:
             assert point.mean_delay_s > 0
             assert point.variance_s2 >= 0
 
-    def test_pipelining_is_not_slower(self):
-        points = {p.variant: p for p in run_verification_ablation(SMALL)}
+    def test_pipelining_is_not_slower(self, outcome):
+        points = {p.variant: p for p in outcome.verification}
         assert (
             points["pipelined-relay"].mean_delay_s
             <= points["verify-then-relay"].mean_delay_s * 1.05
@@ -34,20 +35,17 @@ class TestVerificationAblation:
 
 
 class TestLongLinkAblation:
-    def test_requested_counts_returned(self):
-        points = run_long_link_ablation(SMALL, counts=(0, 3))
-        assert [p.variant for p in points] == ["long-links=0", "long-links=3"]
+    def test_requested_counts_returned(self, outcome):
+        points = outcome.long_links
+        assert [p.variant for p in points] == ["long-links=0", "long-links=2", "long-links=5"]
 
-    def test_more_long_links_raise_degree(self):
-        points = {p.variant: p for p in run_long_link_ablation(SMALL, counts=(0, 3))}
-        assert points["long-links=3"].average_degree > points["long-links=0"].average_degree
+    def test_more_long_links_raise_degree(self, outcome):
+        points = {p.variant: p for p in outcome.long_links}
+        assert points["long-links=5"].average_degree > points["long-links=0"].average_degree
 
 
 class TestAblationReport:
-    def test_report_renders_both_sections(self, render_payload):
-        verification = run_verification_ablation(SMALL)
-        long_links = run_long_link_ablation(SMALL, counts=(0, 2))
-        outcome = AblationOutcome(verification=verification, long_links=long_links)
+    def test_report_renders_both_sections(self, outcome, render_payload):
         text = render_payload("ablation", outcome)
         assert "Ext-5" in text
         assert "| verification/pipelined-relay |" in text

@@ -1,6 +1,7 @@
 """Tests for the declarative experiment registry and dispatch path."""
 
 import dataclasses
+import inspect
 
 import pytest
 
@@ -67,6 +68,20 @@ class TestRegistry:
         with pytest.raises(KeyError, match="fig3"):
             get_experiment("fig5")
 
+    def test_driver_parameters_are_the_options_it_declares(self):
+        """Every driver setting is reachable from the CLI and the envelope:
+        a run function's parameters besides ``config`` are exactly the
+        kwargs its options feed (``config_field`` options feed the config)."""
+        for name in experiment_names():
+            spec = get_experiment(name)
+            parameters = set(inspect.signature(spec.run).parameters) - {"config"}
+            fed = {
+                option.kwarg or option.dest
+                for option in spec.options
+                if option.config_field is None
+            }
+            assert parameters == fed, name
+
     def test_duplicate_registration_from_other_source_rejected(self):
         spec = get_experiment("fig3")
         def imposter(config=None):  # a different implementation, same name
@@ -85,7 +100,7 @@ class TestOptionResolution:
         description="",
         run=lambda config, **kwargs: kwargs,
         options=(
-            ExperimentOption(flag="--count", dest="count", type=int, default=3),
+            ExperimentOption(flag="--count", dest="count", type=int),
             ExperimentOption(
                 flag="--ms",
                 dest="ms",
@@ -103,9 +118,10 @@ class TestOptionResolution:
     )
 
     def test_defaults_and_conversion(self):
+        # An omitted option passes no kwarg: the run function's default applies.
         config, kwargs = resolve_options(self.SPEC, SMALL, {"ms": 50.0})
         assert config is SMALL
-        assert kwargs == {"count": 3, "seconds": 0.05}
+        assert kwargs == {"seconds": 0.05}
 
     def test_config_field_folds_into_config(self):
         config, kwargs = resolve_options(self.SPEC, SMALL, {"threshold_override": 0.04})

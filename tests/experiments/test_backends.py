@@ -30,7 +30,6 @@ from repro.experiments.checkpoint import (
     CellStore,
     canonical_job,
     cell_key,
-    missing_keys,
 )
 from repro.experiments import checkpoint
 from repro.experiments.config import ExperimentConfig
@@ -191,7 +190,7 @@ class TestCellStore:
         assert merged.has("k1") and merged.has("k2")
         assert merged.load("k2") == "from-b"
         assert merged.keys() == ["k1", "k2"]
-        assert missing_keys(merged, ["k1", "k2", "k3"]) == ["k3"]
+        assert not merged.has("k3")
 
     def test_no_torn_cells_left_behind(self, tmp_path):
         # A failed save must not leave a partial cell file a reader could load.

@@ -29,6 +29,17 @@ class TestExperimentConfig:
         with pytest.raises(ValueError):
             ExperimentConfig(fig4_thresholds_s=(0.03, -0.01))
 
+    def test_empty_fig4_thresholds_rejected(self):
+        # With no threshold fig4 runs no cell, and its variance_monotone
+        # verdict holds vacuously.
+        with pytest.raises(ValueError, match="at least one fig4 threshold"):
+            ExperimentConfig(fig4_thresholds_s=())
+
+    def test_negative_funding_outputs_rejected(self):
+        # funding_outputs would silently fund runs + 2 outputs instead.
+        with pytest.raises(ValueError, match="funding_outputs_per_node"):
+            ExperimentConfig(funding_outputs_per_node=-1)
+
     def test_repeated_seed_rejected(self):
         # A repeated seed would run its cells twice: the pooled summaries
         # would then count every sample twice while the per-seed series

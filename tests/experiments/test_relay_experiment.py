@@ -13,7 +13,7 @@ import pytest
 
 from repro.experiments import attacks, relay_comparison
 from repro.experiments.api import get_experiment, run_experiment
-from repro.experiments.attacks import run_dynamic_attacks
+from repro.experiments.attacks import run_attacks
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.relay_comparison import (
     RELAY_PROTOCOLS,
@@ -114,13 +114,16 @@ class TestRelayComparisonExperiment:
 
         monkeypatch.setattr(relay_comparison, "run_seed_grid", no_cells)
         monkeypatch.setattr(attacks, "run_seed_grid", no_cells)
-        for driver in (run_relay_comparison, run_dynamic_attacks):
+        for driver, blocks, txs, horizon in (
+            (run_relay_comparison, "blocks", "txs_per_block", "block_horizon_s"),
+            (run_attacks, "attack_blocks", "attack_txs", "attack_horizon_s"),
+        ):
             with pytest.raises(ValueError, match="blocks must be positive"):
-                driver(SMALL, blocks=0)
+                driver(SMALL, **{blocks: 0})
             with pytest.raises(ValueError, match="txs_per_block cannot be negative"):
-                driver(SMALL, txs_per_block=-1)
+                driver(SMALL, **{txs: -1})
             with pytest.raises(ValueError, match="block_horizon_s must be positive"):
-                driver(SMALL, block_horizon_s=0.0)
+                driver(SMALL, **{horizon: 0.0})
 
     def test_default_sweep_constants(self):
         assert RELAY_SWEEP == ("flood", "compact", "push", "adaptive", "headers")

@@ -20,7 +20,7 @@ _SCRIPT = """
 import sys
 
 import repro.experiments
-from repro.experiments.ablation import run_long_link_ablation
+from repro.experiments.ablation import run_ablations
 from repro.experiments.attacks import run_attacks
 from repro.experiments.config import ExperimentConfig
 
@@ -30,8 +30,8 @@ config = ExperimentConfig(
 attacks = run_attacks(
     config, protocols=("bitcoin", "bcbpt"), attacks=("eclipse",), attack_blocks=1
 )
-ablation = run_long_link_ablation(config, counts=(0,))
-assert len(attacks.eclipse) == len(attacks.partition) == 2 and len(ablation) == 1
+ablation = run_ablations(config).long_links
+assert len(attacks.eclipse) == len(attacks.partition) == 2 and len(ablation) == 3
 assert all(point.average_path_length > 1.0 for point in ablation)
 print("networkx" in sys.modules)
 """

@@ -291,8 +291,8 @@ class TestSelfishMiner:
             simulated.nodes,
             equal_hash_power(simulated.node_ids()),
             simulated.simulator.random.stream("mining"),
-            on_block_found=lambda block, miner_id: None,
         )
+        mining.on_block_found = lambda block, miner_id: None
         with pytest.raises(ValueError, match="on_block_found"):
             SelfishMiner(
                 simulated.simulator, simulated.network, simulated.node(0), mining

@@ -39,20 +39,3 @@ class TestSimClock:
         with pytest.raises(ValueError):
             clock.advance_to(float("nan"))
         assert clock.now == 1.0
-
-    def test_reset_returns_to_start(self):
-        clock = SimClock()
-        clock.advance_to(100.0)
-        clock.reset()
-        assert clock.now == 0.0
-
-    def test_reset_to_custom_start(self):
-        clock = SimClock()
-        clock.advance_to(100.0)
-        clock.reset(50.0)
-        assert clock.now == 50.0
-
-    def test_reset_negative_rejected(self):
-        clock = SimClock()
-        with pytest.raises(ValueError):
-            clock.reset(-5.0)
