@@ -8,11 +8,13 @@ and legacy sample-less envelopes still load and report (tables only).
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import pytest
 
 from repro.analysis import figures as figures_mod
 from repro.analysis.report import (
+    FIGURES_DIR,
     build_figures,
     render_comparison,
     render_report,
@@ -81,6 +83,47 @@ class TestFigureRegeneration:
             assert all(p.stat().st_size > 0 for p in paths)
         else:
             assert paths == []
+
+
+class TestFigureLayout:
+    def test_delay_coverage_grid_spans_the_pooled_range_in_ms(self):
+        spec = figures_mod.delay_coverage_figure(
+            {"a": [0.010, 0.030], "empty": [], "b": [0.020, 0.050]}, slug="s", title="t"
+        )
+        assert spec.xlabel == "propagation delay (ms)"
+        assert [curve.label for curve in spec.curves] == ["a", "b"]
+        grids = {tuple(x for x, _ in curve.points) for curve in spec.curves}
+        assert len(grids) == 1, "every curve is evaluated on one shared grid"
+        (grid,) = grids
+        assert len(grid) == figures_mod.CURVE_POINTS
+        assert grid[0] == pytest.approx(10.0) and grid[-1] == pytest.approx(50.0)
+        assert [curve.points[-1][1] for curve in spec.curves] == [1.0, 1.0]
+        assert figures_mod.delay_coverage_figure({"empty": []}, slug="s", title="t") is None
+
+    def test_fallback_table_keeps_at_most_table_rows(self):
+        points = tuple((float(x), x / 99) for x in range(100))
+        spec = figures_mod.FigureSpec(
+            slug="s",
+            title="t",
+            xlabel="x",
+            ylabel="y",
+            curves=(figures_mod.Curve(label="c", points=points),),
+        )
+        body = figures_mod.figure_table(spec).splitlines()[2:]
+        assert len(body) == figures_mod.TABLE_ROWS
+        assert body[0].startswith("| 0 |") and body[-1].startswith("| 99 |")
+
+    def test_rendered_images_are_linked_under_the_figures_dir(self, stored_run):
+        store, run_id = stored_run
+        result = store.load(run_id)
+        specs = build_figures(result, sample_log_of(result))
+        slug = specs[0].slug
+        images = [Path("anywhere") / f"{slug}.svg", Path("anywhere") / f"{slug}.png"]
+        markdown = render_report(
+            result, run_id=run_id, rendered_figures={slug: images}, specs=specs
+        )
+        assert f"]({FIGURES_DIR}/{slug}.png)" in markdown  # the PNG is embedded
+        assert f"[{slug}.svg]({FIGURES_DIR}/{slug}.svg)" in markdown
 
 
 class TestWriteReport:

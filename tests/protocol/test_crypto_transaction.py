@@ -124,6 +124,17 @@ class TestTransaction:
         change = [o for o in tx.outputs if o.address == keypair.address]
         assert change and change[0].value == 600
 
+    def test_fee_comes_out_of_the_change_to_the_sender(self):
+        keypair, coinbase = self._funded_keypair()
+        tx = Transaction.create_signed(
+            keypair, [(coinbase.txid, 0, 1000)], [("dest", 400)], fee=100
+        )
+        assert [(o.address, o.value) for o in tx.outputs] == [
+            ("dest", 400),
+            (keypair.address, 500),
+        ]
+        assert tx.total_output_value == 900
+
     def test_exact_spend_has_no_change(self):
         keypair, coinbase = self._funded_keypair()
         tx = Transaction.create_signed(keypair, [(coinbase.txid, 0, 1000)], [("dest", 1000)])
