@@ -7,7 +7,8 @@ verdicts, percentile tables with bootstrap confidence intervals over seeds,
 the stored summaries, and the paper's figures regenerated from the envelope's
 raw ``samples`` (:mod:`repro.analysis.figures`) — with **no re-simulation**.
 ``repro run`` prints it for a fresh run, and ``repro report`` writes the same
-text to ``report.md`` for a stored one.
+text to ``report.md`` for a stored one.  :func:`render_comparison` is the one
+view of two runs, printed by ``repro compare`` and ``repro run --diff-latest``.
 
 Byte-stability contract: rendering the same stored run twice produces
 byte-identical markdown.  Everything in the report derives from the stored
@@ -15,8 +16,8 @@ envelope (the run's own ``created_at``, never the render time), iteration
 orders are the envelope's stored orders, floats are formatted at fixed
 precision, and the bootstrap uses a pinned generator seed.
 
-Legacy envelopes (schema v1, no ``samples``) still render: the percentile
-and figure sections fall back to the stored scalar summaries, tables only.
+Envelopes without ``samples`` (schema v1, and experiments that store none)
+render the stored scalar summaries only: no percentile tables, no figures.
 """
 
 from __future__ import annotations
@@ -105,7 +106,7 @@ def _is_delay_metric(metric: str) -> bool:
 
 
 def sample_log_of(result: ExperimentResult) -> SampleLog:
-    """The envelope's raw samples as a :class:`SampleLog` (empty for legacy runs)."""
+    """The envelope's raw samples as a :class:`SampleLog` (empty when none are stored)."""
     return SampleLog.from_dict(result.samples)
 
 
@@ -200,8 +201,8 @@ def render_report(
         )
     else:
         lines.append(
-            "Raw samples: none stored (legacy envelope) — percentiles and "
-            "figures below come from the stored scalar summaries."
+            "Raw samples: none stored — the tables below are the stored "
+            "scalar summaries."
         )
     lines.append("")
 
@@ -271,7 +272,7 @@ def render_report(
     # Load frontier ---------------------------------------------------------
     lines.extend(_render_load_frontier(result, log))
 
-    # Stored scalar summaries (always present; the only table for legacy runs):
+    # Stored scalar summaries (always present; the only tables without samples):
     # one row per label, one table per set of metrics, in envelope order.
     if result.summaries:
         lines.append("## Stored summaries")
@@ -429,29 +430,6 @@ def _plain(value: Any) -> str:
 
 
 # ------------------------------------------------------------------ driving
-def resolve_run_ref(store: ResultStore, ref: Optional[str]) -> str:
-    """Resolve a CLI run reference to a loadable run id (or path).
-
-    Accepted forms: None / ``"latest"`` (newest stored run across all
-    experiments), an experiment name (its newest run), a run id
-    (``fig3/<stamp>-001``) or a run directory path.
-    """
-    if ref in (None, "", "latest"):
-        ids = store.run_ids()
-        if not ids:
-            raise FileNotFoundError(f"no stored runs under {store.root}")
-        return max(ids, key=lambda run_id: run_id.split("/", 1)[1])
-    assert ref is not None
-    if "/" not in ref and not Path(ref).exists():
-        latest = store.latest(ref)
-        if latest is None:
-            raise FileNotFoundError(
-                f"no stored runs for experiment {ref!r} under {store.root}"
-            )
-        return latest
-    return ref
-
-
 def write_report(
     store: ResultStore,
     ref: Optional[str] = None,
@@ -462,10 +440,12 @@ def write_report(
 ) -> ReportArtifacts:
     """Render one stored run to ``report.md`` (+ figures) and return the paths.
 
-    By default everything lands in the run's own directory, keeping it a
-    self-contained artifact; ``out_dir`` overrides the destination.
+    ``ref`` is any :meth:`ResultStore.select` reference; the newest run it
+    names is rendered.  By default everything lands in the run's own
+    directory, keeping it a self-contained artifact; ``out_dir`` overrides
+    the destination.
     """
-    run_id = resolve_run_ref(store, ref)
+    run_id = store.select(ref)[-1]
     result = store.load(run_id)
     destination = Path(out_dir) if out_dir is not None else store.run_dir(run_id)
     destination.mkdir(parents=True, exist_ok=True)
@@ -480,12 +460,12 @@ def write_report(
             if paths:
                 rendered[spec.slug] = paths
     markdown = render_report(
-        result, run_id=str(run_id), rendered_figures=rendered, log=log, specs=specs
+        result, run_id=run_id, rendered_figures=rendered, log=log, specs=specs
     )
     markdown_path = destination / "report.md"
     markdown_path.write_text(markdown)
     return ReportArtifacts(
-        run_id=str(run_id),
+        run_id=run_id,
         markdown_path=markdown_path,
         markdown=markdown,
         figure_paths=[path for paths in rendered.values() for path in paths],
@@ -494,17 +474,33 @@ def write_report(
 
 # --------------------------------------------------------------- comparison
 def render_comparison(
-    store: ResultStore,
-    baseline_ref: str,
-    candidate_ref: str,
+    baseline: ExperimentResult,
+    candidate: ExperimentResult,
+    *,
+    baseline_id: str,
+    candidate_id: str,
 ) -> str:
-    """Side-by-side markdown comparison of two stored runs."""
-    baseline_id = resolve_run_ref(store, baseline_ref)
-    candidate_id = resolve_run_ref(store, candidate_ref)
-    baseline = store.load(baseline_id)
-    candidate = store.load(candidate_id)
+    """Side-by-side markdown comparison of two runs of one experiment.
+
+    The opening line calls the runs identical only when
+    :func:`~repro.experiments.results.diff_results` finds no config,
+    summary or verdict change; otherwise it names the parts that differ.
+    """
     diff = diff_results(baseline, candidate)
-    lines = [f"# Comparison: `{baseline_id}` vs `{candidate_id}`", ""]
+    summaries_differ = bool(
+        diff.metric_deltas or diff.labels_only_in_baseline or diff.labels_only_in_candidate
+    )
+    differing = [
+        part
+        for part, changed in (
+            ("config", diff.config_changes),
+            ("summaries", summaries_differ),
+            ("verdicts", diff.verdict_changes),
+        )
+        if changed
+    ]
+    outcome = f"differ in {', '.join(differing)}" if differing else "identical"
+    lines = [f"# Comparison: `{baseline_id}` vs `{candidate_id}` — {outcome}", ""]
     lines.append(f"Experiment `{baseline.experiment}`.")
     lines.append("")
 
@@ -537,7 +533,7 @@ def render_comparison(
 
     lines.append("## Metric deltas")
     lines.append("")
-    if diff.metric_deltas or diff.labels_only_in_baseline or diff.labels_only_in_candidate:
+    if summaries_differ:
         rows = []
         for label in diff.labels_only_in_baseline:
             rows.append([label, "_(whole label)_", "present", "absent", ""])
@@ -559,7 +555,7 @@ def render_comparison(
             format_markdown_table(["label", "metric", "baseline", "candidate", "Δ"], rows)
         )
     else:
-        lines.append("(summaries identical)")
+        lines.append("(no metric deltas)")
     lines.append("")
 
     base_log = sample_log_of(baseline)

@@ -16,11 +16,10 @@ Both round-trip losslessly through JSON (NaN included) via
 stores exactly that plain form, so this module stays importable from every
 layer (standard library only — no numpy, no experiments imports).
 
-Determinism: series and points are stored in insertion order, experiments fill
-the log from grid results merged in submission order, and
-:meth:`SampleLog.merge` concatenates per key — so the persisted samples are
-identical for every worker count, like every other aggregate in the
-repository.
+Determinism: series and points are stored in insertion order, and
+experiments fill the log from grid results merged in submission order — so
+the persisted samples are identical for every worker count, like every other
+aggregate in the repository.
 
 :class:`BlockArrivalRecorder` is the standard block-plane observer: it
 attaches to ``BitcoinNode.block_listeners`` and records, per block hash, when
@@ -189,25 +188,6 @@ class SampleLog:
 
     def __bool__(self) -> bool:
         return bool(self._series or self._timeseries)
-
-    # ----------------------------------------------------------------- merge
-    def merge(self, other: "SampleLog") -> "SampleLog":
-        """A new log holding both logs' data (same-key series concatenate).
-
-        Merging logs built in a deterministic order is itself deterministic,
-        preserving the worker-count invariance of the inputs.
-        """
-        merged = SampleLog()
-        for log in (self, other):
-            for series in log._series.values():
-                merged.extend(
-                    series.label, series.metric, series.values,
-                    seed=series.seed, unit=series.unit,
-                )
-            for curve in log._timeseries.values():
-                for x, y in curve.points:
-                    merged.add_point(curve.label, curve.metric, x, y, unit=curve.unit)
-        return merged
 
     # ------------------------------------------------------------- transport
     def to_dict(self) -> dict[str, Any]:

@@ -61,7 +61,6 @@ from repro.experiments.api import (
     run_experiment,
 )
 from repro.experiments.config import ExperimentConfig
-from repro.experiments.reporting import format_table
 from repro.experiments.results import ExperimentResult, ResultStore, diff_results
 from repro.experiments.runner import (
     Campaign,
@@ -81,7 +80,6 @@ __all__ = [
     "diff_results",
     "experiment",
     "experiment_names",
-    "format_table",
     "get_experiment",
     "measure_propagation",
     "run_experiment",

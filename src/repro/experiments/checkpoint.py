@@ -193,12 +193,3 @@ class CellStore:
         path = self.root / self.MANIFEST
         path.write_text(json.dumps(json_safe(data), indent=2, sort_keys=True) + "\n")
         return path
-
-    def read_manifests(self) -> list[dict[str, Any]]:
-        """All shard manifests visible through this store's roots."""
-        manifests = []
-        for root in (self.root, *self.extra_roots):
-            path = root / self.MANIFEST
-            if path.is_file():
-                manifests.append(json.loads(path.read_text()))
-        return manifests

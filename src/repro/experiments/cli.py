@@ -10,14 +10,13 @@ One command drives every registered experiment::
     repro run fig3 --backend pool --resume      # checkpoint + resume cells
     repro shard run fig3 --shard 0/2 --cells a  # one deterministic slice
     repro shard merge fig3 a b                  # reassemble the full grid
-    repro compare fig3                          # diff the two newest runs
-    repro compare fig3/<run-a> fig3/<run-b>     # diff two specific runs
-    repro compare fig3 --where nodes=200        # ... two newest matching runs
+    repro compare fig3                          # the two newest fig3 runs
+    repro compare 'fig3?nodes=200'              # ... two newest matching runs
+    repro compare fig3/<run-a> fig3/<run-b>     # two specific runs
     repro report                                # markdown report, newest run
     repro report fig3                           # ... newest fig3 run
     repro report fig3/<run-a>                   # ... one specific run
     repro report 'fig3?nodes=200,policy=bcbpt'  # ... newest matching run
-    repro report --compare fig3/<a> fig3/<b>    # side-by-side deltas
 
 ``run`` composes the shared :meth:`ExperimentConfig.add_arguments` flags with
 the experiment's declarative options, executes through the registry dispatch
@@ -30,11 +29,18 @@ field=v1,v2`` repeats the run across the values of any
 :class:`~repro.experiments.config.ExperimentConfig` field or experiment
 option; several ``--sweep`` flags form a grid.
 
-``report`` re-analyses a *stored* run with no re-simulation: it renders a
-self-contained markdown report (provenance, verdicts, percentile tables,
-Fig. 3/4 regenerated from the envelope's raw samples) into the run directory
-via :mod:`repro.analysis.report`.  Figures become PNG/SVG when matplotlib
-(the ``repro[plots]`` extra) is installed and markdown tables otherwise.
+``report`` and ``compare`` name stored runs by one kind of reference,
+resolved by :meth:`~repro.experiments.results.ResultStore.select`: ``latest``,
+an experiment name, a run id, a run directory, or a provenance selector
+(``'fig3?nodes=200,policy=bcbpt'``).  ``report`` re-analyses the newest run a
+reference names with no re-simulation: it renders a self-contained markdown
+report (provenance, verdicts, percentile tables, Fig. 3/4 regenerated from
+the envelope's raw samples) into the run directory via
+:mod:`repro.analysis.report`.  Figures become PNG/SVG when matplotlib (the
+``repro[plots]`` extra) is installed and markdown tables otherwise.
+``compare`` prints :func:`repro.analysis.report.render_comparison` for the
+newest runs of two references, or the two newest runs of one, and exits 0
+when they are identical, 1 when they differ and 2 when it cannot compare.
 """
 
 from __future__ import annotations
@@ -54,14 +60,12 @@ from repro.experiments.api import (
 from repro.experiments.backends import BACKEND_NAMES, ExecutionPlan, GridIncomplete
 from repro.experiments.checkpoint import CellStore
 from repro.experiments.config import ExperimentConfig
-from repro.experiments.reporting import format_table
+from repro.experiments.reporting import format_markdown_table
 from repro.experiments.results import (
     ExperimentResult,
     ResultStore,
     diff_results,
     json_safe,
-    parse_where,
-    resolve_run_selector,
 )
 
 PROG = "repro"
@@ -115,22 +119,15 @@ def _top_parser() -> argparse.ArgumentParser:
         add_help=False,
     )
     shard.add_argument("mode", nargs="?")
-    compare = sub.add_parser("compare", help="diff two stored runs")
+    compare = sub.add_parser("compare", help="compare two stored runs")
     compare.add_argument(
-        "runs",
+        "refs",
         nargs="+",
-        help="either two run refs (run ids like fig3/20260729T144501-001, or "
-        "parameter selectors like 'fig3?nodes=200,policy=bcbpt' meaning the "
-        "newest matching run) or one experiment name, meaning its two newest "
-        "stored runs",
-    )
-    compare.add_argument(
-        "--where",
-        default=None,
-        metavar="K=V[,K=V...]",
-        help="with one experiment name: restrict the 'two newest runs' to "
-        "those matching every condition (config fields, options, protocol "
-        "labels, seeds — e.g. nodes=10000,policy=bcbpt)",
+        metavar="REF",
+        help="two run refs, meaning the newest run each names, or one ref, "
+        "meaning the two newest runs it names.  A ref is a run id "
+        "(fig3/20260729T144501-001), a run directory, an experiment name, "
+        "'latest', or a parameter selector ('fig3?nodes=200,policy=bcbpt')",
     )
     compare.add_argument(
         "--results-dir", default=None, help="result store root (default: results/)"
@@ -143,24 +140,9 @@ def _top_parser() -> argparse.ArgumentParser:
         "ref",
         nargs="?",
         default=None,
-        help="run id (fig3/<stamp>-001), run directory, experiment name "
-        "(meaning its newest run), parameter selector "
-        "('fig3?nodes=200,policy=bcbpt': the newest matching run) or "
-        "'latest' (the default: newest run overall)",
-    )
-    report.add_argument(
-        "--where",
-        default=None,
-        metavar="K=V[,K=V...]",
-        help="select the newest stored run matching every condition "
-        "(scoped to REF when REF is an experiment name)",
-    )
-    report.add_argument(
-        "--compare",
-        nargs=2,
-        metavar=("BASELINE", "CANDIDATE"),
-        help="instead of one run's report, print a side-by-side markdown "
-        "comparison of two stored runs",
+        help="the newest run this names is reported: a run id "
+        "(fig3/<stamp>-001), run directory, experiment name, parameter "
+        "selector ('fig3?nodes=200,policy=bcbpt') or 'latest' (the default)",
     )
     report.add_argument(
         "--out", default=None, help="output directory (default: the run directory)"
@@ -193,7 +175,7 @@ def _cmd_list() -> int:
     for name in experiment_names():
         spec = get_experiment(name)
         rows.append([name, spec.experiment_id, spec.title])
-    print(format_table(["name", "id", "title"], rows))
+    print(format_markdown_table(["name", "id", "title"], rows))
     return 0
 
 
@@ -259,7 +241,7 @@ def build_run_parser(spec: ExperimentSpec) -> argparse.ArgumentParser:
     parser.add_argument(
         "--diff-latest",
         action="store_true",
-        help="after the run, diff it against the previous stored run",
+        help="after the run, compare it with the previous stored run",
     )
     plane = parser.add_argument_group(
         "execution plane",
@@ -429,7 +411,7 @@ def _execute_run(spec: ExperimentSpec, args: argparse.Namespace) -> int:
                 options[field] = value
         if point_label:
             print(f"### sweep point: {point_label}")
-        previous = store.latest(spec.name) if args.diff_latest else None
+        previous_ids = store.run_ids(spec.name) if args.diff_latest else []
         # A fresh plan per sweep point: progress counters and the global cell
         # index are per-invocation (the cell *store* is shared — content-
         # derived keys keep different points' cells apart).
@@ -439,15 +421,23 @@ def _execute_run(spec: ExperimentSpec, args: argparse.Namespace) -> int:
         except GridIncomplete as exc:
             return _report_incomplete(spec, plan, exc)
         run_dir = _save_and_print(result, None if args.no_save else store)
-        candidate_label = str(run_dir) if run_dir is not None else "(unsaved run)"
-        if args.diff_latest:
-            if previous is None:
-                print("no previous run to diff against")
-            else:
-                diff = diff_results(store.load(previous), result)
-                diff.baseline = previous
-                diff.candidate = candidate_label
-                print(diff.render())
+        if args.diff_latest and not previous_ids:
+            print("no previous run to diff against")
+        elif args.diff_latest:
+            from repro.analysis.report import render_comparison
+
+            print()
+            print(
+                render_comparison(
+                    store.load(previous_ids[-1]),
+                    result,
+                    baseline_id=previous_ids[-1],
+                    candidate_id=(
+                        f"{spec.name}/{run_dir.name}" if run_dir else "(unsaved run)"
+                    ),
+                ),
+                end="",
+            )
         verdict_ok = (
             result.verdicts.get(spec.exit_verdict, True) if spec.exit_verdict else True
         )
@@ -466,38 +456,21 @@ def _execute_run(spec: ExperimentSpec, args: argparse.Namespace) -> int:
         width = max(len(row) for row in sweep_rows)
         headers = ["sweep point"] + [f"verdict {i}" for i in range(1, width)]
         padded = [row + [""] * (width - len(row)) for row in sweep_rows]
-        print(format_table(headers, padded, title="Sweep summary"))
+        print("## Sweep summary")
+        print()
+        print(format_markdown_table(headers, padded))
     return exit_code
 
 
 # ------------------------------------------------------------------ report
 def _cmd_report(args: argparse.Namespace) -> int:
-    # Imported lazily: the analysis layer sits above the experiments layer
-    # and is only needed by this subcommand.
-    from repro.analysis import report as report_mod
+    # Imported lazily: the analysis layer sits above the experiments layer.
+    from repro.analysis.report import write_report
 
-    store = ResultStore(args.results_dir)
     try:
-        if args.compare:
-            baseline = resolve_run_selector(store, args.compare[0])
-            candidate = resolve_run_selector(store, args.compare[1])
-            print(report_mod.render_comparison(store, baseline, candidate), end="")
-            return 0
-        ref = args.ref
-        if args.where:
-            experiment = ref if ref not in (None, "latest") else None
-            matches = store.query(parse_where(args.where), experiment=experiment)
-            if not matches:
-                scoped = f" of {experiment!r}" if experiment else ""
-                raise FileNotFoundError(
-                    f"no stored run{scoped} matches --where {args.where!r}"
-                )
-            ref = matches[-1]
-        elif ref is not None:
-            ref = resolve_run_selector(store, ref)
-        artifacts = report_mod.write_report(
-            store,
-            ref,
+        artifacts = write_report(
+            ResultStore(args.results_dir),
+            args.ref,
             out_dir=args.out,
             formats=tuple(args.formats),
             render_figures=not args.no_figures,
@@ -516,34 +489,40 @@ def _cmd_report(args: argparse.Namespace) -> int:
 
 # ----------------------------------------------------------------- compare
 def _cmd_compare(args: argparse.Namespace) -> int:
-    runs: list[str] = args.runs
+    from repro.analysis.report import render_comparison
+
+    refs: list[str] = args.refs
     store = ResultStore(args.results_dir)
     try:
-        if len(runs) == 1:
-            # One experiment name: diff its two newest stored runs, optionally
-            # restricted by `--where` parameter conditions.
-            if args.where:
-                ids = store.query(parse_where(args.where), experiment=runs[0])
-            else:
-                ids = store.run_ids(runs[0])
+        if len(refs) > 2:
+            raise ValueError(f"compare takes one or two run refs, got {len(refs)}")
+        if len(refs) == 1:
+            try:
+                ids = store.select(refs[0])
+            except FileNotFoundError:
+                ids = []
             if len(ids) < 2:
-                conditions = f" matching --where {args.where!r}" if args.where else ""
                 print(
-                    f"need at least two stored runs of {runs[0]!r}{conditions} "
-                    f"to compare (found {len(ids)})",
+                    f"need at least two stored runs of {refs[0]!r} to compare "
+                    f"(found {len(ids)})",
                     file=sys.stderr,
                 )
                 return 2
-            baseline_id, candidate_id = ids[-2], ids[-1]
+            baseline_id, candidate_id = ids[-2:]
         else:
-            baseline_id = resolve_run_selector(store, runs[0])
-            candidate_id = resolve_run_selector(store, runs[1])
-        diff = store.diff(baseline_id, candidate_id)
+            baseline_id, candidate_id = (store.select(ref)[-1] for ref in refs)
+        baseline, candidate = store.load(baseline_id), store.load(candidate_id)
+        identical = diff_results(baseline, candidate).identical
     except (FileNotFoundError, ValueError) as exc:
         print(str(exc), file=sys.stderr)
         return 2
-    print(diff.render())
-    return 0 if diff.identical else 1
+    print(
+        render_comparison(
+            baseline, candidate, baseline_id=baseline_id, candidate_id=candidate_id
+        ),
+        end="",
+    )
+    return 0 if identical else 1
 
 
 # ------------------------------------------------------------------- shard

@@ -48,7 +48,7 @@ and its job function next to the code that aggregates them.
 
 from __future__ import annotations
 
-from typing import Callable, Optional, Sequence, TypeVar
+from typing import Callable, Sequence, TypeVar
 
 from repro.experiments.backends import ExecutionPlan, current_plan
 from repro.experiments.config import ExperimentConfig
@@ -63,21 +63,19 @@ def run_seed_grid(
     make_job: Callable[[PointT, int], JobT],
     job_fn: Callable[[JobT], ResultT],
     config: ExperimentConfig,
-    *,
-    plan: Optional[ExecutionPlan] = None,
 ) -> list[tuple[PointT, list[ResultT]]]:
     """Run ``job_fn`` over the (point, seed) grid and regroup per point.
+
+    The cells run under the plan :func:`~repro.experiments.backends.use_plan`
+    installed (how ``run_experiment`` threads backends and checkpoints
+    through without changing driver signatures), or else under an ephemeral
+    default plan driven by ``config.workers``.
 
     Args:
         points: the sweep axis (labels, thresholds, variants, ...).
         make_job: builds the picklable job spec for one (point, seed) cell.
         job_fn: module-level job body, executed possibly in a worker process.
         config: supplies the seeds and the worker count.
-        plan: execution plan; defaults to the plan installed by
-            :func:`~repro.experiments.backends.use_plan` (how
-            ``run_experiment`` threads backends/checkpoints through without
-            changing driver signatures), and otherwise to an ephemeral
-            default plan driven by ``config.workers``.
 
     Returns:
         One ``(point, seed_results)`` pair per sweep point, in sweep order,
@@ -88,7 +86,7 @@ def run_seed_grid(
     """
     points = list(points)
     jobs = [make_job(point, seed) for point in points for seed in config.seeds]
-    active = plan if plan is not None else current_plan()
+    active = current_plan()
     if active is None:
         active = ExecutionPlan()
     results = active.run_cells(job_fn, jobs, config)

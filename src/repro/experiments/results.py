@@ -29,10 +29,14 @@ summary tables only.  Up to v2 the envelope also stored pre-rendered report
           ...
 
 Run ids are ``"<experiment>/<directory>"`` (e.g. ``"fig3/20260729T144501-001"``)
-and sort chronologically.  :meth:`ResultStore.diff` compares two stored runs:
-config drift, per-label metric deltas, and verdict flips (raw samples are
-deliberately *not* diffed — the scalar summaries derived from them are).
-:meth:`ResultStore.query` selects stored runs by their provenance.
+and sort by their ``<stamp>-<seq>`` directory, across experiments too.
+:meth:`ResultStore.select` is the one way to name stored runs: ``latest``,
+an experiment name, a run id, a run directory, or a provenance selector such
+as ``"fig3?nodes=200,policy=bcbpt"`` that :meth:`ResultStore.query` answers.
+:func:`diff_results` compares two runs: config drift, per-label metric
+deltas, and verdict flips (raw samples are deliberately *not* diffed — the
+scalar summaries derived from them are);
+:func:`repro.analysis.report.render_comparison` shows that comparison.
 """
 
 from __future__ import annotations
@@ -93,7 +97,7 @@ class ExperimentResult:
         options: experiment-specific options the run was invoked with.
         seeds: the master seeds the aggregates pooled over.
         summaries: per-label scalar summaries (label -> metric -> value); the
-            machine-readable core used by :meth:`diff`.
+            machine-readable core :func:`diff_results` compares.
         verdicts: named boolean reproduction criteria (e.g. the Fig. 3
             ordering check).
         extras: any additional JSON-safe data an experiment wants persisted.
@@ -202,17 +206,11 @@ class ExperimentResult:
         """
         return hashlib.sha256(self.canonical_json().encode()).hexdigest()
 
-    def diff(self, other: "ExperimentResult") -> "ResultDiff":
-        """Compare this run (baseline) against ``other`` (candidate)."""
-        return diff_results(self, other)
-
 
 @dataclass
 class ResultDiff:
     """A structured comparison of two experiment runs."""
 
-    baseline: str
-    candidate: str
     config_changes: dict[str, tuple[Any, Any]] = field(default_factory=dict)
     metric_deltas: dict[str, dict[str, tuple[Any, Any]]] = field(default_factory=dict)
     labels_only_in_baseline: list[str] = field(default_factory=list)
@@ -232,35 +230,6 @@ class ResultDiff:
             or self.verdict_changes
         )
 
-    def render(self) -> str:
-        """Human-readable diff report."""
-        lines = [f"diff: {self.baseline} -> {self.candidate}"]
-        if self.identical:
-            lines.append("  (identical: config, summaries and verdicts all match)")
-            return "\n".join(lines)
-        for key, (old, new) in sorted(self.config_changes.items()):
-            lines.append(f"  config {key}: {old!r} -> {new!r}")
-        for label in self.labels_only_in_baseline:
-            lines.append(f"  label only in baseline: {label}")
-        for label in self.labels_only_in_candidate:
-            lines.append(f"  label only in candidate: {label}")
-        for label, metrics in sorted(self.metric_deltas.items()):
-            for metric, (old, new) in sorted(metrics.items()):
-                delta = ""
-                if isinstance(old, (int, float)) and isinstance(new, (int, float)):
-                    if old and not (math.isnan(old) or math.isnan(new)):
-                        delta = f" ({(new - old) / abs(old):+.1%})"
-                lines.append(f"  {label}.{metric}: {_fmt(old)} -> {_fmt(new)}{delta}")
-        for name, (old, new) in sorted(self.verdict_changes.items()):
-            lines.append(f"  verdict {name}: {old} -> {new}")
-        return "\n".join(lines)
-
-
-def _fmt(value: Any) -> str:
-    if isinstance(value, float):
-        return f"{value:.6g}"
-    return repr(value)
-
 
 def _values_differ(old: Any, new: Any) -> bool:
     if isinstance(old, float) and isinstance(new, float):
@@ -276,10 +245,7 @@ def diff_results(baseline: ExperimentResult, candidate: ExperimentResult) -> Res
             f"cannot diff runs of different experiments: "
             f"{baseline.experiment!r} vs {candidate.experiment!r}"
         )
-    diff = ResultDiff(
-        baseline=f"{baseline.experiment}@{baseline.created_at:.0f}",
-        candidate=f"{candidate.experiment}@{candidate.created_at:.0f}",
-    )
+    diff = ResultDiff()
     base_config = json_safe(baseline.config)
     cand_config = json_safe(candidate.config)
     for key in sorted(set(base_config) | set(cand_config)):
@@ -351,21 +317,53 @@ class ResultStore:
 
     # ------------------------------------------------------------------ read
     def run_ids(self, experiment: Optional[str] = None) -> list[str]:
-        """All stored run ids (``"<experiment>/<dir>"``), oldest first."""
+        """All stored run ids (``"<experiment>/<dir>"``), oldest first.
+
+        Runs sort by their ``<stamp>-<seq>`` directory name, across
+        experiments too, so the last id is the newest run stored.
+        """
         if not self.root.is_dir():
             return []
-        names = [experiment] if experiment else sorted(
-            p.name for p in self.root.iterdir() if p.is_dir()
+        if experiment:
+            experiment_dirs = [self.root / experiment]
+        else:
+            experiment_dirs = [p for p in self.root.iterdir() if p.is_dir()]
+        runs = sorted(
+            (run_dir.name, experiment_dir.name)
+            for experiment_dir in experiment_dirs
+            if experiment_dir.is_dir()
+            for run_dir in experiment_dir.iterdir()
+            if run_dir.is_dir() and _RUN_DIR_RE.match(run_dir.name)
         )
-        ids: list[str] = []
-        for name in names:
-            experiment_dir = self.root / name
-            if not experiment_dir.is_dir():
-                continue
-            ids.extend(
-                f"{name}/{p.name}"
-                for p in sorted(experiment_dir.iterdir())
-                if p.is_dir() and _RUN_DIR_RE.match(p.name)
+        return [f"{name}/{run}" for run, name in runs]
+
+    def select(self, ref: Union[str, Path, None] = None) -> list[str]:
+        """The stored runs a reference names, oldest first (as :meth:`run_ids`).
+
+        * ``None``, ``""`` or ``"latest"``: every stored run;
+        * ``"fig3?nodes=200,policy=bcbpt"``, or ``"?nodes=200"`` across all
+          experiments: the runs :meth:`query` matches;
+        * a run id (``"fig3/<stamp>-001"``) or a run directory: that run;
+        * an experiment name: that experiment's runs.
+
+        Raises:
+            FileNotFoundError: the reference names no stored run.
+        """
+        text = "" if ref is None else str(ref)
+        if text in ("", "latest"):
+            ids = self.run_ids()
+        elif "?" in text:
+            experiment, _, expr = text.partition("?")
+            ids = self.query(parse_where(expr), experiment=experiment or None)
+        else:
+            try:
+                self._resolve(text)
+                ids = [text]
+            except FileNotFoundError:
+                ids = [] if "/" in text else self.run_ids(text)
+        if not ids:
+            raise FileNotFoundError(
+                f"no stored runs match {text or 'latest'!r} under {self.root}"
             )
         return ids
 
@@ -398,25 +396,6 @@ class ResultStore:
         """
         return self._resolve(run_id).parent
 
-    def latest(self, experiment: str, *, before: Optional[str] = None) -> Optional[str]:
-        """The newest stored run id for an experiment (optionally before
-        another run id), or None when nothing is stored."""
-        ids = self.run_ids(experiment)
-        if before is not None:
-            ids = [run_id for run_id in ids if run_id < before]
-        return ids[-1] if ids else None
-
-    def diff(
-        self, baseline_id: Union[str, Path], candidate_id: Union[str, Path]
-    ) -> ResultDiff:
-        """Diff two stored runs."""
-        baseline = self.load(baseline_id)
-        candidate = self.load(candidate_id)
-        diff = diff_results(baseline, candidate)
-        diff.baseline = str(baseline_id)
-        diff.candidate = str(candidate_id)
-        return diff
-
     # ----------------------------------------------------------------- query
     def query(
         self,
@@ -446,7 +425,7 @@ class ResultStore:
 
 
 # ------------------------------------------------------------------ queries
-#: Friendly aliases accepted in `--where` conditions alongside the exact
+#: Friendly aliases accepted in selector conditions alongside the exact
 #: config-field / option / provenance keys.
 WHERE_ALIASES = {
     "nodes": "node_count",
@@ -457,44 +436,28 @@ WHERE_ALIASES = {
 
 
 def parse_where(text: str) -> dict[str, str]:
-    """Parse ``"nodes=10000,policy=bcbpt"`` into a condition mapping."""
+    """Parse a selector's ``"nodes=10000,policy=bcbpt"`` into a condition mapping."""
     conditions: dict[str, str] = {}
     for part in text.split(","):
         part = part.strip()
         if not part:
             continue
         if "=" not in part:
-            raise ValueError(f"--where expects KEY=VALUE[,KEY=VALUE...] — got {part!r}")
+            raise ValueError(
+                f"a run selector expects KEY=VALUE[,KEY=VALUE...] after '?' — got {part!r}"
+            )
         key, _, value = part.partition("=")
         key, value = key.strip(), value.strip()
         if not key or not value:
-            raise ValueError(f"--where condition {part!r} is missing a key or value")
+            raise ValueError(f"run selector condition {part!r} is missing a key or value")
         conditions[key] = value
     if not conditions:
-        raise ValueError("--where supplies no conditions")
+        raise ValueError("a run selector supplies no conditions after '?'")
     return conditions
 
 
-def resolve_run_selector(store: ResultStore, ref: str) -> str:
-    """Resolve a run reference that may select by parameters.
-
-    ``"fig3?nodes=200,policy=bcbpt"`` (or bare ``"?nodes=200"`` across all
-    experiments) resolves — via :meth:`ResultStore.query` — to the **newest**
-    stored run matching every condition.  Anything without a ``?`` passes
-    through unchanged (plain run ids, paths and experiment names keep
-    working).
-    """
-    if "?" not in ref:
-        return ref
-    experiment, _, expr = ref.partition("?")
-    matches = store.query(parse_where(expr), experiment=experiment or None)
-    if not matches:
-        raise FileNotFoundError(f"no stored run matches {ref!r}")
-    return matches[-1]
-
-
 def _provenance(result: ExperimentResult) -> dict[str, list[Any]]:
-    """The values a ``--where`` condition can select one run by, per key.
+    """The values a selector condition can select one run by, per key.
 
     * every ``config`` field — a sequence field lists each element and the
       comma-joined whole (``seeds=3,11``), a mapping its sorted JSON;

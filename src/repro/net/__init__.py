@@ -27,7 +27,7 @@ from repro.net.churn import ChurnModel, SessionLengthModel
 from repro.net.geo import GeoModel, GeoPosition, Region, WORLD_REGIONS, haversine_km
 from repro.net.latency import LatencyModel, LatencyParameters, LatencySample
 from repro.net.link import Link, LinkDelayCalculator
-from repro.net.message import WireMessage, message_size_bytes
+from repro.net.message import message_size_bytes
 from repro.net.topology import OverlayTopology
 
 __all__ = [
@@ -44,7 +44,6 @@ __all__ = [
     "Region",
     "SessionLengthModel",
     "WORLD_REGIONS",
-    "WireMessage",
     "haversine_km",
     "message_size_bytes",
 ]

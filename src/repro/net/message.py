@@ -11,7 +11,6 @@ address count, ...).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any
 
 #: Size of the fixed Bitcoin P2P message header in bytes.
@@ -63,21 +62,6 @@ _FIXED_PAYLOADS: dict[str, int] = {
     "join_accept": 4,
     "cluster_members": 0,  # plus ADDR_ENTRY_BYTES per member, added below
 }
-
-
-@dataclass(frozen=True, slots=True)
-class WireMessage:
-    """A message as seen by the link layer: a command name and a byte size."""
-
-    command: str
-    size_bytes: int
-
-    def __post_init__(self) -> None:
-        if self.size_bytes < HEADER_BYTES:
-            raise ValueError(
-                f"wire message cannot be smaller than the header ({HEADER_BYTES} bytes), "
-                f"got {self.size_bytes}"
-            )
 
 
 def message_size_bytes(command: str, payload: Any = None) -> int:

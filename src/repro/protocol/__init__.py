@@ -45,7 +45,7 @@ from repro.protocol.adversary import (
 )
 from repro.protocol.blockchain import Blockchain
 from repro.protocol.crypto import KeyPair, sha256_hex, sign, verify_signature
-from repro.protocol.discovery import AddressBook, DnsSeedService
+from repro.protocol.discovery import DnsSeedService
 from repro.protocol.mempool import Mempool
 from repro.protocol.messages import (
     AddrMessage,
@@ -85,7 +85,6 @@ from repro.protocol.validation import TransactionValidator, ValidationResult
 
 __all__ = [
     "AddrMessage",
-    "AddressBook",
     "BitcoinNode",
     "Block",
     "BlockHeader",

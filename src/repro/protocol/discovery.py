@@ -1,4 +1,4 @@
-"""Peer discovery: DNS seeds and the address book.
+"""Peer discovery: the DNS seed service.
 
 Section IV.B of the paper: a node joining for the first time learns about
 available peers from DNS seed services.  Under BCBPT the seed additionally
@@ -13,56 +13,11 @@ mechanism, modelled here by sampling from the set of currently-online peers.
 from __future__ import annotations
 
 import math
-from typing import Iterable, Optional, Sequence
+from typing import Iterable
 
 import numpy as np
 
 from repro.net.geo import EARTH_RADIUS_KM, GeoPosition
-
-
-class AddressBook:
-    """A node's view of known peer addresses with basic bookkeeping."""
-
-    def __init__(self, owner_id: int) -> None:
-        self.owner_id = owner_id
-        self._addresses: set[int] = set()
-        self._last_seen: dict[int, float] = {}
-
-    def __len__(self) -> int:
-        return len(self._addresses)
-
-    def __contains__(self, node_id: int) -> bool:
-        return node_id in self._addresses
-
-    def add(self, node_id: int, *, seen_at: float = 0.0) -> None:
-        """Record a peer address (the owner itself is never recorded)."""
-        if node_id == self.owner_id:
-            return
-        self._addresses.add(node_id)
-        previous = self._last_seen.get(node_id, -1.0)
-        if seen_at >= previous:
-            self._last_seen[node_id] = seen_at
-
-    def update(self, node_ids: Sequence[int], *, seen_at: float = 0.0) -> None:
-        """Record many peer addresses."""
-        for node_id in node_ids:
-            self.add(node_id, seen_at=seen_at)
-
-    def addresses(self) -> list[int]:
-        """All known addresses, sorted for determinism."""
-        return sorted(self._addresses)
-
-    def last_seen(self, node_id: int) -> Optional[float]:
-        """Most recent time the address was advertised to us."""
-        return self._last_seen.get(node_id)
-
-    def sample(self, rng: np.random.Generator, count: int) -> list[int]:
-        """A uniform random sample of known addresses (without replacement)."""
-        known = self.addresses()
-        if count >= len(known):
-            return known
-        picked = rng.choice(len(known), size=count, replace=False)
-        return [known[i] for i in picked]
 
 
 class DnsSeedService:

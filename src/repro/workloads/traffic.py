@@ -212,8 +212,11 @@ class TrafficModel:
         payment_satoshi: int = 5_000,
         tracker: Optional[ConfirmationTracker] = None,
     ) -> None:
-        if not nodes:
-            raise ValueError("the traffic model needs at least one node")
+        if len(nodes) < 2:
+            # Each payment needs a receiver distinct from its sender.
+            raise ValueError(
+                f"the traffic model needs at least two nodes, got {len(nodes)}"
+            )
         if payment_satoshi <= 0:
             raise ValueError(f"payment_satoshi must be positive, got {payment_satoshi}")
         self._simulator = simulator

@@ -19,7 +19,7 @@ from repro.analysis.samples import (
 )
 from repro.experiments.api import run_experiment
 from repro.experiments.config import ExperimentConfig
-from repro.experiments.results import RESULT_SCHEMA_VERSION, ExperimentResult
+from repro.experiments.results import RESULT_SCHEMA_VERSION, ExperimentResult, diff_results
 
 TINY = dict(node_count=20, runs=1, seeds=(3,), measuring_nodes=1)
 
@@ -74,18 +74,6 @@ class TestSampleLog:
         with pytest.raises(ValueError, match="newer"):
             SampleLog.from_dict({"schema_version": SAMPLES_SCHEMA_VERSION + 1})
 
-    def test_merge_concatenates_same_key_series(self):
-        a = SampleLog()
-        a.extend("x", "delay_s", [1.0], seed=3)
-        b = SampleLog()
-        b.extend("x", "delay_s", [2.0], seed=3)
-        b.add_point("x", "coverage", 0.0, 1.0)
-        merged = a.merge(b)
-        assert merged.values("x", "delay_s") == [1.0, 2.0]
-        assert merged.points("x", "coverage") == [(0.0, 1.0)]
-        # inputs untouched
-        assert a.values("x", "delay_s") == [1.0]
-
 
 class TestEnvelopeRoundTrip:
     def test_samples_survive_serialize_load_diff(self):
@@ -94,7 +82,7 @@ class TestEnvelopeRoundTrip:
         clone = ExperimentResult.from_json(result.to_json())
         assert clone.samples == json.loads(json.dumps(result.samples))
         # Raw samples are not diffed; identical runs stay identical.
-        assert result.diff(clone).identical
+        assert diff_results(result, clone).identical
 
     def test_legacy_v1_envelope_without_samples_loads(self):
         result = run_experiment("fig3", ExperimentConfig(**TINY))

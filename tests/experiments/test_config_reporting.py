@@ -5,7 +5,7 @@ import argparse
 import pytest
 
 from repro.experiments.config import ExperimentConfig
-from repro.experiments.reporting import format_table
+from repro.experiments.reporting import format_markdown_table
 
 
 class TestExperimentConfig:
@@ -73,22 +73,24 @@ class TestExperimentConfig:
         assert ExperimentConfig.from_args(args, base) == base
 
 
-class TestFormatTable:
+class TestFormatMarkdownTable:
     def test_basic_rendering(self):
-        text = format_table(["a", "b"], [[1, 2.5], ["x", "y"]], title="T")
-        lines = text.splitlines()
-        assert lines[0] == "T"
-        assert "a" in lines[1] and "b" in lines[1]
-        assert len(lines) == 5
+        text = format_markdown_table(["a", "b"], [[1, 2.5], ["x", "y"]])
+        assert text.splitlines() == [
+            "| a | b |",
+            "|---|---|",
+            "| 1 | 2.5 |",
+            "| x | y |",
+        ]
 
     def test_column_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            format_table(["a", "b"], [[1]])
+            format_markdown_table(["a", "b"], [[1]])
 
     def test_empty_headers_rejected(self):
         with pytest.raises(ValueError):
-            format_table([], [])
+            format_markdown_table([], [])
 
     def test_float_formatting(self):
-        text = format_table(["v"], [[0.123456789]])
-        assert "0.123457" in text
+        text = format_markdown_table(["v"], [[0.123456789]])
+        assert "| 0.123457 |" in text

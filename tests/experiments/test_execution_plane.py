@@ -10,8 +10,8 @@ The headline guarantees, exercised end-to-end on a small fig3 sweep:
   `repro shard merge` reassemble the exact single-machine envelope, also
   for attacks and ablation, whose payloads have several parts;
 * **result-store robustness** — two processes saving simultaneously never
-  collide on a run directory, and the sqlite provenance index answers
-  `--where`-style parameter queries over everything stored.
+  collide on a run directory, and `ResultStore.select` names stored runs
+  by every reference form, parameter selectors included, newest last.
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ from repro.experiments.results import (
     ExperimentResult,
     ResultStore,
     parse_where,
-    resolve_run_selector,
 )
 
 #: Small enough for CI, large enough that BCBPT measuring nodes keep
@@ -258,26 +257,42 @@ class TestResultIndexQueries:
         assert len(matches) == 4
         assert f"fig3/{run_dir.name}" in matches
 
-    def test_resolve_run_selector(self, store):
-        newest_bcbpt = store.query({"policy": "bcbpt"})[-1]
-        assert resolve_run_selector(store, "?policy=bcbpt") == newest_bcbpt
-        assert (
-            resolve_run_selector(store, "fig3?nodes=200")
-            == store.query({"nodes": "200"}, experiment="fig3")[-1]
+    def test_select_forms(self, store):
+        ids = store.run_ids()
+        assert store.select(None) == store.select("") == store.select("latest") == ids
+        assert store.select("?policy=bcbpt") == store.query({"policy": "bcbpt"})
+        assert store.select("fig3?nodes=200") == store.query(
+            {"nodes": "200"}, experiment="fig3"
         )
-        # No "?": plain refs pass through untouched.
-        assert resolve_run_selector(store, "fig3/whatever") == "fig3/whatever"
-        with pytest.raises(FileNotFoundError):
-            resolve_run_selector(store, "fig3?nodes=31337")
+        assert store.select("fig3") == store.run_ids("fig3")
+        assert store.select(ids[0]) == [ids[0]]
+        run_dir = store.run_dir(ids[0])
+        assert store.select(run_dir) == [str(run_dir)]
+        for missing in ("fig3?nodes=31337", "fig4", "fig3/20000101T000000-001"):
+            with pytest.raises(FileNotFoundError, match="no stored runs match"):
+                store.select(missing)
+        with pytest.raises(ValueError, match="selector"):
+            store.select("fig3?nodes")
+
+    def test_select_orders_runs_by_time_across_experiments(self, tmp_path):
+        """Regression: `run_ids` sorted by experiment name before time, so a
+        selector's newest match could be older than the newest run."""
+        store = ResultStore(tmp_path)
+        # Both runs carry the bcbpt label; the fig3 run is saved 100 s later.
+        store.save(_make_result(experiment="fig4"))
+        newest = f"fig3/{store.save(_make_result(created_at=1_800_000_100.0)).name}"
+        assert store.select("?policy=bcbpt")[-1] == newest
+        assert store.select("latest")[-1] == newest
+        assert store.run_ids()[-1] == newest
 
     def test_parse_where(self):
         assert parse_where("nodes=80,policy=bcbpt") == {
             "nodes": "80",
             "policy": "bcbpt",
         }
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="selector"):
             parse_where("nodes")
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="selector"):
             parse_where("")
 
 

@@ -18,7 +18,6 @@ from repro.net.message import (
     BLOCK_TXN_REQUEST_BYTES,
     HEADER_BYTES,
     INV_ENTRY_BYTES,
-    WireMessage,
     message_size_bytes,
 )
 
@@ -65,10 +64,6 @@ class TestMessageSizes:
     def test_non_positive_tx_size_rejected(self):
         with pytest.raises(ValueError):
             message_size_bytes("tx", 0)
-
-    def test_wire_message_rejects_sub_header_size(self):
-        with pytest.raises(ValueError):
-            WireMessage("inv", HEADER_BYTES - 1)
 
     def test_cmpctblock_uses_payload_bytes(self):
         assert message_size_bytes("cmpctblock", 500) == HEADER_BYTES + 500

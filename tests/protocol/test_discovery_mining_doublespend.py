@@ -6,50 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.net.geo import GeoPosition
-from repro.protocol.discovery import AddressBook, DnsSeedService
+from repro.protocol.discovery import DnsSeedService
 from repro.protocol.doublespend import DoubleSpendAttacker, tally_first_seen
 from repro.protocol import mining as mining_mod
 from repro.protocol.mining import MinerProfile, MiningProcess, equal_hash_power
 from repro.workloads.generators import fund_nodes
 from repro.workloads.network_gen import NetworkParameters, build_network
-
-
-class TestAddressBook:
-    def test_owner_never_recorded(self):
-        book = AddressBook(owner_id=5)
-        book.add(5)
-        assert len(book) == 0
-
-    def test_add_and_lookup(self):
-        book = AddressBook(owner_id=0)
-        book.add(3, seen_at=10.0)
-        assert 3 in book
-        assert book.last_seen(3) == 10.0
-
-    def test_last_seen_keeps_latest(self):
-        book = AddressBook(owner_id=0)
-        book.add(3, seen_at=10.0)
-        book.add(3, seen_at=5.0)
-        assert book.last_seen(3) == 10.0
-        book.add(3, seen_at=20.0)
-        assert book.last_seen(3) == 20.0
-
-    def test_update_many(self):
-        book = AddressBook(owner_id=0)
-        book.update([1, 2, 3, 0])
-        assert book.addresses() == [1, 2, 3]
-
-    def test_sample_without_replacement(self):
-        book = AddressBook(owner_id=0)
-        book.update(range(1, 21))
-        sample = book.sample(np.random.default_rng(1), 5)
-        assert len(sample) == 5
-        assert len(set(sample)) == 5
-
-    def test_sample_more_than_known_returns_all(self):
-        book = AddressBook(owner_id=0)
-        book.update([1, 2, 3])
-        assert sorted(book.sample(np.random.default_rng(1), 10)) == [1, 2, 3]
 
 
 class TestDnsSeedService:

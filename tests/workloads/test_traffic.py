@@ -140,8 +140,12 @@ class TestTrafficModelDeterminism:
     def test_validation(self):
         simulated = build_loaded_network()
         profile = TrafficProfile(kind="constant", rate_tps=1.0)
-        with pytest.raises(ValueError, match="at least one node"):
-            TrafficModel(simulated.simulator, {}, profile=profile)
+        # A payment needs a receiver distinct from its sender: with one node
+        # the receiver draw would never end.
+        node_id = next(iter(simulated.nodes))
+        for nodes in ({}, {node_id: simulated.nodes[node_id]}):
+            with pytest.raises(ValueError, match="at least two nodes"):
+                TrafficModel(simulated.simulator, nodes, profile=profile)
         with pytest.raises(ValueError, match="payment_satoshi"):
             TrafficModel(
                 simulated.simulator, simulated.nodes, profile=profile, payment_satoshi=0
