@@ -321,6 +321,26 @@ class TestGetAddrPaths:
         simulated.simulator.run(until=5.0)
         assert 0 not in simulated.node(0).address_book
 
+    def test_getaddr_reply_below_the_sample_size_sends_every_address(self):
+        simulated = build_connected_network()
+        responder = simulated.node(1)
+        requester = simulated.node(0)
+        assert responder.config.addr_sample_size > 3
+        responder.address_book.clear()
+        responder.address_book.update({0, 40, 41, 42})
+        requester.address_book.clear()
+        simulated.network.send(0, 1, GetAddrMessage(sender=0))
+        simulated.simulator.run(until=5.0)
+        assert requester.address_book == {40, 41, 42}
+
+    def test_addr_listing_the_receiver_is_not_recorded(self):
+        simulated = build_connected_network()
+        simulated.network.send(0, 1, AddrMessage(sender=0, addresses=(1, 7)))
+        simulated.simulator.run(until=5.0)
+        book = simulated.node(1).address_book
+        assert 7 in book
+        assert 1 not in book
+
     def test_getaddr_with_empty_address_book_sends_empty_addr(self):
         simulated = build_connected_network()
         responder = simulated.node(1)
