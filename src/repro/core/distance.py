@@ -17,16 +17,17 @@ ping/pong exchange, which the overhead experiment (Ext-2 in DESIGN.md) counts.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers
     from repro.protocol.network import P2PNetwork
 
 
-@dataclass(frozen=True, slots=True)
-class DistanceEstimate:
+class DistanceEstimate(NamedTuple):
     """Result of measuring the distance between a pair of nodes.
+
+    An immutable record without per-field ``object.__setattr__`` calls:
+    every ping-distance miss builds one.
 
     Attributes:
         node_a / node_b: the measured pair.

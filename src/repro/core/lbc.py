@@ -71,6 +71,8 @@ class LbcPolicy(NeighbourPolicy):
     ) -> None:
         self.config = config if config is not None else LbcConfig()
         super().__init__(network, seed_service, rng, max_outbound=self.config.max_outbound)
+        self._roster: tuple[int, ...] = ()
+        self._roster_rows = np.empty(0, dtype=np.intp)
 
     # -------------------------------------------------------------- geometry
     def geographic_distance_km(self, node_a: int, node_b: int) -> float:
@@ -124,15 +126,24 @@ class LbcPolicy(NeighbourPolicy):
         if len(ranked) < self.max_outbound:
             # Not enough close cluster members: consider the geographically
             # nearest non-members that still qualify under the threshold.
-            chosen = set(ranked)
-            outsiders = [
-                peer
-                for peer in self.network.online_node_ids()
-                if peer not in chosen and usable(peer)
-            ]
-            outsiders.sort(key=lambda peer: (self.geographic_distance_km(node_id, peer), peer))
-            ranked.extend(close_subset(outsiders[: self.config.recommendation_size]))
+            ranked.extend(close_subset(self.nearest_outsiders(node_id, current.union(ranked))))
         return ranked
+
+    def nearest_outsiders(self, node_id: int, excluded: set[int]) -> list[int]:
+        """The ``recommendation_size`` online peers nearest ``node_id``, by (distance, id).
+
+        Neither ``node_id`` nor a peer in ``excluded`` is returned.  They take
+        at most ``len(excluded) + 1`` places of the online roster's ordering,
+        so the result lies within the seed's nearest that many more.  The
+        seed's rows of the roster are kept until the roster changes; holding
+        the roster tuple stops a new one from reusing its identity.
+        """
+        roster = self.network.online_node_ids()
+        if roster is not self._roster:
+            self._roster, self._roster_rows = roster, self.seed_service.rows_of(roster)
+        size = self.config.recommendation_size
+        nearest = self.seed_service.nearest(node_id, self._roster_rows, size + len(excluded) + 1)
+        return [peer for peer in nearest if peer != node_id and peer not in excluded][:size]
 
     # ------------------------------------------------------------ clustering
     def assign_to_cluster(self, node_id: int) -> None:

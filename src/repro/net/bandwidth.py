@@ -10,10 +10,13 @@ receiver's downlink when computing transmission delay for large messages.
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
+
+from repro.sim.rng import choice_cdf
 
 
 @dataclass(frozen=True)
@@ -67,15 +70,14 @@ class BandwidthModel:
         total = sum(c.weight for c in self._classes)
         if total <= 0:
             raise ValueError("access class weights must sum to a positive value")
-        self._probabilities = np.array([c.weight / total for c in self._classes])
+        self._cdf = choice_cdf([c.weight / total for c in self._classes])
         self._assignments: dict[int, NodeBandwidth] = {}
 
     def assign(self, node_id: int) -> NodeBandwidth:
         """Assign (or return the existing) bandwidth class for a node."""
         bandwidth = self._assignments.get(node_id)
         if bandwidth is None:
-            index = int(self._rng.choice(len(self._classes), p=self._probabilities))
-            cls = self._classes[index]
+            cls = self._classes[bisect.bisect_right(self._cdf, self._rng.random())]
             bandwidth = NodeBandwidth(cls.name, cls.uplink_bps, cls.downlink_bps)
             self._assignments[node_id] = bandwidth
         return bandwidth

@@ -16,11 +16,14 @@ few hundred kilometres and inter-region distances are thousands.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
+
+from repro.sim.rng import choice_cdf
 
 EARTH_RADIUS_KM = 6371.0
 
@@ -109,10 +112,12 @@ class GeoModel:
         self._regions = tuple(regions) if regions is not None else WORLD_REGIONS
         if not self._regions:
             raise ValueError("at least one region is required")
+        if any(r.weight < 0 for r in self._regions):
+            raise ValueError("region weights cannot be negative")
         total = sum(r.weight for r in self._regions)
         if total <= 0:
             raise ValueError("region weights must sum to a positive value")
-        self._probabilities = np.array([r.weight / total for r in self._regions])
+        self._cdf = choice_cdf([r.weight / total for r in self._regions])
 
     @property
     def regions(self) -> tuple[Region, ...]:
@@ -121,8 +126,7 @@ class GeoModel:
 
     def sample_position(self) -> GeoPosition:
         """Draw one node position."""
-        index = int(self._rng.choice(len(self._regions), p=self._probabilities))
-        region = self._regions[index]
+        region = self._regions[bisect.bisect_right(self._cdf, self._rng.random())]
         # Convert the km spread to approximate degrees of latitude/longitude.
         lat_noise = self._rng.normal(0.0, region.spread_km / 111.0)
         lon_scale = max(0.2, math.cos(math.radians(region.latitude)))

@@ -177,14 +177,18 @@ class LatencyModel:
         """Draw a pair's persistent (stretch factor, extra km) from the stream.
 
         The single consumption point of the routing draws, called once per
-        pair on its first touch.
+        pair on its first touch.  ``Generator.uniform(low, high)`` is
+        ``low + (high - low) * next_double``, and ``random()`` is
+        ``next_double``: the same values from the same stream, without
+        ``uniform``'s argument conversion.
         """
+        rng = self._rng
         low, high = self.parameters.base_detour_range
-        factor = float(self._rng.uniform(low, high))
+        factor = low + (high - low) * rng.random()
         extra_km = 0.0
-        if self._rng.random() < self.parameters.detour_probability:
+        if rng.random() < self.parameters.detour_probability:
             dlow, dhigh = self.parameters.detour_extra_km_range
-            extra_km = float(self._rng.uniform(dlow, dhigh))
+            extra_km = dlow + (dhigh - dlow) * rng.random()
         return factor, extra_km
 
     def path_km(self, node_a: int, node_b: int, great_circle_km: float) -> float:
@@ -345,7 +349,7 @@ class LatencyModel:
         if sigma <= 0:
             return [max(minimum, base)] * count
         factors = self._rng.lognormal(mean=0.0, sigma=sigma, size=count)
-        return [max(minimum, base * float(factor)) for factor in factors]
+        return [max(minimum, base * factor) for factor in factors.tolist()]
 
     def one_way_delay_s(
         self,

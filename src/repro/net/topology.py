@@ -127,7 +127,7 @@ class OverlayTopology:
 
     def are_connected(self, node_x: int, node_y: int) -> bool:
         """Whether a live connection exists between the two nodes."""
-        return self._link_key(node_x, node_y) in self._links
+        return node_y in self._adjacency.get(node_x, ())
 
     def link(self, node_x: int, node_y: int) -> Link:
         """The :class:`Link` between two nodes.

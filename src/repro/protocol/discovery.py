@@ -12,12 +12,16 @@ mechanism, modelled here by sampling from the set of currently-online peers.
 
 from __future__ import annotations
 
-import math
-from typing import Iterable
+from typing import Iterable, Sequence
 
 import numpy as np
 
-from repro.net.geo import EARTH_RADIUS_KM, GeoPosition
+from repro.net.geo import GeoPosition
+
+#: How far below the ``count``-th largest cosine :meth:`DnsSeedService.nearest`
+#: still keeps a row.  Since 1 - cos θ ≈ θ²/2, that is under ten metres of
+#: great-circle distance even next to the origin.
+_COSINE_MARGIN = 1e-12
 
 
 class DnsSeedService:
@@ -42,14 +46,18 @@ class DnsSeedService:
         self._rng = rng
         self.seed_sample_size = seed_sample_size
         self.queries_served = 0
-        # One row per node, in ascending id order: latitude/longitude columns
-        # for the vectorised proximity prefilter, and the online mask the
+        # One row per node, in ascending id order: the unit vector of its
+        # position for the proximity prefilter, and the online mask the
         # queries read their candidates from.  Positions are immutable, so
         # only the mask ever changes.
         self._ids = sorted(positions)
         self._row_of = {node_id: row for row, node_id in enumerate(self._ids)}
-        self._latitudes = np.array([positions[i].latitude for i in self._ids], dtype=np.float64)
-        self._longitudes = np.array([positions[i].longitude for i in self._ids], dtype=np.float64)
+        latitudes = np.radians([positions[i].latitude for i in self._ids])
+        longitudes = np.radians([positions[i].longitude for i in self._ids])
+        cos_latitudes = np.cos(latitudes)
+        self._xyz = np.column_stack(
+            (cos_latitudes * np.cos(longitudes), cos_latitudes * np.sin(longitudes), np.sin(latitudes))
+        )
         self._online_rows = np.zeros(len(self._ids), dtype=bool)
         #: requester -> the rows of every other node by (distance, id), kept
         #: only while the whole population fits under the prefilter's size:
@@ -107,11 +115,41 @@ class DnsSeedService:
                 )
             rows = ranking[self._online_rows[ranking]][: self.seed_sample_size]
             return [self._ids[row] for row in rows.tolist()]
-        rows = self._candidate_rows(requester_id)
-        if len(rows) > prefilter_above:
-            rows = self._prefilter_by_distance(origin, rows)
-        ranked = self._by_distance(origin, (self._ids[row] for row in rows.tolist()))
-        return ranked[: self.seed_sample_size]
+        return self.nearest(requester_id, self._candidate_rows(requester_id), self.seed_sample_size)
+
+    def nearest(self, origin_id: int, rows: np.ndarray, count: int) -> list[int]:
+        """Ids of the ``count`` nodes at ``rows`` nearest ``origin_id``, by (distance, id).
+
+        The dot product of two rows' unit vectors is the cosine of their
+        central angle, which falls as the great-circle distance grows: one
+        matrix-vector product and an ``np.partition`` cut keep the rows whose
+        cosine is at most :data:`_COSINE_MARGIN` below the ``count``-th
+        largest, and only those are sorted by exact
+        :meth:`~repro.net.geo.GeoPosition.distance_km` and id, which alone
+        decides the order.  The cosines and the haversine each round by a few
+        ulp of 1 in cosine terms, so a row the exact sort places at or before
+        the ``count``-th lies at most ~1e-14 below the cut, a hundredth of
+        the margin.  The result is the first ``count`` of the exact sort of
+        every row, at O(n) vector work and about ``count`` scalar haversines.
+
+        Raises:
+            KeyError: for an origin the seed has no position for.
+        """
+        origin = self._positions[origin_id]
+        if len(rows) > count:
+            cosines = (self._xyz @ self._xyz[self._row_of[origin_id]])[rows]
+            cutoff = np.partition(cosines, -count)[-count] - _COSINE_MARGIN
+            rows = rows[cosines >= cutoff]
+        return self._by_distance(origin, (self._ids[row] for row in rows.tolist()))[:count]
+
+    def rows_of(self, node_ids: Sequence[int]) -> np.ndarray:
+        """The seed's rows of ``node_ids``, the input :meth:`nearest` ranks.
+
+        Raises:
+            KeyError: for an id the seed has no position for.
+        """
+        row_of = self._row_of
+        return np.fromiter((row_of[i] for i in node_ids), dtype=np.intp, count=len(node_ids))
 
     def _by_distance(self, origin: GeoPosition, peers: Iterable[int]) -> list[int]:
         """``peers`` by exact great-circle distance from ``origin``, ties by id."""
@@ -125,26 +163,3 @@ class DnsSeedService:
             online = online.copy()
             online[row] = False
         return np.flatnonzero(online)
-
-    def _prefilter_by_distance(self, origin: GeoPosition, rows: np.ndarray) -> np.ndarray:
-        """Shrink candidate ``rows`` to a superset of the ``k`` closest peers.
-
-        One vectorised haversine pass picks the cut.  numpy transcendentals
-        and ``math``'s can differ in the last ulp, so the approximate
-        distances are *never* used for the final ordering — the caller's
-        exact scalar sort still decides that — and the cut keeps everything
-        within a 1-metre margin of the k-th approximate distance, far wider
-        than the sub-micrometre float discrepancy.  The ranking is therefore
-        byte-identical to sorting the full candidate list, at O(n) vector
-        work instead of O(n) scalar haversines per query.
-        """
-        k = self.seed_sample_size
-        latitudes = self._latitudes[rows]
-        phi1 = math.radians(origin.latitude)
-        phi2 = np.radians(latitudes)
-        dphi = np.radians(latitudes - origin.latitude)
-        dlambda = np.radians(self._longitudes[rows] - origin.longitude)
-        a = np.sin(dphi / 2.0) ** 2 + math.cos(phi1) * np.cos(phi2) * np.sin(dlambda / 2.0) ** 2
-        distance = 2.0 * EARTH_RADIUS_KM * np.arcsin(np.sqrt(np.minimum(1.0, a)))
-        cutoff = np.partition(distance, k - 1)[k - 1] + 1e-3
-        return rows[distance <= cutoff]

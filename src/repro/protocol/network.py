@@ -37,6 +37,12 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers
     from repro.protocol.adversary import ByzantineBehavior
     from repro.protocol.node import BitcoinNode
 
+#: Wire sizes of the handshake and ping messages, whose payloads are fixed.
+_VERSION_BYTES = message_size_bytes("version")
+_VERACK_BYTES = message_size_bytes("verack")
+_PING_BYTES = message_size_bytes("ping")
+_PONG_BYTES = message_size_bytes("pong")
+
 
 class P2PNetwork:
     """Message fabric connecting simulated Bitcoin nodes.
@@ -182,8 +188,8 @@ class P2PNetwork:
         # Account for the VERSION/VERACK handshake traffic.
         self.messages_sent["version"] += 2
         self.messages_sent["verack"] += 2
-        self.bytes_sent["version"] += 2 * message_size_bytes("version")
-        self.bytes_sent["verack"] += 2 * message_size_bytes("verack")
+        self.bytes_sent["version"] += 2 * _VERSION_BYTES
+        self.bytes_sent["verack"] += 2 * _VERACK_BYTES
         self._nodes[node_a].on_connected(node_b)
         self._nodes[node_b].on_connected(node_a)
         return True
@@ -414,8 +420,8 @@ class P2PNetwork:
             raise ValueError(f"count cannot be negative, got {count}")
         self.messages_sent["ping"] += count
         self.messages_sent["pong"] += count
-        self.bytes_sent["ping"] += count * message_size_bytes("ping")
-        self.bytes_sent["pong"] += count * message_size_bytes("pong")
+        self.bytes_sent["ping"] += count * _PING_BYTES
+        self.bytes_sent["pong"] += count * _PONG_BYTES
 
     # ------------------------------------------------------------ statistics
     def total_messages(self) -> int:

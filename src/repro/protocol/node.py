@@ -160,7 +160,7 @@ class NodeConfig:
             raise ValueError("prune_depth must be at least 1 (or None to disable)")
 
 
-@dataclass
+@dataclass(slots=True)
 class NodeStatistics:
     """Counters a node keeps about its own activity."""
 

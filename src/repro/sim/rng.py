@@ -13,6 +13,7 @@ Streams are derived from the master seed and the stream name with SHA-256, so:
 from __future__ import annotations
 
 import hashlib
+from typing import Sequence
 
 import numpy as np
 
@@ -48,3 +49,16 @@ class RandomService:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"RandomService(seed={self.seed}, streams={sorted(self._streams)})"
+
+
+def choice_cdf(probabilities: Sequence[float]) -> list[float]:
+    """The CDF ``Generator.choice(n, p=probabilities)`` searches, as floats.
+
+    ``choice`` normalises ``p.cumsum()`` by its last entry and returns
+    ``searchsorted(cdf, random(), side="right")``, so
+    ``bisect.bisect_right(cdf, rng.random())`` draws the same index from the
+    same stream, without rebuilding and re-checking the CDF per draw.
+    """
+    cdf = np.cumsum(np.asarray(probabilities, dtype=np.float64))
+    cdf /= cdf[-1]
+    return cdf.tolist()

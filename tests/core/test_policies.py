@@ -72,6 +72,33 @@ class TestOnlineSampling:
         assert policy.rng.random() == reference.random()
 
 
+class TestLbcOutsiderRanking:
+    @given(data=st.data())
+    @settings(max_examples=25, deadline=None)
+    def test_nearest_outsiders_match_brute_force(self, data):
+        """LBC's outsider ranking is the first ``recommendation_size`` of the
+        exact (distance, id) sort of the online peers outside the excluded
+        set.  Liveness changes on the network alone between queries: LBC
+        ranks the network's roster, not the DNS seed's online mask."""
+        seed = data.draw(st.integers(0, 2**16), label="seed")
+        simulated = build_network(NetworkParameters(node_count=400, seed=seed))
+        network = simulated.network
+        size = data.draw(st.integers(1, 40), label="recommendation_size")
+        config = LbcConfig(recommendation_size=size)
+        policy = LbcPolicy(network, simulated.seed_service, np.random.default_rng(0), config)
+        ids = network.node_ids()
+        for _ in range(data.draw(st.integers(1, 3), label="rounds")):
+            for node_id in data.draw(st.lists(st.sampled_from(ids), max_size=40), label="toggled"):
+                network.set_online(node_id, not network.is_online(node_id))
+            node_id = data.draw(st.sampled_from(ids), label="node")
+            excluded = set(data.draw(st.lists(st.sampled_from(ids), max_size=30), label="excluded"))
+            candidates = [
+                peer for peer in network.online_node_ids() if peer != node_id and peer not in excluded
+            ]
+            candidates.sort(key=lambda peer: (policy.geographic_distance_km(node_id, peer), peer))
+            assert policy.nearest_outsiders(node_id, excluded) == candidates[:size]
+
+
 class TestLbcPolicy:
     def test_build_clusters_every_node(self, small_lbc_scenario):
         policy = small_lbc_scenario.policy

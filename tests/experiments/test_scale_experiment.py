@@ -56,6 +56,17 @@ class TestSnapshotRoundTrip:
         )
         assert edges(loaded) == edges(fresh.network)
 
+    def test_slotted_node_statistics_round_trip(self, tmp_path):
+        simulated = build_network(NetworkParameters(node_count=20, seed=4))
+        for node_id, node in simulated.nodes.items():
+            node.stats.invs_received = 3 * node_id
+            node.stats.pruned_inventory_entries = node_id + 1
+        assert not hasattr(simulated.nodes[0].stats, "__dict__")
+        loaded = load_network(save_network(simulated, tmp_path / "net.pkl"))
+        assert [node.stats for node in loaded.nodes.values()] == [
+            node.stats for node in simulated.nodes.values()
+        ]
+
     def test_concurrent_writers_of_one_snapshot_do_not_collide(self, tmp_path, monkeypatch):
         """A second save of the same snapshot, made while the first is still
         pickling, must neither break the first writer nor leave a temp file."""

@@ -76,18 +76,43 @@ class TestDnsSeedService:
         assert 99 not in service.query_proximity_ranked(0)
 
 
+def _antimeridian_longitudes(rng, count):
+    longitudes = rng.uniform(179.0, 181.0, count)
+    return np.where(longitudes >= 180.0, longitudes - 360.0, longitudes)
+
+
+#: Where :func:`seed_with_toggles` places its nodes: (latitudes, longitudes)
+#: from a generator and a count.
+LAYOUTS = {
+    "world": lambda rng, n: (rng.uniform(-89.0, 89.0, n), rng.uniform(-179.0, 179.0, n)),
+    # A box a couple of metres across (1e-5 degrees is about 1.1 m), where the
+    # cosines of peers millimetres apart in distance differ by less than
+    # their rounding: a cut with no margin drops some of the nearest.
+    "metres": lambda rng, n: (
+        48.86 + rng.uniform(-1e-5, 1e-5, n),
+        2.35 + rng.uniform(-1e-5, 1e-5, n),
+    ),
+    "poles": lambda rng, n: (
+        rng.choice([-1.0, 1.0], n) * rng.uniform(88.0, 90.0, n),
+        rng.uniform(-180.0, 180.0, n),
+    ),
+    "antimeridian": lambda rng, n: (rng.uniform(-60.0, 60.0, n), _antimeridian_longitudes(rng, n)),
+}
+
+
 def seed_with_toggles(data, *, sample_size, seed, counts=(101, 400)):
     """A DNS seed over ``counts`` (101–400 by default) random positions after random toggles.
 
-    Returns the service, the positions and the set of ids left online.  Ids
-    are sparse, and a quarter of the nodes share a position with another, so
-    rows differ from ids and distance ties reach the id tie-break.
+    Returns the service, the positions and the set of ids left online.  The
+    positions follow one of :data:`LAYOUTS`.  Ids are sparse, and a quarter
+    of the nodes share a position with another, so rows differ from ids and
+    distance ties reach the id tie-break.
     """
     count = data.draw(st.integers(*counts), label="count")
-    layout = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="layout"))
+    place = LAYOUTS[data.draw(st.sampled_from(sorted(LAYOUTS)), label="layout")]
+    layout = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="layout seed"))
     ids = sorted(int(i) for i in layout.choice(10 * count, size=count, replace=False))
-    latitudes = layout.uniform(-89.0, 89.0, count)
-    longitudes = layout.uniform(-179.0, 179.0, count)
+    latitudes, longitudes = place(layout, count)
     twins = layout.choice(count, size=count // 4)
     latitudes[: count // 4], longitudes[: count // 4] = latitudes[twins], longitudes[twins]
     positions = {
@@ -125,11 +150,13 @@ def requesters(data, positions):
 
 class TestDnsSeedRankingProperties:
     @given(data=st.data())
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=120, deadline=None)
     def test_ranked_query_matches_brute_force(self, data):
         """Populations on both sides of ``max(4k, 64)``: a seed at most that
         large ranks each requester once and filters by liveness, a larger one
-        prefilters.  The same requesters ask again after each liveness change."""
+        prefilters by cosine.  The same requesters ask again after each
+        liveness change, over the whole globe, points metres apart, both
+        polar caps and both sides of the antimeridian."""
         k = data.draw(st.integers(1, 30), label="k")
         counts = data.draw(st.sampled_from([(2, 100), (101, 400)]), label="counts")
         service, positions, online = seed_with_toggles(data, sample_size=k, seed=0, counts=counts)
