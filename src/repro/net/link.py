@@ -2,7 +2,7 @@
 
 A :class:`Link` represents an established TCP connection between two peers in
 the overlay.  The :class:`LinkDelayCalculator` computes the simulated delivery
-delay of an individual protocol message across a link, combining:
+delay of each copy of a protocol message, one fan-out per call, combining:
 
 * transmission delay at the bottleneck of the two endpoints' access rates
   (for small control messages this is negligible; for TX and BLOCK payloads it
@@ -15,12 +15,11 @@ delay of an individual protocol message across a link, combining:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Mapping, Optional, Sequence
 
 from repro.net.bandwidth import BandwidthModel
 from repro.net.geo import GeoPosition
 from repro.net.latency import LatencyModel
-from repro.net.message import message_size_bytes
 
 
 @dataclass(frozen=True, slots=True)
@@ -107,48 +106,54 @@ class LinkDelayCalculator:
     def message_delay_s(
         self,
         sender_id: int,
-        sender_position: GeoPosition,
-        receiver_id: int,
-        receiver_position: GeoPosition,
-        command: str,
-        payload: object = None,
+        receiver_ids: Sequence[int],
+        positions: Mapping[int, GeoPosition],
+        size_bytes: int,
+        jitter_factors: Optional[Sequence[float]] = None,
         *,
         jittered: bool = True,
-        size_bytes: Optional[int] = None,
-        jitter_factor: Optional[float] = None,
-    ) -> float:
-        """Delivery delay in seconds for one protocol message.
+    ) -> list[float]:
+        """Delivery delays in seconds of one message's copies, one per receiver.
 
         Args:
-            size_bytes: precomputed wire size (skips re-deriving it from the
-                command/payload — the network layer already sized the message
-                for its byte counters).
-            jitter_factor: pre-drawn congestion jitter multiplier for the
-                batched broadcast path; None draws per-message as usual.
+            receiver_ids: the fan-out's receivers, in send order.
+            positions: node id -> position, read for the sender and for a
+                receiver whose pair constants are not kept yet.
+            size_bytes: the message's wire size.
+            jitter_factors: pre-drawn congestion jitter multipliers, one per
+                receiver, for a batched fan-out; None draws one per copy, in
+                receiver order, after resolving that copy's pair.
         """
-        size = size_bytes if size_bytes is not None else message_size_bytes(command, payload)
-        if size < 0:
-            raise ValueError(f"message size cannot be negative, got {size}")
-        known = self._propagation_s.get(sender_id)
-        propagation = known.get(receiver_id) if known is not None else None
-        if propagation is None:
-            propagation = self._resolve(sender_id, sender_position, receiver_id, receiver_position)
-        # one_way_delay_s's operations in its order, then the bandwidth
-        # substitution's: bit-identical to computing both from scratch.
-        flat = size / self._rate_bps
-        delay = flat + propagation + self._queuing_s
-        if jittered and self._has_jitter:
-            if jitter_factor is None:
-                jitter_factor = self._latency.jitter_factor()
-            delay *= jitter_factor
-        floor = self._floor_s
-        if not delay > floor:  # max(floor, delay)
-            delay = floor
+        if size_bytes < 0:
+            raise ValueError(f"message size cannot be negative, got {size_bytes}")
+        known = self._propagation_s.setdefault(sender_id, {})
+        rates = None
         if self._bandwidth is not None:
-            delay = delay - flat + size / self._bottleneck_bps[sender_id][receiver_id]
-            if not delay > floor:
+            rates = self._bottleneck_bps.setdefault(sender_id, {})
+        draw = self._latency.jitter_factor if jittered and self._has_jitter else None
+        flat = size_bytes / self._rate_bps
+        queuing = self._queuing_s
+        floor = self._floor_s
+        delays = []
+        for index, receiver_id in enumerate(receiver_ids):
+            propagation = known.get(receiver_id)
+            if propagation is None:
+                propagation = self._resolve(
+                    sender_id, positions[sender_id], receiver_id, positions[receiver_id]
+                )
+            # one_way_delay_s's operations in its order, then the bandwidth
+            # substitution's: bit-identical to computing both from scratch.
+            delay = flat + propagation + queuing
+            if draw is not None:
+                delay *= draw() if jitter_factors is None else jitter_factors[index]
+            if not delay > floor:  # max(floor, delay)
                 delay = floor
-        return delay
+            if rates is not None:
+                delay = delay - flat + size_bytes / rates[receiver_id]
+                if not delay > floor:
+                    delay = floor
+            delays.append(delay)
+        return delays
 
     def _resolve(
         self,
@@ -182,9 +187,10 @@ class LinkDelayCalculator:
         """
         known = self._propagation_s.get(sender_id, ())
         routing_cached = self._latency.routing_cached
-        return all(
-            receiver in known or routing_cached(sender_id, receiver) for receiver in receiver_ids
-        )
+        for receiver_id in receiver_ids:
+            if receiver_id not in known and not routing_cached(sender_id, receiver_id):
+                return False
+        return True
 
     def jitter_factors(self, count: int):
         """Batch-draw ``count`` congestion jitter factors (None if disabled)."""

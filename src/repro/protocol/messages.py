@@ -15,7 +15,7 @@ from __future__ import annotations
 import enum
 import itertools
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import ClassVar, Optional, Sequence
 
 from repro.net.message import BLOCK_HEADER_BYTES
 from repro.protocol.block import Block, BlockHeader
@@ -47,7 +47,7 @@ class InventoryType(enum.Enum):
     BLOCK = "block"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Message:
     """Base class for all protocol messages.
 
@@ -60,110 +60,110 @@ class Message:
     message_id: int = field(default_factory=lambda: next(_message_counter), compare=False)
 
     #: Bitcoin wire command name; overridden by each concrete message.
-    command: str = field(default="", init=False, repr=False)
+    command: ClassVar[str] = ""
 
     def wire_payload(self) -> Optional[object]:
         """Payload descriptor handed to :func:`repro.net.message.message_size_bytes`."""
         return None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class VersionMessage(Message):
     """Handshake: advertises protocol version and listening address."""
 
     protocol_version: int = 70015
     user_agent: str = "/repro:1.0/"
-    command: str = field(default="version", init=False, repr=False)
+    command: ClassVar[str] = "version"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class VerackMessage(Message):
     """Handshake acknowledgement."""
 
-    command: str = field(default="verack", init=False, repr=False)
+    command: ClassVar[str] = "verack"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PingMessage(Message):
     """Keep-alive / latency probe."""
 
     nonce: int = 0
-    command: str = field(default="ping", init=False, repr=False)
+    command: ClassVar[str] = "ping"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PongMessage(Message):
     """Reply to a ping, echoing its nonce."""
 
     nonce: int = 0
-    command: str = field(default="pong", init=False, repr=False)
+    command: ClassVar[str] = "pong"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GetAddrMessage(Message):
     """Request for known peer addresses."""
 
-    command: str = field(default="getaddr", init=False, repr=False)
+    command: ClassVar[str] = "getaddr"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AddrMessage(Message):
     """Gossip of known peer addresses (node ids in the simulation)."""
 
     addresses: tuple[int, ...] = ()
-    command: str = field(default="addr", init=False, repr=False)
+    command: ClassVar[str] = "addr"
 
     def wire_payload(self) -> int:
         return len(self.addresses)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class InvMessage(Message):
     """Announcement of available objects by hash (Fig. 1, step 1)."""
 
     inventory_type: InventoryType = InventoryType.TRANSACTION
     hashes: tuple[str, ...] = ()
-    command: str = field(default="inv", init=False, repr=False)
+    command: ClassVar[str] = "inv"
 
     def wire_payload(self) -> int:
         return len(self.hashes)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GetDataMessage(Message):
     """Request for the full data of announced objects (Fig. 1, step 2)."""
 
     inventory_type: InventoryType = InventoryType.TRANSACTION
     hashes: tuple[str, ...] = ()
-    command: str = field(default="getdata", init=False, repr=False)
+    command: ClassVar[str] = "getdata"
 
     def wire_payload(self) -> int:
         return len(self.hashes)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TxMessage(Message):
     """Delivery of a full transaction (Fig. 1, step 3)."""
 
     transaction: Optional[Transaction] = None
-    command: str = field(default="tx", init=False, repr=False)
+    command: ClassVar[str] = "tx"
 
     def wire_payload(self) -> Optional[int]:
         return self.transaction.size_bytes if self.transaction is not None else None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BlockMessage(Message):
     """Delivery of a full block."""
 
     block: Optional[Block] = None
-    command: str = field(default="block", init=False, repr=False)
+    command: ClassVar[str] = "block"
 
     def wire_payload(self) -> Optional[int]:
         return self.block.size_bytes if self.block is not None else None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CmpctBlockMessage(Message):
     """Compact-block announcement: header, short transaction ids, coinbase.
 
@@ -180,7 +180,7 @@ class CmpctBlockMessage(Message):
     height: int = 0
     short_ids: tuple[str, ...] = ()
     coinbase: Optional[Transaction] = None
-    command: str = field(default="cmpctblock", init=False, repr=False)
+    command: ClassVar[str] = "cmpctblock"
 
     def wire_payload(self) -> int:
         coinbase_bytes = self.coinbase.size_bytes if self.coinbase is not None else 0
@@ -194,32 +194,32 @@ class CmpctBlockMessage(Message):
         return self.header.block_hash
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GetBlockTxnMessage(Message):
     """Request for the transactions a compact block could not reconstruct."""
 
     block_hash: str = ""
     indexes: tuple[int, ...] = ()
-    command: str = field(default="getblocktxn", init=False, repr=False)
+    command: ClassVar[str] = "getblocktxn"
 
     def wire_payload(self) -> int:
         return len(self.indexes)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BlockTxnMessage(Message):
     """Reply to :class:`GetBlockTxnMessage`: the requested transactions."""
 
     block_hash: str = ""
     indexes: tuple[int, ...] = ()
     transactions: tuple[Transaction, ...] = ()
-    command: str = field(default="blocktxn", init=False, repr=False)
+    command: ClassVar[str] = "blocktxn"
 
     def wire_payload(self) -> int:
         return sum(tx.size_bytes for tx in self.transactions)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GetHeadersMessage(Message):
     """Request for the headers extending the requester's best chain.
 
@@ -233,13 +233,13 @@ class GetHeadersMessage(Message):
 
     locator: tuple[str, ...] = ()
     stop_hash: str = ""
-    command: str = field(default="getheaders", init=False, repr=False)
+    command: ClassVar[str] = "getheaders"
 
     def wire_payload(self) -> int:
         return len(self.locator)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class HeadersMessage(Message):
     """Delivery of block headers (reply to GETHEADERS, or a BIP 130-style
     headers-first block announcement).
@@ -251,35 +251,35 @@ class HeadersMessage(Message):
 
     headers: tuple[BlockHeader, ...] = ()
     heights: tuple[int, ...] = ()
-    command: str = field(default="headers", init=False, repr=False)
+    command: ClassVar[str] = "headers"
 
     def wire_payload(self) -> int:
         return len(self.headers)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class JoinMessage(Message):
     """Cluster-join request sent to the closest discovered node (Section IV.B)."""
 
     measured_rtt_s: float = 0.0
-    command: str = field(default="join", init=False, repr=False)
+    command: ClassVar[str] = "join"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class JoinAcceptMessage(Message):
     """Positive response to a JOIN request."""
 
     cluster_id: int = -1
-    command: str = field(default="join_accept", init=False, repr=False)
+    command: ClassVar[str] = "join_accept"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ClusterMembersMessage(Message):
     """List of node ids belonging to the responder's cluster (Section IV.B)."""
 
     cluster_id: int = -1
     members: tuple[int, ...] = ()
-    command: str = field(default="cluster_members", init=False, repr=False)
+    command: ClassVar[str] = "cluster_members"
 
     def wire_payload(self) -> int:
         return len(self.members)

@@ -5,9 +5,9 @@ substrate and the protocol nodes:
 
 * it owns the :class:`~repro.net.topology.OverlayTopology` (who is connected
   to whom) and the node registry;
-* ``send()``, ``broadcast()`` and ``multicast()`` compute each copy's
-  delivery delay from the link model and schedule the receiver's handler on
-  the event engine, all in one send loop (``_fanout``);
+* ``send()``, ``broadcast()`` and ``multicast()`` compute every copy's
+  delivery delay from the link model and queue the receiver's handler on
+  the event engine, one batch per fan-out (``_fanout``);
 * ``connect()`` / ``disconnect()`` manage links, charging a handshake
   round-trip for new connections;
 * it keeps global message counters (by command) that the overhead experiment
@@ -22,9 +22,8 @@ check.
 from __future__ import annotations
 
 from collections import Counter
-from functools import partial
 from itertools import repeat
-from typing import Iterable, Optional, TYPE_CHECKING
+from typing import Optional, TYPE_CHECKING
 
 from repro.net.geo import GeoPosition
 from repro.net.link import Link, LinkDelayCalculator
@@ -311,13 +310,15 @@ class P2PNetwork:
         """Schedule one copy of ``message`` per connected peer in ``eligible``.
 
         The send loop every ``send``/``broadcast``/``multicast`` ends in.  The
-        message is sized, and the sender's behaviour and position, the time
-        and the delivery label are looked up, once for all copies.  When
-        there are several copies and every destination pair's routing is
-        already known, their congestion jitter is drawn in one batched call
-        (bit-identical to per-copy draws — see
-        :meth:`LatencyModel.jitter_factors`), before any byzantine filter
-        runs, so a filter's drops never shift an honest stream's draws.
+        message is sized once, and all the copies' delays come from one
+        :meth:`LinkDelayCalculator.message_delay_s` call and go to the
+        kernel in one :meth:`Simulator.post_many` call, as plain
+        ``_deliver(sender, peer, message)`` entries.  When there are several
+        copies and every destination pair's routing is already known, their
+        congestion jitter is drawn in one batched call (bit-identical to
+        per-copy draws — see :meth:`LatencyModel.jitter_factors`), before
+        any byzantine filter runs, so a filter's drops never shift an honest
+        stream's draws.
 
         This loop is where the adversary plane hooks in: a sender's installed
         :class:`~repro.protocol.adversary.ByzantineBehavior` sees each copy,
@@ -332,45 +333,56 @@ class P2PNetwork:
         command = message.command
         size = message_size_bytes(command, message.wire_payload())
         delays = self.delays
-        factors: Iterable[Optional[float]] = repeat(None)
+        factors: Optional[list[float]] = None
         if len(eligible) > 1 and delays.can_batch_jitter(sender_id, eligible):
             batch = delays.jitter_factors(len(eligible))
             if batch is not None:
                 # Python floats: the same values as the array's, cheaper arithmetic.
                 factors = batch.tolist()
+        peers = eligible
+        extra_delays: Optional[list[float]] = None
         behavior = self._behaviors.get(sender_id) if self._behaviors else None
-        positions = self._positions
-        position = positions[sender_id]
-        simulator = self.simulator
-        now = simulator.now
-        label = "deliver:" + command
-        message_delay_s = delays.message_delay_s
-        schedule_at = simulator.schedule_at
-        deliver = self._deliver
-        sent = 0
-        for peer, factor in zip(eligible, factors):
-            extra_delay_s = 0.0
-            if behavior is not None:
-                decision = behavior.filter_send(peer, message, now)
-                if decision.drop:
-                    self.messages_suppressed += 1
-                    continue
-                extra_delay_s = decision.extra_delay_s
-            delay = extra_delay_s + message_delay_s(
-                sender_id,
-                position,
-                peer,
-                positions[peer],
-                command,
-                size_bytes=size,
-                jitter_factor=factor,
-            )
-            schedule_at(now + delay, partial(deliver, sender_id, peer, message), label=label)
-            sent += 1
-        if sent:
-            self.messages_sent[command] += sent
-            self.bytes_sent[command] += sent * size
+        if behavior is not None:
+            peers, extra_delays, factors = self._filter_copies(behavior, eligible, factors, message)
+            if not peers:
+                return len(eligible)
+        copy_delays = delays.message_delay_s(sender_id, peers, self._positions, size, factors)
+        if extra_delays is not None:
+            copy_delays = [extra + delay for extra, delay in zip(extra_delays, copy_delays)]
+        self.simulator.post_many(
+            self._deliver, copy_delays, zip(repeat(sender_id), peers, repeat(message))
+        )
+        self.messages_sent[command] += len(peers)
+        self.bytes_sent[command] += len(peers) * size
         return len(eligible)
+
+    def _filter_copies(
+        self,
+        behavior: "ByzantineBehavior",
+        eligible: "list[int]",
+        factors: Optional[list[float]],
+        message: Message,
+    ) -> tuple[list[int], list[float], Optional[list[float]]]:
+        """Offer each copy to the sender's byzantine behaviour, in order.
+
+        Returns the peers it lets through, their extra delays and their
+        pre-drawn jitter factors (None when none were drawn); each
+        suppressed copy is counted.
+        """
+        now = self.simulator.now
+        peers: list[int] = []
+        extra_delays: list[float] = []
+        kept_factors: Optional[list[float]] = [] if factors is not None else None
+        for index, peer in enumerate(eligible):
+            decision = behavior.filter_send(peer, message, now)
+            if decision.drop:
+                self.messages_suppressed += 1
+                continue
+            peers.append(peer)
+            extra_delays.append(decision.extra_delay_s)
+            if kept_factors is not None:
+                kept_factors.append(factors[index])
+        return peers, extra_delays, kept_factors
 
     def _deliver(self, sender_id: int, receiver_id: int, message: Message) -> None:
         # The link check covers the receiver going offline too: going offline

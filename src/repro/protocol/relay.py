@@ -83,6 +83,11 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers
     from repro.protocol.network import P2PNetwork
     from repro.protocol.node import BitcoinNode
 
+#: The inventory kinds as module globals: reading an enum member off its
+#: class costs about 0.15 µs more than a global, on every INV and GETDATA.
+_TX_INVENTORY = InventoryType.TRANSACTION
+_BLOCK_INVENTORY = InventoryType.BLOCK
+
 
 class RelayStrategy:
     """Base class: the flood message plane every concrete strategy refines.
@@ -181,7 +186,7 @@ class RelayStrategy:
             peer_id,
             InvMessage(
                 sender=node.node_id,
-                inventory_type=InventoryType.BLOCK,
+                inventory_type=_BLOCK_INVENTORY,
                 hashes=(tip.block_hash,),
             ),
         )
@@ -193,7 +198,7 @@ class RelayStrategy:
         node = self.node
         message = InvMessage(
             sender=node.node_id,
-            inventory_type=InventoryType.TRANSACTION,
+            inventory_type=_TX_INVENTORY,
             hashes=(txid,),
         )
         count = self._network().broadcast(node.node_id, message, exclude=exclude)
@@ -206,7 +211,7 @@ class RelayStrategy:
         node = self.node
         message = InvMessage(
             sender=node.node_id,
-            inventory_type=InventoryType.BLOCK,
+            inventory_type=_BLOCK_INVENTORY,
             hashes=(block_hash,),
         )
         return self._network().broadcast(node.node_id, message, exclude=exclude)
@@ -215,7 +220,7 @@ class RelayStrategy:
     def handle_inv(self, sender: int, message: InvMessage) -> None:
         node = self.node
         node.stats.invs_received += 1
-        if message.inventory_type is InventoryType.TRANSACTION:
+        if message.inventory_type is _TX_INVENTORY:
             if node.known_transactions.issuperset(message.hashes):
                 # Most transaction INVs repeat what the node already knows:
                 # the outcome _classify would reach, without building lists.
@@ -245,7 +250,7 @@ class RelayStrategy:
                 sender,
                 GetDataMessage(
                     sender=node.node_id,
-                    inventory_type=InventoryType.TRANSACTION,
+                    inventory_type=_TX_INVENTORY,
                     hashes=tuple(to_request),
                 ),
             )
@@ -314,7 +319,7 @@ class RelayStrategy:
             self.node.node_id,
             peer,
             GetDataMessage(
-                sender=self.node.node_id, inventory_type=InventoryType.BLOCK, hashes=hashes
+                sender=self.node.node_id, inventory_type=_BLOCK_INVENTORY, hashes=hashes
             ),
         )
 
@@ -342,7 +347,7 @@ class RelayStrategy:
     def handle_getdata(self, sender: int, message: GetDataMessage) -> None:
         node = self.node
         network = self._network()
-        if message.inventory_type is InventoryType.TRANSACTION:
+        if message.inventory_type is _TX_INVENTORY:
             for txid in message.hashes:
                 tx = node.mempool.get(txid)
                 if tx is None:
@@ -753,7 +758,7 @@ class PushRelay(FloodRelay):
                 inv_peers,
                 InvMessage(
                     sender=node.node_id,
-                    inventory_type=InventoryType.BLOCK,
+                    inventory_type=_BLOCK_INVENTORY,
                     hashes=(block_hash,),
                 ),
             )
@@ -945,7 +950,7 @@ class AdaptiveRelay(FloodRelay):
                 targets,
                 InvMessage(
                     sender=node.node_id,
-                    inventory_type=InventoryType.TRANSACTION,
+                    inventory_type=_TX_INVENTORY,
                     hashes=(txid,),
                 ),
             )
@@ -966,7 +971,7 @@ class AdaptiveRelay(FloodRelay):
     def handle_inv(self, sender: int, message: InvMessage) -> None:
         node = self.node
         node.stats.invs_received += 1
-        is_tx = message.inventory_type is InventoryType.TRANSACTION
+        is_tx = message.inventory_type is _TX_INVENTORY
         known = node.known_transactions if is_tx else node.known_blocks
         pending = self.pending_tx_requests if is_tx else self.pending_block_requests
         confirmed = None
@@ -1001,7 +1006,7 @@ class AdaptiveRelay(FloodRelay):
                 sender,
                 GetDataMessage(
                     sender=node.node_id,
-                    inventory_type=InventoryType.TRANSACTION,
+                    inventory_type=_TX_INVENTORY,
                     hashes=tuple(to_request),
                 ),
             )

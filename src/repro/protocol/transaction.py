@@ -86,6 +86,9 @@ class Transaction:
     outputs: tuple[TxOutput, ...]
     created_at: float = 0.0
     is_coinbase: bool = False
+    #: Transaction id (double SHA-256 of the canonical body), set once by
+    #: ``__post_init__``: a plain attribute, read on every relay step.
+    txid: str = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.outputs:
@@ -98,17 +101,12 @@ class Transaction:
         coinbase_part = "coinbase" if self.is_coinbase else "normal"
         body = f"{coinbase_part}#{input_part}#{output_part}"
         object.__setattr__(self, "_body", body)
-        object.__setattr__(self, "_txid", double_sha256_hex(body))
+        object.__setattr__(self, "txid", double_sha256_hex(body))
 
     # ------------------------------------------------------------------- ids
     def body(self) -> str:
         """Canonical serialisation of the signed portion of the transaction."""
         return self._body  # type: ignore[attr-defined]
-
-    @property
-    def txid(self) -> str:
-        """Transaction id (double SHA-256 of the canonical body)."""
-        return self._txid  # type: ignore[attr-defined]
 
     @cached_property
     def witness_checks(self) -> tuple[tuple[str, bool], ...]:

@@ -1,7 +1,7 @@
 """Deterministic discrete-event simulation kernel.
 
 The kernel is intentionally small and dependency-free: a binary-heap event
-queue keyed on ``(time, priority, sequence)``, a simulation clock measured in
+queue keyed on ``(time, sequence)``, a simulation clock measured in
 seconds (float), cooperative processes implemented as generators, periodic
 timers, a hierarchical seeded random-number service, and an event trace
 recorder used by the measurement layer.

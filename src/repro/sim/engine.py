@@ -2,28 +2,33 @@
 
 :class:`Simulator` owns the clock, the event heap, the random-number service
 and the tracer.  All network, protocol and measurement components schedule
-work through :meth:`Simulator.schedule` / :meth:`Simulator.schedule_at` or by
-spawning generator-based processes with :meth:`Simulator.spawn`.
+work through :meth:`Simulator.schedule` / :meth:`Simulator.schedule_at`, post
+fire-and-forget calls in batches with :meth:`Simulator.post_many`, or spawn
+generator-based processes with :meth:`Simulator.spawn`.
 
 The engine is single-threaded and deterministic: two runs constructed with the
 same seed execute exactly the same event sequence.
 
-The event heap stores ``(time, priority, sequence, event)`` tuples so heap
-sifts compare plain numbers; combined with ``__slots__`` on :class:`Event`
-this keeps the per-event dispatch cost low (the hot loop is the dominant cost
-of every experiment).
+Every heap entry has one shape, ``(time, sequence, fn, args)``.  Heap sifts
+compare the two leading plain numbers only (``sequence`` is unique), which
+keeps the per-event dispatch cost low: the hot loop is the dominant cost of
+every experiment.  A posted call is the entry itself and fires as
+``fn(*args)``.  A labelled, cancellable :class:`Event` is stored as
+``(time, sequence, event, None)``; ``args is None`` marks it.
 """
 
 from __future__ import annotations
 
 import heapq
-from typing import Any, Callable, Iterator, Optional
+from typing import Any, Callable, Iterable, Iterator, Optional
 
 from repro.sim.clock import SimClock
-from repro.sim.events import Event, EventPriority
+from repro.sim.events import Event
 from repro.sim.process import Process, ProcessExit, Timeout
 from repro.sim.rng import RandomService
 from repro.sim.trace import Tracer
+
+_INFINITY = float("inf")
 
 
 class Simulator:
@@ -41,10 +46,8 @@ class Simulator:
         self.clock = SimClock()
         self.random = RandomService(seed)
         self.tracer = Tracer(enabled=trace)
-        #: Heap of (time, priority, sequence, Event) tuples; the leading
-        #: numeric fields keep heap comparisons away from rich Python objects
-        #: and ``sequence`` is unique, so the Event itself is never compared.
-        self._heap: list[tuple[float, int, int, Event]] = []
+        #: Heap of (time, sequence, fn, args) entries; see the module docstring.
+        self._heap: list[tuple[float, int, Any, Optional[tuple]]] = []
         self._sequence = 0
         self._running = False
         self._events_executed = 0
@@ -67,14 +70,7 @@ class Simulator:
         return len(self._heap)
 
     # ------------------------------------------------------------- scheduling
-    def schedule(
-        self,
-        delay: float,
-        callback: Callable[[], Any],
-        *,
-        priority: int = EventPriority.NORMAL,
-        label: str = "",
-    ) -> Event:
+    def schedule(self, delay: float, callback: Callable[[], Any], *, label: str = "") -> Event:
         """Schedule ``callback`` to run ``delay`` seconds from now.
 
         Returns the scheduled :class:`Event`, which is its own cancellation
@@ -83,16 +79,9 @@ class Simulator:
         # "not >=" rejects NaN too: every comparison with NaN is False.
         if not delay >= 0:
             raise ValueError(f"cannot schedule an event in the past (delay={delay})")
-        return self.schedule_at(self.clock._now + delay, callback, priority=priority, label=label)
+        return self.schedule_at(self.clock._now + delay, callback, label=label)
 
-    def schedule_at(
-        self,
-        time: float,
-        callback: Callable[[], Any],
-        *,
-        priority: int = EventPriority.NORMAL,
-        label: str = "",
-    ) -> Event:
+    def schedule_at(self, time: float, callback: Callable[[], Any], *, label: str = "") -> Event:
         """Schedule ``callback`` to run at absolute simulated time ``time``."""
         now = self.clock._now
         if not time >= now:
@@ -100,12 +89,37 @@ class Simulator:
                 f"cannot schedule an event in the past: now={now}, requested={time}"
             )
         time = float(time)
-        priority = int(priority)
         sequence = self._sequence
         self._sequence = sequence + 1
-        event = Event(time, priority, sequence, callback, label)
-        heapq.heappush(self._heap, (time, priority, sequence, event))
+        event = Event(time, callback, label)
+        heapq.heappush(self._heap, (time, sequence, event, None))
         return event
+
+    def post_many(
+        self, fn: Callable[..., Any], delays: Iterable[float], args: Iterable[tuple]
+    ) -> None:
+        """Queue one fire-and-forget call ``fn(*a)`` per pair of ``delays`` and ``args``.
+
+        Each call fires ``delay`` seconds from now, as if every pair had been
+        scheduled through :meth:`schedule` in order: sequence numbers follow
+        the pairs' order, so calls due at the same time fire in that order.
+        No :class:`Event` is made, so a posted call has no label and cannot
+        be cancelled.  A delay that is negative or NaN raises ValueError;
+        the pairs before it stay queued, as they would after one
+        :meth:`schedule` call each.
+        """
+        now = self.clock._now
+        heap = self._heap
+        push = heapq.heappush
+        sequence = self._sequence
+        try:
+            for delay, arguments in zip(delays, args, strict=True):
+                if not delay >= 0:
+                    raise ValueError(f"cannot schedule an event in the past (delay={delay})")
+                push(heap, (now + delay, sequence, fn, arguments))
+                sequence += 1
+        finally:
+            self._sequence = sequence
 
     def call_soon(self, callback: Callable[[], Any], *, label: str = "") -> Event:
         """Schedule ``callback`` to run at the current time, after current events."""
@@ -161,24 +175,26 @@ class Simulator:
         heap = self._heap
         heappop = heapq.heappop
         clock = self.clock
+        limit = _INFINITY if until is None else until
         try:
             while heap:
-                entry = heap[0]
-                event = entry[3]
-                if event.cancelled:
-                    heappop(heap)
-                    continue
-                event_time = entry[0]
-                if until is not None and event_time > until:
+                entry = heappop(heap)
+                time, _, fn, args = entry
+                if args is None:  # a labelled Event
+                    if fn.cancelled:
+                        continue
+                    fn, args = fn.callback, ()
+                if time > limit:
+                    # Put it back: the next run() starts from it.
+                    heapq.heappush(heap, entry)
                     clock.advance_to(until)
                     break
-                heappop(heap)
                 # SimClock.advance_to inlined; the call only runs to raise.
-                if not event_time >= clock._now:
-                    clock.advance_to(event_time)
-                clock._now = event_time
+                if not time >= clock._now:
+                    clock.advance_to(time)
+                clock._now = time
                 self._events_executed += 1
-                event.callback()
+                fn(*args)
             else:
                 # Heap drained without hitting the until-limit: if an explicit
                 # horizon was requested, report time as that horizon.

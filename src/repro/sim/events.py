@@ -1,39 +1,20 @@
-"""Event objects used by the simulation engine.
+"""Event handles returned by the simulation engine.
 
-An :class:`Event` is a scheduled callback.  Ordering in the event heap is by
-``(time, priority, sequence)``:
+An :class:`Event` is a labelled, cancellable scheduled callback: what
+:meth:`~repro.sim.engine.Simulator.schedule_at` returns to the callers that
+may need to cancel or inspect what they scheduled (timers, processes, relay
+and compact-block timeouts).  Message deliveries are queued without one (see
+:meth:`~repro.sim.engine.Simulator.post_many`).
 
-* ``time`` — absolute simulated time in seconds;
-* ``priority`` — lower runs first among events at the same instant.  Protocol
-  code mostly uses the default; the engine uses priorities to make control
-  events (e.g. simulation stop) run after ordinary events at the same time;
-* ``sequence`` — a monotonically increasing tie-breaker, so events scheduled
-  earlier in wall-clock order run first and the ordering is fully
-  deterministic.
-
-The engine stores ``(time, priority, sequence, event)`` tuples in its heap, so
-heap sift operations compare plain floats/ints and never fall through to the
-event object itself (``sequence`` is unique).  :class:`Event` keeps a
-``__lt__`` implementing the same ordering for direct comparisons in tests and
-debugging, but the hot path never calls it.
-
-Cancellation is handled by flagging the event rather than removing it from the
-heap (lazy deletion), which keeps cancellation O(1).
+The engine orders its heap by ``(time, sequence)`` plain numbers, where
+``sequence`` is unique, so an event is never compared.  Cancellation flags
+the event rather than removing it from the heap (lazy deletion), which keeps
+cancellation O(1).
 """
 
 from __future__ import annotations
 
-import enum
 from typing import Any, Callable
-
-
-class EventPriority(enum.IntEnum):
-    """Relative ordering of events that share the same timestamp."""
-
-    URGENT = 0
-    NORMAL = 10
-    LOW = 20
-    CONTROL = 100
 
 
 class Event:
@@ -41,8 +22,6 @@ class Event:
 
     Attributes:
         time: absolute simulated time at which the callback fires.
-        priority: tie-break priority (lower fires first).
-        sequence: engine-assigned monotonic tie-breaker.
         callback: callable invoked as ``callback()`` when the event fires.
         label: human-readable label used in traces and error messages.
         cancelled: set by :meth:`cancel`; cancelled events are skipped when
@@ -52,48 +31,13 @@ class Event:
     handle.
     """
 
-    __slots__ = ("time", "priority", "sequence", "callback", "label", "cancelled")
+    __slots__ = ("time", "callback", "label", "cancelled")
 
-    def __init__(
-        self,
-        time: float,
-        priority: int,
-        sequence: int,
-        callback: Callable[[], Any],
-        label: str = "",
-        cancelled: bool = False,
-    ) -> None:
+    def __init__(self, time: float, callback: Callable[[], Any], label: str = "") -> None:
         self.time = time
-        self.priority = priority
-        self.sequence = sequence
         self.callback = callback
         self.label = label
-        self.cancelled = cancelled
-
-    @property
-    def sort_key(self) -> tuple[float, int, int]:
-        """The ``(time, priority, sequence)`` ordering key."""
-        return (self.time, self.priority, self.sequence)
-
-    def __lt__(self, other: "Event") -> bool:
-        return self.sort_key < other.sort_key
-
-    def __le__(self, other: "Event") -> bool:
-        return self.sort_key <= other.sort_key
-
-    def __gt__(self, other: "Event") -> bool:
-        return self.sort_key > other.sort_key
-
-    def __ge__(self, other: "Event") -> bool:
-        return self.sort_key >= other.sort_key
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Event):
-            return NotImplemented
-        return self.sort_key == other.sort_key
-
-    def __hash__(self) -> int:
-        return hash((Event, self.sequence))
+        self.cancelled = False
 
     def cancel(self) -> bool:
         """Cancel the event.
@@ -109,7 +53,4 @@ class Event:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "cancelled" if self.cancelled else "pending"
-        return (
-            f"Event(t={self.time:.6f}, prio={self.priority}, seq={self.sequence}, "
-            f"label={self.label!r}, {state})"
-        )
+        return f"Event(t={self.time:.6f}, label={self.label!r}, {state})"

@@ -166,6 +166,17 @@ class TestLink:
         assert pickle.loads(pickle.dumps(link)) == link
 
 
+#: Node id -> position for the two-node calculator tests.
+POSITIONS = {0: LONDON, 1: PARIS}
+
+
+def single_delay_s(calc, command, payload=None, **kwargs):
+    """The delay of one copy, node 0 to node 1: a fan-out of one."""
+    size = message_size_bytes(command, payload)
+    (delay,) = calc.message_delay_s(0, [1], POSITIONS, size, **kwargs)
+    return delay
+
+
 class TestLinkDelayCalculator:
     def _calculator(self, with_bandwidth=False):
         rng = np.random.default_rng(3)
@@ -177,21 +188,19 @@ class TestLinkDelayCalculator:
 
     def test_message_delay_positive(self):
         calc = self._calculator()
-        assert calc.message_delay_s(0, LONDON, 1, PARIS, "inv", 1) > 0
+        assert single_delay_s(calc, "inv", 1) > 0
 
     def test_larger_messages_take_longer(self):
         calc = self._calculator()
-        small = calc.message_delay_s(0, LONDON, 1, PARIS, "tx", 300, jittered=False)
-        big = calc.message_delay_s(0, LONDON, 1, PARIS, "block", 1_000_000, jittered=False)
+        small = single_delay_s(calc, "tx", 300, jittered=False)
+        big = single_delay_s(calc, "block", 1_000_000, jittered=False)
         assert big > small
 
     def test_bandwidth_model_changes_transmission_component(self):
         flat = self._calculator(with_bandwidth=False)
         heterogeneous = self._calculator(with_bandwidth=True)
-        flat_delay = flat.message_delay_s(0, LONDON, 1, PARIS, "block", 500_000, jittered=False)
-        hetero_delay = heterogeneous.message_delay_s(
-            0, LONDON, 1, PARIS, "block", 500_000, jittered=False
-        )
+        flat_delay = single_delay_s(flat, "block", 500_000, jittered=False)
+        hetero_delay = single_delay_s(heterogeneous, "block", 500_000, jittered=False)
         assert flat_delay != pytest.approx(hetero_delay)
 
     def test_ping_rtt_close_to_base_rtt_without_jitter(self):
@@ -202,7 +211,7 @@ class TestLinkDelayCalculator:
 
     def test_control_message_delay_roughly_half_rtt(self):
         calc = self._calculator()
-        delay = calc.message_delay_s(0, LONDON, 1, PARIS, "inv", 1, jittered=False)
+        delay = single_delay_s(calc, "inv", 1, jittered=False)
         rtt = calc.base_rtt_s(0, LONDON, 1, PARIS)
         assert delay < rtt
         assert delay > rtt / 4
@@ -210,7 +219,10 @@ class TestLinkDelayCalculator:
     def test_negative_size_rejected(self):
         calc = self._calculator()
         with pytest.raises(ValueError):
-            calc.message_delay_s(0, LONDON, 1, PARIS, "inv", size_bytes=-1)
+            calc.message_delay_s(0, [1], POSITIONS, -1)
+
+    def test_an_empty_fanout_has_no_delays(self):
+        assert self._calculator(with_bandwidth=True).message_delay_s(0, [], POSITIONS, 100) == []
 
 
 def reference_delay_s(latency, bandwidth, sender, sender_pos, receiver, receiver_pos, size, **jitter):
@@ -257,6 +269,7 @@ class TestKeptLinkConstants:
         ref_latency, ref_bandwidth = twin()
 
         nodes = st.integers(0, self.NODES - 1)
+        by_id = dict(enumerate(positions))
         for _ in range(data.draw(st.integers(1, 40), label="steps")):
             sender = data.draw(nodes, label="sender")
             receiver = data.draw(nodes.filter(lambda n: n != sender), label="receiver")
@@ -283,25 +296,41 @@ class TestKeptLinkConstants:
                 assert batched == all(ref_latency.routing_cached(sender, r) for r in receivers)
                 factors = calculator.jitter_factors(len(receivers)) if batched else None
                 ref_factors = ref_latency.jitter_factors(len(receivers)) if batched else None
-                if factors is None:  # not batched, or no jitter: per-message draws
-                    factors = ref_factors = [None] * len(receivers)
+                if factors is None:  # not batched, or no jitter: per-copy draws
+                    ref_factors = [None] * len(receivers)
                 else:  # the network hands out Python floats, the reference numpy ones
                     factors = factors.tolist()
-                for peer, factor, ref_factor in zip(receivers, factors, ref_factors):
-                    peer_ends = (sender, positions[sender], peer, positions[peer])
-                    assert calculator.message_delay_s(
-                        *peer_ends, "block", size_bytes=size, jitter_factor=factor
-                    ) == reference_delay_s(
-                        ref_latency, ref_bandwidth, *peer_ends, size, jitter_factor=ref_factor
+                delays = calculator.message_delay_s(sender, receivers, by_id, size, factors)
+                # The reference computes one copy after another, so its draws
+                # come in the order the calculator must have made them.
+                assert delays == [
+                    reference_delay_s(
+                        ref_latency,
+                        ref_bandwidth,
+                        sender,
+                        positions[sender],
+                        peer,
+                        positions[peer],
+                        size,
+                        jitter_factor=ref_factor,
                     )
+                    for peer, ref_factor in zip(receivers, ref_factors)
+                ]
                 continue
             jittered = data.draw(st.booleans(), label="jittered")
             factor = data.draw(st.floats(0.2, 5.0), label="factor") if kind == "given" else None
             assert calculator.message_delay_s(
-                *ends, "block", payload, jittered=jittered, jitter_factor=factor
-            ) == reference_delay_s(
-                ref_latency, ref_bandwidth, *ends, size, jittered=jittered, jitter_factor=factor
-            )
+                sender,
+                [receiver],
+                by_id,
+                size,
+                None if factor is None else [factor],
+                jittered=jittered,
+            ) == [
+                reference_delay_s(
+                    ref_latency, ref_bandwidth, *ends, size, jittered=jittered, jitter_factor=factor
+                )
+            ]
         assert latency._rng.bit_generator.state == ref_latency._rng.bit_generator.state
         if with_bandwidth:
             assert bandwidth._rng.bit_generator.state == ref_bandwidth._rng.bit_generator.state

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.sim.engine import Simulator
-from repro.sim.events import EventPriority
 from repro.sim.process import Timeout
 
 
@@ -27,13 +26,6 @@ class TestScheduling:
             simulator.schedule(1.0, lambda i=i: order.append(i))
         simulator.run()
         assert order == [0, 1, 2, 3, 4]
-
-    def test_priority_breaks_ties(self, simulator):
-        order = []
-        simulator.schedule(1.0, lambda: order.append("normal"), priority=EventPriority.NORMAL)
-        simulator.schedule(1.0, lambda: order.append("urgent"), priority=EventPriority.URGENT)
-        simulator.run()
-        assert order == ["urgent", "normal"]
 
     def test_negative_delay_rejected(self, simulator):
         with pytest.raises(ValueError):
