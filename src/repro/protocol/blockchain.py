@@ -11,8 +11,9 @@ Confirmed-transaction lookups go through a :class:`ConfirmationIndex` that
 the whole network shares, so no node keeps its own copy of every confirmed
 txid: with a funding block that pays every node, N such copies of N funding
 txids made a network's memory quadratic in its size.  The same index holds
-the network's ledger checkpoints, so replaying a funded chain starts from the
-funding ledger instead of from genesis.
+the ledgers of the latest validated blocks, registered once for the whole
+network, so a node that receives a block another node has validated takes
+that ledger instead of validating and applying the block again.
 """
 
 from __future__ import annotations
@@ -36,7 +37,8 @@ class ForkEvent:
 
 
 class ConfirmationIndex:
-    """Txid -> the blocks that include it, for every block any chain stored.
+    """Txid -> the blocks that include it, for every block any chain stored,
+    and the ledgers as of the latest validated blocks.
 
     One index serves a whole network: a chain registers each block it stores,
     and the index records a block only the first time its hash is seen.
@@ -47,18 +49,32 @@ class ConfirmationIndex:
     whether a given chain confirms it is for that chain's best chain to say
     (:meth:`Blockchain.on_best_chain`).
 
-    It also holds *checkpoints*: the flat ledger as of a block, registered
-    once for the whole network (the funding block's, see
-    :func:`~repro.workloads.generators.fund_nodes`).  A replay of a chain
-    through that block starts from a view over it
-    (:meth:`Blockchain.utxo_as_of`), and every node's ledger is such a view.
-    Nothing writes a checkpoint.
+    It also holds *ledgers*: the ledger as of a block, registered by the
+    first node that validated that block object
+    (:meth:`~repro.protocol.node.BitcoinNode.accept_block`) or, for the
+    funding block, by :func:`~repro.workloads.generators.fund_nodes`.  A
+    registered ledger is never written again; whoever needs it writable takes
+    a copy, which shares its tables until the copy's first write.  Ledgers
+    are looked up by block *object* (:meth:`ledger`): a block hash does not
+    commit to the transactions' witnesses, so a block with a tampered
+    signature and the same header gets no verdict from the good one.
+
+    What the network's live tips and one-deep forks need is kept, and
+    nothing else: the ledgers at the two highest heights registered, and the
+    first ledger registered (the funding ledger on a funded network), from
+    which :meth:`Blockchain.utxo_as_of` replays any chain through it.  A
+    ledger below that window is not registered at all.
     """
 
     def __init__(self) -> None:
         self._blocks_by_txid: dict[str, list[Block]] = {}
         self._registered: set[str] = set()
-        self._checkpoints: dict[str, UtxoSet] = {}
+        #: Block hash -> (the block object validated, the ledger as of it).
+        self._ledgers: dict[str, tuple[Block, UtxoSet]] = {}
+        #: The hash of the first ledger registered, which is never dropped.
+        self._root: Optional[str] = None
+        #: The highest height a ledger was registered at.
+        self._top = 0
 
     def register(self, block: Block) -> None:
         """Index ``block``'s transactions, unless its hash is already indexed."""
@@ -78,16 +94,38 @@ class ConfirmationIndex:
         """Indexed blocks that include ``txid``, in registration order."""
         return self._blocks_by_txid.get(txid, ())
 
-    def register_checkpoint(self, block_hash: str, ledger: UtxoSet) -> None:
-        """Record ``ledger`` as the ledger as of ``block_hash``, unless that
-        block already has a checkpoint.  ``ledger`` must be flat, equal the
-        replay of the chain to the block from genesis, and never be written
-        again."""
-        self._checkpoints.setdefault(block_hash, ledger)
+    def register_ledger(self, block: Block, ledger: UtxoSet) -> None:
+        """Record ``ledger`` as the ledger as of ``block``.
 
-    def checkpoint(self, block_hash: str) -> Optional[UtxoSet]:
-        """The ledger registered as of ``block_hash``, or None."""
-        return self._checkpoints.get(block_hash)
+        ``ledger`` must equal the replay of the chain to ``block`` from
+        genesis, ``block`` must be valid on that chain, and nothing may write
+        ``ledger`` afterwards.  The first ledger registered under a hash
+        stays.  Registering above the highest height so far drops the
+        ledgers more than one below it, except the first one registered.
+        """
+        block_hash = block.block_hash
+        ledgers = self._ledgers
+        height = block.height
+        if block_hash in ledgers or height < self._top - 1:
+            return
+        ledgers[block_hash] = (block, ledger)
+        if self._root is None:
+            self._root = block_hash
+        if height > self._top:
+            self._top = height
+            for stale in [
+                key
+                for key, (held, _) in ledgers.items()
+                if held.height < height - 1 and key != self._root
+            ]:
+                del ledgers[stale]
+
+    def ledger(self, block: Block) -> Optional[UtxoSet]:
+        """The ledger registered as of this very block object, or None."""
+        held = self._ledgers.get(block.block_hash)
+        if held is not None and held[0] is block:
+            return held[1]
+        return None
 
 
 class Blockchain:
@@ -278,26 +316,27 @@ class Blockchain:
     def utxo_as_of(self, block_hash: str) -> UtxoSet:
         """The ledger after the chain ending at ``block_hash``, replayed.
 
-        The replay starts from the deepest checkpoint on that chain (see
-        :meth:`ConfirmationIndex.register_checkpoint`): the result is a fresh
-        view over the checkpoint's ledger with the blocks above it applied.
-        A chain through no checkpoint is replayed from genesis into a flat
-        ledger.
+        The fallback for a ledger the index no longer holds: the replay
+        starts from a copy of the deepest ledger the index holds for a block
+        object on that chain (see :meth:`ConfirmationIndex.register_ledger`;
+        on a funded network, at the latest the funding ledger) and applies
+        the blocks above it.  A chain through no registered ledger is
+        replayed from genesis into a flat ledger.
 
         Raises:
             KeyError: if the block is unknown.
         """
-        checkpoint = self._index.checkpoint
+        registered = self._index.ledger
         replay: list[Block] = []
         cursor = self._blocks[block_hash]
-        base = checkpoint(cursor.block_hash)
+        base = registered(cursor)
         while base is None:
             replay.append(cursor)
             if cursor.is_genesis:
                 break
             cursor = self._blocks[cursor.previous_hash]
-            base = checkpoint(cursor.block_hash)
-        utxo = UtxoSet(base)
+            base = registered(cursor)
+        utxo = base.copy() if base is not None else UtxoSet()
         for block in reversed(replay):
             for tx in block.transactions:
                 utxo.apply_transaction(tx, block_hash=block.block_hash)

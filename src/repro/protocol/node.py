@@ -246,6 +246,9 @@ class BitcoinNode:
         self.node_id = node_id
         self.position = position
         self.network = network
+        #: The simulator's clock, kept from the network the node is attached
+        #: to, so reading the time is one attribute hop (None while unattached).
+        self._clock = network.simulator.clock if network is not None else None
         self.config = config if config is not None else NodeConfig()
         self.validator = validator if validator is not None else TransactionValidator()
         self.keypair = keypair if keypair is not None else KeyPair.generate(f"node-{node_id}-wallet")
@@ -311,6 +314,7 @@ class BitcoinNode:
     def attach(self, network: "P2PNetwork") -> None:
         """Associate the node with a network and register it."""
         self.network = network
+        self._clock = network.simulator.clock
         network.register_node(self)
 
     def _require_network(self) -> "P2PNetwork":
@@ -321,7 +325,10 @@ class BitcoinNode:
     @property
     def now(self) -> float:
         """Current simulated time."""
-        return self._require_network().simulator.now
+        try:
+            return self._clock._now
+        except AttributeError:
+            raise RuntimeError(f"node {self.node_id} is not attached to a network") from None
 
     def neighbors(self) -> list[int]:
         """Ids of currently connected peers."""
@@ -479,13 +486,21 @@ class BitcoinNode:
         self.transaction_first_seen_times.setdefault(tx.txid, self.now)
         self.relay.note_transaction_received(tx.txid)
         effective_utxo = self._effective_utxo_for(tx)
-        result = self.validator.validate_transaction(tx, effective_utxo)
+        # Every node at one tip holds a copy of the same ledger, sharing its
+        # memo until the node's next block: the first of them to validate
+        # this transaction object leaves the verdict and fee to the rest.
+        verdict = effective_utxo.recall(tx, self.validator)
+        if verdict is None:
+            result = self.validator.validate_transaction(tx, effective_utxo)
+            fee = self._transaction_fee(tx, effective_utxo) if result.valid else 0
+            effective_utxo.remember(tx, self.validator, (result, fee))
+        else:
+            result, fee = verdict
         if not result.valid:
             self.stats.transactions_rejected += 1
             return result
         if self.blockchain.contains_transaction(tx.txid):
             return result
-        fee = self._transaction_fee(tx, effective_utxo)
         if not self.mempool.add(tx, arrival_time=self.now, fee=fee):
             # Conflict with a first-seen transaction, duplicate, or full pool.
             if tx.txid not in self.mempool:
@@ -586,7 +601,17 @@ class BitcoinNode:
 
     # --------------------------------------------------------- block intake
     def accept_block(self, block: Block, *, origin_peer: Optional[int]) -> bool:
-        """Validate and store a block; relays it onwards when accepted."""
+        """Validate and store a block; relays it onwards when accepted.
+
+        The first node of the network to validate this block object registers
+        the ledger as of it in the shared
+        :class:`~repro.protocol.blockchain.ConfirmationIndex`.  Every other
+        node that receives the same object takes a copy of that ledger
+        instead of validating and applying the block again: validity and
+        ledger depend only on the block and on its parent's ledger, which is
+        the same on every node.  A rebuilt object with the same hash (compact
+        relay, or a tampered witness) is validated on its own.
+        """
         self.known_blocks.add(block.block_hash)
         self.relay.note_block_received(block.block_hash)
         if self.blockchain.has_block(block.block_hash):
@@ -601,28 +626,36 @@ class BitcoinNode:
                 self.relay.request_parent(origin_peer, block.previous_hash)
             return False
         parent = self.blockchain.get_block(block.previous_hash)
-        # Fast path for the overwhelmingly common case — the block extends the
-        # current tip.  ``self.utxo`` *is* the ledger as of the tip (the
-        # invariant this method maintains), so the block is validated and
-        # applied there in one pass (an invalid block is undone), instead of
-        # replaying the chain per block (``utxo_as_of``; O(chain²) over a
-        # long sustained-load run) or validating on a copy first.
-        extends_tip = block.previous_hash == self.blockchain.tip.block_hash
-        if extends_tip:
-            result = self.validator.apply_block(block, parent, self.utxo)
-        else:
-            result = self.validator.validate_block(
-                block, parent, self.blockchain.utxo_as_of(parent.block_hash)
-            )
-        if not result.valid:
-            return False
+        extends_tip = parent is self.blockchain.tip
+        index = self.blockchain.index
+        # The first node to validate this block object registered the ledger
+        # as of it, so the block is valid here too: the node neither
+        # validates nor applies it.
+        ledger = index.ledger(block)
+        if ledger is None:
+            if extends_tip:
+                # ``self.utxo`` *is* the ledger as of the tip (the invariant
+                # this method maintains): validate and apply in one pass (an
+                # invalid block is undone).
+                ledger = self.utxo
+            else:
+                # A side branch: a copy of the parent's registered ledger, or
+                # a replay when the index no longer holds it.
+                ledger = index.ledger(parent)
+                ledger = (
+                    ledger.copy()
+                    if ledger is not None
+                    else self.blockchain.utxo_as_of(parent.block_hash)
+                )
+            if not self.validator.apply_block(block, parent, ledger).valid:
+                return False
+            index.register_ledger(block, ledger)
         tip_changed = self.blockchain.add_block(block, observed_at=self.now)
         self.stats.blocks_accepted += 1
         if tip_changed:
-            # Extending the tip always wins the height race, and that ledger
-            # is already advanced; any other new best chain is a reorg.
-            if not extends_tip:
-                self.utxo = self.blockchain.utxo_set()
+            # The block is the new tip, on the tip it extended or by a reorg.
+            # The node writes only its own copy of the block's ledger.
+            self.utxo = ledger.copy()
             self.mempool.remove_confirmed(block.txids)
             # A confirmed spend kills any pending double-spend of the same
             # output; left in the pool it would be packed into templates (and

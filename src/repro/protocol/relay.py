@@ -118,7 +118,10 @@ class RelayStrategy:
 
     # ------------------------------------------------------------- plumbing
     def _network(self) -> "P2PNetwork":
-        return self.node._require_network()
+        network = self.node.network
+        if network is None:
+            return self.node._require_network()  # raises: the node is unattached
+        return network
 
     @property
     def _now(self) -> float:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain
-from typing import Iterable, Iterator, Optional
+from typing import Any, Iterable, Iterator, Optional
 
 from repro.protocol.transaction import Transaction, TxOutput
 
@@ -43,20 +43,24 @@ class UtxoSet:
     not O(base).  Every read counts an unspent outpoint once, also after
     :meth:`undo_transaction` restores a spent base entry (the entry returns
     to the view's own tables; the base copy stays spent).  Every funded node's
-    ledger is a view of one network-wide checkpoint
-    (:func:`~repro.workloads.generators.fund_nodes`), and replays of a funded
-    chain start from it
-    (:meth:`~repro.protocol.blockchain.Blockchain.utxo_as_of`).
+    ledger is a view of the one flat funding ledger
+    (:func:`~repro.workloads.generators.fund_nodes`).
 
     :meth:`copy` is copy-on-write: the clone shares the source's own tables,
     its base and a share count, and whichever set writes first while the
-    tables are shared takes its own copy of them (:meth:`_own`), so funded
-    nodes share one set of empty tables until their first write.  A scratch
-    copy written before its source (side-branch block validation) costs the
-    one table copy an eager copy would have cost, and leaves the source the
-    sole owner of its tables again.  A block that extends the tip needs no
-    copy: it is applied in place and undone on failure
-    (:meth:`undo_transaction`).
+    tables are shared takes its own copy of them (:meth:`_own`).  That is
+    how one ledger serves a whole network: the ledger as of each validated
+    block is registered once
+    (:meth:`~repro.protocol.blockchain.ConfirmationIndex.register_ledger`),
+    and every node that reaches that block holds a copy of it, sharing its
+    tables until the node's next block is applied to its own ledger.
+
+    The tables also carry a memo of verdicts (:meth:`remember`,
+    :meth:`recall`): what a validator concluded about a transaction against
+    these very entries.  Every set sharing the tables shares the memo, so
+    the nodes at one tip validate each transaction object once between
+    them.  Any write ends the memo for the writer, and the sets still
+    sharing the old tables keep it.
 
     Args:
         base: the flat ledger this set views; a flat, empty set when omitted.
@@ -77,12 +81,17 @@ class UtxoSet:
         self._base = base
         #: Base outpoints this view has spent (None on a flat set).
         self._spent: Optional[set[tuple[str, int]]] = None if base is None else set()
+        #: txid -> (transaction, key, verdict) remembered since the last
+        #: write; None until a verdict is remembered or the set is copied.
+        self._verdicts: Optional[dict[str, tuple[Transaction, object, Any]]] = None
 
     def __del__(self) -> None:
         self._shares[0] -= 1
 
     def _own(self) -> None:
-        """Take a private copy of the tables if another set still views them."""
+        """Prepare a write: take a private copy of the tables if another set
+        still views them, and drop this set's memo (the sets still sharing
+        the old tables keep theirs)."""
         shares = self._shares
         if shares[0] > 1:
             shares[0] -= 1
@@ -91,6 +100,7 @@ class UtxoSet:
             if self._spent is not None:
                 self._spent = set(self._spent)
             self._shares = [1]
+        self._verdicts = None
 
     def _owned(self, address: str) -> list[UtxoEntry]:
         """The unspent entries owned by ``address``, own tables first."""
@@ -236,8 +246,35 @@ class UtxoSet:
         clone._by_address = self._by_address
         clone._base = self._base
         clone._spent = self._spent
+        # A set without a memo shares its tables with no other set, so the
+        # memo it starts here is the one every set sharing them reads.
+        if self._verdicts is None:
+            self._verdicts = {}
+        clone._verdicts = self._verdicts
         self._shares[0] += 1
         return clone
+
+    # ---------------------------------------------------------------- verdicts
+    def remember(self, tx: Transaction, key: object, verdict: Any) -> None:
+        """Store ``verdict`` for this transaction object under ``key`` (the
+        validator that reached it) until the next write to these entries."""
+        if self._verdicts is None:
+            self._verdicts = {}
+        self._verdicts[tx.txid] = (tx, key, verdict)
+
+    def recall(self, tx: Transaction, key: object) -> Any:
+        """The verdict :meth:`remember` stored for this very transaction object
+        and ``key`` since the last write, or None.
+
+        Identity, not the txid, decides: a txid does not commit to the
+        witnesses, so a transaction with a tampered signature has the same
+        txid as the good one and must be judged on its own.
+        """
+        verdicts = self._verdicts
+        hit = verdicts.get(tx.txid) if verdicts else None
+        if hit is not None and hit[0] is tx and hit[1] is key:
+            return hit[2]
+        return None
 
     @staticmethod
     def from_transactions(transactions: Iterable[Transaction]) -> "UtxoSet":

@@ -28,18 +28,20 @@ def fund_nodes(
     """Give nodes confirmed spendable outputs by installing a shared funding block.
 
     Every node stores the same block object.  The ledger as of that block is
-    built once, flat, and registered as a checkpoint in every node's
-    confirmation index (one per network, see
+    built once, flat, and an empty view over it is registered as the funding
+    block's ledger in every node's confirmation index (one per network, see
     :class:`~repro.protocol.blockchain.ConfirmationIndex`), which also
-    registers the funding txids once.  Each node's ledger becomes a view over
-    that checkpoint, and the views share one set of empty tables until their
-    first write.  A node's ledger writes then cost O(changes since funding),
-    and a reorg or side-branch check replays from the checkpoint, not from
-    genesis (:meth:`~repro.protocol.blockchain.Blockchain.utxo_as_of`).  No
-    node's ``known_transactions`` learns the funding txids: a funding
-    coinbase is never announced, so no INV, GETDATA or TX decision reads such
-    an entry, and confirmed lookups go to the chain.  Memory is therefore
-    linear in the number of funding outputs, before and after blocks flow.
+    registers the funding txids once.  It is the index's first ledger, so
+    the index never drops it.  Each node's ledger is a copy of that view, and
+    every later ledger is a view over the same flat ledger, so the copies
+    share one set of tables until their first write, a write costs O(changes
+    since funding), and a ledger replay
+    (:meth:`~repro.protocol.blockchain.Blockchain.utxo_as_of`) starts at the
+    funding block at the latest, not at genesis.  No node's
+    ``known_transactions`` learns the funding txids: a funding coinbase is
+    never announced, so no INV, GETDATA or TX decision reads such an entry,
+    and confirmed lookups go to the chain.  Memory is therefore linear in the
+    number of funding outputs, before and after blocks flow.
 
     Args:
         nodes: every node in the network (all of them must learn the block so
@@ -98,9 +100,8 @@ def fund_nodes(
         node.blockchain.add_block(funding_block)
         node.known_blocks.add(funding_block.block_hash)
     # Replayed before it is registered, so the replay is flat, from genesis.
-    checkpoint = reference.blockchain.utxo_set()
-    view = UtxoSet(checkpoint)
+    view = UtxoSet(reference.blockchain.utxo_set())
     for node in nodes:
-        node.blockchain.index.register_checkpoint(funding_block.block_hash, checkpoint)
+        node.blockchain.index.register_ledger(funding_block, view)
         node.utxo = view.copy()
     return funding_block

@@ -16,7 +16,8 @@ from repro.protocol.messages import (
     PingMessage,
     TxMessage,
 )
-from repro.protocol.node import NodeConfig
+from repro.net.geo import GeoPosition
+from repro.protocol.node import BitcoinNode, NodeConfig
 from repro.protocol.transaction import Transaction
 from repro.workloads.generators import fund_nodes
 from repro.workloads.network_gen import NetworkParameters, build_network
@@ -160,6 +161,30 @@ class TestNetworkFabric:
         network.connect(0, 1)
         assert network.total_messages() > 0
         assert network.total_bytes() > 0
+
+
+class TestNodeClock:
+    """A node keeps the simulator's clock from the network it attaches to."""
+
+    def test_unattached_node_has_no_time(self):
+        node = BitcoinNode(0, GeoPosition(0.0, 0.0, "test", "XX"))
+        with pytest.raises(RuntimeError, match="node 0 is not attached"):
+            node.now
+        with pytest.raises(RuntimeError, match="node 0 is not attached"):
+            node.relay._now
+        with pytest.raises(RuntimeError, match="node 0 is not attached"):
+            node.relay._network()
+
+    def test_attached_nodes_read_the_simulator_clock(self, small_network):
+        simulator = small_network.simulator
+        attached = small_network.nodes[0]
+        given = BitcoinNode(
+            999, GeoPosition(0.0, 0.0, "test", "XX"), network=small_network.network
+        )
+        simulator.run(until=2.5)
+        for node in (attached, given):
+            assert node.now == node.relay._now == simulator.now == 2.5
+            assert node.relay._network() is small_network.network
 
 
 class TestTransactionRelay:

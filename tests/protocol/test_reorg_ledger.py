@@ -2,12 +2,15 @@
 
 ``accept_block`` applies a block that extends the tip to the node's own
 ledger in place (undoing a partial apply when the block is invalid), checks a
-side-branch block on a ledger replayed to its parent, and replaces its ledger
-on a reorg.  The reference is a flat replay from genesis: after every
-accepted or rejected block the node's ledger and ``Blockchain.utxo_set()``
-(which replays from the funding checkpoint) must both read like it, and every
-verdict (with its ``verification_cost_s``) must equal ``validate_block`` on a
-ledger replayed to the block's parent.  Blocks arrive in random orders, so
+side-branch block on a copy of its parent's registered ledger (or a replay
+to the parent when the index no longer holds it), and replaces its ledger on
+a reorg.  A block object another node already validated is not validated
+again: the node takes the ledger that node registered.  The reference is a
+flat replay from genesis: after every accepted or rejected block the node's
+ledger and ``Blockchain.utxo_set()`` must both read like it, every verdict
+(with its ``verification_cost_s``) must equal ``validate_block`` on a ledger
+replayed to the block's parent, and every block stored without a verdict
+must be valid by that same reference.  Blocks arrive in random orders, so
 some wait in the orphan pool and are applied when their parent arrives.
 """
 
@@ -32,8 +35,12 @@ class RecordingValidator(TransactionValidator):
         super().__init__()
         self.node = node
         self.verdicts = []
+        #: Blocks checked, and blocks the node stored without a verdict of its own.
+        self.checked = 0
+        self.reused = 0
 
     def apply_block(self, block, parent, utxo):
+        self.checked += 1
         side_branch = utxo is not self.node.utxo
         result = super().apply_block(block, parent, utxo)
         self.verdicts.append((block, parent, result, side_branch))
@@ -95,21 +102,42 @@ def make_block(parent, transactions, index, keypairs):
     )
 
 
+def stored_blocks(chain):
+    """Every block ``chain`` stores, by hash."""
+    return {
+        block.block_hash: block
+        for leaf in chain.leaves()
+        for block in chain.chain_to(leaf.block_hash)
+    }
+
+
 def accept_and_check(node, block, keypairs):
-    """Accept ``block``, then hold the node's ledger and every verdict it
-    gave to the replay reference; returns the number of side-branch verdicts."""
-    node.accept_block(block, origin_peer=None)
+    """Accept ``block``, then hold the node's ledger, every verdict it gave
+    and every block it stored without one to the replay reference; returns
+    the number of side-branch verdicts."""
     chain = node.blockchain
+    before = stored_blocks(chain)
+    node.accept_block(block, origin_peer=None)
     expected = ledger_state(replay(chain.best_chain()), keypairs)
     assert ledger_state(node.utxo, keypairs) == expected
     assert ledger_state(chain.utxo_set(), keypairs) == expected
     side_branch_verdicts = 0
-    for validated, parent, result, side_branch in node.validator.verdicts:
+    validated = set()
+    for checked, parent, result, side_branch in node.validator.verdicts:
         at_parent = replay(chain.chain_to(parent.block_hash))
-        expected = TransactionValidator().validate_block(validated, parent, at_parent)
+        expected = TransactionValidator().validate_block(checked, parent, at_parent)
         assert result == expected
         side_branch_verdicts += side_branch
+        validated.add(checked.block_hash)
     node.validator.verdicts.clear()
+    for block_hash, stored in stored_blocks(chain).items():
+        if block_hash in before or block_hash in validated:
+            continue
+        # Stored on another node's verdict: the reference must agree.
+        parent = chain.get_block(stored.previous_hash)
+        at_parent = replay(chain.chain_to(parent.block_hash))
+        assert TransactionValidator().validate_block(stored, parent, at_parent).valid
+        node.validator.reused += 1
     return side_branch_verdicts
 
 
@@ -184,6 +212,28 @@ class TestLedgerFollowsBestChain:
         for block, valid in tree:
             for node in nodes:
                 assert node.blockchain.has_block(block.block_hash) == valid
+
+    def test_later_nodes_take_the_registered_ledgers(self):
+        """Nodes that receive the block objects the first node validated
+        store them without validating: only invalid blocks are checked on
+        every node."""
+        nodes, funding = funded_nodes(seed=2)
+        keypairs = {node.keypair.address: node.keypair for node in nodes}
+        owners = sorted(keypairs)
+        outputs = sorted(replay([funding]).entries(), key=lambda e: e.outpoint)
+        main = make_block(funding, [spend(keypairs, outputs[0], owners[1], 0.0)], 0, keypairs)
+        fork = make_block(funding, [spend(keypairs, outputs[0], owners[2], 0.0)], 1, keypairs)
+        child = make_block(fork, [spend(keypairs, outputs[1], owners[0], 1.0)], 2, keypairs)
+        again = spend(keypairs, outputs[1], owners[1], 2.0)  # re-spends what child spent
+        invalid = make_block(child, [again], 3, keypairs)
+        for node in nodes:
+            for block in (main, fork, child, invalid):
+                accept_and_check(node, block, keypairs)
+            assert node.blockchain.tip is child
+        first, *later = nodes
+        assert (first.validator.checked, first.validator.reused) == (4, 0)
+        for node in later:
+            assert (node.validator.checked, node.validator.reused) == (1, 3)
 
     def test_deep_reorgs_back_and_forth(self):
         nodes, funding = funded_nodes(seed=3)

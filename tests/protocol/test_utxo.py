@@ -322,15 +322,65 @@ class TestCopyOnWrite:
         nodes = list(simulated.nodes.values())
         # A flat ledger carries no spent-outpoint table.
         assert all(node.utxo._base is None and node.utxo._spent is None for node in nodes)
-        fund_nodes(nodes, outputs_per_node=2)
-        assert len({id(node.utxo._entries) for node in nodes}) == 1
-        assert nodes[0].utxo._shares[0] == len(nodes)
+        funding = fund_nodes(nodes, outputs_per_node=2)
+        # The funding block's registered ledger is the one other sharer.
+        registered = nodes[0].blockchain.index.ledger(funding)
+        assert len({id(node.utxo._entries) for node in nodes} | {id(registered._entries)}) == 1
+        assert nodes[0].utxo._shares[0] == len(nodes) + 1
         writer, *others = nodes
         spent = writer.utxo.spendable_by(writer.keypair.address)[0]
         writer.utxo.remove(spent.outpoint)
         assert spent.outpoint not in writer.utxo
         assert all(spent.outpoint in node.utxo for node in others)
-        assert others[0].utxo._shares[0] == len(others)
+        assert spent.outpoint in registered
+        assert others[0].utxo._shares[0] == len(others) + 1
+
+
+class TestVerdictMemo:
+    """A verdict remembered on a ledger serves every set sharing its tables,
+    for the same transaction object and key, until a write."""
+
+    def ledger_and_payment(self):
+        keypair = KeyPair.generate("memo")
+        coinbase = Transaction.coinbase(keypair.address, 1_000, tag="memo")
+        ledger = UtxoSet.from_transactions([coinbase])
+        tx = Transaction.create_signed(keypair, [(coinbase.txid, 0, 1_000)], [("payee", 900)])
+        return ledger, tx
+
+    def test_recall_needs_the_same_object_and_key(self):
+        ledger, tx = self.ledger_and_payment()
+        key, verdict = object(), ("valid", 100)
+        assert ledger.recall(tx, key) is None
+        ledger.remember(tx, key, verdict)
+        assert ledger.recall(tx, key) is verdict
+        assert ledger.recall(tx, object()) is None
+        twin = Transaction(inputs=tx.inputs, outputs=tx.outputs, created_at=tx.created_at)
+        assert twin.txid == tx.txid and twin == tx
+        assert ledger.recall(twin, key) is None
+
+    def test_a_write_ends_the_memo_for_the_writer_only(self):
+        ledger, tx = self.ledger_and_payment()
+        key = object()
+        ledger.remember(tx, key, "verdict")
+        reader, writer = ledger.copy(), ledger.copy()
+        assert reader.recall(tx, key) == writer.recall(tx, key) == "verdict"
+        writer.add(entry(txid="other"))
+        assert writer.recall(tx, key) is None
+        assert ledger.recall(tx, key) == reader.recall(tx, key) == "verdict"
+        # A sole owner's write clears the memo it kept.
+        alone, _ = self.ledger_and_payment()
+        alone.remember(tx, key, "verdict")
+        assert alone._shares == [1]
+        alone.add(entry(txid="other"))
+        assert alone.recall(tx, key) is None
+
+    def test_undoing_a_write_does_not_bring_the_memo_back(self):
+        ledger, tx = self.ledger_and_payment()
+        key = object()
+        ledger.remember(tx, key, "verdict")
+        spent = ledger.apply_transaction(tx)
+        ledger.undo_transaction(tx, spent)
+        assert ledger.recall(tx, key) is None
 
 
 def genesis_replay(blocks):
@@ -357,9 +407,19 @@ def spend_funding(node, output, to_address, value, created_at):
     )
 
 
+def funding_checkpoint(node, funding):
+    """The flat funding ledger: the base of the view ``fund_nodes`` registers
+    as the ledger of (the node's own object for) the funding block."""
+    block = node.blockchain.get_block(funding.block_hash)
+    registered = node.blockchain.index.ledger(block)
+    assert registered is not None and registered._base is not None
+    return registered._base
+
+
 class TestFundingCheckpoint:
-    """``fund_nodes`` registers one flat funding ledger per network; every
-    node's ledger views it, and replays of a funded chain start from it."""
+    """``fund_nodes`` registers a view over one flat funding ledger per
+    network as the funding block's ledger; every node's ledger views the flat
+    ledger, and replays of a funded chain start from it."""
 
     def funded(self, node_count=6, outputs_per_node=3):
         simulated = build_network(NetworkParameters(node_count=node_count, seed=2))
@@ -370,7 +430,7 @@ class TestFundingCheckpoint:
     def test_replays_of_a_funded_chain_start_from_the_checkpoint(self, monkeypatch):
         _, nodes, funding = self.funded()
         chain = nodes[0].blockchain
-        checkpoint = chain.index.checkpoint(funding.block_hash)
+        checkpoint = funding_checkpoint(nodes[0], funding)
         before = ledger_dict(checkpoint)
         assert before == ledger_dict(genesis_replay(chain.best_chain()))
         first, second = nodes[0], nodes[1]
@@ -433,7 +493,7 @@ class TestFundingCheckpoint:
 
     def test_blocks_and_reorgs_never_write_the_checkpoint(self):
         _, nodes, funding = self.funded(node_count=4, outputs_per_node=2)
-        checkpoint = nodes[0].blockchain.index.checkpoint(funding.block_hash)
+        checkpoint = funding_checkpoint(nodes[0], funding)
         before = ledger_dict(checkpoint)
         owner = nodes[0]
         paid = owner.utxo.spendable_by(owner.keypair.address)
@@ -475,10 +535,9 @@ class TestFundingCheckpoint:
         simulated, _, funding = self.funded(node_count=5, outputs_per_node=2)
         loaded = load_network(save_network(simulated, tmp_path / "funded.pkl"))
         nodes = [loaded.node(node_id) for node_id in loaded.node_ids()]
-        checkpoint = nodes[0].blockchain.index.checkpoint(funding.block_hash)
-        assert checkpoint is not None
+        checkpoint = funding_checkpoint(nodes[0], funding)
         for node in nodes:
-            assert node.blockchain.index.checkpoint(funding.block_hash) is checkpoint
+            assert funding_checkpoint(node, funding) is checkpoint
             assert node.utxo._base is checkpoint
         # The views still share one set of empty tables; each spend below
         # writes a node's own copy of them, never the checkpoint.

@@ -97,7 +97,7 @@ class TestFunding:
     def test_refused_funding_changes_no_node(self):
         """A node already past genesis makes ``fund_nodes`` refuse before any
         node changes: no node gains the funding block or its outputs, and no
-        ledger checkpoint is registered."""
+        funding ledger is registered."""
         simulated = build_network(NetworkParameters(node_count=4, seed=2))
         nodes = [simulated.node(node_id) for node_id in simulated.node_ids()]
         early = nodes[3]
@@ -110,7 +110,8 @@ class TestFunding:
             fund_nodes(nodes)
         assert [(n.blockchain.height, n.balance(), n.utxo) for n in nodes] == before
         assert all(node.blockchain.block_count == 1 for node in nodes[:3])
-        assert not nodes[0].blockchain.index._checkpoints
+        # The early block's ledger is the only one registered.
+        assert set(nodes[0].blockchain.index._ledgers) == {block.block_hash}
 
     def test_invalid_amounts_rejected(self, small_network):
         nodes = list(small_network.nodes.values())
