@@ -84,10 +84,45 @@ GOLDEN_1200_EDGES = {
 }
 
 
+#: The streams whose state a build leaves behind is pinned per policy: BCBPT
+#: draws pair routings and ping jitter from the latency stream and shuffles
+#: qualifying peers with its own; LBC draws from its own stream alone.
+PINNED_STREAMS = {"bcbpt": ("latency", "policy-bcbpt"), "lbc": ("policy-lbc",)}
+
+#: (nodes, seed, policy) -> sha256 over the pinned streams' ``bit_generator
+#: .state`` and ``messages_sent["ping"]`` right after the build.  An edge
+#: digest alone misses a reordered draw that still keeps every edge.
+GOLDEN_STREAMS = {
+    (300, 3, "bcbpt"): "a24db6f607b1c52ea0e97e07b022601ce4cde9d8efcbb6ddbb971c3534ff9e55",
+    (300, 3, "lbc"): "e088b486c3803224331d750cab16906d6c8dfcdace7c793eb6cf352b8919fee4",
+    (300, 11, "bcbpt"): "a361bfd17596643caae42700968f542f5476bed1a10d6e3826d6d89a8feeaee7",
+    (300, 11, "lbc"): "e50b3e77b93ee50bdfc1005307e65a9ee96a4491e614b9dbe71c80dd235e5ab3",
+    (1200, 3, "bcbpt"): "101ec4b44f9bff5f5138ce9b83b97149d5f49e315515643e3747a79f8f753915",
+    (1200, 3, "lbc"): "3ee10d700bd16750dd4eb5c19079923286a479735075bd331e1a15d5ce23e3c3",
+    (1200, 11, "bcbpt"): "f9e6ab9a6dfb3565c49d7d0727a29f8f66aa32e9c8e7d198feb6e753a14945b7",
+    (1200, 11, "lbc"): "bc7d951e53d6fb7cd92a1b5fdac805f51a6457ac7971c0a9ae0c9ef6ef588a88",
+}
+
+
 @pytest.mark.parametrize("seed, policy", sorted(GOLDEN_1200_EDGES))
 def test_1200_node_overlay_matches_golden(seed, policy):
     scenario = build_scenario(policy, NetworkParameters(node_count=1200, seed=seed), max_outbound=8)
     assert _edge_digest(scenario) == GOLDEN_1200_EDGES[(seed, policy)]
+    assert _stream_digest(scenario) == GOLDEN_STREAMS[(1200, seed, policy)]
+
+
+@pytest.mark.parametrize("seed, policy", sorted(GOLDEN_1200_EDGES))
+def test_300_node_build_leaves_pinned_stream_states(seed, policy):
+    scenario = build_scenario(policy, NetworkParameters(node_count=300, seed=seed), max_outbound=8)
+    assert _stream_digest(scenario) == GOLDEN_STREAMS[(300, seed, policy)]
+
+
+def _stream_digest(scenario) -> str:
+    """sha256 over the policy's pinned stream states and the ping count so far."""
+    random = scenario.simulator.random
+    states = [random.stream(name).bit_generator.state for name in PINNED_STREAMS[scenario.name]]
+    pings = scenario.network.network.messages_sent["ping"]
+    return hashlib.sha256(repr((states, pings)).encode()).hexdigest()
 
 
 def _edge_digest(scenario) -> str:
