@@ -141,10 +141,11 @@ class BcbptPolicy(NeighbourPolicy):
         if len(ranked) < self.max_outbound:
             # Not enough close cluster members: measure the geographically
             # nearest outsiders and keep only those under the threshold.
+            chosen = set(ranked)
             outsiders = [
                 peer
                 for peer in self.seed_service.query_proximity_ranked(node_id)
-                if usable(peer) and peer not in set(ranked)
+                if usable(peer) and peer not in chosen
             ]
             ranked.extend(close_subset(outsiders[: self.config.candidates_per_round]))
         return ranked

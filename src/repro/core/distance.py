@@ -17,7 +17,8 @@ ping/pong exchange, which the overhead experiment (Ext-2 in DESIGN.md) counts.
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, NamedTuple
+from operator import itemgetter
+from typing import TYPE_CHECKING, NamedTuple, Optional
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers
     from repro.protocol.network import P2PNetwork
@@ -47,6 +48,10 @@ class DistanceEstimate(NamedTuple):
         if threshold_s <= 0:
             raise ValueError(f"distance threshold must be positive, got {threshold_s}")
         return self.mean_rtt_s < threshold_s
+
+
+#: (mean RTT, low id, high id): the order :meth:`DistanceCalculator.rank_by_distance` returns.
+_RANK_KEY = itemgetter(2, 0, 1)
 
 
 class DistanceCalculator:
@@ -79,6 +84,9 @@ class DistanceCalculator:
         self._cache: dict[int, dict[int, DistanceEstimate]] = {}
         self.measurements_taken = 0
         self.ping_exchanges = 0
+        #: Ping exchanges the running :meth:`rank_by_distance` charges when
+        #: it returns; None outside one, where each miss charges its own.
+        self._unbilled: Optional[int] = None
 
     def measure(self, node_a: int, node_b: int) -> DistanceEstimate:
         """Estimate the distance between two nodes by pinging.
@@ -86,40 +94,53 @@ class DistanceCalculator:
         Each call charges ``samples_per_pair`` ping/pong exchanges to the
         network's traffic counters (unless served from the cache).
         """
-        if node_a == node_b:
+        if node_a < node_b:
+            low, high = node_a, node_b
+        elif node_a > node_b:
+            low, high = node_b, node_a
+        else:
             raise ValueError("cannot measure the distance from a node to itself")
-        low, high = (node_a, node_b) if node_a < node_b else (node_b, node_a)
-        if self._use_cache:
-            estimate = self._cache.get(low, {}).get(high)
+        row = self._cache.get(low)
+        if row is not None:
+            estimate = row.get(high)
             if estimate is not None:
                 return estimate
         # One batched call instead of samples_per_pair scalar pings: the pair's
         # routed path resolves once and the jitter factors are drawn as one
         # array, bit-identical to the sequential loop (see LatencyModel.sample_rtts).
-        samples = self._network.measure_rtts(node_a, node_b, self.samples_per_pair)
-        self._network.record_ping_exchange(self.samples_per_pair)
-        self.ping_exchanges += self.samples_per_pair
+        count = self.samples_per_pair
+        samples = self._network.measure_rtts(node_a, node_b, count)
         self.measurements_taken += 1
-        mean = sum(samples) / len(samples)
-        if len(samples) > 1:
-            variance = sum((s - mean) ** 2 for s in samples) / (len(samples) - 1)
+        self.ping_exchanges += count
+        if self._unbilled is None:
+            self._network.record_ping_exchange(count)
         else:
-            variance = 0.0
-        estimate = DistanceEstimate(
-            node_a=low,
-            node_b=high,
-            mean_rtt_s=mean,
-            std_rtt_s=math.sqrt(variance),
-            samples=len(samples),
-        )
+            self._unbilled += count
+        mean = sum(samples) / count
+        variance = sum([(s - mean) ** 2 for s in samples]) / (count - 1) if count > 1 else 0.0
+        estimate = DistanceEstimate(low, high, mean, math.sqrt(variance), count)
         if self._use_cache:
-            self._cache.setdefault(low, {})[high] = estimate
+            if row is None:
+                row = self._cache[low] = {}
+            row[high] = estimate
         return estimate
 
     def rank_by_distance(self, origin: int, candidates: list[int]) -> list[DistanceEstimate]:
-        """Measure ``origin`` against every candidate, closest first."""
-        estimates = [self.measure(origin, candidate) for candidate in candidates if candidate != origin]
-        return sorted(estimates, key=lambda e: (e.mean_rtt_s, e.node_a, e.node_b))
+        """Measure ``origin`` against every candidate, closest first.
+
+        The pings of every miss are charged to the network in one
+        :meth:`~repro.protocol.network.P2PNetwork.record_ping_exchange` call
+        when the ranking is done.
+        """
+        measure = self.measure
+        self._unbilled = 0
+        try:
+            estimates = [measure(origin, candidate) for candidate in candidates if candidate != origin]
+        finally:
+            unbilled, self._unbilled = self._unbilled, None
+            if unbilled:
+                self._network.record_ping_exchange(unbilled)
+        return sorted(estimates, key=_RANK_KEY)
 
     def clear_cache(self) -> None:
         """Forget every memoised estimate (e.g. between experiment repetitions)."""

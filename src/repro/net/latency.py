@@ -157,13 +157,14 @@ class LatencyModel:
         self.parameters = parameters if parameters is not None else LatencyParameters()
         #: low id -> {high id: routed path km}, for every pair touched so far.
         self._path_km: dict[int, dict[int, float]] = {}
-        # Hot-path constant (parameters are frozen, so this never goes stale).
-        # Computed with the exact Eq. (4) expression so cached and uncached
-        # code paths agree to the last bit.
-        self._queuing_s = self.parameters.ping_message_bytes / (
-            self.parameters.queue_service_rate_bps
-            - self.parameters.ping_arrival_rate_per_s * self.parameters.ping_message_bytes
+        # Hot-path constants (parameters are frozen, so these never go stale),
+        # each computed with the exact Eq. (2)-(4) expression so the methods
+        # that read them and the ones that recompute agree to the last bit.
+        params = self.parameters
+        self._queuing_s = params.ping_message_bytes / (
+            params.queue_service_rate_bps - params.ping_arrival_rate_per_s * params.ping_message_bytes
         )
+        self._ping_transmission_s = params.ping_message_bytes / params.transmission_rate_bps
 
     # --------------------------------------------------------------- helpers
     @staticmethod
@@ -334,22 +335,38 @@ class LatencyModel:
         one array — numpy ``Generator`` array draws consume the bit stream
         exactly like the same number of scalar draws.  This is the clustering
         hot path: :class:`~repro.core.distance.DistanceCalculator` hammers it
-        during cluster formation.
+        during cluster formation, so a new pair's path resolves right here,
+        with one haversine and :meth:`path_km`'s routing draws, and the
+        constant Eq. (2) and (4) terms come precomputed.
         """
         if count <= 0:
             raise ValueError(f"count must be positive, got {count}")
-        distance_km = self._path_km_for(node_a, position_a, node_b, position_b)
+        low, high = (node_a, node_b) if node_a < node_b else (node_b, node_a)
+        row = self._path_km.get(low)
+        path = None if row is None else row.get(high)
+        if path is None:
+            # A new pair: resolve its routed path here, as path_km would.
+            if low == high:
+                raise ValueError(f"a node has no latency to itself (node {node_a})")
+            if row is None:
+                row = self._path_km[low] = {}
+            factor, extra_km = self._draw_routing()
+            path = row[high] = position_a.distance_km(position_b) * factor + extra_km
+        params = self.parameters
         base = (
-            self.transmission_delay_s()
-            + 2.0 * self.propagation_delay_s(distance_km)
-            + self.queuing_delay_s()
+            self._ping_transmission_s
+            + 2.0 * (path * 1000.0 / params.signal_speed_m_s)
+            + self._queuing_s
         )
-        minimum = self.parameters.minimum_rtt_s
-        sigma = self.parameters.congestion_jitter_sigma
+        minimum = params.minimum_rtt_s
+        sigma = params.congestion_jitter_sigma
         if sigma <= 0:
             return [max(minimum, base)] * count
-        factors = self._rng.lognormal(mean=0.0, sigma=sigma, size=count)
-        return [max(minimum, base * factor) for factor in factors.tolist()]
+        rtts = []
+        for factor in self._rng.lognormal(0.0, sigma, count).tolist():
+            rtt = base * factor
+            rtts.append(rtt if rtt > minimum else minimum)
+        return rtts
 
     def one_way_delay_s(
         self,

@@ -19,8 +19,9 @@ import numpy as np
 from repro.net.geo import GeoPosition
 
 #: How far below the ``count``-th largest cosine :meth:`DnsSeedService.nearest`
-#: still keeps a row.  Since 1 - cos θ ≈ θ²/2, that is under ten metres of
-#: great-circle distance even next to the origin.
+#: still keeps a row, and how close two adjacent cosines must lie for their
+#: rows to need the exact distance.  Since 1 - cos θ ≈ θ²/2, that is under
+#: ten metres of great-circle distance even next to the origin.
 _COSINE_MARGIN = 1e-12
 
 
@@ -124,23 +125,42 @@ class DnsSeedService:
         central angle, which falls as the great-circle distance grows: one
         matrix-vector product and an ``np.partition`` cut keep the rows whose
         cosine is at most :data:`_COSINE_MARGIN` below the ``count``-th
-        largest, and only those are sorted by exact
-        :meth:`~repro.net.geo.GeoPosition.distance_km` and id, which alone
-        decides the order.  The cosines and the haversine each round by a few
-        ulp of 1 in cosine terms, so a row the exact sort places at or before
-        the ``count``-th lies at most ~1e-14 below the cut, a hundredth of
-        the margin.  The result is the first ``count`` of the exact sort of
-        every row, at O(n) vector work and about ``count`` scalar haversines.
+        largest.  The cosines and the haversine each round by a few ulp of 1
+        in cosine terms, so a row the exact sort places at or before the
+        ``count``-th lies at most ~1e-14 below the cut, a hundredth of the
+        margin, and two rows whose cosines differ by more than the margin
+        have their exact distances in the same order.  The survivors are
+        therefore ordered by cosine, and exact
+        :meth:`~repro.net.geo.GeoPosition.distance_km` and id order only the
+        near-tie runs, where adjacent cosines differ by at most the margin.
+        The result is the first ``count`` of the exact (distance, id) sort
+        of every row, at O(n) vector work and a haversine only for the
+        members of near-tie runs.  ``rows`` no longer than ``count`` are
+        sorted exactly, with no vector work.
 
         Raises:
             KeyError: for an origin the seed has no position for.
         """
         origin = self._positions[origin_id]
-        if len(rows) > count:
-            cosines = (self._xyz @ self._xyz[self._row_of[origin_id]])[rows]
-            cutoff = np.partition(cosines, -count)[-count] - _COSINE_MARGIN
-            rows = rows[cosines >= cutoff]
-        return self._by_distance(origin, (self._ids[row] for row in rows.tolist()))[:count]
+        ids = self._ids
+        if len(rows) <= count:
+            return self._by_distance(origin, (ids[row] for row in rows.tolist()))
+        cosines = (self._xyz @ self._xyz[self._row_of[origin_id]])[rows]
+        keep = cosines >= np.partition(cosines, -count)[-count] - _COSINE_MARGIN
+        runs: list[list[int]] = []
+        previous = float("inf")
+        for cosine, row in sorted(zip(cosines[keep].tolist(), rows[keep].tolist()), reverse=True):
+            if previous - cosine > _COSINE_MARGIN:
+                runs.append([ids[row]])
+            else:
+                runs[-1].append(ids[row])
+            previous = cosine
+        peers: list[int] = []
+        for run in runs:
+            if len(peers) >= count:
+                break
+            peers.extend(run if len(run) == 1 else self._by_distance(origin, run))
+        return peers[:count]
 
     def rows_of(self, node_ids: Sequence[int]) -> np.ndarray:
         """The seed's rows of ``node_ids``, the input :meth:`nearest` ranks.

@@ -91,6 +91,30 @@ class TestDistanceCalculator:
         rtts = [e.mean_rtt_s for e in estimates]
         assert rtts == sorted(rtts)
 
+    def test_ranking_charges_its_misses_in_one_call(self, network, monkeypatch):
+        calc = DistanceCalculator(network, samples_per_pair=3)
+        calc.measure(0, 1)
+        charges = []
+        record = network.record_ping_exchange
+        monkeypatch.setattr(
+            network, "record_ping_exchange", lambda count: (charges.append(count), record(count))
+        )
+        pings = network.messages_sent["ping"]
+        calc.rank_by_distance(0, [1, 2, 3, 0, 4])
+        assert charges == [9]
+        assert network.messages_sent["ping"] == network.messages_sent["pong"] == pings + 9
+        assert (calc.ping_exchanges, calc.measurements_taken) == (12, 4)
+        calc.rank_by_distance(4, [0, 1, 2])
+        assert charges == [9, 6]
+        calc.rank_by_distance(0, [1, 2])
+        assert charges == [9, 6]
+        # A ranking that fails part-way still charges the pings it took, and
+        # a later measure charges its own again.
+        with pytest.raises(KeyError):
+            calc.rank_by_distance(5, [6, 7, 999])
+        calc.measure(8, 9)
+        assert charges == [9, 6, 6, 3]
+
     def test_rank_excludes_origin(self, network):
         calc = DistanceCalculator(network)
         estimates = calc.rank_by_distance(0, [0, 1, 2])

@@ -3,15 +3,19 @@
 The 40-node fig3 golden configuration never asks the DNS seed to rank more
 than 100 candidates, so it never runs the proximity prefilter
 (``DnsSeedService.nearest``: a cut on the cosines of unit vectors, 1e-12
-wide, before the exact distance sort), and its overlays are too small for
-long links and funding to dominate set-up.  These goldens pin 150-node
-builds instead: per (seed, policy), a sha256 over the sorted
-``(node_a, node_b, is_cluster_link, is_long_link)`` edges right after the
-build, and one over the fig3 Δt samples of a short campaign on that overlay
-(fund-everyone, as fig3 does).  The 1,200-node edge digests pin the
-prefilter over about 1,200 candidates per query, for BCBPT's join and
-LBC's outsider ranking alike; they were taken before the cosine cut
-replaced a haversine one.
+wide, then cosine order, with the exact distance and id ordering only the
+near-tie runs), and its overlays are too small for long links and funding
+to dominate set-up.  These goldens pin 150-node builds instead: per (seed,
+policy), a sha256 over the sorted ``(node_a, node_b, is_cluster_link,
+is_long_link)`` edges right after the build, and one over the fig3 Δt
+samples of a short campaign on that overlay (fund-everyone, as fig3 does).
+The 1,200-node edge digests pin the prefilter over about 1,200 candidates
+per query, for BCBPT's join and LBC's outsider ranking alike; they were
+taken before the cosine cut replaced a haversine one.  The stream-state
+digests of 300- and 1,200-node builds pin every draw the build takes from
+the latency and policy streams, and the pings it charges; they were taken
+before the seed's cosine order and the inline pair resolution of the ping
+path replaced an exact sort of every survivor.
 """
 
 import hashlib

@@ -162,6 +162,25 @@ class TestPairTable:
             model.routing_cached(3, 3)
         with pytest.raises(ValueError):
             model.base_rtt_s(3, position, 3, position)
+        with pytest.raises(ValueError):
+            model.sample_rtts(3, position, 3, position, 2)
+        assert not model._path_km
+
+    @pytest.mark.parametrize("sigma", [0.0, 0.15])
+    def test_batched_samples_match_sequential_ones(self, sigma):
+        # sample_rtt is the reference for the batch: the same values, the
+        # minimum-RTT clamp of two nodes on one spot included, and the same
+        # stream position afterwards.
+        positions = sample_positions(2)
+        spot = positions[0]
+        parameters = LatencyParameters(congestion_jitter_sigma=sigma, detour_probability=0.0)
+        batched = LatencyModel(np.random.default_rng(3), parameters)
+        sequential = LatencyModel(np.random.default_rng(3), parameters)
+        for ends in ((0, positions[0], 1, positions[1]), (1, positions[1], 0, positions[0]), (3, spot, 4, spot)):
+            expected = [sequential.sample_rtt(*ends).rtt_s for _ in range(4)]
+            assert batched.sample_rtts(*ends, 4) == expected
+        assert expected == [parameters.minimum_rtt_s] * 4
+        assert batched._rng.random() == sequential._rng.random()
 
     def test_batched_jitter_matches_sequential_draws(self):
         batched = LatencyModel(np.random.default_rng(3), LatencyParameters())

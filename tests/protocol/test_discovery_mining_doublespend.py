@@ -1,5 +1,7 @@
 """Tests for peer discovery, mining and the double-spend attacker."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -81,6 +83,23 @@ def _antimeridian_longitudes(rng, count):
     return np.where(longitudes >= 180.0, longitudes - 360.0, longitudes)
 
 
+def _ring_positions(rng, count):
+    """Every node on one of the six points where the axes meet the globe.
+
+    From any of them the four points around it lie on a ring a quarter
+    circumference away, where cosines and haversines differ by rounding
+    alone (the poles take random longitudes), and peers on one point tie
+    exactly.  So the near-tie runs need the exact distance and the id
+    tie-break, and the ``k``-th peer often falls inside the ring's run.
+    """
+    points = rng.integers(0, 6, count)
+    latitudes = np.array([0.0, 0.0, 0.0, 0.0, 90.0, -90.0])[points]
+    longitudes = np.where(
+        points < 4, np.array([0.0, 90.0, 180.0, -90.0, 0.0, 0.0])[points], rng.uniform(-180.0, 180.0, count)
+    )
+    return latitudes, longitudes
+
+
 #: Where :func:`seed_with_toggles` places its nodes: (latitudes, longitudes)
 #: from a generator and a count.
 LAYOUTS = {
@@ -97,6 +116,7 @@ LAYOUTS = {
         rng.uniform(-180.0, 180.0, n),
     ),
     "antimeridian": lambda rng, n: (rng.uniform(-60.0, 60.0, n), _antimeridian_longitudes(rng, n)),
+    "ring": _ring_positions,
 }
 
 
@@ -156,7 +176,8 @@ class TestDnsSeedRankingProperties:
         large ranks each requester once and filters by liveness, a larger one
         prefilters by cosine.  The same requesters ask again after each
         liveness change, over the whole globe, points metres apart, both
-        polar caps and both sides of the antimeridian."""
+        polar caps, both sides of the antimeridian and six points that each
+        see four others at one distance."""
         k = data.draw(st.integers(1, 30), label="k")
         counts = data.draw(st.sampled_from([(2, 100), (101, 400)]), label="counts")
         service, positions, online = seed_with_toggles(data, sample_size=k, seed=0, counts=counts)
@@ -174,6 +195,47 @@ class TestDnsSeedRankingProperties:
                     )[:k]
                 assert service.query_proximity_ranked(requester) == expected
             toggle(data, service, sorted(positions), online)
+
+    def test_nearest_computes_distances_only_inside_near_tie_runs(self, monkeypatch):
+        """1,200 nodes on the world layout, a quarter of them on another's
+        position: the only exact distances a query computes are to peers
+        whose cosine ties another survivor's, the twins here."""
+        count, k = 1200, 25
+        layout = np.random.default_rng(5)
+        latitudes, longitudes = LAYOUTS["world"](layout, count)
+        twins = layout.choice(count, size=count // 4)
+        latitudes[: count // 4], longitudes[: count // 4] = latitudes[twins], longitudes[twins]
+        positions = {
+            node_id: GeoPosition(float(lat), float(lon), region="r", country="XX")
+            for node_id, (lat, lon) in enumerate(zip(latitudes, longitudes))
+        }
+        service = DnsSeedService(positions, np.random.default_rng(0), seed_sample_size=k)
+        for node_id in positions:
+            service.set_online(node_id, True)
+        shared = Counter(positions.values())
+        exact = GeoPosition.distance_km
+        measured = []
+
+        def spy(position, other):
+            measured.append((position, other))
+            return exact(position, other)
+
+        runs = 0
+        for origin_id in range(0, count, 6):
+            origin = positions[origin_id]
+            peers = [peer for peer in positions if peer != origin_id]
+            expected = sorted(peers, key=lambda peer: (exact(origin, positions[peer]), peer))[:k]
+            measured.clear()
+            with monkeypatch.context() as patch:
+                patch.setattr(GeoPosition, "distance_km", spy)
+                assert service.nearest(origin_id, service.rows_of(peers), k) == expected
+            farthest = exact(origin, positions[expected[-1]])
+            for position, other in measured:
+                assert position is origin
+                assert shared[other] - (other == origin) >= 2
+                assert exact(origin, other) <= farthest
+            runs += bool(measured)
+        assert runs > 100
 
     @given(data=st.data())
     @settings(max_examples=40, deadline=None)
