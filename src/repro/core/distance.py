@@ -91,8 +91,11 @@ class DistanceCalculator:
     def measure(self, node_a: int, node_b: int) -> DistanceEstimate:
         """Estimate the distance between two nodes by pinging.
 
-        Each call charges ``samples_per_pair`` ping/pong exchanges to the
-        network's traffic counters (unless served from the cache).
+        Each call not served from the cache takes ``samples_per_pair``
+        ping/pong exchanges.  A direct call charges them to the network's
+        traffic counters at once; a call made by :meth:`rank_by_distance`
+        leaves them to that ranking, which charges all of its calls' pings
+        when it returns.
         """
         if node_a < node_b:
             low, high = node_a, node_b

@@ -192,6 +192,21 @@ class LatencyModel:
             extra_km = dlow + (dhigh - dlow) * rng.random()
         return factor, extra_km
 
+    def _new_path_km(self, low: int, high: int, great_circle_km: float) -> float:
+        """Resolve a pair no lookup found: draw its routing and keep its routed path.
+
+        The one resolution of a pair, on its first touch through
+        :meth:`path_km` or a positioned query.
+
+        Raises:
+            ValueError: for a node paired with itself (which no lookup finds).
+        """
+        if low == high:
+            raise ValueError(f"a node has no latency to itself (node {low})")
+        factor, extra_km = self._draw_routing()
+        path = self._path_km.setdefault(low, {})[high] = great_circle_km * factor + extra_km
+        return path
+
     def path_km(self, node_a: int, node_b: int, great_circle_km: float) -> float:
         """Effective routed path length for a pair, given its great-circle distance.
 
@@ -202,13 +217,10 @@ class LatencyModel:
         Raises:
             ValueError: for a node paired with itself.
         """
-        low, high = self._ordered(node_a, node_b)
-        row = self._path_km.setdefault(low, {})
-        path = row.get(high)
-        if path is None:
-            factor, extra_km = self._draw_routing()
-            path = row[high] = great_circle_km * factor + extra_km
-        return path
+        low, high = (node_a, node_b) if node_a < node_b else (node_b, node_a)
+        row = self._path_km.get(low)
+        path = None if row is None else row.get(high)
+        return self._new_path_km(low, high, great_circle_km) if path is None else path
 
     def routing_cached(self, node_a: int, node_b: int) -> bool:
         """Whether the pair's persistent routing has already been drawn.
@@ -230,15 +242,20 @@ class LatencyModel:
         node_b: int,
         position_b: GeoPosition,
     ) -> float:
-        """Routed path length between two positioned nodes (haversine on a miss only)."""
-        # Inline ordering on this hot path; a self pair misses and path_km raises.
+        """Routed path length between two positioned nodes (haversine on a miss only).
+
+        Raises:
+            ValueError: for a node paired with itself.
+        """
+        # Inline lookup on this hot path: cluster formation resolves one new
+        # pair per measured candidate, and every latency query comes here.
         low, high = (node_a, node_b) if node_a < node_b else (node_b, node_a)
         row = self._path_km.get(low)
         if row is not None:
             path = row.get(high)
             if path is not None:
                 return path
-        return self.path_km(node_a, node_b, position_a.distance_km(position_b))
+        return self._new_path_km(low, high, position_a.distance_km(position_b))
 
     # ------------------------------------------------------------ components
     def transmission_delay_s(self, message_bytes: Optional[float] = None) -> float:
@@ -255,6 +272,19 @@ class LatencyModel:
     def queuing_delay_s(self) -> float:
         """Average queuing delay ``q' = M / (r - lambda * M)`` (Eq. 4)."""
         return self._queuing_s
+
+    def _ping_rtt_s(self, path_km: float) -> float:
+        """Jitter-free Eq. (2) ping RTT over a routed path, before the ``minimum_rtt_s`` floor.
+
+        The ping's transmission, two propagation legs and the queuing term,
+        summed as :meth:`sample_rtt` sums its components, with the constant
+        terms precomputed.
+        """
+        return (
+            self._ping_transmission_s
+            + 2.0 * (path_km * 1000.0 / self.parameters.signal_speed_m_s)
+            + self._queuing_s
+        )
 
     def one_way_propagation_s(
         self,
@@ -281,13 +311,8 @@ class LatencyModel:
         position_b: GeoPosition,
     ) -> float:
         """Deterministic Eq. (2) round-trip time for a node pair in seconds."""
-        distance_km = self._path_km_for(node_a, position_a, node_b, position_b)
-        rtt = (
-            self.transmission_delay_s()
-            + 2.0 * self.propagation_delay_s(distance_km)
-            + self.queuing_delay_s()
-        )
-        return max(self.parameters.minimum_rtt_s, rtt)
+        path = self._path_km_for(node_a, position_a, node_b, position_b)
+        return max(self.parameters.minimum_rtt_s, self._ping_rtt_s(path))
 
     def sample_rtt(
         self,
@@ -335,31 +360,13 @@ class LatencyModel:
         one array — numpy ``Generator`` array draws consume the bit stream
         exactly like the same number of scalar draws.  This is the clustering
         hot path: :class:`~repro.core.distance.DistanceCalculator` hammers it
-        during cluster formation, so a new pair's path resolves right here,
-        with one haversine and :meth:`path_km`'s routing draws, and the
-        constant Eq. (2) and (4) terms come precomputed.
+        during cluster formation.
         """
         if count <= 0:
             raise ValueError(f"count must be positive, got {count}")
-        low, high = (node_a, node_b) if node_a < node_b else (node_b, node_a)
-        row = self._path_km.get(low)
-        path = None if row is None else row.get(high)
-        if path is None:
-            # A new pair: resolve its routed path here, as path_km would.
-            if low == high:
-                raise ValueError(f"a node has no latency to itself (node {node_a})")
-            if row is None:
-                row = self._path_km[low] = {}
-            factor, extra_km = self._draw_routing()
-            path = row[high] = position_a.distance_km(position_b) * factor + extra_km
-        params = self.parameters
-        base = (
-            self._ping_transmission_s
-            + 2.0 * (path * 1000.0 / params.signal_speed_m_s)
-            + self._queuing_s
-        )
-        minimum = params.minimum_rtt_s
-        sigma = params.congestion_jitter_sigma
+        base = self._ping_rtt_s(self._path_km_for(node_a, position_a, node_b, position_b))
+        minimum = self.parameters.minimum_rtt_s
+        sigma = self.parameters.congestion_jitter_sigma
         if sigma <= 0:
             return [max(minimum, base)] * count
         rtts = []
